@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, DataFormatError
 from .model import ScoringModel, param_count, parse_arch
 from .losses import AuxParams
 from .robust import DualState
@@ -210,9 +210,11 @@ def format_report(config: dict, metrics: dict, history=None) -> str:
 
 def parse_report(text: str) -> dict:
     out = {}
-    for line in text.split("\n"):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        key, value = line.split("=", 1)
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DataFormatError(f"no '=' in report line {line!r}", line=lineno)
         out[key] = value
     return out

@@ -298,7 +298,7 @@ def _cmd_verify(args) -> int:
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
-        print(f"[{tag}] {res.name}: {res.detail}")
+        print(f"[{tag}] {res.name}: {res.detail} ({res.seconds:.2f} s)")
         failed += not res.passed
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1

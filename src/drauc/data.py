@@ -190,6 +190,13 @@ def load_csv(path) -> Dataset:
                 raise DataFormatError(
                     f"non-numeric field {field!r} in column x{j + 1}", line=lineno
                 ) from None
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"non-finite value {lines[i + 1].split(',')[j + 1]!r} in column x{j + 1}",
+            line=i + 2,
+        )
     feats, mn, mx = _minmax_normalize(raw)
     return Dataset.from_arrays(feats, labels, mn, mx)
 

@@ -15,8 +15,9 @@ Desk-scale oracles back the solver:
   * an exact 1-D maximizer over a dense grid (plus the point itself),
   * a brute-force search for the worst distribution of a tiny 1-D dataset
     under a mean-squared-transport budget, restricted to one destination
-    per point, made exact up to grid resolution by Pareto-dominance
-    pruning instead of raw enumeration,
+    per point and exact up to grid resolution: the Pareto frontiers of
+    joint moves for the two halves of the points are merged by a
+    searchsorted pass instead of raw enumeration,
   * the closed-form barycenter attack that collapses two point clusters
     onto their mass-weighted mean, driving strict AUC to zero at cost
     p*(1-p)*(x_pos - x_neg)^2.
@@ -176,24 +177,29 @@ class DualCurve:
     curve: np.ndarray
 
 
-def _exact_phi_dataset(model, aux, p_hat, lam, features, labels, grid_resolution):
-    """Exact 1-D phi for every example, vectorized over the shared grid."""
+def _exact_phi_1d(model, aux, p_hat, features, labels, grid_resolution):
+    """Exact 1-D phi for every example, as a function of the multiplier.
+
+    The grid, the examples' own losses and the move costs do not depend on
+    lam, so they are computed once and shared by every call.
+    """
     grid = np.linspace(0.0, 1.0, grid_resolution)
-    g_grid = {
-        y: surrogate_loss(aux, p_hat, score(model, grid[:, None]), y)
-        for y in (0, 1)
-    }
+    f_grid = score(model, grid[:, None])
     x = features[:, 0]
     g_own = surrogate_loss(aux, p_hat, score(model, features), labels)
-    out = np.empty(x.size)
+    classes = []
     for y in (0, 1):
         mask = labels == y
-        if not mask.any():
-            continue
-        cost = (x[mask, None] - grid[None, :]) ** 2
-        out[mask] = np.maximum((g_grid[y][None, :] - lam * cost).max(axis=1),
-                               g_own[mask])
-    return out
+        if mask.any():
+            classes.append((mask, surrogate_loss(aux, p_hat, f_grid, y)[None, :],
+                            (x[mask, None] - grid[None, :]) ** 2, g_own[mask]))
+
+    def phi(lam):
+        out = np.empty(x.size)
+        for mask, g_grid, cost, own in classes:
+            out[mask] = np.maximum((g_grid - lam * cost).max(axis=1), own)
+        return out
+    return phi
 
 
 def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
@@ -211,30 +217,54 @@ def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
         raise ValueError("lambda_grid must be non-empty")
     if (np.diff(grid) < 0).any() or grid[0] < 0.0:
         raise ValueError("lambda_grid must be sorted ascending and >= 0")
-    curve = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        if dataset.d == 1:
-            phis = _exact_phi_dataset(model, aux, p_hat, float(lam),
-                                      dataset.features, dataset.labels,
-                                      grid_resolution)
-        else:
-            phis, _ = attack_batch(model, aux, p_hat, float(lam),
-                                   dataset.features, dataset.labels,
-                                   attack or AttackConfig())
-        curve[i] = lagrangian_objective(float(lam), eps, phis)
+    if dataset.d == 1:
+        phi = _exact_phi_1d(model, aux, p_hat, dataset.features, dataset.labels,
+                            grid_resolution)
+    else:
+        cfg = attack or AttackConfig()
+
+        def phi(lam):
+            return attack_batch(model, aux, p_hat, lam, dataset.features,
+                                dataset.labels, cfg)[0]
+    curve = np.array([lagrangian_objective(float(lam), eps, phi(float(lam)))
+                      for lam in grid])
     best = int(np.argmin(curve))
     return DualCurve(float(grid[best]), float(curve[best]), curve)
 
 
-def _pareto_prune(costs, gains):
-    """Indices of entries not dominated by a cheaper-or-equal, better-or-equal one."""
-    order = np.lexsort((-gains, costs))
+def _pareto_prune(costs, gains, cap):
+    """Indices of the entries within ``cap`` that no cheaper-or-equal,
+    better-or-equal entry dominates, by ascending cost (gain then rises
+    strictly)."""
+    ok = np.flatnonzero(costs <= cap)
+    order = ok[np.lexsort((-gains[ok], costs[ok]))]
     g_sorted = gains[order]
     running = np.maximum.accumulate(g_sorted)
     keep = np.empty(order.size, dtype=bool)
     keep[0] = True
     keep[1:] = g_sorted[1:] > running[:-1]
     return order[keep]
+
+
+def _joint_frontier(frontiers, cap):
+    """Pareto frontier of joint destinations for a group of points.
+
+    Folds the per-point (destinations, costs, gains) frontiers in one at a
+    time: full product, budget filter, prune.  Returns (positions, costs,
+    gains) with one row of positions per entry; an empty group yields the
+    single all-stay entry of cost and gain 0.
+    """
+    positions = np.zeros((1, 0))
+    costs = np.zeros(1)
+    gains = np.zeros(1)
+    for cand, cand_cost, cand_gain in frontiers:
+        comb_cost = (costs[:, None] + cand_cost[None, :]).ravel()
+        comb_gain = (gains[:, None] + cand_gain[None, :]).ravel()
+        keep = _pareto_prune(comb_cost, comb_gain, cap)
+        rows, cols = np.divmod(keep, cand.size)
+        positions = np.hstack([positions[rows], cand[cols, None]])
+        costs, gains = comb_cost[keep], comb_gain[keep]
+    return positions, costs, gains
 
 
 def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
@@ -245,6 +275,10 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
     (1/n) * sum_i (x_i - x_i')^2 <= eps, each x_i' drawn from the grid or
     staying put.  Same-label moves only; exact up to grid resolution.
     Refuses n > 6 or d > 1, where enumeration stops being meaningful.
+
+    Meet in the middle: the Pareto frontiers of the first n//2 points and
+    of the rest are built separately; each entry of the first is paired
+    with the best entry of the second its leftover budget affords.
     """
     if dataset.n > 6 or dataset.d > 1:
         raise ValueError(
@@ -257,105 +291,31 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
         raise ValueError("eps must be >= 0")
 
     budget = dataset.n * eps
-    slack = 1e-12 * max(1.0, budget)  # float rounding in cost sums only
+    cap = budget + 1e-12 * max(1.0, budget)  # slack for float rounding in cost sums
     grid = np.linspace(0.0, 1.0, grid_resolution)
 
-    # Per-point Pareto frontiers: destinations sorted by cost with strictly
-    # increasing gain.  The point's own position is always a candidate, so
-    # every frontier starts with a zero-cost entry.
+    # Per-point Pareto frontiers.  The point's own position is always a
+    # candidate, so every frontier (and every joint one) starts at cost 0.
     frontiers = []
     for i in range(dataset.n):
         xi = float(dataset.features[i, 0])
-        yi = int(dataset.labels[i])
         cand = np.append(grid, xi)
         cand_cost = (cand - xi) ** 2
-        cand_gain = surrogate_loss(aux, p_hat, score(model, cand[:, None]), yi)
-        feasible = cand_cost <= budget + slack
-        cand, cand_cost, cand_gain = cand[feasible], cand_cost[feasible], cand_gain[feasible]
-        keep = _pareto_prune(cand_cost, cand_gain)  # cost-ascending order
+        cand_gain = surrogate_loss(aux, p_hat, score(model, cand[:, None]),
+                                   int(dataset.labels[i]))
+        keep = _pareto_prune(cand_cost, cand_gain, cap)
         frontiers.append((cand[keep], cand_cost[keep], cand_gain[keep]))
 
-    # Merge small frontiers first so the budget and bound prunes act before
-    # the large ones multiply in; undo the permutation at the end.
-    order = sorted(range(dataset.n), key=lambda i: frontiers[i][0].size)
-    frontiers = [frontiers[i] for i in order]
-    stay_gain = np.array([g[0] for _, _, g in frontiers])
-    stay_pos = np.array([float(dataset.features[i, 0]) for i in order])
-    max_gain = np.array([g[-1] for _, _, g in frontiers])
-    max_cost = np.array([c[-1] for _, c, g in frontiers])
-    if max_cost.sum() <= budget + slack:
-        # Every point can afford its best destination outright.
-        best_pos = np.array([cand[-1] for cand, _, _ in frontiers])
-        out = np.empty(dataset.n)
-        out[order] = best_pos
-        return float(max_gain.sum() / dataset.n), out
-
-    suffix_stay = np.concatenate([np.cumsum(stay_gain[::-1])[::-1][1:], [0.0]])
-
-    best_total = stay_gain.sum()  # all-stay is always feasible
-    best_positions = stay_pos.copy()
-
-    total_costs = np.zeros(1)
-    total_gains = np.zeros(1)
-    positions = np.zeros((1, 0))
-    for i, (cand, cand_cost, cand_gain) in enumerate(frontiers):
-        comb_cost = (total_costs[:, None] + cand_cost[None, :]).ravel()
-        comb_gain = (total_gains[:, None] + cand_gain[None, :]).ravel()
-        ok = np.flatnonzero(comb_cost <= budget + slack)
-        comb_cost, comb_gain = comb_cost[ok], comb_gain[ok]
-        keep = _pareto_prune(comb_cost, comb_gain)
-        flat = ok[keep]
-        rows, cols = np.divmod(flat, cand.size)
-        positions = np.hstack([positions[rows], cand[cols, None]])
-        total_costs, total_gains = comb_cost[keep], comb_gain[keep]
-        rest = range(i + 1, dataset.n)
-        if not rest:
-            break
-
-        # Feasible completions of the current best partial raise the
-        # incumbent: all-stay, or one remaining point upgraded to the best
-        # destination the leftover budget affords.
-        lead = int(np.argmax(total_gains))
-        lead_budget = budget + slack - total_costs[lead]
-        base = float(total_gains[lead] + suffix_stay[i])
-        if base > best_total:
-            best_total = base
-            best_positions = np.concatenate([positions[lead], stay_pos[i + 1:]])
-        for k in rest:
-            cand_k, cost_k, gain_k = frontiers[k]
-            j = int(np.searchsorted(cost_k, lead_budget, side="right")) - 1
-            upgraded = base - stay_gain[k] + gain_k[j]
-            if upgraded > best_total:
-                best_total = float(upgraded)
-                tail = stay_pos[i + 1:].copy()
-                tail[k - i - 1] = cand_k[j]
-                best_positions = np.concatenate([positions[lead], tail])
-
-        # Bound prune: even giving every remaining point the best gain its
-        # own leftover budget affords, a dead entry cannot beat the
-        # incumbent (which is tracked separately, so ties may drop).
-        upper = total_gains.copy()
-        entry_budget = budget + slack - total_costs
-        for k in rest:
-            _, cost_k, gain_k = frontiers[k]
-            idx = np.searchsorted(cost_k, entry_budget, side="right") - 1
-            upper += gain_k[idx]
-        alive = upper > best_total
-        if not alive.all():
-            total_costs = total_costs[alive]
-            total_gains = total_gains[alive]
-            positions = positions[alive]
-        if total_gains.size == 0:
-            break
-
-    if total_gains.size:
-        best = int(np.argmax(total_gains))
-        if total_gains[best] > best_total:
-            best_total = float(total_gains[best])
-            best_positions = positions[best]
-    out = np.empty(dataset.n)
-    out[order] = best_positions
-    return float(best_total / dataset.n), out
+    half = dataset.n // 2
+    pos_a, cost_a, gain_a = _joint_frontier(frontiers[:half], cap)
+    pos_b, cost_b, gain_b = _joint_frontier(frontiers[half:], cap)
+    # The B frontier's gain rises with cost, so the last affordable entry is
+    # the best; its first entry costs 0, so one is always affordable.
+    match = np.searchsorted(cost_b, cap - cost_a, side="right") - 1
+    totals = gain_a + gain_b[match]
+    best = int(np.argmax(totals))
+    positions = np.concatenate([pos_a[best], pos_b[match[best]]])
+    return float(totals[best] / dataset.n), positions
 
 
 @dataclass(frozen=True)

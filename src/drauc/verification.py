@@ -8,6 +8,7 @@ shrinks sample counts but keeps every suite.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0
 
 
 def _result(name, passed, detail):
@@ -424,25 +426,32 @@ def check_data_invariants(tmpdir=None, seed=16):
 # ------------------------------------------------------------------ run
 
 def run_all(scale: str = "full") -> list[CheckResult]:
+    """Run every check in order; each result carries its elapsed seconds."""
     quick = scale == "quick"
-    return [
-        check_score_range(draws=1500 if quick else 10_000),
-        check_model_gradients(trials=25 if quick else 150),
-        check_init_determinism(),
-        check_saddle_identity(datasets=20 if quick else 100),
-        check_closed_form_optimality(datasets=5 if quick else 20),
-        check_alpha_stationarity(datasets=10 if quick else 50),
-        check_auc_properties(trials=40 if quick else 200),
-        check_phi_dominance(trials=40 if quick else 200),
-        check_phi_monotone_lambda(trials=20 if quick else 100),
-        check_weak_duality(instances=10 if quick else 50),
-        check_dual_convexity(trials=5 if quick else 25),
-        check_barycenter_identity(trials=100 if quick else 500),
-        check_barycenter_brute_force(trials=5 if quick else 25),
-        check_domain_preservation(iters=25 if quick else 60),
-        check_trainer_determinism(iters=15 if quick else 40),
-        check_ablation_equivalence(iters=30 if quick else 100),
-        check_lambda_direction(iters=15 if quick else 40),
-        check_separable_training(),
-        check_data_invariants(),
+    checks = [
+        (check_score_range, dict(draws=1500 if quick else 10_000)),
+        (check_model_gradients, dict(trials=25 if quick else 150)),
+        (check_init_determinism, {}),
+        (check_saddle_identity, dict(datasets=20 if quick else 100)),
+        (check_closed_form_optimality, dict(datasets=5 if quick else 20)),
+        (check_alpha_stationarity, dict(datasets=10 if quick else 50)),
+        (check_auc_properties, dict(trials=40 if quick else 200)),
+        (check_phi_dominance, dict(trials=40 if quick else 200)),
+        (check_phi_monotone_lambda, dict(trials=20 if quick else 100)),
+        (check_weak_duality, dict(instances=10 if quick else 50)),
+        (check_dual_convexity, dict(trials=5 if quick else 25)),
+        (check_barycenter_identity, dict(trials=100 if quick else 500)),
+        (check_barycenter_brute_force, dict(trials=5 if quick else 25)),
+        (check_domain_preservation, dict(iters=25 if quick else 60)),
+        (check_trainer_determinism, dict(iters=15 if quick else 40)),
+        (check_ablation_equivalence, dict(iters=30 if quick else 100)),
+        (check_lambda_direction, dict(iters=15 if quick else 40)),
+        (check_separable_training, {}),
+        (check_data_invariants, {}),
     ]
+    results = []
+    for check, kwargs in checks:
+        start = time.perf_counter()
+        res = check(**kwargs)
+        results.append(replace(res, seconds=time.perf_counter() - start))
+    return results

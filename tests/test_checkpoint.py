@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drauc import (CHECKPOINT_VERSION, Checkpoint, CheckpointError,
-                   format_report, load_checkpoint, parse_report,
+                   DataFormatError, format_report, load_checkpoint, parse_report,
                    save_checkpoint)
 
 
@@ -115,3 +115,7 @@ class TestReport:
         assert float(parsed["history.1.objective"]) == -0.5
         assert "history.1.theta" not in parsed
         assert "history.1.skipped" not in parsed
+
+    def test_line_without_equals_names_line(self):
+        with pytest.raises(DataFormatError, match="line 2"):
+            parse_report("a=1\nno equals here\n")

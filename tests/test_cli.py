@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,13 @@ class TestVerifyAndGradCheck:
         assert run(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_verify_prints_check_times(self, capsys):
+        assert run(["verify", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+        for line in lines[:-1]:
+            assert re.fullmatch(r"\[PASS\] [\w.]+: .+ \(\d+\.\d\d s\)", line), line
 
     def test_grad_check_passes(self, capsys):
         assert run(["grad-check", "--arch", "linear-sigmoid", "--trials", "50",

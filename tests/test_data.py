@@ -161,6 +161,15 @@ class TestCsvErrors:
         with pytest.raises(DataFormatError, match="line 3"):
             load_csv(path)
 
+    def test_non_finite_field_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,x1,x2\n1,0.2,0.3\n0,nan,0.5\n0,0.9,0.1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: non-finite value 'nan' in column x1"):
+            load_csv(path)
+        path.write_text("y,x1,x2\n1,0.2,0.3\n0,0.4,0.5\n0,0.9,-inf\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 4"):
+            load_csv(path)
+
     def test_empty_data(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y,x1\n", encoding="utf-8")

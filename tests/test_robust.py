@@ -241,6 +241,42 @@ class TestBruteForceWorstCase:
             )
             assert sup == pytest.approx(best / n, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_sequential_merge(self, n):
+        # Reference: fold the points in one at a time, keeping every
+        # feasible entry no other feasible entry dominates.
+        rng = np.random.default_rng(100 + n)
+        res = 101
+        grid = np.linspace(0, 1, res)
+        for _ in range(3):
+            feats = rng.uniform(0, 1, size=(n, 1))
+            labels = rng.integers(0, 2, size=n)
+            ds = Dataset.from_arrays(feats, labels)
+            aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
+            p_hat = float(rng.uniform(0.1, 0.9))
+            eps = float(rng.uniform(0.01, 0.1))
+            cap = n * eps + 1e-12 * max(1.0, n * eps)
+            sup, pos = brute_force_worst_case(ds, eps, res, aux, p_hat, IDENT)
+
+            assert ((pos - feats[:, 0]) ** 2).sum() <= cap
+            attained = surrogate_loss(aux, p_hat, score(IDENT, pos[:, None]), labels)
+            assert float(np.mean(attained)) == pytest.approx(sup, abs=1e-12)
+
+            costs, gains = np.zeros(1), np.zeros(1)
+            for i in range(n):
+                cand = np.append(grid, feats[i, 0])
+                g = surrogate_loss(aux, p_hat, cand, int(labels[i]))
+                costs = (costs[:, None] + (cand - feats[i, 0])[None, :] ** 2).ravel()
+                gains = (gains[:, None] + g[None, :]).ravel()
+                ok = costs <= cap
+                costs, gains = costs[ok], gains[ok]
+                order = np.lexsort((-gains, costs))
+                costs, gains = costs[order], gains[order]
+                undominated = np.concatenate(
+                    [[True], gains[1:] > np.maximum.accumulate(gains)[:-1]])
+                costs, gains = costs[undominated], gains[undominated]
+            assert sup == pytest.approx(gains.max() / n, abs=1e-12)
+
 
 class TestBarycenterAttack:
     def test_example_instance(self):
