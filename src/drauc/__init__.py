@@ -16,8 +16,8 @@ from .gradcheck import GradCheckReport, grad_check
 from .losses import (AuxParams, LabeledScore, auc_mann_whitney, closed_form_aux,
                      pairwise_sq_risk, saddle_value, surrogate_loss,
                      surrogate_loss_grads)
-from .model import (ScoringModel, init_model, param_count, parse_arch, score,
-                    score_grad_input, score_grad_params, with_params)
+from .model import (ScoringModel, forward, init_model, param_count, parse_arch, score,
+                    score_grad_input, score_grad_params, vjp_input, vjp_params, with_params)
 from .robust import (AttackConfig, BarycenterAttack, DualCurve, DualState,
                      attack_batch, barycenter_attack, brute_force_worst_case,
                      dual_curve, estimate_robust_auc, lagrangian_objective,
@@ -35,8 +35,8 @@ __all__ = [
     "GradCheckReport", "grad_check",
     "AuxParams", "LabeledScore", "auc_mann_whitney", "closed_form_aux",
     "pairwise_sq_risk", "saddle_value", "surrogate_loss", "surrogate_loss_grads",
-    "ScoringModel", "init_model", "param_count", "parse_arch", "score",
-    "score_grad_input", "score_grad_params", "with_params",
+    "ScoringModel", "forward", "init_model", "param_count", "parse_arch", "score",
+    "score_grad_input", "score_grad_params", "vjp_input", "vjp_params", "with_params",
     "AttackConfig", "BarycenterAttack", "DualCurve", "DualState",
     "attack_batch", "barycenter_attack", "brute_force_worst_case", "dual_curve",
     "estimate_robust_auc", "lagrangian_objective", "min_cost_flip_search",

@@ -231,14 +231,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ck = load_checkpoint(args.ckpt)
     model = ck.model()
-    dataset = load_csv(args.data)
-    if dataset.d != ck.input_dim:
-        raise ConfigError(
-            f"data dimension {dataset.d} does not match checkpoint {ck.input_dim}")
+    dataset = load_csv(args.data, (ck.scaler_min, ck.scaler_max))
     seed = args.seed if args.seed is not None else 0
     scores = score(model, dataset.features)
     pos, neg = scores[dataset.labels == 1], scores[dataset.labels == 0]
-    lines = [f"nominal_auc={auc_mann_whitney(pos, neg):.17g}"]
+    lines = [f"clipped_values={dataset.clipped}",
+             f"nominal_auc={auc_mann_whitney(pos, neg):.17g}"]
     for sig in _float_list(args.sigmas):
         cds = corrupt(dataset, sig, seed)
         cs = score(model, cds.features)

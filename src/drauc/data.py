@@ -28,6 +28,7 @@ class Dataset:
     p_hat: float             # n_pos / n, cached
     scaler_min: np.ndarray   # (d,) per-dimension minimum seen at ingestion
     scaler_max: np.ndarray   # (d,) per-dimension maximum seen at ingestion
+    clipped: int = 0         # feature values a given scaler's clip to [0, 1] changed
 
     @classmethod
     def from_arrays(cls, features, labels, scaler_min=None, scaler_max=None):
@@ -70,17 +71,14 @@ class Dataset:
         return np.flatnonzero(self.labels == 1)
 
 
-def _minmax_normalize(raw: np.ndarray):
-    """Per-dimension min-max to [0,1]; constant columns map to 0.5."""
-    mn = raw.min(axis=0)
-    mx = raw.max(axis=0)
+def _apply_scaler(raw: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """Per-dimension (raw - mn) / (mx - mn); constant columns map to 0.5."""
     span = mx - mn
     out = np.empty_like(raw)
     const = span == 0.0
     out[:, const] = 0.5
-    if (~const).any():
-        out[:, ~const] = (raw[:, ~const] - mn[~const]) / span[~const]
-    return out, mn, mx
+    out[:, ~const] = (raw[:, ~const] - mn[~const]) / span[~const]
+    return out
 
 
 def gen_synthetic(n: int, d: int, mu_pos: float = 0.65, mu_neg: float = 0.35,
@@ -95,7 +93,8 @@ def gen_synthetic(n: int, d: int, mu_pos: float = 0.65, mu_neg: float = 0.35,
     pos = rng.normal(mu_pos, sigma, size=(n_pos, d))
     neg = rng.normal(mu_neg, sigma, size=(n_neg, d))
     raw = np.vstack([pos, neg])
-    feats, mn, mx = _minmax_normalize(raw)
+    mn, mx = raw.min(axis=0), raw.max(axis=0)
+    feats = _apply_scaler(raw, mn, mx)
     labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
     return Dataset.from_arrays(feats, labels, mn, mx)
 
@@ -140,13 +139,15 @@ def _expected_header(d: int) -> str:
     return "y," + ",".join(f"x{i}" for i in range(1, d + 1))
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, scaler=None) -> Dataset:
     """Load a CSV file, min-max normalizing features per dimension.
 
     The scaler stores the file's per-dimension ranges; a column that is
     constant in the file maps to 0.5 everywhere.  Loading a file whose
     columns already span [0, 1] exactly is a bitwise no-op on the values,
-    so normalization is idempotent across save/load cycles.
+    so normalization is idempotent across save/load cycles.  A given
+    ``scaler`` (min, max), e.g. a checkpoint's, is applied instead, then
+    clipped to [0, 1]; ``clipped`` counts the values the clip changed.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
@@ -164,6 +165,8 @@ def load_csv(path) -> Dataset:
             line=1,
         )
     d = len(header) - 1
+    if scaler is not None and any(np.shape(v) != (d,) for v in scaler):
+        raise DataFormatError(f"{d} feature columns do not match the scaler", line=1)
     if len(lines) == 1:
         raise DataFormatError("no data rows", line=2)
     labels = np.empty(len(lines) - 1, dtype=int)
@@ -197,8 +200,14 @@ def load_csv(path) -> Dataset:
             f"non-finite value {lines[i + 1].split(',')[j + 1]!r} in column x{j + 1}",
             line=i + 2,
         )
-    feats, mn, mx = _minmax_normalize(raw)
-    return Dataset.from_arrays(feats, labels, mn, mx)
+    # Under the file's own ranges the clip changes nothing.
+    if scaler is None:
+        scaler = raw.min(axis=0), raw.max(axis=0)
+    mn, mx = (np.asarray(v, dtype=float) for v in scaler)
+    scaled = _apply_scaler(raw, mn, mx)
+    dataset = Dataset.from_arrays(np.clip(scaled, 0.0, 1.0), labels, mn, mx)
+    dataset.clipped = int((dataset.features != scaled).sum())
+    return dataset
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -68,18 +68,28 @@ def _check_p_hat(p_hat: float) -> None:
         raise ValueError(f"p_hat must lie in (0, 1), got {p_hat}")
 
 
+def _loss(aux, p, f, pos, neg):
+    return (
+        (1.0 - p) * (f - aux.a) ** 2 * pos
+        + p * (f - aux.b) ** 2 * neg
+        + 2.0 * (1.0 + aux.alpha) * (p * f * neg - (1.0 - p) * f * pos)
+        - p * (1.0 - p) * aux.alpha**2
+    )
+
+
+def _loss_d_f(aux, p, f, pos, neg):
+    return (
+        2.0 * (1.0 - p) * (f - aux.a) * pos
+        + 2.0 * p * (f - aux.b) * neg
+        + 2.0 * (1.0 + aux.alpha) * (p * neg - (1.0 - p) * pos)
+    )
+
+
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):
     """Evaluate g at a scored example; f and y may be scalars or arrays."""
     _check_p_hat(p_hat)
-    f_arr = np.asarray(f, dtype=float)
     pos = np.asarray(y) == 1
-    p = p_hat
-    val = (
-        (1.0 - p) * (f_arr - aux.a) ** 2 * pos
-        + p * (f_arr - aux.b) ** 2 * (~pos)
-        + 2.0 * (1.0 + aux.alpha) * (p * f_arr * (~pos) - (1.0 - p) * f_arr * pos)
-        - p * (1.0 - p) * aux.alpha**2
-    )
+    val = _loss(aux, p_hat, np.asarray(f, dtype=float), pos, ~pos)
     return float(val) if val.ndim == 0 else val
 
 
@@ -89,11 +99,7 @@ def surrogate_loss_grads(aux: AuxParams, p_hat: float, f, y):
     f_arr = np.asarray(f, dtype=float)
     pos = np.asarray(y) == 1
     p = p_hat
-    d_f = (
-        2.0 * (1.0 - p) * (f_arr - aux.a) * pos
-        + 2.0 * p * (f_arr - aux.b) * (~pos)
-        + 2.0 * (1.0 + aux.alpha) * (p * (~pos) - (1.0 - p) * pos)
-    )
+    d_f = _loss_d_f(aux, p, f_arr, pos, ~pos)
     d_a = -2.0 * (1.0 - p) * (f_arr - aux.a) * pos
     d_b = -2.0 * p * (f_arr - aux.b) * (~pos)
     d_alpha = (
@@ -104,6 +110,12 @@ def surrogate_loss_grads(aux: AuxParams, p_hat: float, f, y):
     if np.asarray(f).ndim == 0 and np.asarray(y).ndim == 0:
         return float(d_f), float(d_a), float(d_b), float(d_alpha)
     return d_f, d_a, d_b, d_alpha
+
+
+def _loss_and_d_f(aux: AuxParams, p_hat: float, f, pos, neg):
+    """(g, dg/df) as surrogate_loss and surrogate_loss_grads compute them."""
+    _check_p_hat(p_hat)
+    return _loss(aux, p_hat, f, pos, neg), _loss_d_f(aux, p_hat, f, pos, neg)
 
 
 def closed_form_aux(pos_scores, neg_scores) -> AuxParams:

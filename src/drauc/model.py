@@ -7,11 +7,13 @@ Three small architectures map feature vectors in [0,1]^d to a score in
     mlp1-tanh-sigmoid(h)      f(x) = sigmoid(v.tanh(Wx + c) + b)
     linear-identity-clamped   f(x) = clamp(w.x + b, 0, 1)
 
-Gradients with respect to both the flat parameter vector and the input are
-hand-written (no autodiff framework) and checked against central finite
-differences in the test suite.  The tanh hidden activation is deliberate:
-the inner maximization runs gradient ascent on inputs, and a smooth
-activation avoids dead input gradients during that attack.
+One ``forward`` pass returns the scores and a cache that the input and
+parameter vector-Jacobian products read; ``score`` and the two
+``score_grad_*`` functions wrap them.  Gradients are hand-written (no
+autodiff framework) and checked against central finite differences in the
+test suite.  The tanh hidden activation is deliberate: the inner
+maximization runs gradient ascent on inputs, and a smooth activation
+avoids dead input gradients during that attack.
 
 The identity-clamped architecture exists so that exact analytic test cases
 are expressible (f(x) = x on [0,1] with w=1, b=0); it is not a training
@@ -139,17 +141,6 @@ def _sigmoid(u):
     return 1.0 / (1.0 + np.exp(-np.clip(u, -500.0, 500.0)))
 
 
-def _as_batch(model: ScoringModel, x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input of shape {arr.shape} does not match input_dim={model.input_dim}"
-        )
-    return batch, single
-
-
 def _unpack_linear(model: ScoringModel):
     w = model.params[: model.input_dim]
     b = model.params[model.input_dim]
@@ -166,24 +157,64 @@ def _unpack_mlp(model: ScoringModel):
     return w_hidden, c, v, b
 
 
+def forward(model: ScoringModel, x):
+    """Scores of a batch (n, d), or of one input as a row, and the cache
+    (batch, tanh layer or None, derivative of the output nonlinearity)."""
+    arr = np.asarray(x, dtype=float)
+    batch = arr[None, :] if arr.ndim == 1 else arr
+    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
+        raise ValueError(f"input of shape {arr.shape} does not match "
+                         f"input_dim={model.input_dim}")
+    if model.arch == MLP1_TANH_SIGMOID:
+        w_hidden, c, v, b = _unpack_mlp(model)
+        hidden = np.tanh(batch @ w_hidden.T + c)
+        f = _sigmoid(hidden @ v + b)
+        return f, (batch, hidden, f * (1.0 - f))
+    w, b = _unpack_linear(model)
+    u = batch @ w + b
+    if model.arch == LINEAR_IDENTITY_CLAMPED:
+        return np.clip(u, 0.0, 1.0), (batch, None, ((u >= 0.0) & (u <= 1.0)).astype(float))
+    f = _sigmoid(u)
+    return f, (batch, None, f * (1.0 - f))
+
+
+def _pre_activation_grad(model, hidden, slope):
+    """d f / d (Wx + c) for the mlp, shape (n, h)."""
+    _, _, v, _ = _unpack_mlp(model)
+    return slope[:, None] * v[None, :] * (1.0 - hidden**2)
+
+
+def vjp_input(model: ScoringModel, cache, d_f):
+    """Rows of d_f * (d f / d x), shape (n, d): the input gradient of a loss
+    whose derivative with respect to each row's score is d_f."""
+    _, hidden, slope = cache
+    if hidden is None:
+        jac = slope[:, None] * _unpack_linear(model)[0][None, :]
+    else:
+        jac = _pre_activation_grad(model, hidden, slope) @ _unpack_mlp(model)[0]
+    return d_f[:, None] * jac
+
+
+def vjp_params(model: ScoringModel, cache, d_f):
+    """Rows of d_f * (d f / d params), shape (n, P), in the flat layout."""
+    batch, hidden, slope = cache
+    # The output layer's weights and bias, after the mlp's hidden layer.
+    blocks = [slope[:, None] * (batch if hidden is None else hidden), slope[:, None]]
+    if hidden is not None:
+        d_pre = _pre_activation_grad(model, hidden, slope)       # (n, h)
+        d_w = d_pre[:, :, None] * batch[:, None, :]             # (n, h, d)
+        blocks = [d_w.reshape(batch.shape[0], -1), d_pre] + blocks
+    return d_f[:, None] * np.concatenate(blocks, axis=1)
+
+
 def score(model: ScoringModel, x):
     """Score an input (shape (d,)) or a batch (shape (n, d)).
 
     Returns a float for a single input, an array of shape (n,) for a batch.
     Output always lies in [0, 1].
     """
-    batch, single = _as_batch(model, x)
-    if model.arch == LINEAR_SIGMOID:
-        w, b = _unpack_linear(model)
-        out = _sigmoid(batch @ w + b)
-    elif model.arch == LINEAR_IDENTITY_CLAMPED:
-        w, b = _unpack_linear(model)
-        out = np.clip(batch @ w + b, 0.0, 1.0)
-    else:
-        w_hidden, c, v, b = _unpack_mlp(model)
-        hidden = np.tanh(batch @ w_hidden.T + c)
-        out = _sigmoid(hidden @ v + b)
-    return float(out[0]) if single else out
+    f, _ = forward(model, x)
+    return float(f[0]) if np.ndim(x) == 1 else f
 
 
 def score_grad_params(model: ScoringModel, x):
@@ -191,30 +222,9 @@ def score_grad_params(model: ScoringModel, x):
 
     Shape (P,) for a single input, (n, P) for a batch.
     """
-    batch, single = _as_batch(model, x)
-    n = batch.shape[0]
-    if model.arch == LINEAR_SIGMOID:
-        w, b = _unpack_linear(model)
-        f = _sigmoid(batch @ w + b)
-        sp = f * (1.0 - f)
-        grad = np.concatenate([sp[:, None] * batch, sp[:, None]], axis=1)
-    elif model.arch == LINEAR_IDENTITY_CLAMPED:
-        w, b = _unpack_linear(model)
-        u = batch @ w + b
-        active = ((u >= 0.0) & (u <= 1.0)).astype(float)
-        grad = np.concatenate([active[:, None] * batch, active[:, None]], axis=1)
-    else:
-        w_hidden, c, v, b = _unpack_mlp(model)
-        hidden = np.tanh(batch @ w_hidden.T + c)
-        f = _sigmoid(hidden @ v + b)
-        sp = f * (1.0 - f)
-        d_pre = sp[:, None] * v[None, :] * (1.0 - hidden**2)  # (n, h)
-        d_w = d_pre[:, :, None] * batch[:, None, :]           # (n, h, d)
-        grad = np.concatenate(
-            [d_w.reshape(n, -1), d_pre, sp[:, None] * hidden, sp[:, None]],
-            axis=1,
-        )
-    return grad[0] if single else grad
+    f, cache = forward(model, x)
+    grad = vjp_params(model, cache, np.ones_like(f))
+    return grad[0] if np.ndim(x) == 1 else grad
 
 
 def score_grad_input(model: ScoringModel, x):
@@ -222,22 +232,6 @@ def score_grad_input(model: ScoringModel, x):
 
     Shape (d,) for a single input, (n, d) for a batch.
     """
-    batch, single = _as_batch(model, x)
-    if model.arch == LINEAR_SIGMOID:
-        w, b = _unpack_linear(model)
-        f = _sigmoid(batch @ w + b)
-        sp = f * (1.0 - f)
-        grad = sp[:, None] * w[None, :]
-    elif model.arch == LINEAR_IDENTITY_CLAMPED:
-        w, b = _unpack_linear(model)
-        u = batch @ w + b
-        active = ((u >= 0.0) & (u <= 1.0)).astype(float)
-        grad = active[:, None] * w[None, :]
-    else:
-        w_hidden, c, v, b = _unpack_mlp(model)
-        hidden = np.tanh(batch @ w_hidden.T + c)
-        f = _sigmoid(hidden @ v + b)
-        sp = f * (1.0 - f)
-        d_pre = sp[:, None] * v[None, :] * (1.0 - hidden**2)
-        grad = d_pre @ w_hidden
-    return grad[0] if single else grad
+    f, cache = forward(model, x)
+    grad = vjp_input(model, cache, np.ones_like(f))
+    return grad[0] if np.ndim(x) == 1 else grad

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import AuxParams, auc_mann_whitney, surrogate_loss, surrogate_loss_grads
-from .model import ScoringModel, score, score_grad_input
+from .losses import AuxParams, _loss_and_d_f, auc_mann_whitney, surrogate_loss
+from .model import ScoringModel, forward, score, vjp_input
 
 
 @dataclass(frozen=True)
@@ -92,46 +92,47 @@ def transport_cost(z, z_prime) -> float:
     return float(((xa - xb) ** 2).sum())
 
 
-def _penalized_values(model, aux, p_hat, lam, x_adv, x_orig, y):
-    f = score(model, x_adv)
-    g = surrogate_loss(aux, p_hat, f, y)
-    return g - lam * ((x_adv - x_orig) ** 2).sum(axis=1)
-
-
-def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam: float,
+def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
                  x_batch: np.ndarray, y_batch, cfg: AttackConfig):
-    """Ascent on the penalized objective for a batch sharing one multiplier.
+    """Ascent on the penalized objective under one multiplier ``lam`` or
+    one per row.  The forward pass at an iterate gives both its value and
+    the next step's gradient: K+1 passes per start.
 
     Returns (values, x_adv) where each row of x_adv is the best iterate
     seen for that example (the start point counts, so values >= g(z)).
     """
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
     x0 = np.asarray(x_batch, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape not in ((), x0.shape[:1]) or (lam < 0.0).any():
+        raise ValueError(f"lam must be >= 0, one value or one per row, got {lam}")
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
-    y_arr = np.broadcast_to(np.asarray(y_batch), (x0.shape[0],))
-    best_x = x0.copy()
-    best_val = _penalized_values(model, aux, p_hat, lam, x0, x0, y_arr)
+    pos = np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)) == 1
+    neg = ~pos
 
     starts = [x0]
     if cfg.restarts:
         rng = np.random.default_rng(cfg.seed)
         starts += [rng.uniform(0.0, 1.0, size=x0.shape) for _ in range(cfg.restarts)]
 
+    best_val = best_x = None
     for start in starts:
-        x_cur = start.copy()
-        for _ in range(cfg.steps):
-            f = score(model, x_cur)
-            d_f = surrogate_loss_grads(aux, p_hat, f, y_arr)[0]
-            grad = d_f[:, None] * score_grad_input(model, x_cur) \
-                - 2.0 * lam * (x_cur - x0)
-            x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
-            vals = _penalized_values(model, aux, p_hat, lam, x_cur, x0, y_arr)
-            improved = vals > best_val
-            if improved.any():
+        x_cur = start
+        for k in range(cfg.steps + 1):
+            f, cache = forward(model, x_cur)
+            g, d_f = _loss_and_d_f(aux, p_hat, f, pos, neg)
+            vals = g - lam * ((x_cur - x0) ** 2).sum(axis=1)
+            if best_val is None:  # the original point is the first candidate
+                best_val, best_x = vals, x0.copy()
+            elif k > 0:  # a restart's random start is not a candidate
+                improved = vals > best_val
                 best_val = np.where(improved, vals, best_val)
                 best_x[improved] = x_cur[improved]
+            if k == cfg.steps:
+                break
+            grad = vjp_input(model, cache, d_f) - 2.0 * lam[..., None] * (x_cur - x0)
+            cache = None  # the next pass must not hold two caches at once
+            x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
     return best_val, best_x
 
 
@@ -344,6 +345,13 @@ def barycenter_attack(x_pos: float, x_neg: float, n_pos: int, n_neg: int) -> Bar
     return BarycenterAttack(float(target), float(cost), float(bound))
 
 
+def _suffix_argmin(values):
+    """Leftmost index of the minimum of values[j:], for every j."""
+    suffix_min = np.minimum.accumulate(values[::-1])[::-1]
+    attains = np.where(values == suffix_min, np.arange(values.size), values.size)
+    return np.minimum.accumulate(attains[::-1])[::-1]
+
+
 def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
                          grid_resolution: int = 1001):
     """Cheapest way to drive strict AUC to 0 for two collapsed clusters,
@@ -358,14 +366,8 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     cost_pos = p * (x_pos - grid) ** 2
     cost_neg = (1.0 - p) * (x_neg - grid) ** 2
     # For each t_pos, the best feasible t_neg >= t_pos is the suffix minimum.
-    suffix_min = np.minimum.accumulate(cost_neg[::-1])[::-1]
-    suffix_arg = np.empty(grid.size, dtype=int)
-    best = grid.size - 1
-    for j in range(grid.size - 1, -1, -1):
-        if cost_neg[j] <= cost_neg[best]:
-            best = j
-        suffix_arg[j] = best
-    totals = cost_pos + suffix_min
+    suffix_arg = _suffix_argmin(cost_neg)
+    totals = cost_pos + cost_neg[suffix_arg]
     i = int(np.argmin(totals))
     j = int(suffix_arg[i])
     return float(totals[i]), float(grid[i]), float(grid[j])
@@ -414,24 +416,18 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")
     cfg = cfg or AttackConfig()
-    feats = dataset.features
-    labels = dataset.labels
-    adv = feats.copy()
+    feats, labels = dataset.features, dataset.labels
     if isinstance(eps, (tuple, list)):
-        eps_pos, eps_neg = float(eps[0]), float(eps[1])
-        for y, radius in ((1, eps_pos), (0, eps_neg)):
-            mask = labels == y
-            if radius > 0.0:
-                _, adv[mask] = _calibrate_multiplier(
-                    model, aux, dataset.p_hat, feats[mask], y, radius, cfg,
-                    lambda_max)
+        groups = [(labels == 1, float(eps[0])), (labels == 0, float(eps[1]))]
     else:
-        radius = float(eps)
+        groups = [(slice(None), float(eps))]
+    adv = feats.copy()
+    for mask, radius in groups:
         if radius < 0.0:
             raise ValueError("eps must be >= 0")
         if radius > 0.0:
-            _, adv = _calibrate_multiplier(
-                model, aux, dataset.p_hat, feats, labels, radius, cfg,
-                lambda_max)
+            _, adv[mask] = _calibrate_multiplier(
+                model, aux, dataset.p_hat, feats[mask], labels[mask], radius,
+                cfg, lambda_max)
     scores = score(model, adv)
     return auc_mann_whitney(scores[labels == 1], scores[labels == 0], tie_policy)

@@ -16,13 +16,14 @@ attack in, and vice versa.
 
 Variants:
   df             one budget eps and one multiplier for the whole batch.
-  da             the batch is split by label; positives are attacked under
-                 lam_pos against budget eps_pos = k*eps, negatives under
-                 lam_neg against eps_neg = (1 - k*p)*eps/(1 - p).  The
-                 class-weighted parameter updates use the realized batch
-                 class proportions, which makes them coincide with the
-                 plain batch mean, computed in batch order so the
-                 trajectory is bitwise reproducible.
+  da             per-class multipliers: one ascent over the whole batch,
+                 with lam_pos on the positive rows against budget
+                 eps_pos = k*eps and lam_neg on the negative rows against
+                 eps_neg = (1 - k*p)*eps/(1 - p).  The class-weighted
+                 parameter updates use the realized batch class
+                 proportions, which makes them coincide with the plain
+                 batch mean, computed in batch order so the trajectory is
+                 bitwise reproducible.
   aucm-baseline  the df loop with the attack disabled (eta_z = 0, eps = 0).
 
 With eta_z = 0 and eps = 0 all three variants walk bitwise-identical
@@ -41,7 +42,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import AuxParams, auc_mann_whitney, surrogate_loss, surrogate_loss_grads
-from .model import ScoringModel, score, score_grad_params
+from .model import ScoringModel, forward, score, vjp_params
 from .robust import AttackConfig, DualState, attack_batch
 
 VARIANTS = ("df", "da", "aucm-baseline")
@@ -154,6 +155,10 @@ def _run_loop(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel,
         lam = cfg.lambda0
     attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
 
+    def lam_step(lam_c, eps_c, costs_c):
+        return float(np.clip(lam_c - cfg.eta_lambda * (eps_c - costs_c.mean()),
+                             0.0, cfg.lambda_max))
+
     history = []
     for t in range(1, cfg.iters + 1):
         decay = _decay_factor(t, cfg.iters) if cfg.lr_decay else 1.0
@@ -167,39 +172,27 @@ def _run_loop(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel,
         aux_t = AuxParams(a, b, alpha)
         pos_mask = y_batch == 1
 
+        lam_rows = np.where(pos_mask, lam_pos, lam_neg) if per_class else lam
         x_adv = x_batch
         if attack_cfg is not None:
-            x_adv = x_batch.copy()
-            if per_class:
-                for y_val, lam_c in ((1, lam_pos), (0, lam_neg)):
-                    mask = y_batch == y_val
-                    if mask.any():
-                        _, x_adv[mask] = attack_batch(
-                            model_t, aux_t, p_hat, lam_c,
-                            x_batch[mask], y_val, attack_cfg)
-            else:
-                _, x_adv = attack_batch(model_t, aux_t, p_hat, lam,
-                                        x_batch, y_batch, attack_cfg)
+            _, x_adv = attack_batch(model_t, aux_t, p_hat, lam_rows,
+                                    x_batch, y_batch, attack_cfg)
 
         costs = ((x_adv - x_batch) ** 2).sum(axis=1)
-        f_adv = score(model_t, x_adv)
+        f_adv, cache = forward(model_t, x_adv)
         g_adv = surrogate_loss(aux_t, p_hat, f_adv, y_batch)
         d_f, d_a, d_b, d_alpha = surrogate_loss_grads(aux_t, p_hat, f_adv, y_batch)
 
-        if per_class:
-            lam_vec = np.where(pos_mask, lam_pos, lam_neg)
-            objective = lam_pos * eps_pos + lam_neg * eps_neg \
-                + float((g_adv - lam_vec * costs).mean())
-        else:
-            objective = lam * eps + float((g_adv - lam * costs).mean())
+        budget_term = lam_pos * eps_pos + lam_neg * eps_neg if per_class else lam * eps
+        objective = budget_term + float((g_adv - lam_rows * costs).mean())
 
-        f_nom = score(model_t, x_batch)
+        f_nom = f_adv if attack_cfg is None else score(model_t, x_batch)
         if pos_mask.any() and (~pos_mask).any():
             batch_auc = auc_mann_whitney(f_nom[pos_mask], f_nom[~pos_mask])
         else:
             batch_auc = 0.5  # no ranked pairs in a single-class batch
 
-        grad_theta = (d_f[:, None] * score_grad_params(model_t, x_adv)).mean(axis=0)
+        grad_theta = vjp_params(model_t, cache, d_f).mean(axis=0)
 
         record = {
             "iteration": t,
@@ -223,16 +216,11 @@ def _run_loop(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel,
         alpha = float(np.clip(alpha + eta_alpha * d_alpha.mean(), -1.0, 1.0))
         if per_class:
             if pos_mask.any():
-                lam_pos = float(np.clip(
-                    lam_pos - cfg.eta_lambda * (eps_pos - costs[pos_mask].mean()),
-                    0.0, cfg.lambda_max))
+                lam_pos = lam_step(lam_pos, eps_pos, costs[pos_mask])
             if (~pos_mask).any():
-                lam_neg = float(np.clip(
-                    lam_neg - cfg.eta_lambda * (eps_neg - costs[~pos_mask].mean()),
-                    0.0, cfg.lambda_max))
+                lam_neg = lam_step(lam_neg, eps_neg, costs[~pos_mask])
         else:
-            lam = float(np.clip(lam - cfg.eta_lambda * (eps - costs.mean()),
-                                0.0, cfg.lambda_max))
+            lam = lam_step(lam, eps, costs)
         theta = theta - eta_w * grad_theta
         a = float(np.clip(a - eta_w * d_a.mean(), 0.0, 1.0))
         b = float(np.clip(b - eta_w * d_b.mean(), 0.0, 1.0))
@@ -262,9 +250,9 @@ def train_df(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) ->
 def train_da(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> TrainState:
     """Per-class-budget robust training loop.
 
-    A batch that lacks one class skips that class's attack and multiplier
-    update for the iteration (the sampler guarantees positives; negatives
-    can be absent in tiny datasets).
+    A batch that lacks one class skips that class's multiplier update for
+    the iteration (the sampler guarantees positives; negatives can be
+    absent in tiny datasets).
     """
     if cfg.variant != "da":
         raise ValueError(f"train_da requires variant 'da', got {cfg.variant!r}")

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from drauc import load_checkpoint, load_csv, parse_report
+from drauc import auc_mann_whitney, load_checkpoint, load_csv, parse_report, score
 from drauc.cli import run_command
 
 
@@ -99,6 +99,40 @@ class TestEval:
         for key in ("nominal_auc", "corrupted_auc_0.2", "robust_auc_0.05"):
             assert 0.0 <= float(report[key]) <= 1.0
         assert float(report["robust_auc_0.05"]) <= float(report["nominal_auc"])
+
+    def test_uses_checkpoint_scaler(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        lo, hi = np.array([2.0, -1.0]), np.array([12.0, 3.0])
+
+        def write(path, labels, unit):
+            raw = lo + unit * (hi - lo)
+            path.write_text("y,x1,x2\n" + "".join(
+                f"{label}," + ",".join(format(v, ".17g") for v in row) + "\n"
+                for label, row in zip(labels, raw)))
+            return raw
+
+        labels = (np.arange(80) % 4 == 0).astype(int)
+        unit = rng.uniform(0.0, 1.0, size=(80, 2))
+        unit[0], unit[1] = 0.0, 1.0  # the training range is exactly [lo, hi]
+        write(tmp_path / "train.csv", labels, unit)
+        ck_path = tmp_path / "ck.txt"
+        assert run(["train", "--data", str(tmp_path / "train.csv"), "--iters-T", "30",
+                    "--batch", "16", "--seed", "4", "--out", str(ck_path)]) == 0
+        # Held-out rows inside a narrower range, plus one value past hi.
+        test_labels = (np.arange(40) % 4 == 0).astype(int)
+        test_unit = rng.uniform(0.2, 0.8, size=(40, 2))
+        test_unit[5, 0] = 1.25
+        raw = write(tmp_path / "test.csv", test_labels, test_unit)
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(ck_path), "--data", str(tmp_path / "test.csv"),
+                    "--sigmas", "", "--eps", ""]) == 0
+        out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        ck = load_checkpoint(ck_path)
+        feats = np.clip((raw - ck.scaler_min) / (ck.scaler_max - ck.scaler_min), 0.0, 1.0)
+        scores = score(ck.model(), feats)
+        expect = auc_mann_whitney(scores[test_labels == 1], scores[test_labels == 0])
+        assert out["clipped_values"] == "1"
+        assert float(out["nominal_auc"]) == expect
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert run(["eval", "--ckpt", str(tmp_path / "nope.txt"),

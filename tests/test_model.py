@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from drauc import (ConfigError, ScoringModel, init_model, param_count, score,
-                   score_grad_input, score_grad_params, with_params)
+from drauc import (ConfigError, ScoringModel, forward, init_model, param_count,
+                   score, score_grad_input, score_grad_params, vjp_input,
+                   vjp_params, with_params)
 
 
 def identity_scorer():
@@ -131,3 +132,19 @@ class TestGradients:
         x = np.array([0.5])
         fd = central_diff(lambda xv: score(m, xv), x, 0)
         assert score_grad_input(m, x)[0] == pytest.approx(fd, abs=1e-9)
+
+
+class TestForward:
+    @pytest.mark.parametrize("arch", ["linear-sigmoid", "mlp1-tanh-sigmoid(4)",
+                                      "linear-identity-clamped"])
+    def test_products_scale_the_wrappers(self, arch):
+        rng = np.random.default_rng(21)
+        m = init_model(arch, 3, seed=5)
+        x = rng.uniform(0.0, 1.0, size=(7, 3))
+        d_f = rng.normal(size=7)
+        f, cache = forward(m, x)
+        assert np.array_equal(f, score(m, x))
+        assert np.array_equal(vjp_input(m, cache, d_f),
+                              d_f[:, None] * score_grad_input(m, x))
+        assert np.array_equal(vjp_params(m, cache, d_f),
+                              d_f[:, None] * score_grad_params(m, x))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
-                   auc_mann_whitney, barycenter_attack, brute_force_worst_case,
-                   closed_form_aux, dual_curve, estimate_robust_auc,
-                   gen_synthetic, init_model, lagrangian_objective,
-                   min_cost_flip_search, robust_surrogate,
-                   robust_surrogate_exact_1d, score, surrogate_loss,
-                   train_df, transport_cost, TrainConfig)
+                   attack_batch, auc_mann_whitney, barycenter_attack,
+                   brute_force_worst_case, closed_form_aux, dual_curve,
+                   estimate_robust_auc, gen_synthetic, init_model,
+                   lagrangian_objective, min_cost_flip_search,
+                   robust_surrogate, robust_surrogate_exact_1d, score,
+                   score_grad_input, surrogate_loss, surrogate_loss_grads,
+                   train_df, transport_cost, TrainConfig, with_params)
+from drauc.robust import _suffix_argmin
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
 AUX0 = AuxParams(0.0, 0.0, 0.0)
@@ -112,6 +114,102 @@ class TestRobustSurrogate:
         second = robust_surrogate(m, aux, 0.5, 0.7, z, cfg)
         assert first[0] == second[0]
         assert np.array_equal(first[1][0], second[1][0])
+
+
+ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(4)", "linear-identity-clamped"]
+
+
+def attack_instance(arch, seed, n=12, d=2):
+    rng = np.random.default_rng(seed)
+    model = init_model(arch, d, seed=seed)
+    if arch != "linear-identity-clamped":
+        # Steep scorers, so that large steps overshoot the best iterate.
+        model = with_params(model, 8.0 * model.params)
+    x = rng.uniform(0.0, 1.0, size=(n, d))
+    y = (np.arange(n) % 3 == 0).astype(int)
+    return model, AuxParams(0.3, 0.6, -0.2), x, y
+
+
+def three_pass_ascent(model, aux, p_hat, lam, x0, y, cfg):
+    """The ascent with a separate forward pass for the step's score, its
+    input gradient and the new iterate's penalized value."""
+    def penalized(x):
+        return surrogate_loss(aux, p_hat, score(model, x), y) \
+            - lam * ((x - x0) ** 2).sum(axis=1)
+
+    best_x, best_val = x0.copy(), penalized(x0)
+    starts = [x0]
+    if cfg.restarts:
+        rng = np.random.default_rng(cfg.seed)
+        starts += [rng.uniform(0.0, 1.0, size=x0.shape) for _ in range(cfg.restarts)]
+    for start in starts:
+        x_cur = start.copy()
+        for _ in range(cfg.steps):
+            d_f = surrogate_loss_grads(aux, p_hat, score(model, x_cur), y)[0]
+            grad = d_f[:, None] * score_grad_input(model, x_cur) \
+                - 2.0 * lam * (x_cur - x0)
+            x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
+            vals = penalized(x_cur)
+            improved = vals > best_val
+            best_val = np.where(improved, vals, best_val)
+            best_x[improved] = x_cur[improved]
+    return best_val, best_x
+
+
+class TestAttackBatch:
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_values_match_points(self, arch, restarts):
+        # Large steps overshoot, so the best iterate is often not the last.
+        model, aux, x, y = attack_instance(arch, 31)
+        lam = 10.0 ** np.linspace(-2.0, 1.0, x.shape[0])
+        moved = 0
+        for step_size in (0.2, 1.0, 3.0):
+            cfg = AttackConfig(steps=8, step_size=step_size, restarts=restarts, seed=4)
+            vals, x_adv = attack_batch(model, aux, 0.4, lam, x, y, cfg)
+            moved += int(np.any(x_adv != x, axis=1).sum())
+            for i in range(x.shape[0]):
+                expect = surrogate_loss(aux, 0.4, score(model, x_adv[i]), y[i]) \
+                    - lam[i] * ((x_adv[i] - x[i]) ** 2).sum()
+                assert abs(vals[i] - expect) <= 1e-15
+        assert moved > 0
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_per_row_multiplier_matches_per_class_calls(self, arch):
+        model, aux, x, y = attack_instance(arch, 32)
+        cfg = AttackConfig(steps=10, step_size=0.1)
+        lam_pos, lam_neg = 0.4, 3.0
+        vals, x_adv = attack_batch(model, aux, 0.4, np.where(y == 1, lam_pos, lam_neg),
+                                   x, y, cfg)
+        for label, lam in ((1, lam_pos), (0, lam_neg)):
+            mask = y == label
+            vals_c, x_c = attack_batch(model, aux, 0.4, lam, x[mask], label, cfg)
+            assert np.abs(vals[mask] - vals_c).max() <= 1e-12
+            assert np.abs(x_adv[mask] - x_c).max() <= 1e-12
+
+    def test_multiplier_validation(self):
+        model, aux, x, y = attack_instance("linear-sigmoid", 33)
+        cfg = AttackConfig()
+        lam = np.full(x.shape[0], 0.5)
+        lam[3] = -1e-9
+        with pytest.raises(ValueError):
+            attack_batch(model, aux, 0.4, lam, x, y, cfg)
+        with pytest.raises(ValueError):
+            attack_batch(model, aux, 0.4, np.full(x.shape[0] - 1, 0.5), x, y, cfg)
+        with pytest.raises(ValueError):
+            attack_batch(model, aux, 0.4, -0.1, x, y, cfg)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_scalar_multiplier_as_before(self, arch, restarts):
+        model, aux, x, y = attack_instance(arch, 34)
+        cfg = AttackConfig(steps=8, step_size=1.0, restarts=restarts, seed=4)
+        vals, x_adv = attack_batch(model, aux, 0.4, 0.7, x, y, cfg)
+        ref_vals, ref_x = three_pass_ascent(model, aux, 0.4, 0.7, x, y, cfg)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(x_adv, ref_x)
+        vec_vals, vec_x = attack_batch(model, aux, 0.4, np.full(x.shape[0], 0.7),
+                                       x, y, cfg)
+        assert np.array_equal(vals, vec_vals) and np.array_equal(x_adv, vec_x)
 
 
 class TestLagrangianObjective:
@@ -312,7 +410,30 @@ class TestBarycenterAttack:
             barycenter_attack(0.5, 0.5, 0, 1)
 
 
+def suffix_argmin_loop(values):
+    out = np.empty(values.size, dtype=int)
+    best = values.size - 1
+    for j in range(values.size - 1, -1, -1):
+        if values[j] <= values[best]:
+            best = j
+        out[j] = best
+    return out
+
+
 class TestMinCostFlipSearch:
+    def test_suffix_argmin_matches_loop(self):
+        rng = np.random.default_rng(16)
+        grid = np.linspace(0.0, 1.0, 1001)
+        arrays = [rng.uniform(size=int(rng.integers(1, 60))) for _ in range(100)]
+        arrays += [rng.integers(0, 4, size=int(rng.integers(1, 60))).astype(float)
+                   for _ in range(100)]
+        for k in range(100):
+            p = float(rng.uniform(0.01, 0.99))
+            x_neg = float(grid[rng.integers(grid.size)] if k % 2 else rng.uniform())
+            arrays.append((1.0 - p) * (x_neg - grid) ** 2)
+        for values in arrays:
+            assert np.array_equal(_suffix_argmin(values), suffix_argmin_loop(values))
+
     def test_matches_bound_on_example(self):
         atk = barycenter_attack(0.99, 0.01, 1, 99)
         min_cost, t_pos, t_neg = min_cost_flip_search(0.99, 0.01, 1, 99)
