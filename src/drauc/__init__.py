@@ -1,9 +1,9 @@
 """Distributionally robust AUC optimization at desk scale.
 
 An instance-wise minimax surrogate for the pairwise AUC risk, worst-case
-inner attacks under a transport penalty, single-budget and per-class-budget
-training loops, and a verification suite of closed forms, brute-force
-oracles, and finite-difference checks.
+inner attacks under a transport penalty, one training loop over
+single-budget or per-class-budget label groups, and a verification suite
+of closed forms, brute-force oracles, and finite-difference checks.
 """
 
 __version__ = "0.1.0"
@@ -23,8 +23,7 @@ from .robust import (AttackConfig, BarycenterAttack, DualCurve, DualState,
                      dual_curve, estimate_robust_auc, lagrangian_objective,
                      min_cost_flip_search, robust_surrogate,
                      robust_surrogate_exact_1d, transport_cost)
-from .training import (TrainConfig, TrainState, sample_batch, split_epsilon,
-                       train_aucm_baseline, train_da, train_df)
+from .training import TrainConfig, TrainState, sample_batch, split_epsilon, train
 
 __all__ = [
     "CHECKPOINT_VERSION", "Checkpoint", "format_report", "load_checkpoint",
@@ -41,6 +40,5 @@ __all__ = [
     "attack_batch", "barycenter_attack", "brute_force_worst_case", "dual_curve",
     "estimate_robust_auc", "lagrangian_objective", "min_cost_flip_search",
     "robust_surrogate", "robust_surrogate_exact_1d", "transport_cost",
-    "TrainConfig", "TrainState", "sample_batch", "split_epsilon",
-    "train_aucm_baseline", "train_da", "train_df",
+    "TrainConfig", "TrainState", "sample_batch", "split_epsilon", "train",
 ]

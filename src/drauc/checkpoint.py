@@ -16,12 +16,14 @@ import numpy as np
 from .errors import CheckpointError, DataFormatError
 from .model import ScoringModel, param_count, parse_arch
 from .losses import AuxParams
-from .robust import DualState
+from .robust import GROUP_SUFFIXES, DualState
 
 CHECKPOINT_VERSION = 1
 
-_SCALAR_FIELDS = ("a", "b", "alpha", "lambda_max")
-_OPTIONAL_FIELDS = ("lam", "eps", "lam_pos", "lam_neg", "eps_pos", "eps_neg")
+
+def _dual_keys(n_groups: int) -> list:
+    """On-disk keys of the multipliers, then the radii, of n_groups groups."""
+    return [name + s for name in ("lam", "eps") for s in GROUP_SUFFIXES[n_groups]]
 
 
 @dataclass
@@ -34,17 +36,11 @@ class Checkpoint:
     b: float
     alpha: float
     variant: str
-    lambda_max: float
+    dual: DualState
     scaler_min: np.ndarray
     scaler_max: np.ndarray
     seed: int
     iteration: int
-    lam: float | None = None
-    eps: float | None = None
-    lam_pos: float | None = None
-    lam_neg: float | None = None
-    eps_pos: float | None = None
-    eps_neg: float | None = None
     cfg: dict = field(default_factory=dict)
 
     def model(self) -> ScoringModel:
@@ -53,11 +49,6 @@ class Checkpoint:
 
     def aux(self) -> AuxParams:
         return AuxParams(self.a, self.b, self.alpha)
-
-    def dual(self) -> DualState:
-        return DualState(lambda_max=self.lambda_max, lam=self.lam, eps=self.eps,
-                         lam_pos=self.lam_pos, lam_neg=self.lam_neg,
-                         eps_pos=self.eps_pos, eps_neg=self.eps_neg)
 
 
 def _fmt(x: float) -> str:
@@ -87,12 +78,11 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         f"b={_fmt(ck.b)}",
         f"alpha={_fmt(ck.alpha)}",
         f"variant={ck.variant}",
-        f"lambda_max={_fmt(ck.lambda_max)}",
+        f"lambda_max={_fmt(ck.dual.lambda_max)}",
     ]
-    for name in _OPTIONAL_FIELDS:
-        value = getattr(ck, name)
-        if value is not None:
-            lines.append(f"{name}={_fmt(value)}")
+    dual = ck.dual
+    keys = _dual_keys(len(dual.lam))
+    lines += [f"{key}={_fmt(v)}" for key, v in zip(keys, dual.lam + dual.eps)]
     lines += [
         f"scaler_min={_fmt_vec(ck.scaler_min)}",
         f"scaler_max={_fmt_vec(ck.scaler_max)}",
@@ -158,13 +148,18 @@ def load_checkpoint(path) -> Checkpoint:
     if scaler_min.size != input_dim or scaler_max.size != input_dim:
         raise CheckpointError("scaler length does not match input_dim")
 
-    optional = {}
-    for key in _OPTIONAL_FIELDS:
+    # Any per-class key selects the two-group layout, which must then be
+    # complete and free of single-budget keys.
+    n_groups = 2 if any(key in fields for key in _dual_keys(2)) else 1
+    values = [need_float(key) for key in _dual_keys(n_groups)]
+    for key in _dual_keys(3 - n_groups):
         if key in fields:
-            try:
-                optional[key] = float(fields[key])
-            except ValueError:
-                raise CheckpointError(f"field {key!r} is not a number") from None
+            raise CheckpointError(f"field {key!r} mixes single-budget and per-class keys")
+    try:
+        dual = DualState(lambda_max=need_float("lambda_max"),
+                         lam=tuple(values[:n_groups]), eps=tuple(values[n_groups:]))
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
 
     return Checkpoint(
         format_version=version,
@@ -175,13 +170,12 @@ def load_checkpoint(path) -> Checkpoint:
         b=need_float("b"),
         alpha=need_float("alpha"),
         variant=need("variant"),
-        lambda_max=need_float("lambda_max"),
+        dual=dual,
         scaler_min=scaler_min,
         scaler_max=scaler_max,
         seed=need_int("seed"),
         iteration=need_int("iteration"),
         cfg=cfg,
-        **optional,
     )
 
 

@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,39 +30,37 @@ from .losses import AuxParams, auc_mann_whitney
 from .model import init_model, parse_arch, score, ScoringModel
 from .robust import (AttackConfig, barycenter_attack, brute_force_worst_case,
                      estimate_robust_auc, min_cost_flip_search)
-from .training import TrainConfig, train_aucm_baseline, train_da, train_df
+from .training import TrainConfig, train
 from .verification import run_all
-
-TRAIN_DEFAULTS = {
-    "variant": "df",
-    "arch": "mlp1-tanh-sigmoid(8)",
-    "eps": 0.0,
-    "k": 1.0,
-    "eta_z": 0.05,
-    "eta_lambda": 0.1,
-    "eta_w": 0.1,
-    "eta_alpha": 0.1,
-    "steps_K": 10,
-    "iters_T": 500,
-    "batch": 64,
-    "ratio": None,
-    "seed": None,
-    "lambda0": 1.0,
-    "lambda_max": 1e3,
-    "n": 2000,
-    "d": 2,
-    "mu_pos": 0.65,
-    "mu_neg": 0.35,
-    "sigma": 0.15,
-    "data": None,
-    "out": "checkpoint.txt",
-    "report": None,
-    "report_sigmas": "0.2",
-    "report_eps": "0.1",
-}
 
 _VARIANT_ALIASES = {"df": "df", "da": "da", "aucm": "aucm-baseline",
                     "aucm-baseline": "aucm-baseline"}
+
+# Config keys (and so flags) of the TrainConfig fields whose names differ.
+_RENAMED = {"iters": "iters_T", "steps": "steps_K", "batch_size": "batch", "k_split": "k"}
+
+# Every train setting, config key -> (type, default): the TrainConfig fields,
+# then the data, model and output settings.  gen-data takes a subset.
+TRAIN_KNOBS = {
+    **{_RENAMED.get(f.name, f.name): (type(f.default), f.default)
+       for f in fields(TrainConfig)},
+    "arch": (str, "mlp1-tanh-sigmoid(8)"),
+    "n": (int, 2000),
+    "d": (int, 2),
+    "mu_pos": (float, 0.65),
+    "mu_neg": (float, 0.35),
+    "sigma": (float, 0.15),
+    "ratio": (float, None),
+    "data": (str, None),
+    "out": (str, "checkpoint.txt"),
+    "report": (str, None),
+    "report_sigmas": (str, "0.2"),
+    "report_eps": (str, "0.1"),
+}
+GEN_DATA_KNOBS = {**{key: TRAIN_KNOBS[key] for key in
+                     ("n", "d", "mu_pos", "mu_neg", "sigma", "ratio", "seed")},
+                  "out": (str, "data.csv")}
+_HELP = {"data": "training CSV; omit for synthetic"}
 
 
 def _read_config_file(path):
@@ -78,42 +77,19 @@ def _read_config_file(path):
     return cfg
 
 
-def _convert(value: str, like):
-    if like is None or isinstance(like, str):
-        return value
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
-
-
-def _resolve(args, defaults):
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+def _resolve(args, knobs):
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    unknown = set(file_cfg) - set(knobs)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     out = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            out[key] = flag_value
-        elif key in file_cfg:
-            out[key] = _convert(file_cfg[key], default if default is not None else "")
-            if key in ("seed", "steps_K", "iters_T", "batch", "n", "d"):
-                out[key] = int(out[key])
-            elif key in ("eps", "k", "eta_z", "eta_lambda", "eta_w", "eta_alpha",
-                         "ratio", "lambda0", "lambda_max", "mu_pos", "mu_neg", "sigma"):
-                out[key] = float(out[key])
-        else:
-            out[key] = default
-    if out.get("seed") is None:
-        env = os.environ.get("DRAUC_SEED")
-        out["seed"] = int(env) if env else 0
+    for key, (kind, default) in knobs.items():
+        value = getattr(args, key)
+        if value is None and key in file_cfg:
+            value = kind(file_cfg[key])
+        if value is None and key == "seed" and os.environ.get("DRAUC_SEED"):
+            value = int(os.environ["DRAUC_SEED"])
+        out[key] = default if value is None else value
     return out
 
 
@@ -132,10 +108,7 @@ def _emit(lines, out_path=None):
 # ----------------------------------------------------------- subcommands
 
 def _cmd_gen_data(args) -> int:
-    resolved = _resolve(args, {
-        "n": 2000, "d": 2, "mu_pos": 0.65, "mu_neg": 0.35, "sigma": 0.15,
-        "seed": None, "ratio": None, "out": "data.csv",
-    })
+    resolved = _resolve(args, GEN_DATA_KNOBS)
     ds = gen_synthetic(resolved["n"], resolved["d"], resolved["mu_pos"],
                        resolved["mu_neg"], resolved["sigma"], resolved["seed"])
     if resolved["ratio"] is not None:
@@ -145,31 +118,14 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_state(resolved, dataset, model):
-    cfg = TrainConfig(
-        variant=_VARIANT_ALIASES[resolved["variant"]],
-        iters=resolved["iters_T"],
-        batch_size=resolved["batch"],
-        eta_z=resolved["eta_z"],
-        eta_lambda=resolved["eta_lambda"],
-        eta_w=resolved["eta_w"],
-        eta_alpha=resolved["eta_alpha"],
-        steps=resolved["steps_K"],
-        eps=resolved["eps"],
-        k_split=resolved["k"],
-        lambda0=resolved["lambda0"],
-        seed=resolved["seed"],
-        lambda_max=resolved["lambda_max"],
-    )
-    runner = {"df": train_df, "da": train_da,
-              "aucm-baseline": train_aucm_baseline}[cfg.variant]
-    return cfg, runner(dataset, cfg, model)
-
-
 def _cmd_train(args) -> int:
-    resolved = _resolve(args, TRAIN_DEFAULTS)
+    resolved = _resolve(args, TRAIN_KNOBS)
     if resolved["variant"] not in _VARIANT_ALIASES:
         raise ConfigError(f"unknown variant {resolved['variant']!r}")
+    cfg = TrainConfig(**{f.name: resolved[_RENAMED.get(f.name, f.name)]
+                         for f in fields(TrainConfig)
+                         if f.name != "variant"},
+                      variant=_VARIANT_ALIASES[resolved["variant"]])
     started = time.perf_counter()
     if resolved["data"]:
         dataset = load_csv(resolved["data"])
@@ -181,9 +137,8 @@ def _cmd_train(args) -> int:
         dataset = make_long_tailed(dataset, resolved["ratio"], resolved["seed"])
     parse_arch(resolved["arch"])  # fail fast on a bad descriptor
     model = init_model(resolved["arch"], dataset.d, resolved["seed"])
-    cfg, state = _train_state(resolved, dataset, model)
+    state = train(dataset, cfg, model)
 
-    dual = state.dual
     ck = Checkpoint(
         format_version=CHECKPOINT_VERSION,
         arch=state.model.arch_descriptor,
@@ -191,10 +146,7 @@ def _cmd_train(args) -> int:
         theta=state.model.params,
         a=state.aux.a, b=state.aux.b, alpha=state.aux.alpha,
         variant=cfg.variant,
-        lambda_max=cfg.lambda_max,
-        lam=dual.lam, eps=dual.eps,
-        lam_pos=dual.lam_pos, lam_neg=dual.lam_neg,
-        eps_pos=dual.eps_pos, eps_neg=dual.eps_neg,
+        dual=state.dual,
         scaler_min=dataset.scaler_min, scaler_max=dataset.scaler_max,
         seed=resolved["seed"], iteration=state.iteration,
         cfg={k: str(v) for k, v in sorted(resolved.items())
@@ -245,7 +197,7 @@ def _cmd_eval(args) -> int:
     atk = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
     for eps in _float_list(args.eps):
         val = estimate_robust_auc(model, dataset, eps, ck.aux(), atk,
-                                  lambda_max=ck.lambda_max)
+                                  lambda_max=ck.dual.lambda_max)
         lines.append(f"robust_auc_{eps:g}={val:.17g}")
     _emit(lines, args.out)
     return 0
@@ -316,6 +268,15 @@ def _cmd_grad_check(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+def _add_knobs(p, knobs):
+    """One flag per knob (config key with dashes), plus --config."""
+    for key, (kind, _) in knobs.items():
+        choices = sorted(_VARIANT_ALIASES) if key == "variant" else None
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       choices=choices, default=None, help=_HELP.get(key))
+    p.add_argument("--config", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drauc",
@@ -324,44 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic CSV dataset")
-    p.add_argument("--out", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--mu-pos", type=float, default=None)
-    p.add_argument("--mu-neg", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
+    _add_knobs(p, GEN_DATA_KNOBS)
     p.set_defaults(handler=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a variant, write checkpoint and report")
-    p.add_argument("--variant", choices=sorted(_VARIANT_ALIASES), default=None)
-    p.add_argument("--arch", default=None)
-    p.add_argument("--data", default=None, help="training CSV; omit for synthetic")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--eta-z", type=float, default=None)
-    p.add_argument("--eta-lambda", type=float, default=None)
-    p.add_argument("--eta-w", type=float, default=None)
-    p.add_argument("--eta-alpha", type=float, default=None)
-    p.add_argument("--steps-K", type=int, default=None)
-    p.add_argument("--iters-T", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lambda0", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--mu-pos", type=float, default=None)
-    p.add_argument("--mu-neg", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--report-sigmas", default=None)
-    p.add_argument("--report-eps", default=None)
+    _add_knobs(p, TRAIN_KNOBS)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="score a CSV with a checkpoint")

@@ -53,30 +53,28 @@ class AttackConfig:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
 
+# Key suffix of each label group in checkpoints and training history: one
+# group for a single budget, (positives, negatives) for per-class budgets.
+GROUP_SUFFIXES = {1: ("",), 2: ("_pos", "_neg")}
+
+
 @dataclass
 class DualState:
-    """Multipliers and radii; single-budget runs set (lam, eps), per-class
-    runs set (lam_pos, lam_neg, eps_pos, eps_neg)."""
+    """Multipliers and radii, one entry per label group."""
 
     lambda_max: float = 1e3
-    lam: float | None = None
-    eps: float | None = None
-    lam_pos: float | None = None
-    lam_neg: float | None = None
-    eps_pos: float | None = None
-    eps_neg: float | None = None
+    lam: tuple = ()
+    eps: tuple = ()
 
     def __post_init__(self):
         if self.lambda_max <= 0.0:
             raise ValueError("lambda_max must be positive")
-        for name in ("lam", "lam_pos", "lam_neg"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= self.lambda_max:
-                raise ValueError(f"{name}={v} outside [0, {self.lambda_max}]")
-        for name in ("eps", "eps_pos", "eps_neg"):
-            v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+        for i, v in enumerate(self.lam):
+            if not 0.0 <= v <= self.lambda_max:
+                raise ValueError(f"lam[{i}]={v} outside [0, {self.lambda_max}]")
+        for i, v in enumerate(self.eps):
+            if v < 0.0:
+                raise ValueError(f"eps[{i}] must be >= 0, got {v}")
 
 
 def transport_cost(z, z_prime) -> float:

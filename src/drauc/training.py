@@ -1,4 +1,4 @@
-"""Alternating optimization loops for robust AUC training.
+"""One alternating optimization loop for robust AUC training.
 
 Each iteration samples a batch (with at least one positive forced in),
 builds local worst-case examples by K-step projected gradient ascent on
@@ -6,25 +6,27 @@ the penalized objective, then applies simultaneous first-order updates
 computed at the iteration-start parameters:
 
     alpha  <- clip(alpha + eta_alpha * mean d g / d alpha,  [-1, 1])
-    lam    <- clip(lam - eta_lambda * (eps - mean cost),    [0, lambda_max])
+    lam_g  <- clip(lam_g - eta_lambda * (eps_g - mean cost_g), [0, lambda_max])
     theta  <- theta - eta_w * mean d g / d theta            (unconstrained)
     a, b   <- clip(a - eta_w * mean d g / d a, [0, 1])      (likewise b)
 
-The multiplier step is the envelope derivative of lam*eps + mean(phi_lam):
-when the realized attack cost exceeds the budget, lam rises, reining the
-attack in, and vice versa.
+The rows are split into label groups, each with its own transport budget
+eps_g and multiplier lam_g.  One ascent runs over the whole batch, each row
+penalized by its group's multiplier; the objective carries
+sum_g lam_g * eps_g, and each group present in the batch takes the
+envelope step above on the mean cost of its own rows: when the realized
+attack cost exceeds the budget, lam_g rises, reining the attack in, and
+vice versa.
 
-Variants:
-  df             one budget eps and one multiplier for the whole batch.
-  da             per-class multipliers: one ascent over the whole batch,
-                 with lam_pos on the positive rows against budget
-                 eps_pos = k*eps and lam_neg on the negative rows against
-                 eps_neg = (1 - k*p)*eps/(1 - p).  The class-weighted
-                 parameter updates use the realized batch class
-                 proportions, which makes them coincide with the plain
-                 batch mean, computed in batch order so the trajectory is
-                 bitwise reproducible.
-  aucm-baseline  the df loop with the attack disabled (eta_z = 0, eps = 0).
+The variant only picks the groups, once, before the loop:
+  df             one group: the whole batch against budget eps.
+  da             two groups, positives and negatives, against
+                 eps_pos = k*eps and eps_neg = (1 - k*p)*eps/(1 - p).  The
+                 class-weighted parameter updates use the realized batch
+                 class proportions, which makes them coincide with the
+                 plain batch mean, computed in batch order so the
+                 trajectory is bitwise reproducible.
+  aucm-baseline  the df group with the attack disabled (eta_z = 0, eps = 0).
 
 With eta_z = 0 and eps = 0 all three variants walk bitwise-identical
 trajectories from the same seed: the attack leaves the batch untouched,
@@ -36,14 +38,15 @@ estimate expectations but do not redefine the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import Dataset
 from .losses import AuxParams, auc_mann_whitney, surrogate_loss, surrogate_loss_grads
 from .model import ScoringModel, forward, score, vjp_params
-from .robust import AttackConfig, DualState, attack_batch
+from .robust import GROUP_SUFFIXES, AttackConfig, DualState, attack_batch
 
 VARIANTS = ("df", "da", "aucm-baseline")
 
@@ -52,7 +55,7 @@ VARIANTS = ("df", "da", "aucm-baseline")
 class TrainConfig:
     variant: str = "df"
     iters: int = 500            # outer iterations
-    batch_size: int = 32
+    batch_size: int = 64
     eta_z: float = 0.05         # inner ascent step; 0 disables the attack
     eta_lambda: float = 0.1
     eta_w: float = 0.1
@@ -63,9 +66,12 @@ class TrainConfig:
     lambda0: float = 1.0
     seed: int = 0
     lambda_max: float = 1e3
-    lr_decay: bool = False      # x0.1 at 50% and 75% of iters when enabled
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.iters < 1:
@@ -83,6 +89,8 @@ class TrainConfig:
             raise ValueError("eps must be >= 0")
         if self.lambda_max <= 0.0:
             raise ValueError("lambda_max must be > 0")
+        if not 0.0 <= self.lambda0 <= self.lambda_max:
+            raise ValueError(f"lambda0 must lie in [0, lambda_max], got {self.lambda0}")
 
 
 @dataclass
@@ -129,62 +137,59 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
     return idx
 
 
-def _decay_factor(t: int, total: int) -> float:
-    if t > 0.75 * total:
-        return 0.01
-    if t > 0.5 * total:
-        return 0.1
-    return 1.0
+def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> TrainState:
+    """Train ``cfg.variant``: one loop over the label groups the variant picks.
 
-
-def _run_loop(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel,
-              per_class: bool, eta_z: float, eps: float) -> TrainState:
+    A batch that lacks a group skips that group's multiplier update for the
+    iteration (the sampler guarantees positives; negatives can be absent in
+    tiny datasets).
+    """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("training requires both classes")
     if initial_model.input_dim != dataset.d:
         raise ValueError("model input_dim does not match dataset dimension")
 
+    p_hat = dataset.p_hat
+    eta_z, eps = (0.0, 0.0) if cfg.variant == "aucm-baseline" else (cfg.eta_z, cfg.eps)
+    if cfg.variant == "da":
+        budgets = np.array(split_epsilon(eps, p_hat, cfg.k_split))
+        row_group = (dataset.labels == 0).astype(np.intp)  # positives 0, negatives 1
+    else:
+        budgets = np.array([eps])
+        row_group = np.zeros(dataset.n, dtype=np.intp)
+    suffixes = GROUP_SUFFIXES[budgets.size]
+    lam_keys = ["lam" + s for s in suffixes]
+    cost_keys = ["mean_cost" + s for s in suffixes]
+    lam = np.full(budgets.size, cfg.lambda0, dtype=np.float64)
+    attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
+
     rng = np.random.default_rng(cfg.seed)
     theta = initial_model.params.copy()
     a = b = alpha = 0.0
-    p_hat = dataset.p_hat
-    if per_class:
-        eps_pos, eps_neg = split_epsilon(eps, p_hat, cfg.k_split)
-        lam_pos = lam_neg = cfg.lambda0
-    else:
-        lam = cfg.lambda0
-    attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
-
-    def lam_step(lam_c, eps_c, costs_c):
-        return float(np.clip(lam_c - cfg.eta_lambda * (eps_c - costs_c.mean()),
-                             0.0, cfg.lambda_max))
-
     history = []
     for t in range(1, cfg.iters + 1):
-        decay = _decay_factor(t, cfg.iters) if cfg.lr_decay else 1.0
-        eta_w = cfg.eta_w * decay
-        eta_alpha = cfg.eta_alpha * decay
-
         idx = sample_batch(dataset, cfg.batch_size, rng)
         x_batch = dataset.features[idx]
         y_batch = dataset.labels[idx]
+        group = row_group[idx]
         model_t = replace(initial_model, params=theta)
         aux_t = AuxParams(a, b, alpha)
         pos_mask = y_batch == 1
 
-        lam_rows = np.where(pos_mask, lam_pos, lam_neg) if per_class else lam
+        lam_rows = lam[group]
         x_adv = x_batch
         if attack_cfg is not None:
             _, x_adv = attack_batch(model_t, aux_t, p_hat, lam_rows,
                                     x_batch, y_batch, attack_cfg)
 
         costs = ((x_adv - x_batch) ** 2).sum(axis=1)
+        mean_costs = [float(c.mean()) if c.size else None  # None: group absent
+                      for c in (costs[group == g] for g in range(budgets.size))]
         f_adv, cache = forward(model_t, x_adv)
         g_adv = surrogate_loss(aux_t, p_hat, f_adv, y_batch)
         d_f, d_a, d_b, d_alpha = surrogate_loss_grads(aux_t, p_hat, f_adv, y_batch)
 
-        budget_term = lam_pos * eps_pos + lam_neg * eps_neg if per_class else lam * eps
-        objective = budget_term + float((g_adv - lam_rows * costs).mean())
+        objective = float((lam * budgets).sum()) + float((g_adv - lam_rows * costs).mean())
 
         f_nom = f_adv if attack_cfg is None else score(model_t, x_batch)
         if pos_mask.any() and (~pos_mask).any():
@@ -203,68 +208,25 @@ def _run_loop(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel,
             "batch_auc": batch_auc,
             "theta": theta.copy(),
         }
-        if per_class:
-            record["lam_pos"], record["lam_neg"] = lam_pos, lam_neg
-            record["mean_cost_pos"] = float(costs[pos_mask].mean()) if pos_mask.any() else None
-            record["mean_cost_neg"] = float(costs[~pos_mask].mean()) if (~pos_mask).any() else None
-        else:
-            record["lam"] = lam
-            record["mean_cost"] = float(costs.mean())
+        record.update(zip(lam_keys, lam.tolist()))
+        record.update(zip(cost_keys, mean_costs))
         history.append(record)
 
         # Simultaneous updates from the iteration-start values.
-        alpha = float(np.clip(alpha + eta_alpha * d_alpha.mean(), -1.0, 1.0))
-        if per_class:
-            if pos_mask.any():
-                lam_pos = lam_step(lam_pos, eps_pos, costs[pos_mask])
-            if (~pos_mask).any():
-                lam_neg = lam_step(lam_neg, eps_neg, costs[~pos_mask])
-        else:
-            lam = lam_step(lam, eps, costs)
-        theta = theta - eta_w * grad_theta
-        a = float(np.clip(a - eta_w * d_a.mean(), 0.0, 1.0))
-        b = float(np.clip(b - eta_w * d_b.mean(), 0.0, 1.0))
+        alpha = float(np.clip(alpha + cfg.eta_alpha * d_alpha.mean(), -1.0, 1.0))
+        for g, mean_cost in enumerate(mean_costs):
+            if mean_cost is not None:
+                lam[g] = np.clip(lam[g] - cfg.eta_lambda * (budgets[g] - mean_cost),
+                                 0.0, cfg.lambda_max)
+        theta = theta - cfg.eta_w * grad_theta
+        a = float(np.clip(a - cfg.eta_w * d_a.mean(), 0.0, 1.0))
+        b = float(np.clip(b - cfg.eta_w * d_b.mean(), 0.0, 1.0))
 
-    if per_class:
-        dual = DualState(lambda_max=cfg.lambda_max, lam_pos=lam_pos,
-                         lam_neg=lam_neg, eps_pos=eps_pos, eps_neg=eps_neg)
-    else:
-        dual = DualState(lambda_max=cfg.lambda_max, lam=lam, eps=eps)
     return TrainState(
         model=replace(initial_model, params=theta),
         aux=AuxParams(a, b, alpha),
-        dual=dual,
+        dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam.tolist()),
+                       eps=tuple(budgets.tolist())),
         iteration=cfg.iters,
         history=history,
     )
-
-
-def train_df(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> TrainState:
-    """Single-budget robust training loop."""
-    if cfg.variant != "df":
-        raise ValueError(f"train_df requires variant 'df', got {cfg.variant!r}")
-    return _run_loop(dataset, cfg, initial_model, per_class=False,
-                     eta_z=cfg.eta_z, eps=cfg.eps)
-
-
-def train_da(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> TrainState:
-    """Per-class-budget robust training loop.
-
-    A batch that lacks one class skips that class's multiplier update for
-    the iteration (the sampler guarantees positives; negatives can be
-    absent in tiny datasets).
-    """
-    if cfg.variant != "da":
-        raise ValueError(f"train_da requires variant 'da', got {cfg.variant!r}")
-    return _run_loop(dataset, cfg, initial_model, per_class=True,
-                     eta_z=cfg.eta_z, eps=cfg.eps)
-
-
-def train_aucm_baseline(dataset: Dataset, cfg: TrainConfig,
-                        initial_model: ScoringModel) -> TrainState:
-    """The df loop with no inner maximization (eta_z = 0, eps = 0)."""
-    if cfg.variant != "aucm-baseline":
-        raise ValueError(
-            f"train_aucm_baseline requires variant 'aucm-baseline', got {cfg.variant!r}")
-    return _run_loop(dataset, cfg, initial_model, per_class=False,
-                     eta_z=0.0, eps=0.0)

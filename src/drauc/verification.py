@@ -22,8 +22,7 @@ from .model import init_model, score, ScoringModel
 from .robust import (AttackConfig, barycenter_attack,
                      brute_force_worst_case, dual_curve, min_cost_flip_search,
                      robust_surrogate, robust_surrogate_exact_1d)
-from .training import (TrainConfig, train_aucm_baseline,
-                       train_da, train_df)
+from .training import TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -296,10 +295,10 @@ def _small_train_setup(seed=0):
 
 def check_domain_preservation(iters=60, seed=11):
     ds, model = _small_train_setup(seed)
-    for variant, fn in (("df", train_df), ("da", train_da)):
+    for variant in ("df", "da"):
         cfg = TrainConfig(variant=variant, iters=iters, batch_size=16,
                           eps=0.05, eta_z=0.05, seed=seed)
-        state = fn(ds, cfg, model)
+        state = train(ds, cfg, model)
         recs = state.history + [{
             "a": state.aux.a, "b": state.aux.b, "alpha": state.aux.alpha,
         }]
@@ -319,8 +318,8 @@ def check_domain_preservation(iters=60, seed=11):
 def check_trainer_determinism(iters=40, seed=12):
     ds, model = _small_train_setup(seed)
     cfg = TrainConfig(variant="df", iters=iters, batch_size=16, eps=0.05, seed=seed)
-    s1 = train_df(ds, cfg, model)
-    s2 = train_df(ds, cfg, model)
+    s1 = train(ds, cfg, model)
+    s2 = train(ds, cfg, model)
     same = np.array_equal(s1.model.params, s2.model.params) and all(
         np.array_equal(r1.pop("theta"), r2.pop("theta")) and r1 == r2
         for r1, r2 in zip([dict(r) for r in s1.history],
@@ -331,11 +330,8 @@ def check_trainer_determinism(iters=40, seed=12):
 def check_ablation_equivalence(iters=100, seed=13):
     ds, model = _small_train_setup(seed)
     base = dict(iters=iters, batch_size=16, eta_z=0.0, eps=0.0, seed=seed)
-    runs = [
-        train_df(ds, TrainConfig(variant="df", **base), model),
-        train_da(ds, TrainConfig(variant="da", **base), model),
-        train_aucm_baseline(ds, TrainConfig(variant="aucm-baseline", **base), model),
-    ]
+    runs = [train(ds, TrainConfig(variant=variant, **base), model)
+            for variant in ("df", "da", "aucm-baseline")]
     keys = ("objective", "alpha", "a", "b", "batch_auc")
     for other in runs[1:]:
         if not np.array_equal(runs[0].model.params, other.model.params):
@@ -357,7 +353,7 @@ def check_lambda_direction(iters=40, seed=14):
     for eps, expect_up in ((0.0, True), (1.0, False)):
         cfg = TrainConfig(variant="df", iters=iters, batch_size=16,
                           eps=eps, eta_z=0.05, seed=seed)
-        hist = train_df(ds, cfg, model).history
+        hist = train(ds, cfg, model).history
         for r0, r1 in zip(hist, hist[1:]):
             went_up = r1["lam"] > r0["lam"] + 1e-15
             went_down = r1["lam"] < r0["lam"] - 1e-15
@@ -378,11 +374,10 @@ def check_separable_training(seed=15):
     labels = np.concatenate([np.ones(20, dtype=int), np.zeros(20, dtype=int)])
     ds = Dataset.from_arrays(feats, labels)
     model = init_model("linear-sigmoid", 1, seed=seed)
-    for variant, fn, eps in (("df", train_df, 0.01), ("da", train_da, 0.01),
-                             ("aucm-baseline", train_aucm_baseline, 0.0)):
+    for variant, eps in (("df", 0.01), ("da", 0.01), ("aucm-baseline", 0.0)):
         cfg = TrainConfig(variant=variant, iters=500, batch_size=8,
                           eps=eps, seed=seed)
-        state = fn(ds, cfg, model)
+        state = train(ds, cfg, model)
         scores = score(state.model, ds.features)
         auc = auc_mann_whitney(scores[labels == 1], scores[labels == 0])
         if auc != 1.0:

@@ -13,8 +13,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, ScoringModel, TrainConfig,
                    gen_synthetic, grad_check, init_model, load_checkpoint,
                    load_csv, make_long_tailed, min_cost_flip_search,
                    pairwise_sq_risk, saddle_value, save_csv, score,
-                   split_epsilon, surrogate_loss, train_aucm_baseline,
-                   train_da, train_df)
+                   split_epsilon, surrogate_loss, train)
 from drauc.cli import run_command
 from drauc.verification import _grid_minmax
 
@@ -114,10 +113,8 @@ def test_criterion_6_ablation_equivalence():
     ds = make_long_tailed(gen_synthetic(400, 2, seed=106), 0.1, seed=106)
     model = init_model("mlp1-tanh-sigmoid(8)", 2, 106)
     base = dict(iters=200, batch_size=16, eta_z=0.0, eps=0.0, seed=106)
-    df = train_df(ds, TrainConfig(variant="df", **base), model)
-    da = train_da(ds, TrainConfig(variant="da", **base), model)
-    aucm = train_aucm_baseline(
-        ds, TrainConfig(variant="aucm-baseline", **base), model)
+    df, da, aucm = (train(ds, TrainConfig(variant=variant, **base), model)
+                    for variant in ("df", "da", "aucm-baseline"))
     for other in (da, aucm):
         assert np.array_equal(df.model.params, other.model.params)
         for r0, r1 in zip(df.history, other.history):
@@ -131,14 +128,13 @@ def test_criterion_7_robustness_direction():
     sw = Stopwatch(300.0)
 
     def run_seed(seed, variant):
-        train = make_long_tailed(gen_synthetic(2000, 2, seed=seed), 0.1, seed=seed)
+        train_set = make_long_tailed(gen_synthetic(2000, 2, seed=seed), 0.1, seed=seed)
         test = gen_synthetic(2000, 2, seed=seed + 1000)
         test_cor = corrupt(test, 0.2, seed=seed + 2000)
         cfg = TrainConfig(variant=variant, iters=2000, batch_size=128,
                           eps=0.5 if variant == "da" else 0.0, k_split=1.0,
                           seed=seed)
-        fn = {"da": train_da, "aucm-baseline": train_aucm_baseline}[variant]
-        state = fn(train, cfg, init_model("mlp1-tanh-sigmoid(8)", 2, seed))
+        state = train(train_set, cfg, init_model("mlp1-tanh-sigmoid(8)", 2, seed))
 
         def auc(dset):
             s = score(state.model, dset.features)
@@ -203,7 +199,7 @@ def test_criterion_10_monotone_robust_estimate():
     sw = Stopwatch(30.0)
     ds = gen_synthetic(240, 2, seed=110)
     cfg = TrainConfig(variant="df", iters=300, batch_size=32, seed=110)
-    state = train_df(ds, cfg, init_model("linear-sigmoid", 2, 110))
+    state = train(ds, cfg, init_model("linear-sigmoid", 2, 110))
     scores = score(state.model, ds.features)
     aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
     nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])

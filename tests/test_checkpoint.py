@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from drauc import (CHECKPOINT_VERSION, Checkpoint, CheckpointError,
-                   DataFormatError, format_report, load_checkpoint, parse_report,
-                   save_checkpoint)
+                   DataFormatError, DualState, format_report, load_checkpoint,
+                   parse_report, save_checkpoint)
 
 
 def sample_checkpoint(**overrides):
@@ -14,8 +14,7 @@ def sample_checkpoint(**overrides):
         theta=np.array([0.1, -0.2, 0.3, 1e-17, 0.5, 1/3, -0.7, 0.123456789012345678, 0.9]),
         a=0.25, b=0.5, alpha=-0.125,
         variant="da",
-        lambda_max=1e3,
-        lam_pos=0.75, lam_neg=1.5, eps_pos=0.4, eps_neg=0.525,
+        dual=DualState(lambda_max=1e3, lam=(0.75, 1.5), eps=(0.4, 0.525)),
         scaler_min=np.array([0.01, -1.5]),
         scaler_max=np.array([0.99, 2.5]),
         seed=7,
@@ -35,13 +34,14 @@ class TestRoundTrip:
         assert np.array_equal(back.theta, ck.theta)
         assert np.array_equal(back.scaler_min, ck.scaler_min)
         assert np.array_equal(back.scaler_max, ck.scaler_max)
-        for name in ("a", "b", "alpha", "lam_pos", "lam_neg", "eps_pos",
-                     "eps_neg", "lambda_max"):
+        for name in ("a", "b", "alpha"):
             assert getattr(back, name) == getattr(ck, name)
+        assert back.dual.lam == ck.dual.lam and back.dual.eps == ck.dual.eps
+        assert back.dual.lambda_max == ck.dual.lambda_max
         assert (back.arch, back.variant, back.seed, back.iteration) == \
             (ck.arch, ck.variant, ck.seed, ck.iteration)
         assert back.cfg == ck.cfg
-        assert back.lam is None and back.eps is None
+        assert len(back.dual.lam) == len(back.dual.eps) == 2
 
     def test_file_bytes_stable(self, tmp_path):
         ck = sample_checkpoint()
@@ -60,8 +60,25 @@ class TestRoundTrip:
         assert model.hidden_width == 2
         aux = back.aux()
         assert (aux.a, aux.b, aux.alpha) == (0.25, 0.5, -0.125)
-        dual = back.dual()
-        assert dual.lam_pos == 0.75 and dual.eps_neg == 0.525
+        dual = back.dual
+        assert dual.lam[0] == 0.75 and dual.eps[1] == 0.525
+
+    @pytest.mark.parametrize("variant, dual_lines, lam, eps", [
+        ("df", "lam=0.25\neps=0.5\n", (0.25,), (0.5,)),
+        ("da", "lam_pos=0\nlam_neg=1\neps_pos=0.5\neps_neg=0.5\n", (0.0, 1.0), (0.5, 0.5)),
+    ], ids=["df", "da"])
+    def test_version_1_layouts_load_and_resave_unchanged(self, tmp_path, variant,
+                                                         dual_lines, lam, eps):
+        text = ("format_version=1\narch=linear-sigmoid\ninput_dim=1\ntheta=0.5,-1\n"
+                f"a=0.25\nb=0.75\nalpha=0\nvariant={variant}\nlambda_max=1000\n"
+                + dual_lines +
+                "scaler_min=0\nscaler_max=1\nseed=7\niteration=3\ncfg.batch=64\n")
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        p1.write_text(text)
+        back = load_checkpoint(p1)
+        assert (back.dual.lam, back.dual.eps, back.dual.lambda_max) == (lam, eps, 1000.0)
+        save_checkpoint(back, p2)
+        assert p2.read_text() == text
 
 
 class TestValidation:
@@ -89,6 +106,28 @@ class TestValidation:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("alpha=")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="alpha"):
+            load_checkpoint(path)
+
+    def test_incomplete_per_class_keys_name_missing_key(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("lam_neg=")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="lam_neg"):
+            load_checkpoint(path)
+
+    def test_mixed_dual_keys_rejected(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        path.write_text(path.read_text().replace("lam_pos=", "lam=0.5\nlam_pos="))
+        with pytest.raises(CheckpointError, match="'lam'"):
+            load_checkpoint(path)
+
+    def test_multiplier_outside_box_rejected(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        path.write_text(path.read_text().replace("lam_neg=1.5", "lam_neg=2000"))
+        with pytest.raises(CheckpointError, match="outside"):
             load_checkpoint(path)
 
     def test_non_numeric_field(self, tmp_path):

@@ -1,10 +1,13 @@
+import argparse
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from drauc import auc_mann_whitney, load_checkpoint, load_csv, parse_report, score
-from drauc.cli import run_command
+from drauc import (TrainConfig, auc_mann_whitney, gen_synthetic, init_model,
+                   load_checkpoint, load_csv, parse_report, score, train)
+from drauc.cli import build_parser, run_command
 
 
 def run(args):
@@ -45,7 +48,7 @@ class TestTrain:
         ck = load_checkpoint(tmp_path / "ck.txt")
         assert ck.variant == "da"
         assert ck.iteration == 20
-        assert ck.eps_pos == 0.5 and ck.lam_pos is not None
+        assert ck.dual.eps[0] == 0.5 and len(ck.dual.lam) == 2
         report = parse_report((tmp_path / "ck.txt.report").read_text())
         assert 0.0 <= float(report["final_nominal_auc"]) <= 1.0
         assert "history.20.objective" in report
@@ -76,6 +79,63 @@ class TestTrain:
         cfg.write_text("no_such_key=1\n")
         assert run(["train", "--config", str(cfg),
                     "--out", str(tmp_path / "ck.txt")]) == 2
+
+    def test_unknown_gen_data_key_rejected(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("n=60\niters_T=5\n")  # a train key, not a gen-data one
+        assert run(["gen-data", "--config", str(cfg),
+                    "--out", str(tmp_path / "ds.csv")]) == 2
+        assert not (tmp_path / "ds.csv").exists()
+
+    def test_non_finite_knob_rejected_before_training(self, tmp_path, capsys):
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--n", "200", "--iters-T", "30", "--batch", "16",
+                    "--variant", "da", "--eta-z", "nan", "--out", str(out)]) == 2
+        assert "eta_z" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_default(self, tmp_path):
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--n", "100", "--iters-T", "2", "--seed", "1",
+                    "--out", str(out)]) == 0
+        assert load_checkpoint(out).cfg["batch"] == "64"
+        assert TrainConfig().batch_size == 64
+
+    def test_config_file_equals_flags(self, tmp_path):
+        settings = {"variant": "da", "arch": "mlp1-tanh-sigmoid(4)", "eps": "0.3",
+                    "k": "0.8", "eta_z": "0.1", "eta_lambda": "0.2", "eta_w": "0.05",
+                    "eta_alpha": "0.2", "steps_K": "3", "iters_T": "25", "batch": "8",
+                    "ratio": "0.1", "seed": "5", "lambda0": "0.5", "lambda_max": "50",
+                    "n": "300", "d": "3", "mu_pos": "0.6", "mu_neg": "0.4",
+                    "sigma": "0.2", "report_sigmas": "0.1,0.3", "report_eps": "0.05"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        by_file, by_flags = tmp_path / "file.ckpt", tmp_path / "flags.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(by_file)]) == 0
+        flags = [x for k, v in settings.items() for x in ("--" + k.replace("_", "-"), v)]
+        assert run(["train", *flags, "--out", str(by_flags)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        ck = load_checkpoint(by_file)
+        assert {k: ck.cfg[k] for k in ("k", "steps_K", "batch", "ratio", "seed")} == \
+            {"k": "0.8", "steps_K": "3", "batch": "8", "ratio": "0.1", "seed": "5"}
+        assert ck.variant == "da" and ck.iteration == 25 and ck.input_dim == 3
+
+    @pytest.mark.parametrize("variant, suffixes", [
+        ("da", ("_pos", "_neg")), ("df", ("",)), ("aucm", ("",))],
+        ids=["da", "df", "aucm"])
+    def test_dual_key_layout(self, tmp_path, variant, suffixes):
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--variant", variant, "--eps", "0.2", "--n", "100",
+                    "--iters-T", "3", "--batch", "8", "--seed", "2",
+                    "--out", str(out)]) == 0
+        keys = [line.split("=", 1)[0] for line in out.read_text().splitlines()]
+        start = keys.index("lambda_max") + 1
+        assert keys[start:keys.index("scaler_min")] == \
+            [name + s for name in ("lam", "eps") for s in suffixes]
+        report = parse_report((tmp_path / "ck.txt.report").read_text())
+        for name in ("lam", "mean_cost"):
+            present = {f"history.1.{name}{s}" for s in ("", "_pos", "_neg")} & set(report)
+            assert present == {f"history.1.{name}{s}" for s in suffixes}
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRAUC_SEED", "31")
@@ -197,6 +257,46 @@ class TestVerifyAndGradCheck:
     def test_grad_check_impossible_tol_fails(self, capsys):
         assert run(["grad-check", "--arch", "linear-sigmoid", "--trials", "20",
                     "--tol", "1e-18", "--seed", "0"]) == 1
+
+
+# The train flag of each TrainConfig field.
+TRAIN_CONFIG_FLAGS = {
+    "variant": "--variant", "iters": "--iters-T", "batch_size": "--batch",
+    "eta_z": "--eta-z", "eta_lambda": "--eta-lambda", "eta_w": "--eta-w",
+    "eta_alpha": "--eta-alpha", "steps": "--steps-K", "eps": "--eps",
+    "k_split": "--k", "lambda0": "--lambda0", "seed": "--seed",
+    "lambda_max": "--lambda-max",
+}
+OTHER_TRAIN_FLAGS = ["--arch", "--n", "--d", "--mu-pos", "--mu-neg", "--sigma",
+                     "--ratio", "--data", "--out", "--report", "--report-sigmas",
+                     "--report-eps", "--config"]
+
+
+class TestKnobTable:
+    def test_every_train_config_field_has_one_flag(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = [opt for action in sub.choices["train"]._actions
+                 for opt in action.option_strings if opt not in ("-h", "--help")]
+        assert sorted(TRAIN_CONFIG_FLAGS) == sorted(f.name for f in fields(TrainConfig))
+        assert sorted(flags) == sorted([*TRAIN_CONFIG_FLAGS.values(), *OTHER_TRAIN_FLAGS])
+        assert len(flags) == 26
+
+    def test_each_flag_sets_its_field(self, tmp_path):
+        # Distinct values, so a flag wired to the wrong field changes the run.
+        cfg = TrainConfig(variant="da", iters=3, batch_size=6, eta_z=0.07,
+                          eta_lambda=0.3, eta_w=0.02, eta_alpha=0.4, steps=2, eps=0.25,
+                          k_split=0.9, lambda0=0.75, seed=4, lambda_max=0.8)
+        argv = [x for f in fields(cfg)
+                for x in (TRAIN_CONFIG_FLAGS[f.name], str(getattr(cfg, f.name)))]
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--n", "60", "--arch", "linear-sigmoid", *argv,
+                    "--out", str(out)]) == 0
+        state = train(gen_synthetic(60, 2, seed=4), cfg, init_model("linear-sigmoid", 2, 4))
+        ck = load_checkpoint(out)
+        assert np.array_equal(ck.theta, state.model.params)
+        assert (ck.a, ck.b, ck.alpha) == (state.aux.a, state.aux.b, state.aux.alpha)
+        assert ck.dual == state.dual and ck.iteration == 3
 
 
 class TestUsageErrors:

@@ -10,7 +10,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    lagrangian_objective, min_cost_flip_search,
                    robust_surrogate, robust_surrogate_exact_1d, score,
                    score_grad_input, surrogate_loss, surrogate_loss_grads,
-                   train_df, transport_cost, TrainConfig, with_params)
+                   train, transport_cost, TrainConfig, with_params)
 from drauc.robust import _suffix_argmin
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
@@ -456,7 +456,7 @@ class TestMinCostFlipSearch:
 def trained():
     ds = gen_synthetic(240, 2, seed=21)
     cfg = TrainConfig(variant="df", iters=300, batch_size=32, seed=21)
-    state = train_df(ds, cfg, init_model("linear-sigmoid", 2, 21))
+    state = train(ds, cfg, init_model("linear-sigmoid", 2, 21))
     scores = score(state.model, ds.features)
     aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
     return ds, state.model, aux
@@ -504,10 +504,13 @@ class TestEstimateRobustAuc:
 class TestDualState:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            DualState(lambda_max=10.0, lam=11.0)
+            DualState(lambda_max=10.0, lam=(11.0,))
         with pytest.raises(ValueError):
-            DualState(lambda_max=10.0, eps=-0.1)
-        DualState(lambda_max=10.0, lam=10.0, eps=0.0)  # boundaries allowed
+            DualState(lambda_max=10.0, eps=(-0.1,))
+        with pytest.raises(ValueError, match=r"lam\[1\]"):
+            DualState(lambda_max=10.0, lam=(1.0, 11.0))
+        DualState(lambda_max=10.0, lam=(10.0,), eps=(0.0,))  # boundaries allowed
+        DualState(lambda_max=10.0, lam=(0.0, 10.0), eps=(0.0, 0.0))
 
     def test_attack_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from drauc import (Dataset, TrainConfig, auc_mann_whitney, gen_synthetic,
-                   init_model, sample_batch, score, split_epsilon,
-                   train_aucm_baseline, train_da, train_df)
+                   init_model, sample_batch, score, split_epsilon, train)
 
 
 class TestSplitEpsilon:
@@ -87,37 +88,27 @@ def history_scalars(state):
 
 
 class TestTrainers:
-    def test_variant_mismatch_rejected(self):
-        ds = gen_synthetic(40, 2, seed=0)
-        m = init_model("linear-sigmoid", 2, 0)
-        with pytest.raises(ValueError):
-            train_df(ds, TrainConfig(variant="da"), m)
-        with pytest.raises(ValueError):
-            train_da(ds, TrainConfig(variant="df"), m)
-        with pytest.raises(ValueError):
-            train_aucm_baseline(ds, TrainConfig(variant="df"), m)
-
     def test_both_classes_required(self):
         feats = np.random.default_rng(0).uniform(0, 1, (10, 1))
         ds = Dataset.from_arrays(feats, np.ones(10, dtype=int))
         with pytest.raises(ValueError):
-            train_df(ds, TrainConfig(variant="df"), init_model("linear-sigmoid", 1, 0))
+            train(ds, TrainConfig(variant="df"), init_model("linear-sigmoid", 1, 0))
 
     def test_deterministic_reruns(self):
         ds = make_tailed_dataset()
         cfg = TrainConfig(variant="da", iters=50, batch_size=16, eps=0.1, seed=11)
         m = init_model("mlp1-tanh-sigmoid(4)", 2, 11)
-        s1, s2 = train_da(ds, cfg, m), train_da(ds, cfg, m)
+        s1, s2 = train(ds, cfg, m), train(ds, cfg, m)
         assert np.array_equal(s1.model.params, s2.model.params)
         assert history_scalars(s1) == history_scalars(s2)
 
     def test_domain_preservation_every_iteration(self):
         ds = make_tailed_dataset()
         m = init_model("linear-sigmoid", 2, 12)
-        for variant, fn in (("df", train_df), ("da", train_da)):
+        for variant in ("df", "da"):
             cfg = TrainConfig(variant=variant, iters=80, batch_size=16,
                               eps=0.05, eta_z=0.05, seed=12)
-            state = fn(ds, cfg, m)
+            state = train(ds, cfg, m)
             for rec in state.history:
                 assert 0.0 <= rec["a"] <= 1.0 and 0.0 <= rec["b"] <= 1.0
                 assert -1.0 <= rec["alpha"] <= 1.0
@@ -132,11 +123,11 @@ class TestTrainers:
         ds = make_tailed_dataset()
         m = init_model("mlp1-tanh-sigmoid(4)", 2, 13)
         base = dict(iters=120, batch_size=16, eta_z=0.0, eps=0.0, seed=13)
-        df = train_df(ds, TrainConfig(variant="df", **base), m)
-        da = train_da(ds, TrainConfig(variant="da", **base), m)
+        df = train(ds, TrainConfig(variant="df", **base), m)
+        da = train(ds, TrainConfig(variant="da", **base), m)
         # The baseline ignores eps and eta_z by definition; give it junk to
         # prove it forces them off.
-        aucm = train_aucm_baseline(
+        aucm = train(
             ds, TrainConfig(variant="aucm-baseline", iters=120, batch_size=16,
                             eta_z=0.5, eps=2.0, seed=13), m)
         for other in (da, aucm):
@@ -152,14 +143,14 @@ class TestTrainers:
         # Tiny budget: realized cost exceeds it, so lam must ratchet up.
         cfg = TrainConfig(variant="df", iters=40, batch_size=16, eps=0.0,
                           eta_z=0.05, seed=14)
-        hist = train_df(ds, cfg, m).history
+        hist = train(ds, cfg, m).history
         for r0, r1 in zip(hist, hist[1:]):
             if r0["mean_cost"] > cfg.eps:
                 assert r1["lam"] >= r0["lam"]
         # Huge budget: cost stays below it, lam decays toward zero.
         cfg = TrainConfig(variant="df", iters=40, batch_size=16, eps=5.0,
                           eta_z=0.05, seed=14)
-        hist = train_df(ds, cfg, m).history
+        hist = train(ds, cfg, m).history
         for r0, r1 in zip(hist, hist[1:]):
             if r0["mean_cost"] < cfg.eps and r0["lam"] > 0.0:
                 assert r1["lam"] <= r0["lam"]
@@ -168,21 +159,21 @@ class TestTrainers:
         ds = separable_dataset()
         m = init_model("linear-sigmoid", 1, 15)
         runs = [
-            ("df", train_df, dict(eps=0.01, eta_z=0.05)),
-            ("da", train_da, dict(eps=0.01, eta_z=0.05)),
-            ("aucm-baseline", train_aucm_baseline, dict()),
+            ("df", dict(eps=0.01, eta_z=0.05)),
+            ("da", dict(eps=0.01, eta_z=0.05)),
+            ("aucm-baseline", dict()),
         ]
-        for variant, fn, extra in runs:
+        for variant, extra in runs:
             cfg = TrainConfig(variant=variant, iters=500, batch_size=8,
                               seed=15, **extra)
-            state = fn(ds, cfg, m)
+            state = train(ds, cfg, m)
             s = score(state.model, ds.features)
             assert auc_mann_whitney(s[ds.labels == 1], s[ds.labels == 0]) == 1.0
 
     def test_baseline_reaches_perfect_auc_within_200(self):
         ds = separable_dataset()
         cfg = TrainConfig(variant="aucm-baseline", iters=200, batch_size=8, seed=16)
-        state = train_aucm_baseline(ds, cfg, init_model("linear-sigmoid", 1, 16))
+        state = train(ds, cfg, init_model("linear-sigmoid", 1, 16))
         s = score(state.model, ds.features)
         assert auc_mann_whitney(s[ds.labels == 1], s[ds.labels == 0]) == 1.0
         for rec in state.history:
@@ -192,8 +183,8 @@ class TestTrainers:
         ds = make_tailed_dataset()
         cfg = TrainConfig(variant="da", iters=10, batch_size=16, eps=0.4,
                           k_split=0.8, seed=17)
-        state = train_da(ds, cfg, init_model("linear-sigmoid", 2, 17))
-        ep, en = state.dual.eps_pos, state.dual.eps_neg
+        state = train(ds, cfg, init_model("linear-sigmoid", 2, 17))
+        ep, en = state.dual.eps
         assert ep == pytest.approx(0.8 * 0.4, abs=1e-15)
         assert ds.p_hat * ep + (1 - ds.p_hat) * en == pytest.approx(0.4, abs=1e-15)
 
@@ -207,10 +198,13 @@ class TestTrainers:
         with pytest.raises(ValueError):
             TrainConfig(eta_z=-0.1)
         TrainConfig(eta_z=0.0)  # attack disabled is allowed
-
-    def test_lr_decay_schedule_runs(self):
-        ds = make_tailed_dataset()
-        cfg = TrainConfig(variant="df", iters=40, batch_size=16, seed=18,
-                          lr_decay=True)
-        state = train_df(ds, cfg, init_model("linear-sigmoid", 2, 18))
-        assert state.iteration == 40
+        for field, value in (("eta_z", math.nan), ("eta_w", math.inf),
+                             ("eps", math.nan), ("lambda0", math.nan),
+                             ("k_split", -math.inf), ("lambda_max", math.inf)):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TrainConfig(**{field: value})
+        for lambda0 in (-0.5, 2.0):
+            with pytest.raises(ValueError, match="lambda0"):
+                TrainConfig(lambda0=lambda0, lambda_max=1.0)
+        TrainConfig(lambda0=0.0)
+        TrainConfig(lambda0=1.0, lambda_max=1.0)  # both bounds allowed
