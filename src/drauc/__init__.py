@@ -13,16 +13,14 @@ from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, format_report,
 from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
 from .errors import CheckpointError, ConfigError, DataFormatError, DraucError
 from .gradcheck import GradCheckReport, grad_check
-from .losses import (AuxParams, LabeledScore, auc_mann_whitney, closed_form_aux,
-                     pairwise_sq_risk, saddle_value, surrogate_loss,
-                     surrogate_loss_grads)
+from .losses import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
+                     saddle_value, surrogate_loss, surrogate_loss_grads)
 from .model import (ScoringModel, forward, init_model, param_count, parse_arch, score,
-                    score_grad_input, score_grad_params, vjp_input, vjp_params, with_params)
+                    vjp_input, vjp_params)
 from .robust import (AttackConfig, BarycenterAttack, DualCurve, DualState,
                      attack_batch, barycenter_attack, brute_force_worst_case,
-                     dual_curve, estimate_robust_auc, lagrangian_objective,
-                     min_cost_flip_search, robust_surrogate,
-                     robust_surrogate_exact_1d, transport_cost)
+                     dual_curve, estimate_robust_auc, min_cost_flip_search,
+                     robust_surrogate, robust_surrogate_exact_1d)
 from .training import TrainConfig, TrainState, sample_batch, split_epsilon, train
 
 __all__ = [
@@ -32,13 +30,13 @@ __all__ = [
     "save_csv",
     "CheckpointError", "ConfigError", "DataFormatError", "DraucError",
     "GradCheckReport", "grad_check",
-    "AuxParams", "LabeledScore", "auc_mann_whitney", "closed_form_aux",
-    "pairwise_sq_risk", "saddle_value", "surrogate_loss", "surrogate_loss_grads",
+    "AuxParams", "auc_mann_whitney", "closed_form_aux", "pairwise_sq_risk",
+    "saddle_value", "surrogate_loss", "surrogate_loss_grads",
     "ScoringModel", "forward", "init_model", "param_count", "parse_arch", "score",
-    "score_grad_input", "score_grad_params", "vjp_input", "vjp_params", "with_params",
+    "vjp_input", "vjp_params",
     "AttackConfig", "BarycenterAttack", "DualCurve", "DualState",
     "attack_batch", "barycenter_attack", "brute_force_worst_case", "dual_curve",
-    "estimate_robust_auc", "lagrangian_objective", "min_cost_flip_search",
-    "robust_surrogate", "robust_surrogate_exact_1d", "transport_cost",
+    "estimate_robust_auc", "min_cost_flip_search",
+    "robust_surrogate", "robust_surrogate_exact_1d",
     "TrainConfig", "TrainState", "sample_batch", "split_epsilon", "train",
 ]

@@ -38,8 +38,9 @@ class Dataset:
             raise ValueError("features must be a 2-D array")
         if y.shape != (x.shape[0],):
             raise ValueError("labels must match the number of feature rows")
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
-            raise ValueError("features must lie in [0, 1]")
+        # A NaN fails both comparisons, so it is rejected too.
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+            raise ValueError("features must lie in [0, 1], with no NaN")
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
         if scaler_min is None:
@@ -126,8 +127,8 @@ def make_long_tailed(dataset: Dataset, ratio: float, seed: int = 0) -> Dataset:
 
 def corrupt(dataset: Dataset, sigma: float, seed: int = 0) -> Dataset:
     """Add seeded i.i.d. Gaussian noise to features and clip to [0,1]."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(dataset.features.shape)
     feats = np.clip(dataset.features + sigma * noise, 0.0, 1.0)

@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .losses import AuxParams, surrogate_loss, surrogate_loss_grads
-from .model import (LINEAR_IDENTITY_CLAMPED, init_model, score,
-                    score_grad_input, score_grad_params)
+from .model import (LINEAR_IDENTITY_CLAMPED, forward, init_model, score,
+                    vjp_input, vjp_params)
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,15 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
             if not 0.01 < u < 0.99:
                 continue
 
-        f = score(model, x)
+        f, cache = forward(model, x)
         d_f, d_a, d_b, d_alpha = surrogate_loss_grads(
-            AuxParams(a, b, alpha), p_hat, f, y)
+            AuxParams(a, b, alpha), p_hat, float(f[0]), y)
         checks = [
             ("a", d_a, _central_diff(lambda v: _loss_at(model, v, b, alpha, x, y, p_hat), a, h)),
             ("b", d_b, _central_diff(lambda v: _loss_at(model, a, v, alpha, x, y, p_hat), b, h)),
             ("alpha", d_alpha, _central_diff(lambda v: _loss_at(model, a, b, v, x, y, p_hat), alpha, h)),
         ]
-        d_theta = d_f * score_grad_params(model, x)
+        d_theta = vjp_params(model, cache, np.array([d_f]))[0]
         for i in range(model.params.size):
             def at(v, i=i):
                 p = model.params.copy()
@@ -81,7 +81,7 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
                 return _loss_at(replace(model, params=p), a, b, alpha, x, y, p_hat)
             checks.append((f"theta[{i}]", d_theta[i],
                            _central_diff(at, model.params[i], h)))
-        d_x = d_f * score_grad_input(model, x)
+        d_x = vjp_input(model, cache, np.array([d_f]))[0]
         for i in range(input_dim):
             def at(v, i=i):
                 xv = x.copy()

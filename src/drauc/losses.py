@@ -49,20 +49,6 @@ class AuxParams:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class LabeledScore:
-    """A score in [0, 1] paired with a binary label."""
-
-    f: float
-    y: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.f}")
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-
-
 def _check_p_hat(p_hat: float) -> None:
     if not 0.0 < p_hat < 1.0:
         raise ValueError(f"p_hat must lie in (0, 1), got {p_hat}")
@@ -142,27 +128,17 @@ def pairwise_sq_risk(pos_scores, neg_scores) -> float:
     return float(np.mean((1.0 - margins) ** 2))
 
 
-def _split_scores(scores):
-    fs, ys = [], []
-    for item in scores:
-        if isinstance(item, LabeledScore):
-            fs.append(item.f)
-            ys.append(item.y)
-        else:
-            f, y = item
-            fs.append(float(f))
-            ys.append(int(y))
-    return np.asarray(fs, dtype=float), np.asarray(ys, dtype=int)
-
-
-def saddle_value(scores) -> float:
+def saddle_value(scores, labels) -> float:
     """min over (a, b) / max over alpha of the empirical mean of g.
 
-    Accepts LabeledScore instances or (score, label) pairs; the imbalance
-    ratio is computed from the labels.  Equals
+    ``scores`` in [0, 1] and binary ``labels`` are matching 1-D arrays; the
+    imbalance ratio is computed from the labels.  Equals
     p*(1-p)*(pairwise_sq_risk - 1).
     """
-    fs, ys = _split_scores(scores)
+    fs = np.asarray(scores, dtype=float)
+    ys = np.asarray(labels, dtype=int)
+    if fs.shape != ys.shape:
+        raise ValueError(f"scores {fs.shape} and labels {ys.shape} differ in shape")
     n_pos = int((ys == 1).sum())
     n_neg = int((ys == 0).sum())
     if n_pos == 0 or n_neg == 0:

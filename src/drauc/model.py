@@ -8,10 +8,10 @@ Three small architectures map feature vectors in [0,1]^d to a score in
     linear-identity-clamped   f(x) = clamp(w.x + b, 0, 1)
 
 One ``forward`` pass returns the scores and a cache that the input and
-parameter vector-Jacobian products read; ``score`` and the two
-``score_grad_*`` functions wrap them.  Gradients are hand-written (no
-autodiff framework) and checked against central finite differences in the
-test suite.  The tanh hidden activation is deliberate: the inner
+parameter vector-Jacobian products read; ``score`` wraps it for callers
+that need only the scores.  Gradients are hand-written (no autodiff
+framework) and checked against central finite differences in the test
+suite.  The tanh hidden activation is deliberate: the inner
 maximization runs gradient ascent on inputs, and a smooth activation
 avoids dead input gradients during that attack.
 
@@ -83,7 +83,7 @@ class ScoringModel:
     The parameter layout is:
       linear archs:  [w (d), b]
       mlp:           [W row-major (h*d), c (h), v (h), b]
-    Instances are immutable; build variants with ``with_params``.
+    Instances are immutable; build variants with ``dataclasses.replace``.
     """
 
     arch: str
@@ -108,11 +108,6 @@ class ScoringModel:
     @property
     def arch_descriptor(self) -> str:
         return format_arch(self.arch, self.hidden_width)
-
-
-def with_params(model: ScoringModel, params: np.ndarray) -> ScoringModel:
-    return ScoringModel(model.arch, np.asarray(params, dtype=float),
-                        model.input_dim, model.hidden_width)
 
 
 def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
@@ -216,22 +211,3 @@ def score(model: ScoringModel, x):
     f, _ = forward(model, x)
     return float(f[0]) if np.ndim(x) == 1 else f
 
-
-def score_grad_params(model: ScoringModel, x):
-    """Derivative of the score with respect to the flat parameter vector.
-
-    Shape (P,) for a single input, (n, P) for a batch.
-    """
-    f, cache = forward(model, x)
-    grad = vjp_params(model, cache, np.ones_like(f))
-    return grad[0] if np.ndim(x) == 1 else grad
-
-
-def score_grad_input(model: ScoringModel, x):
-    """Derivative of the score with respect to the input.
-
-    Shape (d,) for a single input, (n, d) for a batch.
-    """
-    f, cache = forward(model, x)
-    grad = vjp_input(model, cache, np.ones_like(f))
-    return grad[0] if np.ndim(x) == 1 else grad

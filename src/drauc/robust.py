@@ -41,16 +41,12 @@ class AttackConfig:
 
     steps: int = 10
     step_size: float = 0.05
-    restarts: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.step_size <= 0.0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
 
 # Key suffix of each label group in checkpoints and training history: one
@@ -77,24 +73,11 @@ class DualState:
                 raise ValueError(f"eps[{i}] must be >= 0, got {v}")
 
 
-def transport_cost(z, z_prime) -> float:
-    """Squared Euclidean distance between features; inf across labels."""
-    x, y = z
-    xp, yp = z_prime
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    xb = np.asarray(xp, dtype=float).reshape(-1)
-    if xa.shape != xb.shape:
-        raise ValueError(f"feature dimensions differ: {xa.shape} vs {xb.shape}")
-    if int(y) != int(yp):
-        return math.inf
-    return float(((xa - xb) ** 2).sum())
-
-
 def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
                  x_batch: np.ndarray, y_batch, cfg: AttackConfig):
     """Ascent on the penalized objective under one multiplier ``lam`` or
     one per row.  The forward pass at an iterate gives both its value and
-    the next step's gradient: K+1 passes per start.
+    the next step's gradient: K+1 passes in all.
 
     Returns (values, x_adv) where each row of x_adv is the best iterate
     seen for that example (the start point counts, so values >= g(z)).
@@ -108,29 +91,22 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     pos = np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)) == 1
     neg = ~pos
 
-    starts = [x0]
-    if cfg.restarts:
-        rng = np.random.default_rng(cfg.seed)
-        starts += [rng.uniform(0.0, 1.0, size=x0.shape) for _ in range(cfg.restarts)]
-
-    best_val = best_x = None
-    for start in starts:
-        x_cur = start
-        for k in range(cfg.steps + 1):
-            f, cache = forward(model, x_cur)
-            g, d_f = _loss_and_d_f(aux, p_hat, f, pos, neg)
-            vals = g - lam * ((x_cur - x0) ** 2).sum(axis=1)
-            if best_val is None:  # the original point is the first candidate
-                best_val, best_x = vals, x0.copy()
-            elif k > 0:  # a restart's random start is not a candidate
-                improved = vals > best_val
-                best_val = np.where(improved, vals, best_val)
-                best_x[improved] = x_cur[improved]
-            if k == cfg.steps:
-                break
-            grad = vjp_input(model, cache, d_f) - 2.0 * lam[..., None] * (x_cur - x0)
-            cache = None  # the next pass must not hold two caches at once
-            x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
+    x_cur, best_x = x0, x0.copy()
+    for k in range(cfg.steps + 1):
+        f, cache = forward(model, x_cur)
+        g, d_f = _loss_and_d_f(aux, p_hat, f, pos, neg)
+        vals = g - lam * ((x_cur - x0) ** 2).sum(axis=1)
+        if k == 0:  # the original point is the first candidate
+            best_val = vals
+        else:
+            improved = vals > best_val
+            best_val = np.where(improved, vals, best_val)
+            best_x[improved] = x_cur[improved]
+        if k == cfg.steps:
+            break
+        grad = vjp_input(model, cache, d_f) - 2.0 * lam[..., None] * (x_cur - x0)
+        cache = None  # the next pass must not hold two caches at once
+        x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
     return best_val, best_x
 
 
@@ -157,16 +133,6 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     obj = g - lam * (cand - x0) ** 2
     i = int(np.argmax(obj))
     return float(obj[i]), (np.array([cand[i]]), int(y))
-
-
-def lagrangian_objective(lam: float, eps: float, phi_values) -> float:
-    """lam * eps + mean(phi_values)."""
-    if lam < 0.0 or eps < 0.0:
-        raise ValueError("lam and eps must be >= 0")
-    vals = np.asarray(phi_values, dtype=float)
-    if vals.size == 0:
-        raise ValueError("phi_values must be non-empty")
-    return float(lam * eps + vals.mean())
 
 
 @dataclass(frozen=True)
@@ -211,6 +177,8 @@ def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
     ascent solver otherwise.  The curve is convex in lam under the exact
     oracle (pointwise max of functions affine in lam).
     """
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("lambda_grid must be non-empty")
@@ -225,8 +193,7 @@ def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
         def phi(lam):
             return attack_batch(model, aux, p_hat, lam, dataset.features,
                                 dataset.labels, cfg)[0]
-    curve = np.array([lagrangian_objective(float(lam), eps, phi(float(lam)))
-                      for lam in grid])
+    curve = np.array([lam * eps + phi(lam).mean() for lam in map(float, grid)])
     best = int(np.argmin(curve))
     return DualCurve(float(grid[best]), float(curve[best]), curve)
 
@@ -421,8 +388,8 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
         groups = [(slice(None), float(eps))]
     adv = feats.copy()
     for mask, radius in groups:
-        if radius < 0.0:
-            raise ValueError("eps must be >= 0")
+        if not 0.0 <= radius < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {radius}")
         if radius > 0.0:
             _, adv[mask] = _calibrate_multiplier(
                 model, aux, dataset.p_hat, feats[mask], labels[mask], radius,

@@ -2,8 +2,9 @@
 
 Each check reproduces one of the library's contracts with an independent
 oracle (enumeration, finite differences, grid search, or rerunning) and
-returns a CheckResult.  ``run_all`` executes every check; the quick scale
-shrinks sample counts but keeps every suite.
+returns a CheckResult.  A check is the one implementation of its contract:
+the test suite calls it with its own seeds and sizes.  ``run_all`` executes
+every check; the quick scale shrinks sample counts but keeps every suite.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def check_saddle_identity(datasets=100, seed=1):
         fs, ys = _random_dataset(rng)
         p_hat = ys.mean()
         risk = pairwise_sq_risk(fs[ys == 1], fs[ys == 0])
-        lhs = saddle_value(list(zip(fs, ys)))
+        lhs = saddle_value(fs, ys)
         worst = max(worst, abs(lhs - p_hat * (1 - p_hat) * (risk - 1.0)))
     return _result("losses.saddle_identity", worst <= 1e-10,
                    f"max |saddle - p(1-p)(risk-1)| = {worst:.3g}")
@@ -124,7 +125,7 @@ def check_closed_form_optimality(datasets=20, seed=2, margin=1e-5):
     for _ in range(datasets):
         fs, ys = _random_dataset(rng)
         p_hat = ys.mean()
-        closed = saddle_value(list(zip(fs, ys)))
+        closed = saddle_value(fs, ys)
         grid = _grid_minmax(fs, ys, p_hat)
         worst = max(worst, closed - grid)  # positive would mean the grid beat us
     return _result("losses.closed_form_optimality", worst <= margin,
@@ -327,8 +328,12 @@ def check_trainer_determinism(iters=40, seed=12):
     return _result("trainer.determinism", same, "reruns are bitwise identical")
 
 
-def check_ablation_equivalence(iters=100, seed=13):
-    ds, model = _small_train_setup(seed)
+def check_ablation_equivalence(iters=100, seed=13, dataset=None, model=None):
+    """The variants on ``dataset`` from ``model``, by default the small
+    two-blob set and a linear scorer drawn from ``seed``."""
+    small_ds, small_model = _small_train_setup(seed)
+    ds = small_ds if dataset is None else dataset
+    model = small_model if model is None else model
     base = dict(iters=iters, batch_size=16, eta_z=0.0, eps=0.0, seed=seed)
     runs = [train(ds, TrainConfig(variant=variant, **base), model)
             for variant in ("df", "da", "aucm-baseline")]

@@ -7,17 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from drauc import (AttackConfig, AuxParams, Dataset, ScoringModel, TrainConfig,
-                   auc_mann_whitney, barycenter_attack, brute_force_worst_case,
-                   closed_form_aux, corrupt, dual_curve, estimate_robust_auc,
-                   gen_synthetic, grad_check, init_model, load_checkpoint,
-                   load_csv, make_long_tailed, min_cost_flip_search,
-                   pairwise_sq_risk, saddle_value, save_csv, score,
-                   split_epsilon, surrogate_loss, train)
+from drauc import (AttackConfig, TrainConfig, auc_mann_whitney, barycenter_attack,
+                   closed_form_aux, corrupt, estimate_robust_auc, gen_synthetic,
+                   init_model, load_checkpoint, load_csv, make_long_tailed,
+                   min_cost_flip_search, save_csv, score, split_epsilon, train)
 from drauc.cli import run_command
-from drauc.verification import _grid_minmax
-
-IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
+from drauc.verification import (check_ablation_equivalence,
+                                check_closed_form_optimality,
+                                check_model_gradients, check_saddle_identity,
+                                check_weak_duality)
 
 
 class Stopwatch:
@@ -31,64 +29,31 @@ class Stopwatch:
         assert elapsed < self.budget, f"{label} exceeded its runtime budget"
 
 
-def random_scored_dataset(rng, n_max=20):
-    n = int(rng.integers(2, n_max + 1))
-    fs = rng.uniform(0, 1, size=n)
-    ys = rng.integers(0, 2, size=n)
-    ys[0], ys[1] = 1, 0
-    return fs, ys
+def assert_passes(result):
+    assert result.passed, f"{result.name}: {result.detail}"
 
 
 def test_criterion_1_saddle_identity():
     sw = Stopwatch(1.0)
-    rng = np.random.default_rng(101)
-    for _ in range(100):
-        fs, ys = random_scored_dataset(rng)
-        p = ys.mean()
-        lhs = saddle_value(list(zip(fs, ys)))
-        rhs = p * (1 - p) * (pairwise_sq_risk(fs[ys == 1], fs[ys == 0]) - 1.0)
-        assert abs(lhs - rhs) <= 1e-10
+    assert_passes(check_saddle_identity(datasets=100, seed=101))
     sw.done("criterion 1: saddle identity on 100 random datasets")
 
 
 def test_criterion_2_closed_form_optimality():
     sw = Stopwatch(30.0)
-    rng = np.random.default_rng(102)
-    for _ in range(20):
-        fs, ys = random_scored_dataset(rng)
-        closed = saddle_value(list(zip(fs, ys)))
-        grid = _grid_minmax(fs, ys, ys.mean(), step=1e-3)
-        assert grid >= closed - 1e-5
+    assert_passes(check_closed_form_optimality(datasets=20, seed=102))
     sw.done("criterion 2: grid search never beats the closed form by > 1e-5")
 
 
 def test_criterion_3_gradient_validation():
     sw = Stopwatch(10.0)
-    for arch in ("linear-sigmoid", "mlp1-tanh-sigmoid(8)"):
-        rep = grad_check(arch, trials=1000, h=1e-5, tol=1e-5, seed=103)
-        assert rep.passed, f"{arch}: max rel err {rep.max_rel_err}"
+    assert_passes(check_model_gradients(trials=1000, seed=103))
     sw.done("criterion 3: analytic gradients match finite differences (1e-5)")
 
 
 def test_criterion_4_weak_duality():
     sw = Stopwatch(60.0)
-    rng = np.random.default_rng(104)
-    lam_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 99)])
-    for _ in range(50):
-        n = int(rng.integers(1, 5))
-        ds = Dataset.from_arrays(rng.uniform(0, 1, size=(n, 1)),
-                                 rng.integers(0, 2, size=n))
-        # alpha >= 0 keeps each per-example cost-gain frontier one-sided
-        # and concave, so the one-destination-per-point brute force attains
-        # the true worst case and near-strong duality is testable.
-        aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
-        p_hat = float(rng.uniform(0.1, 0.9))
-        eps = float(rng.uniform(0, 0.25)) if rng.random() > 0.15 else 0.0
-        sup, _ = brute_force_worst_case(ds, eps, 1001, aux, p_hat, IDENT)
-        res = dual_curve(IDENT, aux, p_hat, ds, eps, lam_grid,
-                         grid_resolution=1001)
-        assert (res.curve >= sup - 1e-9).all()
-        assert res.best_value - sup <= max(1e-2, 0.05 * abs(sup))
+    assert_passes(check_weak_duality(instances=50, seed=104))
     sw.done("criterion 4: weak and near-strong duality on 50 tiny instances")
 
 
@@ -112,15 +77,8 @@ def test_criterion_6_ablation_equivalence():
     sw = Stopwatch(10.0)
     ds = make_long_tailed(gen_synthetic(400, 2, seed=106), 0.1, seed=106)
     model = init_model("mlp1-tanh-sigmoid(8)", 2, 106)
-    base = dict(iters=200, batch_size=16, eta_z=0.0, eps=0.0, seed=106)
-    df, da, aucm = (train(ds, TrainConfig(variant=variant, **base), model)
-                    for variant in ("df", "da", "aucm-baseline"))
-    for other in (da, aucm):
-        assert np.array_equal(df.model.params, other.model.params)
-        for r0, r1 in zip(df.history, other.history):
-            assert np.array_equal(r0["theta"], r1["theta"])
-            for key in ("objective", "alpha", "a", "b", "batch_auc"):
-                assert r0[key] == r1[key]
+    assert_passes(check_ablation_equivalence(iters=200, seed=106, dataset=ds,
+                                             model=model))
     sw.done("criterion 6: df, da, baseline bitwise-identical at eta_z=0, eps=0")
 
 

@@ -208,6 +208,23 @@ class TestEval:
                                              "format_version=0"))
         assert run(["eval", "--ckpt", str(ck), "--data", str(data)]) == 2
 
+    @pytest.mark.parametrize("flag, value, name", [("--eps", "nan", "eps"),
+                                                   ("--eps", "inf", "eps"),
+                                                   ("--sigmas", "nan", "sigma")])
+    def test_non_finite_budget_or_noise_is_error(self, tmp_path, capsys, flag,
+                                                 value, name):
+        data = tmp_path / "ds.csv"
+        run(["gen-data", "--out", str(data), "--n", "60", "--seed", "4"])
+        ck = tmp_path / "ck.txt"
+        run(["train", "--data", str(data), "--iters-T", "5", "--batch", "8",
+             "--seed", "4", "--out", str(ck)])
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(ck), "--data", str(data),
+                    flag, f"0.05,{value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must be finite" in captured.err
+
 
 class TestAttackOracle:
     def test_example1_preset(self, capsys):

@@ -102,6 +102,12 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(ds, -0.1, seed=0)
 
+    def test_non_finite_sigma_rejected(self):
+        ds = gen_synthetic(30, 2, seed=8)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                corrupt(ds, sigma, seed=0)
+
 
 class TestCsvRoundTrip:
     def test_save_load_bitwise(self, tmp_path):
@@ -181,6 +187,12 @@ class TestDatasetValidation:
     def test_rejects_out_of_box_features(self):
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.array([[1.5]]), np.array([1]))
+
+    def test_rejects_nan_features(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Dataset.from_arrays(np.array([[np.nan]]), np.array([1]))
+        with pytest.raises(ValueError, match="NaN"):
+            Dataset.from_arrays(np.array([[0.2, np.nan], [0.5, 0.7]]), np.array([1, 0]))
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):

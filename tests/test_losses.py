@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from drauc import (AuxParams, LabeledScore, auc_mann_whitney, closed_form_aux,
-                   pairwise_sq_risk, saddle_value, surrogate_loss,
-                   surrogate_loss_grads)
-
-
-def random_scored_dataset(rng, n_max=20):
-    n = int(rng.integers(2, n_max + 1))
-    fs = rng.uniform(0, 1, size=n)
-    ys = rng.integers(0, 2, size=n)
-    ys[0], ys[1] = 1, 0
-    return fs, ys
+from drauc import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
+                   saddle_value, surrogate_loss, surrogate_loss_grads)
+from drauc.verification import check_alpha_stationarity, check_saddle_identity
 
 
 class TestSurrogateLoss:
@@ -133,40 +125,30 @@ class TestPairwiseRisk:
 
 class TestSaddleValue:
     def test_frozen_example(self):
-        scores = [(0.8, 1), (0.6, 1), (0.3, 0), (0.1, 0)]
-        assert saddle_value(scores) == pytest.approx(-0.1825, abs=1e-12)
+        assert saddle_value([0.8, 0.6, 0.3, 0.1], [1, 1, 0, 0]) == pytest.approx(
+            -0.1825, abs=1e-12)
 
     def test_constant_scores(self):
-        scores = [(0.5, 1), (0.5, 0), (0.5, 1)]
-        assert saddle_value(scores) == pytest.approx(0.0, abs=1e-15)
+        assert saddle_value([0.5, 0.5, 0.5], [1, 0, 1]) == pytest.approx(0.0, abs=1e-15)
 
     def test_perfect_separation(self):
-        assert saddle_value([(1.0, 1), (0.0, 0)]) == pytest.approx(-0.25, abs=1e-15)
-
-    def test_accepts_labeled_score_instances(self):
-        scores = [LabeledScore(0.8, 1), LabeledScore(0.1, 0)]
-        assert saddle_value(scores) == saddle_value([(0.8, 1), (0.1, 0)])
+        assert saddle_value([1.0, 0.0], [1, 0]) == pytest.approx(-0.25, abs=1e-15)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            saddle_value([(0.4, 1), (0.6, 1)])
+            saddle_value([0.4, 0.6], [1, 1])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            saddle_value([0.4, 0.6, 0.2], [1, 0])
 
     def test_identity_with_pairwise_risk(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            fs, ys = random_scored_dataset(rng)
-            p = ys.mean()
-            lhs = saddle_value(list(zip(fs, ys)))
-            rhs = p * (1 - p) * (pairwise_sq_risk(fs[ys == 1], fs[ys == 0]) - 1.0)
-            assert abs(lhs - rhs) <= 1e-10
+        res = check_saddle_identity(datasets=100, seed=4)
+        assert res.passed, res.detail
 
     def test_alpha_stationary_at_closed_form(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            fs, ys = random_scored_dataset(rng)
-            aux = closed_form_aux(fs[ys == 1], fs[ys == 0])
-            grads = surrogate_loss_grads(aux, ys.mean(), fs, ys)[3]
-            assert abs(np.mean(grads)) <= 1e-10
+        res = check_alpha_stationarity(datasets=50, seed=5)
+        assert res.passed, res.detail
 
 
 def brute_auc(pos, neg, tie_policy):

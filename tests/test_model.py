@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drauc import (ConfigError, ScoringModel, forward, init_model, param_count,
-                   score, score_grad_input, score_grad_params, vjp_input,
-                   vjp_params, with_params)
+                   score, vjp_input, vjp_params)
 
 
 def identity_scorer():
@@ -81,7 +82,7 @@ class TestScore:
             for arch in archs:
                 d = int(rng.integers(1, 5))
                 m = init_model(arch, d, seed=int(rng.integers(2**31)))
-                m = with_params(m, m.params + rng.normal(0, 3, m.params.shape))
+                m = replace(m, params=m.params + rng.normal(0, 3, m.params.shape))
                 f = score(m, rng.uniform(0, 1, size=d))
                 assert 0.0 <= f <= 1.0
 
@@ -93,23 +94,30 @@ def central_diff(fn, x, i, h=1e-5):
     return (fn(hi) - fn(lo)) / (2 * h)
 
 
+def score_grads(m, x):
+    """(d f / d params, d f / d x) at one input: the products with d_f = 1."""
+    f, cache = forward(m, x)
+    ones = np.ones_like(f)
+    return vjp_params(m, cache, ones)[0], vjp_input(m, cache, ones)[0]
+
+
 class TestGradients:
     def test_sigmoid_bias_grad_at_zero(self):
         m = ScoringModel("linear-sigmoid", np.zeros(3), 2)
-        g = score_grad_params(m, np.array([0.2, 0.8]))
+        g = score_grads(m, np.array([0.2, 0.8]))[0]
         assert g[-1] == pytest.approx(0.25, abs=1e-12)
 
     def test_identity_input_grad(self):
-        assert score_grad_input(identity_scorer(), np.array([0.5]))[0] == 1.0
+        assert score_grads(identity_scorer(), np.array([0.5]))[1][0] == 1.0
 
     def test_clamp_boundary_convention(self):
         m = identity_scorer()
         # On the exact boundary the ramp branch wins; strictly outside the
         # clamp region the gradient is zero.
-        assert score_grad_input(m, np.array([0.0]))[0] == 1.0
-        assert score_grad_input(m, np.array([1.0]))[0] == 1.0
+        assert score_grads(m, np.array([0.0]))[1][0] == 1.0
+        assert score_grads(m, np.array([1.0]))[1][0] == 1.0
         m2 = ScoringModel("linear-identity-clamped", np.array([2.0, 0.0]), 1)
-        assert score_grad_input(m2, np.array([0.9]))[0] == 0.0
+        assert score_grads(m2, np.array([0.9]))[1][0] == 0.0
 
     @pytest.mark.parametrize("arch", ["linear-sigmoid", "mlp1-tanh-sigmoid(8)"])
     def test_matches_finite_differences(self, arch):
@@ -118,10 +126,9 @@ class TestGradients:
             d = int(rng.integers(1, 4))
             m = init_model(arch, d, seed=int(rng.integers(2**31)))
             x = rng.uniform(0.05, 0.95, size=d)
-            gp = score_grad_params(m, x)
-            gx = score_grad_input(m, x)
+            gp, gx = score_grads(m, x)
             for i in range(m.params.size):
-                fd = central_diff(lambda p: score(with_params(m, p), x), m.params, i)
+                fd = central_diff(lambda p: score(replace(m, params=p), x), m.params, i)
                 assert abs(gp[i] - fd) / max(1.0, abs(gp[i]), abs(fd)) <= 1e-5
             for i in range(d):
                 fd = central_diff(lambda xv: score(m, xv), x, i)
@@ -131,7 +138,7 @@ class TestGradients:
         m = ScoringModel("linear-identity-clamped", np.array([0.8, 0.05]), 1)
         x = np.array([0.5])
         fd = central_diff(lambda xv: score(m, xv), x, 0)
-        assert score_grad_input(m, x)[0] == pytest.approx(fd, abs=1e-9)
+        assert score_grads(m, x)[1][0] == pytest.approx(fd, abs=1e-9)
 
 
 class TestForward:
@@ -144,7 +151,8 @@ class TestForward:
         d_f = rng.normal(size=7)
         f, cache = forward(m, x)
         assert np.array_equal(f, score(m, x))
+        ones = np.ones_like(f)
         assert np.array_equal(vjp_input(m, cache, d_f),
-                              d_f[:, None] * score_grad_input(m, x))
+                              d_f[:, None] * vjp_input(m, cache, ones))
         assert np.array_equal(vjp_params(m, cache, d_f),
-                              d_f[:, None] * score_grad_params(m, x))
+                              d_f[:, None] * vjp_params(m, cache, ones))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,33 +7,14 @@ import pytest
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    attack_batch, auc_mann_whitney, barycenter_attack,
                    brute_force_worst_case, closed_form_aux, dual_curve,
-                   estimate_robust_auc, gen_synthetic, init_model,
-                   lagrangian_objective, min_cost_flip_search,
-                   robust_surrogate, robust_surrogate_exact_1d, score,
-                   score_grad_input, surrogate_loss, surrogate_loss_grads,
-                   train, transport_cost, TrainConfig, with_params)
+                   estimate_robust_auc, forward, gen_synthetic, init_model,
+                   min_cost_flip_search, robust_surrogate,
+                   robust_surrogate_exact_1d, score, surrogate_loss,
+                   surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc.robust import _suffix_argmin
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
 AUX0 = AuxParams(0.0, 0.0, 0.0)
-
-
-class TestTransportCost:
-    def test_identity_is_free(self):
-        z = (np.array([0.2, 0.7]), 1)
-        assert transport_cost(z, z) == 0.0
-
-    def test_squared_euclidean(self):
-        z = (np.array([0.0, 0.0]), 0)
-        zp = (np.array([0.3, 0.4]), 0)
-        assert transport_cost(z, zp) == pytest.approx(0.25, abs=1e-15)
-
-    def test_label_flip_is_infeasible(self):
-        assert transport_cost((np.array([0.1]), 0), (np.array([0.1]), 1)) == math.inf
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            transport_cost((np.array([0.1]), 0), (np.array([0.1, 0.2]), 0))
 
 
 class TestRobustSurrogate:
@@ -105,16 +87,6 @@ class TestRobustSurrogate:
                     for l in lams]
             assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(4))
 
-    def test_restarts_are_deterministic(self):
-        cfg = AttackConfig(steps=20, step_size=0.1, restarts=3, seed=9)
-        z = (np.array([0.4, 0.6]), 1)
-        m = init_model("mlp1-tanh-sigmoid(4)", 2, seed=2)
-        aux = AuxParams(0.5, 0.5, 0.0)
-        first = robust_surrogate(m, aux, 0.5, 0.7, z, cfg)
-        second = robust_surrogate(m, aux, 0.5, 0.7, z, cfg)
-        assert first[0] == second[0]
-        assert np.array_equal(first[1][0], second[1][0])
-
 
 ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(4)", "linear-identity-clamped"]
 
@@ -124,7 +96,7 @@ def attack_instance(arch, seed, n=12, d=2):
     model = init_model(arch, d, seed=seed)
     if arch != "linear-identity-clamped":
         # Steep scorers, so that large steps overshoot the best iterate.
-        model = with_params(model, 8.0 * model.params)
+        model = replace(model, params=8.0 * model.params)
     x = rng.uniform(0.0, 1.0, size=(n, d))
     y = (np.arange(n) % 3 == 0).astype(int)
     return model, AuxParams(0.3, 0.6, -0.2), x, y
@@ -138,34 +110,28 @@ def three_pass_ascent(model, aux, p_hat, lam, x0, y, cfg):
             - lam * ((x - x0) ** 2).sum(axis=1)
 
     best_x, best_val = x0.copy(), penalized(x0)
-    starts = [x0]
-    if cfg.restarts:
-        rng = np.random.default_rng(cfg.seed)
-        starts += [rng.uniform(0.0, 1.0, size=x0.shape) for _ in range(cfg.restarts)]
-    for start in starts:
-        x_cur = start.copy()
-        for _ in range(cfg.steps):
-            d_f = surrogate_loss_grads(aux, p_hat, score(model, x_cur), y)[0]
-            grad = d_f[:, None] * score_grad_input(model, x_cur) \
-                - 2.0 * lam * (x_cur - x0)
-            x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
-            vals = penalized(x_cur)
-            improved = vals > best_val
-            best_val = np.where(improved, vals, best_val)
-            best_x[improved] = x_cur[improved]
+    x_cur = x0.copy()
+    for _ in range(cfg.steps):
+        d_f = surrogate_loss_grads(aux, p_hat, score(model, x_cur), y)[0]
+        _, cache = forward(model, x_cur)
+        grad = vjp_input(model, cache, d_f) - 2.0 * lam * (x_cur - x0)
+        x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
+        vals = penalized(x_cur)
+        improved = vals > best_val
+        best_val = np.where(improved, vals, best_val)
+        best_x[improved] = x_cur[improved]
     return best_val, best_x
 
 
 class TestAttackBatch:
     @pytest.mark.parametrize("arch", ARCHS)
-    @pytest.mark.parametrize("restarts", [0, 2])
-    def test_values_match_points(self, arch, restarts):
+    def test_values_match_points(self, arch):
         # Large steps overshoot, so the best iterate is often not the last.
         model, aux, x, y = attack_instance(arch, 31)
         lam = 10.0 ** np.linspace(-2.0, 1.0, x.shape[0])
         moved = 0
         for step_size in (0.2, 1.0, 3.0):
-            cfg = AttackConfig(steps=8, step_size=step_size, restarts=restarts, seed=4)
+            cfg = AttackConfig(steps=8, step_size=step_size)
             vals, x_adv = attack_batch(model, aux, 0.4, lam, x, y, cfg)
             moved += int(np.any(x_adv != x, axis=1).sum())
             for i in range(x.shape[0]):
@@ -200,33 +166,15 @@ class TestAttackBatch:
             attack_batch(model, aux, 0.4, -0.1, x, y, cfg)
 
     @pytest.mark.parametrize("arch", ARCHS)
-    @pytest.mark.parametrize("restarts", [0, 2])
-    def test_scalar_multiplier_as_before(self, arch, restarts):
+    def test_scalar_multiplier_as_before(self, arch):
         model, aux, x, y = attack_instance(arch, 34)
-        cfg = AttackConfig(steps=8, step_size=1.0, restarts=restarts, seed=4)
+        cfg = AttackConfig(steps=8, step_size=1.0)
         vals, x_adv = attack_batch(model, aux, 0.4, 0.7, x, y, cfg)
         ref_vals, ref_x = three_pass_ascent(model, aux, 0.4, 0.7, x, y, cfg)
         assert np.array_equal(vals, ref_vals) and np.array_equal(x_adv, ref_x)
         vec_vals, vec_x = attack_batch(model, aux, 0.4, np.full(x.shape[0], 0.7),
                                        x, y, cfg)
         assert np.array_equal(vals, vec_vals) and np.array_equal(x_adv, vec_x)
-
-
-class TestLagrangianObjective:
-    def test_zero_budget(self):
-        assert lagrangian_objective(3.0, 0.0, [0.1, 0.3]) == pytest.approx(0.2)
-
-    def test_arithmetic(self):
-        assert lagrangian_objective(1.0, 0.5, [0.5]) == 1.0
-
-    def test_free_multiplier(self):
-        assert lagrangian_objective(0.0, 7.0, [0.2, 0.4]) == pytest.approx(0.3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lagrangian_objective(-1.0, 0.0, [0.1])
-        with pytest.raises(ValueError):
-            lagrangian_objective(0.0, 0.0, [])
 
 
 def example1_style_instance():
@@ -276,6 +224,14 @@ class TestDualCurve:
             dual_curve(IDENT, aux, p_hat, ds, 0.0, [])
         with pytest.raises(ValueError):
             dual_curve(IDENT, aux, p_hat, ds, 0.0, [1.0, 0.5])
+        with pytest.raises(ValueError):
+            dual_curve(IDENT, aux, p_hat, ds, 0.0, [-1.0, 0.5])
+
+    def test_budget_validation(self):
+        ds, aux, p_hat = example1_style_instance()
+        for eps in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                dual_curve(IDENT, aux, p_hat, ds, eps, [0.0, 1.0])
 
 
 class TestBruteForceWorstCase:
@@ -315,7 +271,6 @@ class TestBruteForceWorstCase:
             brute_force_worst_case(ds, 0.1, 51, AUX0, 0.5, IDENT)
 
     def test_matches_raw_enumeration(self):
-        import itertools
         rng = np.random.default_rng(13)
         res = 101
         grid = np.linspace(0, 1, res)
@@ -328,15 +283,18 @@ class TestBruteForceWorstCase:
             p_hat = float(rng.uniform(0.1, 0.9))
             eps = float(rng.uniform(0, 0.3))
             sup, _ = brute_force_worst_case(ds, eps, res, aux, p_hat, IDENT)
-            cands = [np.append(grid, feats[i, 0]) for i in range(n)]
-            gains = [surrogate_loss(aux, p_hat, c, int(labels[i]))
-                     for i, c in enumerate(cands)]
-            best = max(
-                sum(gains[i][j] for i, j in enumerate(combo))
-                for combo in itertools.product(*[range(res + 1)] * n)
-                if sum((cands[i][j] - feats[i, 0]) ** 2
-                       for i, j in enumerate(combo)) <= n * eps + 1e-12
-            )
+            # Every tuple of per-point destinations: axis i indexes point
+            # i's candidates.  Costs and gains are summed point by point, in
+            # the order a loop over the tuple would add them.  Each move is
+            # squared as a scalar: an array's ``** 2`` can differ in the last
+            # bit, which could move a tuple across the budget filter.
+            cost = gain = np.zeros(())
+            for i in range(n):
+                cand = np.append(grid, feats[i, 0])
+                move = np.array([(c - feats[i, 0]) ** 2 for c in cand])
+                cost = cost[..., None] + move
+                gain = gain[..., None] + surrogate_loss(aux, p_hat, cand, int(labels[i]))
+            best = gain[cost <= n * eps + 1e-12].max()
             assert sup == pytest.approx(best / n, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -499,6 +457,12 @@ class TestEstimateRobustAuc:
         ds = Dataset.from_arrays(np.array([[0.4], [0.6]]), np.array([1, 1]))
         with pytest.raises(ValueError):
             estimate_robust_auc(IDENT, ds, 0.1, AUX0)
+
+    def test_non_finite_budget_rejected(self, trained):
+        ds, model, aux = trained
+        for eps in (math.nan, math.inf, (math.nan, 0.05), (0.0, math.nan), -0.1):
+            with pytest.raises(ValueError, match="eps"):
+                estimate_robust_auc(model, ds, eps, aux)
 
 
 class TestDualState:

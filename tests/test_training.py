@@ -5,6 +5,7 @@ import pytest
 
 from drauc import (Dataset, TrainConfig, auc_mann_whitney, gen_synthetic,
                    init_model, sample_batch, score, split_epsilon, train)
+from drauc.verification import check_separable_training
 
 
 class TestSplitEpsilon:
@@ -156,19 +157,8 @@ class TestTrainers:
                 assert r1["lam"] <= r0["lam"]
 
     def test_separable_instance_reaches_perfect_auc(self):
-        ds = separable_dataset()
-        m = init_model("linear-sigmoid", 1, 15)
-        runs = [
-            ("df", dict(eps=0.01, eta_z=0.05)),
-            ("da", dict(eps=0.01, eta_z=0.05)),
-            ("aucm-baseline", dict()),
-        ]
-        for variant, extra in runs:
-            cfg = TrainConfig(variant=variant, iters=500, batch_size=8,
-                              seed=15, **extra)
-            state = train(ds, cfg, m)
-            s = score(state.model, ds.features)
-            assert auc_mann_whitney(s[ds.labels == 1], s[ds.labels == 0]) == 1.0
+        res = check_separable_training(seed=15)
+        assert res.passed, res.detail
 
     def test_baseline_reaches_perfect_auc_within_200(self):
         ds = separable_dataset()
