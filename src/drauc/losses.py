@@ -25,6 +25,8 @@ is exact, and it yields the identity (enforced by the test suite)
 
 With scores in [0, 1], the optimizers live in a, b in [0, 1] and
 alpha in [-1, 1], so those boxes are the domains enforced here.
+For fixed labels g and dg/df take a per-row coefficient form
+(``_FixedLabelLoss``), which the inner ascent builds once per call.
 """
 
 from __future__ import annotations
@@ -49,59 +51,54 @@ class AuxParams:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
 
 
-def _check_p_hat(p_hat: float) -> None:
-    if not 0.0 < p_hat < 1.0:
-        raise ValueError(f"p_hat must lie in (0, 1), got {p_hat}")
+class _FixedLabelLoss:
+    """g = w*(f - c)**2 + k*(l*f) - c0 and dg/df = 2w*(f - c) + k*l for fixed
+    labels: (w, c, l) is (1-p, a, -(1-p)) on positives and (p, b, p) on
+    negatives, k = 2(1+alpha) and c0 = p(1-p)alpha^2.  Picking each row's
+    terms up front performs the same IEEE operations, in the same order, as
+    masking both classes' terms with 0/1 and summing them."""
 
+    __slots__ = ("pos", "w", "c", "l", "k", "c0")
 
-def _loss(aux, p, f, pos, neg):
-    return (
-        (1.0 - p) * (f - aux.a) ** 2 * pos
-        + p * (f - aux.b) ** 2 * neg
-        + 2.0 * (1.0 + aux.alpha) * (p * f * neg - (1.0 - p) * f * pos)
-        - p * (1.0 - p) * aux.alpha**2
-    )
+    def __init__(self, aux: AuxParams, p: float, y):
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p_hat must lie in (0, 1), got {p}")
+        self.pos = pos = np.asarray(y) == 1
+        self.w = np.where(pos, 1.0 - p, p)
+        self.c = np.where(pos, aux.a, aux.b)
+        self.l = np.where(pos, -(1.0 - p), p)
+        self.k = 2.0 * (1.0 + aux.alpha)
+        self.c0 = p * (1.0 - p) * aux.alpha**2
 
+    def value(self, f):
+        return self.w * (f - self.c) ** 2 + self.k * (self.l * f) - self.c0
 
-def _loss_d_f(aux, p, f, pos, neg):
-    return (
-        2.0 * (1.0 - p) * (f - aux.a) * pos
-        + 2.0 * p * (f - aux.b) * neg
-        + 2.0 * (1.0 + aux.alpha) * (p * neg - (1.0 - p) * pos)
-    )
+    def d_f(self, f):
+        return (2.0 * self.w) * (f - self.c) + self.k * self.l
 
 
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):
     """Evaluate g at a scored example; f and y may be scalars or arrays."""
-    _check_p_hat(p_hat)
-    pos = np.asarray(y) == 1
-    val = _loss(aux, p_hat, np.asarray(f, dtype=float), pos, ~pos)
+    val = _FixedLabelLoss(aux, p_hat, y).value(np.asarray(f, dtype=float))
     return float(val) if val.ndim == 0 else val
 
 
 def surrogate_loss_grads(aux: AuxParams, p_hat: float, f, y):
     """Partials of g: (d/df, d/da, d/db, d/dalpha), shapes matching f."""
-    _check_p_hat(p_hat)
+    loss = _FixedLabelLoss(aux, p_hat, y)
     f_arr = np.asarray(f, dtype=float)
-    pos = np.asarray(y) == 1
     p = p_hat
-    d_f = _loss_d_f(aux, p, f_arr, pos, ~pos)
-    d_a = -2.0 * (1.0 - p) * (f_arr - aux.a) * pos
-    d_b = -2.0 * p * (f_arr - aux.b) * (~pos)
+    d_f = loss.d_f(f_arr)
+    d_a = -2.0 * (1.0 - p) * (f_arr - aux.a) * loss.pos
+    d_b = -2.0 * p * (f_arr - aux.b) * (~loss.pos)
     d_alpha = (
-        2.0 * (p * f_arr * (~pos) - (1.0 - p) * f_arr * pos)
+        2.0 * (loss.l * f_arr)
         - 2.0 * p * (1.0 - p) * aux.alpha
-        + 0.0 * f_arr  # broadcast to the input shape
+        + 0.0 * f_arr  # broadcast to the input shape; turns -0.0 into 0.0
     )
     if np.asarray(f).ndim == 0 and np.asarray(y).ndim == 0:
         return float(d_f), float(d_a), float(d_b), float(d_alpha)
     return d_f, d_a, d_b, d_alpha
-
-
-def _loss_and_d_f(aux: AuxParams, p_hat: float, f, pos, neg):
-    """(g, dg/df) as surrogate_loss and surrogate_loss_grads compute them."""
-    _check_p_hat(p_hat)
-    return _loss(aux, p_hat, f, pos, neg), _loss_d_f(aux, p_hat, f, pos, neg)
 
 
 def closed_form_aux(pos_scores, neg_scores) -> AuxParams:

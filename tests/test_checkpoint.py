@@ -3,7 +3,7 @@ import pytest
 
 from drauc import (CHECKPOINT_VERSION, Checkpoint, CheckpointError,
                    DataFormatError, DualState, format_report, load_checkpoint,
-                   parse_report, save_checkpoint)
+                   parse_report, save_checkpoint, score)
 
 
 def sample_checkpoint(**overrides):
@@ -62,6 +62,15 @@ class TestRoundTrip:
         assert (aux.a, aux.b, aux.alpha) == (0.25, 0.5, -0.125)
         dual = back.dual
         assert dual.lam[0] == 0.75 and dual.eps[1] == 0.525
+
+    def test_model_scores_from_theta(self):
+        # The stored layout: W row-major (2x2), c, v, output bias.
+        ck = sample_checkpoint()
+        t = ck.theta
+        x = np.array([[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]])
+        hidden = np.tanh(x @ t[:4].reshape(2, 2).T + t[4:6])
+        expect = 1.0 / (1.0 + np.exp(-np.clip(hidden @ t[6:8] + t[8], -500.0, 500.0)))
+        assert np.array_equal(score(ck.model(), x), expect)
 
     @pytest.mark.parametrize("variant, dual_lines, lam, eps", [
         ("df", "lam=0.25\neps=0.5\n", (0.25,), (0.5,)),

@@ -84,6 +84,78 @@ class TestSurrogateGrads:
                 assert got == pytest.approx(want, abs=1e-8)
 
 
+def masked_loss(aux, p, f, y):
+    """g with both classes' terms masked by 0/1 labels and summed."""
+    f = np.asarray(f, dtype=float)
+    pos = np.asarray(y) == 1
+    neg = ~pos
+    return (
+        (1.0 - p) * (f - aux.a) ** 2 * pos
+        + p * (f - aux.b) ** 2 * neg
+        + 2.0 * (1.0 + aux.alpha) * (p * f * neg - (1.0 - p) * f * pos)
+        - p * (1.0 - p) * aux.alpha**2
+    )
+
+
+def masked_grads(aux, p, f, y):
+    """(d/df, d/da, d/db, d/dalpha) of g in the same masked form."""
+    f = np.asarray(f, dtype=float)
+    pos = np.asarray(y) == 1
+    neg = ~pos
+    d_f = (
+        2.0 * (1.0 - p) * (f - aux.a) * pos
+        + 2.0 * p * (f - aux.b) * neg
+        + 2.0 * (1.0 + aux.alpha) * (p * neg - (1.0 - p) * pos)
+    )
+    d_a = -2.0 * (1.0 - p) * (f - aux.a) * pos
+    d_b = -2.0 * p * (f - aux.b) * neg
+    d_alpha = (2.0 * (p * f * neg - (1.0 - p) * f * pos)
+               - 2.0 * p * (1.0 - p) * aux.alpha + 0.0 * f)
+    return d_f, d_a, d_b, d_alpha
+
+
+def same_bits(got, want):
+    """Equal bit patterns and shapes: -0.0 differs from 0.0."""
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestMaskedFormBitwise:
+    """The per-row coefficient form equals the masked form bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, -0.3])
+    def test_arrays(self, alpha):
+        rng = np.random.default_rng(41)
+        a, b, p = 0.3, 0.75, 0.2
+        aux = AuxParams(a, b, alpha)
+        fs = np.concatenate([[0.0, 1.0, a, b], rng.uniform(0, 1, size=60)])
+        fs = np.repeat(fs, 2)
+        ys = np.tile([1, 0], fs.size // 2)
+        assert same_bits(surrogate_loss(aux, p, fs, ys), masked_loss(aux, p, fs, ys))
+        for got, want in zip(surrogate_loss_grads(aux, p, fs, ys),
+                             masked_grads(aux, p, fs, ys)):
+            assert same_bits(got, want)
+        for y in (0, 1):  # array scores, one label for all
+            assert same_bits(surrogate_loss(aux, p, fs, y), masked_loss(aux, p, fs, y))
+            for got, want in zip(surrogate_loss_grads(aux, p, fs, y),
+                                 masked_grads(aux, p, fs, y)):
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_scalars_are_python_floats(self, alpha):
+        a, b, p = 0.3, 0.75, 0.2
+        aux = AuxParams(a, b, alpha)
+        for f in (0.0, 1.0, a, b, 0.6180339887):
+            for y in (0, 1):
+                val = surrogate_loss(aux, p, f, y)
+                assert type(val) is float
+                assert same_bits(val, masked_loss(aux, p, f, y))
+                grads = surrogate_loss_grads(aux, p, f, y)
+                assert all(type(g) is float for g in grads)
+                for got, want in zip(grads, masked_grads(aux, p, f, y)):
+                    assert same_bits(got, want)
+
+
 class TestClosedForm:
     def test_sample_means(self):
         aux = closed_form_aux([0.8, 0.6], [0.3, 0.1])

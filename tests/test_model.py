@@ -156,3 +156,36 @@ class TestForward:
                               d_f[:, None] * vjp_input(m, cache, ones))
         assert np.array_equal(vjp_params(m, cache, d_f),
                               d_f[:, None] * vjp_params(m, cache, ones))
+
+
+class TestParameterViews:
+    ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(4)", "linear-identity-clamped"]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_replace_matches_fresh_model(self, arch):
+        rng = np.random.default_rng(22)
+        m = init_model(arch, 3, seed=6)
+        x = rng.uniform(0.0, 1.0, size=(9, 3))
+        p2 = m.params + rng.normal(0.0, 1.0, m.params.shape)
+        fresh = ScoringModel(m.arch, p2, m.input_dim, m.hidden_width)
+        f_replaced, cache_replaced = forward(replace(m, params=p2), x)
+        f_fresh, cache_fresh = forward(fresh, x)
+        assert np.array_equal(f_replaced, f_fresh)
+        assert np.array_equal(f_fresh, score(replace(m, params=p2.copy()), x))
+        d_f = rng.normal(size=9)
+        assert np.array_equal(vjp_input(replace(m, params=p2), cache_replaced, d_f),
+                              vjp_input(fresh, cache_fresh, d_f))
+        assert np.array_equal(vjp_params(replace(m, params=p2), cache_replaced, d_f),
+                              vjp_params(fresh, cache_fresh, d_f))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_in_place_edits_reach_forward(self, arch):
+        m = init_model(arch, 2, seed=8)
+        x = np.array([[0.2, 0.4], [0.7, 0.1]])
+        for i in range(m.params.size):  # the bias, params[-1], included
+            before = forward(m, x)[0]
+            m.params[i] += 0.25
+            after = forward(m, x)[0]
+            fresh = ScoringModel(m.arch, m.params.copy(), m.input_dim, m.hidden_width)
+            assert np.array_equal(after, forward(fresh, x)[0])
+            assert not np.array_equal(after, before)

@@ -123,6 +123,53 @@ def three_pass_ascent(model, aux, p_hat, lam, x0, y, cfg):
     return best_val, best_x
 
 
+def clip_forward(model, x):
+    """``forward`` with per-call parameter slices, a scalar output bias and
+    np.clip for the clamps."""
+    p, d, h = model.params, model.input_dim, model.hidden_width
+    if model.arch == "mlp1-tanh-sigmoid":
+        hidden = np.tanh(x @ p[: h * d].reshape(h, d).T + p[h * d : h * d + h])
+        f = 1.0 / (1.0 + np.exp(-np.clip(hidden @ p[h * d + h : -1] + p[-1], -500.0, 500.0)))
+        return f, (x, hidden, f * (1.0 - f))
+    u = x @ p[:d] + p[d]
+    if model.arch == "linear-identity-clamped":
+        return np.clip(u, 0.0, 1.0), (x, None, ((u >= 0.0) & (u <= 1.0)).astype(float))
+    f = 1.0 / (1.0 + np.exp(-np.clip(u, -500.0, 500.0)))
+    return f, (x, None, f * (1.0 - f))
+
+
+def masked_ascent(model, aux, p, lam, x0, y, cfg):
+    """The one-pass ascent with g and dg/df as 0/1-masked sums of both
+    classes' terms, np.clip projection and a fancy-index best update.
+    Also counts the coordinates the projection moved and the rows whose
+    best iterate is not the last."""
+    lam = np.asarray(lam, dtype=float)
+    pos = np.broadcast_to(np.asarray(y), (x0.shape[0],)) == 1
+    neg = ~pos
+    x_cur, best_x, projected = x0, x0.copy(), 0
+    for k in range(cfg.steps + 1):
+        f, cache = clip_forward(model, x_cur)
+        g = ((1.0 - p) * (f - aux.a) ** 2 * pos + p * (f - aux.b) ** 2 * neg
+             + 2.0 * (1.0 + aux.alpha) * (p * f * neg - (1.0 - p) * f * pos)
+             - p * (1.0 - p) * aux.alpha**2)
+        d_f = (2.0 * (1.0 - p) * (f - aux.a) * pos + 2.0 * p * (f - aux.b) * neg
+               + 2.0 * (1.0 + aux.alpha) * (p * neg - (1.0 - p) * pos))
+        vals = g - lam * ((x_cur - x0) ** 2).sum(axis=1)
+        if k == 0:
+            best_val = vals
+        else:
+            improved = vals > best_val
+            best_val = np.where(improved, vals, best_val)
+            best_x[improved] = x_cur[improved]
+        if k == cfg.steps:
+            break
+        grad = vjp_input(model, cache, d_f) - 2.0 * lam[..., None] * (x_cur - x0)
+        step = x_cur + cfg.step_size * grad
+        x_cur = np.clip(step, 0.0, 1.0)
+        projected += int((x_cur != step).sum())
+    return best_val, best_x, projected, int(np.any(best_x != x_cur, axis=1).sum())
+
+
 class TestAttackBatch:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_values_match_points(self, arch):
@@ -175,6 +222,43 @@ class TestAttackBatch:
         vec_vals, vec_x = attack_batch(model, aux, 0.4, np.full(x.shape[0], 0.7),
                                        x, y, cfg)
         assert np.array_equal(vals, vec_vals) and np.array_equal(x_adv, vec_x)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_per_row_multipliers_match_masked_form_bitwise(self, arch):
+        # Step sizes up to 3 reach the box faces and overshoot the best
+        # iterate; some multipliers are 0.
+        model, _, x, y = attack_instance(arch, 35, n=40)
+        lam = 10.0 ** np.linspace(-2.0, 1.0, x.shape[0])
+        lam[::7] = 0.0
+        if arch == "linear-identity-clamped":
+            # Pre-activations in [-0.3, 1.3]: rows on the ramp and on both clamps.
+            model = replace(model, params=np.array([0.9, 0.7, -0.3]))
+        models = [model]
+        if arch.startswith("mlp"):
+            # Output pre-activations beyond +-500 on some rows, where the
+            # sigmoid's clamp engages and scores saturate to 1.0.
+            steep = replace(model, params=np.concatenate(
+                [model.params[:-5], 400.0 * model.params[-5:-1], [-300.0]]))
+            hidden = forward(steep, x)[1][1]
+            assert np.abs(hidden @ steep.v + steep.b).max() > 500.0
+            models.append(steep)
+        f0 = score(model, x)
+        auxes = [AuxParams(0.3, 0.6, -0.2),
+                 AuxParams(1.0, 0.0, -1.0),  # alpha = -1, so 2(1+alpha) = 0
+                 AuxParams(float(f0[0]), float(f0[1]), 0.0)]  # f == a, f == b
+        projected = earlier = 0
+        for m in models:
+            for aux in auxes:
+                for step_size in (0.2, 1.0, 3.0):
+                    cfg = AttackConfig(steps=8, step_size=step_size)
+                    got = attack_batch(m, aux, 0.4, lam, x, y, cfg)
+                    *want, n_projected, n_earlier = masked_ascent(
+                        m, aux, 0.4, lam, x, y, cfg)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+                    projected += n_projected
+                    earlier += n_earlier
+        assert projected > 0 and earlier > 0
 
 
 def example1_style_instance():
