@@ -71,7 +71,7 @@ class _FixedLabelLoss:
         self.c0 = p * (1.0 - p) * aux.alpha**2
 
     def value(self, f):
-        return self.w * (f - self.c) ** 2 + self.k * (self.l * f) - self.c0
+        return self.w * np.square(f - self.c) + self.k * (self.l * f) - self.c0
 
     def d_f(self, f):
         return (2.0 * self.w) * (f - self.c) + self.k * self.l

@@ -10,9 +10,12 @@ returned value is the best penalized objective seen along the iterates
 value collapses to g(z) as lam grows.  Perturbations never change labels:
 the transport cost across labels is infinite.
 
-Desk-scale oracles back the solver:
+Desk-scale oracles back the solver.  The three 1-D ones read one
+per-point frontier: the undominated (destination, squared cost, loss)
+triples of a point that may move to a grid point or stay put.
 
   * an exact 1-D maximizer over a dense grid (plus the point itself),
+  * the dual curve lam*eps + mean(phi_lam) on a multiplier grid, d = 1,
   * a brute-force search for the worst distribution of a tiny 1-D dataset
     under a mean-squared-transport budget, restricted to one destination
     per point and exact up to grid resolution: the Pareto frontiers of
@@ -120,6 +123,32 @@ def robust_surrogate(model: ScoringModel, aux: AuxParams, p_hat: float,
     return float(vals[0]), (x_adv[0], int(y))
 
 
+def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
+                           cap=math.inf):
+    """Per-point Pareto frontier of 1-D destinations, for every oracle.
+
+    Point i may move to any grid point or stay at x[i], at squared cost
+    (x' - x[i])**2, for loss g(f(x'), y_i).  The grid and the points are
+    scored once each.  Returns one (destinations, costs, gains) triple per
+    point, the undominated entries within ``cap`` by ascending cost; the
+    first costs 0.  For lam >= 0, max(gains - lam*costs) over a frontier
+    is the maximum over all destinations bit for bit: IEEE multiplication
+    and subtraction are monotone, so a dominated entry never wins.
+    """
+    grid = np.linspace(0.0, 1.0, grid_resolution)
+    f_grid = score(model, grid[:, None])
+    g_pos, g_neg = (surrogate_loss(aux, p_hat, f_grid, y) for y in (1, 0))
+    g_own = surrogate_loss(aux, p_hat, score(model, x[:, None]), labels)
+    frontiers = []
+    for xi, yi, gi in zip(x, labels, g_own):
+        cand = np.append(grid, xi)
+        cost = (cand - xi) ** 2
+        gain = np.append(g_pos if yi == 1 else g_neg, gi)
+        keep = _pareto_prune(cost, gain, cap)
+        frontiers.append((cand[keep], cost[keep], gain[keep]))
+    return frontiers
+
+
 def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
                               lam: float, z, grid_resolution: int = 100_001):
     """Exact 1-D maximizer over a dense grid plus the point itself."""
@@ -127,13 +156,15 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
         raise ValueError("exact oracle requires a 1-D model")
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     x, y = z
-    x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
-    cand = np.append(np.linspace(0.0, 1.0, grid_resolution), x0)
-    g = surrogate_loss(aux, p_hat, score(model, cand[:, None]), int(y))
-    obj = g - lam * (cand - x0) ** 2
+    x0 = np.asarray(x, dtype=float).reshape(-1)[:1]
+    ((dest, cost, gain),) = _destination_frontiers(
+        model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
+    obj = gain - lam * cost
     i = int(np.argmax(obj))
-    return float(obj[i]), (np.array([cand[i]]), int(y))
+    return float(obj[i]), (np.array([dest[i]]), int(y))
 
 
 @dataclass(frozen=True)
@@ -143,60 +174,31 @@ class DualCurve:
     curve: np.ndarray
 
 
-def _exact_phi_1d(model, aux, p_hat, features, labels, grid_resolution):
-    """Exact 1-D phi for every example, as a function of the multiplier.
-
-    The grid, the examples' own losses and the move costs do not depend on
-    lam, so they are computed once and shared by every call.
-    """
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-    f_grid = score(model, grid[:, None])
-    x = features[:, 0]
-    g_own = surrogate_loss(aux, p_hat, score(model, features), labels)
-    classes = []
-    for y in (0, 1):
-        mask = labels == y
-        if mask.any():
-            classes.append((mask, surrogate_loss(aux, p_hat, f_grid, y)[None, :],
-                            (x[mask, None] - grid[None, :]) ** 2, g_own[mask]))
-
-    def phi(lam):
-        out = np.empty(x.size)
-        for mask, g_grid, cost, own in classes:
-            out[mask] = np.maximum((g_grid - lam * cost).max(axis=1), own)
-        return out
-    return phi
-
-
 def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
                dataset: Dataset, eps: float, lambda_grid, *,
-               grid_resolution: int = 1001,
-               attack: AttackConfig | None = None) -> DualCurve:
-    """Evaluate lam*eps + mean(phi_lam) on a multiplier grid.
+               grid_resolution: int = 1001) -> DualCurve:
+    """Evaluate lam*eps + mean(phi_lam) on a multiplier grid, d = 1 only.
 
-    The inner maximization is the exact grid oracle when d = 1, and the
-    ascent solver otherwise.  The curve is convex in lam under the exact
-    oracle (pointwise max of functions affine in lam).
+    phi_lam is the exact grid oracle, one broadcast over the multipliers
+    per point.  The curve is convex in lam (pointwise max of functions
+    affine in lam).
     """
+    if dataset.d != 1:
+        raise ValueError(f"dual curve requires d = 1, got d={dataset.d}")
     if not eps >= 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda_grid must be non-empty")
-    if (np.diff(grid) < 0).any() or grid[0] < 0.0:
-        raise ValueError("lambda_grid must be sorted ascending and >= 0")
-    if dataset.d == 1:
-        phi = _exact_phi_1d(model, aux, p_hat, dataset.features, dataset.labels,
-                            grid_resolution)
-    else:
-        cfg = attack or AttackConfig()
-
-        def phi(lam):
-            return attack_batch(model, aux, p_hat, lam, dataset.features,
-                                dataset.labels, cfg)[0]
-    curve = np.array([lam * eps + phi(lam).mean() for lam in map(float, grid)])
+    lams = np.asarray(lambda_grid, dtype=float)
+    if (lams.size == 0 or not np.isfinite(lams).all() or (np.diff(lams) < 0).any()
+            or lams[0] < 0.0):
+        raise ValueError("lambda_grid must be non-empty, finite, sorted "
+                         f"ascending and >= 0, got {lams}")
+    frontiers = _destination_frontiers(model, aux, p_hat, dataset.features[:, 0],
+                                       dataset.labels, grid_resolution)
+    phi = np.stack([(gain - lams[:, None] * cost).max(axis=1)
+                    for _, cost, gain in frontiers], axis=1)
+    curve = lams * eps + phi.mean(axis=1)
     best = int(np.argmin(curve))
-    return DualCurve(float(grid[best]), float(curve[best]), curve)
+    return DualCurve(float(lams[best]), float(curve[best]), curve)
 
 
 def _pareto_prune(costs, gains, cap):
@@ -254,24 +256,15 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
         )
     if grid_resolution < 101:
         raise ValueError(f"grid_resolution must be >= 101, got {grid_resolution}")
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
 
     budget = dataset.n * eps
     cap = budget + 1e-12 * max(1.0, budget)  # slack for float rounding in cost sums
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-
-    # Per-point Pareto frontiers.  The point's own position is always a
-    # candidate, so every frontier (and every joint one) starts at cost 0.
-    frontiers = []
-    for i in range(dataset.n):
-        xi = float(dataset.features[i, 0])
-        cand = np.append(grid, xi)
-        cand_cost = (cand - xi) ** 2
-        cand_gain = surrogate_loss(aux, p_hat, score(model, cand[:, None]),
-                                   int(dataset.labels[i]))
-        keep = _pareto_prune(cand_cost, cand_gain, cap)
-        frontiers.append((cand[keep], cand_cost[keep], cand_gain[keep]))
+    # Staying put costs 0, so every frontier (and every joint one) starts
+    # at cost 0.
+    frontiers = _destination_frontiers(model, aux, p_hat, dataset.features[:, 0],
+                                       dataset.labels, grid_resolution, cap)
 
     half = dataset.n // 2
     pos_a, cost_a, gain_a = _joint_frontier(frontiers[:half], cap)

@@ -206,7 +206,7 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
             "a": a,
             "b": b,
             "batch_auc": batch_auc,
-            "theta": theta.copy(),
+            "theta": theta,
         }
         record.update(zip(lam_keys, lam.tolist()))
         record.update(zip(cost_keys, mean_costs))

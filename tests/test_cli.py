@@ -251,6 +251,10 @@ class TestAttackOracle:
     def test_custom_requires_flags(self, capsys):
         assert run(["attack-oracle", "--preset", "custom"]) == 2
 
+    def test_two_point_nan_budget_rejected(self, capsys):
+        assert run(["attack-oracle", "--preset", "two-point", "--eps", "nan"]) == 2
+        assert "eps must be >= 0" in capsys.readouterr().err
+
 
 class TestVerifyAndGradCheck:
     def test_verify_quick_passes(self, capsys):

@@ -40,6 +40,19 @@ class TestSurrogateLoss:
         vec = surrogate_loss(aux, 0.25, fs, ys)
         for i in range(8):
             assert vec[i] == surrogate_loss(aux, 0.25, fs[i], int(ys[i]))
+        # 16,000 rows in 8-row batches, each with its own aux and p_hat: a
+        # scalar score must square like an array row, to the last bit.
+        rng = np.random.default_rng(5)
+        mismatches = 0
+        for _ in range(2000):
+            aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
+            p_hat = float(rng.uniform(0.1, 0.9))
+            fs = rng.uniform(0, 1, size=8)
+            ys = rng.integers(0, 2, size=8)
+            vec = surrogate_loss(aux, p_hat, fs, ys)
+            mismatches += sum(vec[i] != surrogate_loss(aux, p_hat, fs[i], int(ys[i]))
+                              for i in range(8))
+        assert mismatches == 0
 
 
 class TestSurrogateGrads:

@@ -76,6 +76,11 @@ class TestRobustSurrogate:
             assert y_adv == y
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
+    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf])
+    def test_exact_oracle_rejects_bad_multiplier(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            robust_surrogate_exact_1d(IDENT, AUX0, 0.5, lam, (np.array([0.3]), 0), 101)
+
     def test_exact_oracle_monotone_in_lambda(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -294,13 +299,11 @@ class TestDualCurve:
         res = dual_curve(IDENT, aux, p_hat, ds, eps, grid, grid_resolution=1001)
         assert (res.curve >= sup - 1e-9).all()
 
-    def test_pga_fallback_for_multidim(self):
+    def test_refuses_multidim(self):
         ds = gen_synthetic(16, 2, seed=0)
-        aux = AuxParams(0.5, 0.5, 0.0)
         m = init_model("linear-sigmoid", 2, seed=0)
-        res = dual_curve(m, aux, 0.5, ds, 0.01, [0.0, 1.0, 1e3],
-                         attack=AttackConfig(steps=5, step_size=0.05))
-        assert res.curve.shape == (3,)
+        with pytest.raises(ValueError, match="d=2"):
+            dual_curve(m, AuxParams(0.5, 0.5, 0.0), 0.5, ds, 0.01, [0.0, 1.0])
 
     def test_grid_validation(self):
         ds, aux, p_hat = example1_style_instance()
@@ -311,11 +314,109 @@ class TestDualCurve:
         with pytest.raises(ValueError):
             dual_curve(IDENT, aux, p_hat, ds, 0.0, [-1.0, 0.5])
 
+    @pytest.mark.parametrize("lams", [[0.0, math.nan], [0.0, 1.0, math.inf]])
+    def test_non_finite_multiplier_rejected(self, lams):
+        ds, aux, p_hat = example1_style_instance()
+        with pytest.raises(ValueError, match="lambda_grid"):
+            dual_curve(IDENT, aux, p_hat, ds, 0.0, lams)
+
     def test_budget_validation(self):
         ds, aux, p_hat = example1_style_instance()
         for eps in (-0.1, math.nan):
             with pytest.raises(ValueError, match="eps"):
                 dual_curve(IDENT, aux, p_hat, ds, eps, [0.0, 1.0])
+
+
+def full_scan_phi_1d(model, aux, p_hat, features, labels, grid_resolution):
+    """Exact 1-D phi as a function of lam, scanning every grid point of each
+    class for every multiplier: the form the oracle had before the shared
+    per-point frontier."""
+    grid = np.linspace(0.0, 1.0, grid_resolution)
+    f_grid = score(model, grid[:, None])
+    x = features[:, 0]
+    g_own = surrogate_loss(aux, p_hat, score(model, features), labels)
+    classes = []
+    for y in (0, 1):
+        mask = labels == y
+        if mask.any():
+            classes.append((mask, surrogate_loss(aux, p_hat, f_grid, y)[None, :],
+                            (x[mask, None] - grid[None, :]) ** 2, g_own[mask]))
+
+    def phi(lam):
+        out = np.empty(x.size)
+        for mask, g_grid, cost, own in classes:
+            out[mask] = np.maximum((g_grid - lam * cost).max(axis=1), own)
+        return out
+    return phi
+
+
+def full_scan_argmax(model, aux, p_hat, lam, x0, y, grid_resolution):
+    """Every candidate (the grid, then the point itself) with its penalized
+    value, and the index of the first maximum."""
+    grid = np.linspace(0.0, 1.0, grid_resolution)
+    cand = np.append(grid, x0)
+    f = np.append(score(model, grid[:, None]), score(model, np.array([[x0]])))
+    obj = surrogate_loss(aux, p_hat, f, y) - lam * (cand - x0) ** 2
+    return cand, obj, int(np.argmax(obj))
+
+
+def tiny_instances(seed, count):
+    """The random 1-D instances drawn by ``check_weak_duality`` (seed 7) and
+    ``check_dual_convexity`` (seed 8)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        feats = rng.uniform(0, 1, size=(n, 1))
+        labels = rng.integers(0, 2, size=n)
+        aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
+        p_hat = float(rng.uniform(0.1, 0.9))
+        eps = float(rng.uniform(0, 0.25)) if rng.random() > 0.15 else 0.0
+        yield Dataset.from_arrays(feats, labels), aux, p_hat, eps, IDENT
+
+
+def mlp_instance():
+    """A steep d=1 mlp at n=12: the mean over points takes NumPy's pairwise
+    summation, and the grid's and the points' scores come from BLAS."""
+    rng = np.random.default_rng(21)
+    model = init_model("mlp1-tanh-sigmoid(8)", 1, seed=3)
+    model = replace(model, params=4.0 * model.params)
+    ds = Dataset.from_arrays(rng.uniform(0, 1, size=(12, 1)),
+                             (np.arange(12) % 3 == 0).astype(int))
+    return ds, AuxParams(0.3, 0.6, -0.2), ds.p_hat, 0.05, model
+
+
+WEAK_DUALITY_LAMS = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 99)])
+CONVEXITY_LAMS = np.linspace(0.0, 20.0, 41)
+
+
+class TestFrontierMatchesFullScan:
+    """The oracles read each point's Pareto frontier; a full scan of every
+    destination gives the same IEEE values."""
+
+    CASES = ([(inst, WEAK_DUALITY_LAMS, 1001) for inst in tiny_instances(7, 50)]
+             + [(inst, CONVEXITY_LAMS, 501) for inst in tiny_instances(8, 25)]
+             + [(mlp_instance(), WEAK_DUALITY_LAMS, 1001)])
+
+    def test_dual_curve_bitwise(self):
+        for (ds, aux, p_hat, eps, model), lams, res in self.CASES:
+            phi = full_scan_phi_1d(model, aux, p_hat, ds.features, ds.labels, res)
+            want = np.array([lam * eps + phi(lam).mean() for lam in map(float, lams)])
+            best = int(np.argmin(want))
+            got = dual_curve(model, aux, p_hat, ds, eps, lams, grid_resolution=res)
+            assert got.curve.tobytes() == want.tobytes()
+            assert (got.best_lambda, got.best_value) == (lams[best], want[best])
+
+    def test_exact_oracle_bitwise(self):
+        for (ds, aux, p_hat, eps, model), lams, res in self.CASES:
+            for x0, y in zip(ds.features[:, 0], ds.labels):
+                for lam in map(float, lams[::9]):
+                    val, (x_adv, y_adv) = robust_surrogate_exact_1d(
+                        model, aux, p_hat, lam, (np.array([x0]), int(y)), res)
+                    cand, obj, i = full_scan_argmax(model, aux, p_hat, lam, x0, int(y), res)
+                    assert np.float64(val).tobytes() == obj[i].tobytes()
+                    assert y_adv == y
+                    if x_adv[0] != cand[i]:  # only where another destination ties
+                        assert (obj[cand == x_adv[0]] == obj[i]).any()
 
 
 class TestBruteForceWorstCase:
@@ -341,6 +442,11 @@ class TestBruteForceWorstCase:
         sup, pos = brute_force_worst_case(ds, 0.125, 1001, AUX0, 0.5, IDENT)
         assert sup == pytest.approx(1.0625, abs=1e-9)
         assert pos == pytest.approx([0.5, 1.0], abs=1e-9)
+
+    def test_nan_budget_rejected(self):
+        ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            brute_force_worst_case(ds, math.nan, 1001, AUX0, 0.5, IDENT)
 
     def test_refuses_large_instances(self):
         big = Dataset.from_arrays(np.zeros((7, 1)), np.zeros(7, dtype=int))

@@ -138,6 +138,17 @@ class TestTrainers:
                 for key in ("objective", "alpha", "a", "b", "batch_auc"):
                     assert r0[key] == r1[key]
 
+    def test_history_holds_every_iterate(self):
+        # Records hold the iterate itself, not a copy: each must still be
+        # its own array, untouched by later updates.
+        ds = make_tailed_dataset()
+        m = init_model("linear-sigmoid", 2, 15)
+        state = train(ds, TrainConfig(variant="df", iters=5, batch_size=16, seed=15), m)
+        thetas = [rec["theta"] for rec in state.history]
+        assert np.array_equal(thetas[0], m.params) and thetas[0] is not m.params
+        assert len({id(t) for t in thetas + [state.model.params]}) == 6
+        assert all(not np.array_equal(s, t) for s, t in zip(thetas, thetas[1:]))
+
     def test_lambda_moves_against_cost_gap(self):
         ds = make_tailed_dataset()
         m = init_model("linear-sigmoid", 2, 14)
