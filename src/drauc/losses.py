@@ -58,7 +58,7 @@ class _FixedLabelLoss:
     terms up front performs the same IEEE operations, in the same order, as
     masking both classes' terms with 0/1 and summing them."""
 
-    __slots__ = ("pos", "w", "c", "l", "k", "c0")
+    __slots__ = ("pos", "w", "c", "l", "k", "c0", "_d_f_terms")
 
     def __init__(self, aux: AuxParams, p: float, y):
         if not 0.0 < p < 1.0:
@@ -69,12 +69,16 @@ class _FixedLabelLoss:
         self.l = np.where(pos, -(1.0 - p), p)
         self.k = 2.0 * (1.0 + aux.alpha)
         self.c0 = p * (1.0 - p) * aux.alpha**2
+        self._d_f_terms = None
 
     def value(self, f):
         return self.w * np.square(f - self.c) + self.k * (self.l * f) - self.c0
 
     def d_f(self, f):
-        return (2.0 * self.w) * (f - self.c) + self.k * self.l
+        if self._d_f_terms is None:  # 2w and k*l, once per object
+            self._d_f_terms = (2.0 * self.w, self.k * self.l)
+        two_w, kl = self._d_f_terms
+        return two_w * (f - self.c) + kl
 
 
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):

@@ -12,11 +12,26 @@ parameter vector-Jacobian products read; ``score`` wraps it for callers
 that need only the scores.  A model unpacks its parameter vector once,
 when it is built, into views that these functions read (``W``, ``WT``,
 ``c``, ``v`` and the bias ``b``), so an in-place edit of ``params`` is
-seen by the next pass.  Gradients are hand-written (no autodiff
-framework) and checked against central finite differences in the test
-suite.  The tanh hidden activation is deliberate: the inner
-maximization runs gradient ascent on inputs, and a smooth activation
-avoids dead input gradients during that attack.
+seen by the next pass.
+
+The passes work feature-major: the tanh layer is the (h, n) array
+W @ x.T, and the products return (d, n) and (P, n) arrays, so each
+elementwise pass runs along the batch, not along h or d.  Two layouts
+decide rounding and stay row-major.  NumPy hands a product with a vector
+(``hidden @ v``, a linear scorer's ``x @ w``, and at d = 1 the input
+gradient's product with W) to a BLAS matrix-vector kernel that rounds by
+its matrix's layout, so these run on row-major copies.  And
+``vjp_params`` returns a row-major (n, P) array, on which a mean over rows
+sums in sequence.  So every output is bitwise what row-major passes give.
+Passes over batches of one shape may share a ``work`` dict that keeps
+their (h, n) arrays (the tanh layer, d f / d (Wx + c), and one spare that
+the row-major copy and the vjp's outer product take in turn); each pass
+then overwrites the previous one's cache.
+
+Gradients are hand-written (no autodiff framework) and checked against
+central finite differences in the test suite.  The tanh hidden activation
+is deliberate: the inner maximization runs gradient ascent on inputs, and
+a smooth activation avoids dead input gradients during that attack.
 
 The identity-clamped architecture exists so that exact analytic test cases
 are expressible (f(x) = x on [0,1] with w=1, b=0); it is not a training
@@ -28,6 +43,7 @@ boundary, where no two-sided derivative exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,54 +167,90 @@ def _sigmoid(u):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(-500.0, u), 500.0)))
 
 
-def forward(model: ScoringModel, x):
+def _scratch(work, key, shape):
+    """A view, shaped ``shape``, of the flat array the dict ``work`` keeps
+    under ``key``, made on first use; None without a dict, for a NumPy
+    ``out=`` that allocates."""
+    if work is None:
+        return None
+    if key not in work:
+        work[key] = np.empty(math.prod(shape))
+    return work[key].reshape(shape)
+
+
+def _row_major(a, work):
+    """Row-major copy of a.T, for a matrix-vector product."""
+    if work is None:
+        return np.ascontiguousarray(a.T)
+    rows = _scratch(work, "spare", a.shape[::-1])
+    np.copyto(rows, a.T)
+    return rows
+
+
+def forward(model: ScoringModel, x, *, work=None):
     """Scores of a batch (n, d), or of one input as a row, and the cache
-    (batch, tanh layer or None, derivative of the output nonlinearity)."""
+    (batch, tanh layer (n, h) or None, derivative of the output nonlinearity);
+    the tanh layer is a transposed view of (h, n) memory."""
     arr = np.asarray(x, dtype=float)
     batch = arr[None, :] if arr.ndim == 1 else arr
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise ValueError(f"input of shape {arr.shape} does not match "
                          f"input_dim={model.input_dim}")
+    hidden = None
     if model.arch == MLP1_TANH_SIGMOID:
-        hidden = np.tanh(batch @ model.WT + model.c)
-        f = _sigmoid(hidden @ model.v + model.b)
-        return f, (batch, hidden, f * (1.0 - f))
-    u = batch @ model.v + model.b
+        hidden_t = np.matmul(model.W, batch.T,
+                             out=_scratch(work, "hidden", (model.hidden_width, len(batch))))
+        hidden_t += model.c[:, None]
+        np.tanh(hidden_t, out=hidden_t)
+        u = _row_major(hidden_t, work) @ model.v
+        hidden = hidden_t.T
+    else:
+        u = np.ascontiguousarray(batch) @ model.v
+    u = u + model.b
     if model.arch == LINEAR_IDENTITY_CLAMPED:
         f = np.minimum(np.maximum(0.0, u), 1.0)
         return f, (batch, None, ((u >= 0.0) & (u <= 1.0)).astype(float))
     f = _sigmoid(u)
-    return f, (batch, None, f * (1.0 - f))
+    return f, (batch, hidden, f * (1.0 - f))
 
 
-def _pre_activation_grad(model, hidden, slope):
-    """d f / d (Wx + c) for the mlp, shape (n, h)."""
-    d_tanh = hidden**2
-    np.subtract(1.0, d_tanh, out=d_tanh)  # in place: one (n, h) array fewer at the peak
-    return slope[:, None] * model.v[None, :] * d_tanh
+def _pre_activation_grad(model, hidden, slope, out, work=None):
+    """d f / d (Wx + c) for the mlp as (h, n), written to out if given."""
+    d_pre = np.square(hidden.T, out=out)
+    np.subtract(1.0, d_pre, out=d_pre)
+    d_pre *= np.multiply.outer(model.v, slope, out=_scratch(work, "spare", d_pre.shape))
+    return d_pre
 
 
-def vjp_input(model: ScoringModel, cache, d_f):
+def vjp_input(model: ScoringModel, cache, d_f, *, work=None):
     """Rows of d_f * (d f / d x), shape (n, d): the input gradient of a loss
-    whose derivative with respect to each row's score is d_f."""
+    whose derivative with respect to each row's score is d_f.  A transposed
+    view of (d, n) memory; ``work`` is the one the cache's pass was given."""
     _, hidden, slope = cache
     if hidden is None:
-        jac = slope[:, None] * model.v[None, :]
+        jac = np.multiply.outer(model.v, slope)
     else:
-        jac = _pre_activation_grad(model, hidden, slope) @ model.W
-    return d_f[:, None] * jac
+        d_pre = _pre_activation_grad(model, hidden, slope,
+                                     _scratch(work, "d_pre", hidden.T.shape), work)
+        jac = model.WT @ d_pre if model.input_dim > 1 else (_row_major(d_pre, work) @ model.W).T
+    jac *= d_f
+    return jac.T
 
 
 def vjp_params(model: ScoringModel, cache, d_f):
-    """Rows of d_f * (d f / d params), shape (n, P), in the flat layout."""
+    """Rows of d_f * (d f / d params), shape (n, P), in the flat layout;
+    a row-major copy of (P, n) rows."""
     batch, hidden, slope = cache
-    # The output layer's weights and bias, after the mlp's hidden layer.
-    blocks = [slope[:, None] * (batch if hidden is None else hidden), slope[:, None]]
+    h, d = model.W.shape  # h = 0 for the linear archs
+    grad = np.empty((model.params.size, len(slope)))
     if hidden is not None:
-        d_pre = _pre_activation_grad(model, hidden, slope)       # (n, h)
-        d_w = d_pre[:, :, None] * batch[:, None, :]             # (n, h, d)
-        blocks = [d_w.reshape(batch.shape[0], -1), d_pre] + blocks
-    return d_f[:, None] * np.concatenate(blocks, axis=1)
+        d_pre = _pre_activation_grad(model, hidden, slope, grad[h * d : h * d + h])
+        np.multiply(d_pre[:, None, :], batch.T, out=grad[: h * d].reshape(h, d, len(slope)))
+    # The output layer's weights and bias, after the mlp's hidden layer.
+    np.multiply(batch.T if hidden is None else hidden.T, slope, out=grad[h * d + h : -1])
+    grad[-1] = slope
+    grad *= d_f
+    return np.ascontiguousarray(grad.T)
 
 
 def score(model: ScoringModel, x):

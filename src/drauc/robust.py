@@ -48,8 +48,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.step_size <= 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
 
 
 # Key suffix of each label group in checkpoints and training history: one
@@ -83,8 +83,15 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     the next step's gradient: K+1 passes in all.  The loss's per-row
     coefficients and the penalty's 2*lam are built once per call.
 
-    Returns (values, x_adv) where each row of x_adv is the best iterate
-    seen for that example (the start point counts, so values >= g(z)).
+    The start, the iterate and the best iterate are (d, n) arrays, so each
+    elementwise pass runs along the batch, and the K+1 steps reuse them and
+    the model's ``work`` arrays in place.  A row's squared cost sums its d
+    terms in sequence, as a row-major sum does for d < 8 (NumPy sums longer
+    contiguous rows pairwise).
+
+    Returns (values, x_adv) where each row of the row-major (n, d) array
+    x_adv is the best iterate seen for that example (the start point
+    counts, so values >= g(z)).
     """
     x0 = np.asarray(x_batch, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -93,25 +100,34 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
     loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)))
-    two_lam = 2.0 * lam[..., None]
+    two_lam = 2.0 * lam
 
-    x_cur, best_x = x0, x0.copy()
+    start = x0.T.copy()
+    x_cur, best_x = start.copy(), start.copy()
+    dx, sq = np.empty_like(start), np.empty_like(start)
+    cost, improved = np.empty(x0.shape[0]), np.empty(x0.shape[0], dtype=bool)
+    work = {}
     for k in range(cfg.steps + 1):
-        f, cache = forward(model, x_cur)
-        dx = x_cur - x0
-        vals = loss.value(f) - lam * (dx**2).sum(axis=1)
+        f, cache = forward(model, x_cur.T, work=work)
+        np.subtract(x_cur, start, out=dx)
+        np.add.reduce(np.square(dx, out=sq), axis=0, out=cost)
+        vals = loss.value(f)
+        vals -= np.multiply(lam, cost, out=cost)
         if k == 0:  # the original point is the first candidate
             best_val = vals
         else:
-            improved = vals > best_val
-            best_val = np.where(improved, vals, best_val)
-            np.copyto(best_x, x_cur, where=improved[:, None])
+            np.greater(vals, best_val, out=improved)
+            np.copyto(best_val, vals, where=improved)
+            np.copyto(best_x, x_cur, where=improved)
         if k == cfg.steps:
             break
-        grad = vjp_input(model, cache, loss.d_f(f)) - two_lam * dx
+        grad = vjp_input(model, cache, loss.d_f(f), work=work).T
         cache = None  # the next pass must not hold two caches at once
-        x_cur = np.minimum(np.maximum(0.0, x_cur + cfg.step_size * grad), 1.0)
-    return best_val, best_x
+        grad -= np.multiply(two_lam, dx, out=dx)
+        grad *= cfg.step_size
+        x_cur += grad
+        np.minimum(np.maximum(0.0, x_cur, out=x_cur), 1.0, out=x_cur)
+    return best_val, best_x.T.copy()
 
 
 def robust_surrogate(model: ScoringModel, aux: AuxParams, p_hat: float,
@@ -124,7 +140,7 @@ def robust_surrogate(model: ScoringModel, aux: AuxParams, p_hat: float,
 
 
 def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
-                           cap=math.inf):
+                           cap=math.inf, prune=True):
     """Per-point Pareto frontier of 1-D destinations, for every oracle.
 
     Point i may move to any grid point or stay at x[i], at squared cost
@@ -133,25 +149,28 @@ def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
     point, the undominated entries within ``cap`` by ascending cost; the
     first costs 0.  For lam >= 0, max(gains - lam*costs) over a frontier
     is the maximum over all destinations bit for bit: IEEE multiplication
-    and subtraction are monotone, so a dominated entry never wins.
+    and subtraction are monotone, so a dominated entry never wins.  With
+    ``prune=False`` every destination is returned, the grid's first.
     """
     grid = np.linspace(0.0, 1.0, grid_resolution)
     f_grid = score(model, grid[:, None])
-    g_pos, g_neg = (surrogate_loss(aux, p_hat, f_grid, y) for y in (1, 0))
+    g_grid = {y: surrogate_loss(aux, p_hat, f_grid, y) for y in set(labels.tolist())}
     g_own = surrogate_loss(aux, p_hat, score(model, x[:, None]), labels)
     frontiers = []
-    for xi, yi, gi in zip(x, labels, g_own):
+    for xi, yi, gi in zip(x, labels.tolist(), g_own):
         cand = np.append(grid, xi)
         cost = (cand - xi) ** 2
-        gain = np.append(g_pos if yi == 1 else g_neg, gi)
-        keep = _pareto_prune(cost, gain, cap)
+        gain = np.append(g_grid[yi], gi)
+        keep = _pareto_prune(cost, gain, cap) if prune else slice(None)
         frontiers.append((cand[keep], cost[keep], gain[keep]))
     return frontiers
 
 
 def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
                               lam: float, z, grid_resolution: int = 100_001):
-    """Exact 1-D maximizer over a dense grid plus the point itself."""
+    """Exact 1-D maximizer over a dense grid plus the point itself.  It
+    scans every destination, unpruned, and returns the frontier's pick
+    among the maximizers: the first entry of their own frontier."""
     if model.input_dim != 1:
         raise ValueError("exact oracle requires a 1-D model")
     if grid_resolution < 2:
@@ -161,9 +180,10 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     x, y = z
     x0 = np.asarray(x, dtype=float).reshape(-1)[:1]
     ((dest, cost, gain),) = _destination_frontiers(
-        model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
+        model, aux, p_hat, x0, np.array([int(y)]), grid_resolution, prune=False)
     obj = gain - lam * cost
-    i = int(np.argmax(obj))
+    top = np.flatnonzero(obj == obj.max())
+    i = top[_pareto_prune(cost[top], gain[top], math.inf)[0]]
     return float(obj[i]), (np.array([dest[i]]), int(y))
 
 

@@ -226,6 +226,23 @@ class TestEval:
         assert f"{name} must be finite" in captured.err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_attack_step_size_is_error(self, tmp_path, capsys, value):
+        # A NaN or infinite step left every iterate behind the start, so each
+        # robust AUC printed the nominal one.
+        data = tmp_path / "ds.csv"
+        run(["gen-data", "--out", str(data), "--n", "60", "--seed", "4"])
+        ck = tmp_path / "ck.txt"
+        run(["train", "--data", str(data), "--iters-T", "5", "--batch", "8",
+             "--seed", "4", "--out", str(ck)])
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(ck), "--data", str(data), "--eps", "0.05",
+                    "--attack-step-size", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step_size must be finite" in captured.err
+
+
 class TestAttackOracle:
     def test_example1_preset(self, capsys):
         assert run(["attack-oracle", "--preset", "example1"]) == 0

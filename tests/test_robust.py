@@ -360,6 +360,17 @@ def full_scan_argmax(model, aux, p_hat, lam, x0, y, grid_resolution):
     return cand, obj, int(np.argmax(obj))
 
 
+def frontier_pick(cost, gain, lam):
+    """Index of the first maximum of gain - lam*cost over the Pareto
+    frontier of every destination (a stable sort by cost, then by falling
+    gain, and a running maximum): the least cost, then the highest gain,
+    then the lowest index."""
+    order = np.lexsort((-gain, cost))
+    g = gain[order]
+    front = order[np.concatenate([[True], g[1:] > np.maximum.accumulate(g)[:-1]])]
+    return int(front[np.argmax(gain[front] - lam * cost[front])])
+
+
 def tiny_instances(seed, count):
     """The random 1-D instances drawn by ``check_weak_duality`` (seed 7) and
     ``check_dual_convexity`` (seed 8)."""
@@ -417,6 +428,32 @@ class TestFrontierMatchesFullScan:
                     assert y_adv == y
                     if x_adv[0] != cand[i]:  # only where another destination ties
                         assert (obj[cand == x_adv[0]] == obj[i]).any()
+
+    def test_exact_oracle_point_is_frontier_pick(self):
+        # A constant scorer, clamped and saturated ones, points on the grid
+        # and lam = 0 make many destinations tie.
+        models = [IDENT, ScoringModel("linear-identity-clamped", np.array([0.0, 0.5]), 1),
+                  ScoringModel("linear-identity-clamped", np.array([3.0, -1.0]), 1),
+                  ScoringModel("linear-sigmoid", np.array([80.0, -40.0]), 1)]
+        res = 101
+        grid = np.linspace(0.0, 1.0, res)
+        first_max_differs = 0
+        for model in models:
+            for x0 in (0.0, grid[37], 0.3731, 1.0):
+                for y in (0, 1):
+                    for lam in (0.0, 0.5, 1e3):
+                        val, (x_adv, _) = robust_surrogate_exact_1d(
+                            model, AuxParams(0.3, 0.6, -0.2), 0.4, lam,
+                            (np.array([x0]), y), res)
+                        cand, obj, first = full_scan_argmax(
+                            model, AuxParams(0.3, 0.6, -0.2), 0.4, lam, x0, y, res)
+                        gain = surrogate_loss(AuxParams(0.3, 0.6, -0.2), 0.4, np.append(
+                            score(model, grid[:, None]), score(model, np.array([[x0]]))), y)
+                        i = frontier_pick((cand - x0) ** 2, gain, lam)
+                        assert np.float64(val).tobytes() == obj[i].tobytes()
+                        assert x_adv.tobytes() == cand[i:i + 1].tobytes()
+                        first_max_differs += i != first
+        assert first_max_differs > 0
 
 
 class TestBruteForceWorstCase:
@@ -671,3 +708,8 @@ class TestDualState:
             AttackConfig(steps=0)
         with pytest.raises(ValueError):
             AttackConfig(step_size=0.0)
+
+    @pytest.mark.parametrize("step_size", [math.nan, math.inf])
+    def test_non_finite_step_size_rejected(self, step_size):
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            AttackConfig(step_size=step_size)
