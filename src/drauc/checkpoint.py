@@ -1,10 +1,14 @@
 """Text checkpoints and run reports.
 
-Both formats are line-oriented ``key=value`` text (UTF-8, LF).  Floats are
-written with 17 significant digits, which parse back to the identical
-float64, so save followed by load is a bitwise identity.  Vector fields
-are comma-joined.  Checkpoint keys are written in a fixed order and config
-snapshot keys are sorted, so identical states produce identical bytes.
+A ``Checkpoint`` holds the trained ``ScoringModel``, its ``AuxParams`` and
+``DualState``, the data scaler, the seed, the iteration and a config
+snapshot.  Both formats are line-oriented ``key=value`` text (UTF-8, LF).
+Floats are written with 17 significant digits, which parse back to the
+identical float64, so save followed by load is a bitwise identity.  Vector
+fields are comma-joined.  Checkpoint keys are written in a fixed order and
+config snapshot keys are sorted, so identical states produce identical
+bytes.  Loading rebuilds the three objects, so their own validation runs,
+and also rejects non-finite vector entries and a scaler with min > max.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, DataFormatError
-from .model import ScoringModel, param_count, parse_arch
+from .errors import CheckpointError, ConfigError, DataFormatError
+from .model import ScoringModel, parse_arch
 from .losses import AuxParams
 from .robust import GROUP_SUFFIXES, DualState
 
@@ -28,13 +32,8 @@ def _dual_keys(n_groups: int) -> list:
 
 @dataclass
 class Checkpoint:
-    format_version: int
-    arch: str                   # descriptor, e.g. "mlp1-tanh-sigmoid(8)"
-    input_dim: int
-    theta: np.ndarray
-    a: float
-    b: float
-    alpha: float
+    model: ScoringModel
+    aux: AuxParams
     variant: str
     dual: DualState
     scaler_min: np.ndarray
@@ -42,13 +41,6 @@ class Checkpoint:
     seed: int
     iteration: int
     cfg: dict = field(default_factory=dict)
-
-    def model(self) -> ScoringModel:
-        name, width = parse_arch(self.arch)
-        return ScoringModel(name, self.theta, self.input_dim, width)
-
-    def aux(self) -> AuxParams:
-        return AuxParams(self.a, self.b, self.alpha)
 
 
 def _fmt(x: float) -> str:
@@ -63,24 +55,35 @@ def _parse_vec(s: str, key: str) -> np.ndarray:
     if s == "":
         return np.empty(0)
     try:
-        return np.array([float(p) for p in s.split(",")])
+        v = np.array([float(p) for p in s.split(",")])
     except ValueError:
         raise CheckpointError(f"field {key!r} contains a non-numeric entry") from None
+    if not np.isfinite(v).all():
+        raise CheckpointError(f"field {key!r} contains a non-finite entry")
+    return v
+
+
+def _build(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its validation errors raised as CheckpointError."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigError, ValueError) as exc:
+        raise CheckpointError(f"{what}: {exc}") from None
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
+    model, aux, dual = ck.model, ck.aux, ck.dual
     lines = [
-        f"format_version={ck.format_version}",
-        f"arch={ck.arch}",
-        f"input_dim={ck.input_dim}",
-        f"theta={_fmt_vec(ck.theta)}",
-        f"a={_fmt(ck.a)}",
-        f"b={_fmt(ck.b)}",
-        f"alpha={_fmt(ck.alpha)}",
+        f"format_version={CHECKPOINT_VERSION}",
+        f"arch={model.arch_descriptor}",
+        f"input_dim={model.input_dim}",
+        f"theta={_fmt_vec(model.params)}",
+        f"a={_fmt(aux.a)}",
+        f"b={_fmt(aux.b)}",
+        f"alpha={_fmt(aux.alpha)}",
         f"variant={ck.variant}",
-        f"lambda_max={_fmt(ck.dual.lambda_max)}",
+        f"lambda_max={_fmt(dual.lambda_max)}",
     ]
-    dual = ck.dual
     keys = _dual_keys(len(dual.lam))
     lines += [f"{key}={_fmt(v)}" for key, v in zip(keys, dual.lam + dual.eps)]
     lines += [
@@ -134,19 +137,18 @@ def load_checkpoint(path) -> Checkpoint:
             f"format_version {version} does not match supported "
             f"version {CHECKPOINT_VERSION}")
 
-    arch = need("arch")
+    name, width = _build("field 'arch'", parse_arch, need("arch"))
     input_dim = need_int("input_dim")
-    theta = _parse_vec(need("theta"), "theta")
-    name, width = parse_arch(arch)
-    expected = param_count(name, input_dim, width)
-    if theta.shape != (expected,):
-        raise CheckpointError(
-            f"field 'theta' has length {theta.size}, expected {expected} "
-            f"for {arch} with input_dim={input_dim}")
+    model = _build("field 'theta' does not fit 'arch' and 'input_dim'", ScoringModel,
+                   name, _parse_vec(need("theta"), "theta"), input_dim, width)
+    aux = _build("auxiliaries", AuxParams,
+                 need_float("a"), need_float("b"), need_float("alpha"))
     scaler_min = _parse_vec(need("scaler_min"), "scaler_min")
     scaler_max = _parse_vec(need("scaler_max"), "scaler_max")
     if scaler_min.size != input_dim or scaler_max.size != input_dim:
         raise CheckpointError("scaler length does not match input_dim")
+    if (scaler_min > scaler_max).any():
+        raise CheckpointError("field 'scaler_min' exceeds 'scaler_max'")
 
     # Any per-class key selects the two-group layout, which must then be
     # complete and free of single-budget keys.
@@ -155,20 +157,12 @@ def load_checkpoint(path) -> Checkpoint:
     for key in _dual_keys(3 - n_groups):
         if key in fields:
             raise CheckpointError(f"field {key!r} mixes single-budget and per-class keys")
-    try:
-        dual = DualState(lambda_max=need_float("lambda_max"),
-                         lam=tuple(values[:n_groups]), eps=tuple(values[n_groups:]))
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from None
+    dual = _build("multipliers", DualState, lambda_max=need_float("lambda_max"),
+                  lam=tuple(values[:n_groups]), eps=tuple(values[n_groups:]))
 
     return Checkpoint(
-        format_version=version,
-        arch=arch,
-        input_dim=input_dim,
-        theta=theta,
-        a=need_float("a"),
-        b=need_float("b"),
-        alpha=need_float("alpha"),
+        model=model,
+        aux=aux,
         variant=need("variant"),
         dual=dual,
         scaler_min=scaler_min,

@@ -21,13 +21,12 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, format_report,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import Checkpoint, format_report, load_checkpoint, save_checkpoint
 from .data import corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
-from .model import init_model, parse_arch, score, ScoringModel
+from .model import init_model, score, ScoringModel
 from .robust import (AttackConfig, barycenter_attack, brute_force_worst_case,
                      estimate_robust_auc, min_cost_flip_search)
 from .training import TrainConfig, train
@@ -97,6 +96,23 @@ def _float_list(text: str):
     return [float(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _auc_metrics(ck: Checkpoint, dataset, nominal_key: str, sigmas: str, eps: str,
+                 attack: AttackConfig, seed: int) -> dict:
+    """The AUCs of `drauc train`'s report and of `drauc eval`: nominal AUC
+    under ``nominal_key``, corrupted AUC per sigma, robust AUC per budget."""
+    def auc(ds):
+        scores = score(ck.model, ds.features)
+        return auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
+
+    metrics = {nominal_key: auc(dataset)}
+    for sig in _float_list(sigmas):
+        metrics[f"corrupted_auc_{sig:g}"] = auc(corrupt(dataset, sig, seed))
+    for radius in _float_list(eps):
+        metrics[f"robust_auc_{radius:g}"] = estimate_robust_auc(
+            ck.model, dataset, radius, ck.aux, attack, lambda_max=ck.dual.lambda_max)
+    return metrics
+
+
 def _emit(lines, out_path=None):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -135,18 +151,11 @@ def _cmd_train(args) -> int:
                                 resolved["seed"])
     if resolved["ratio"] is not None:
         dataset = make_long_tailed(dataset, resolved["ratio"], resolved["seed"])
-    parse_arch(resolved["arch"])  # fail fast on a bad descriptor
     model = init_model(resolved["arch"], dataset.d, resolved["seed"])
     state = train(dataset, cfg, model)
 
     ck = Checkpoint(
-        format_version=CHECKPOINT_VERSION,
-        arch=state.model.arch_descriptor,
-        input_dim=dataset.d,
-        theta=state.model.params,
-        a=state.aux.a, b=state.aux.b, alpha=state.aux.alpha,
-        variant=cfg.variant,
-        dual=state.dual,
+        model=state.model, aux=state.aux, variant=cfg.variant, dual=state.dual,
         scaler_min=dataset.scaler_min, scaler_max=dataset.scaler_max,
         seed=resolved["seed"], iteration=state.iteration,
         cfg={k: str(v) for k, v in sorted(resolved.items())
@@ -154,19 +163,10 @@ def _cmd_train(args) -> int:
     )
     save_checkpoint(ck, resolved["out"])
 
-    scores = score(state.model, dataset.features)
-    pos, neg = scores[dataset.labels == 1], scores[dataset.labels == 0]
-    metrics = {"final_nominal_auc": auc_mann_whitney(pos, neg)}
-    for sig in _float_list(resolved["report_sigmas"]):
-        cds = corrupt(dataset, sig, resolved["seed"])
-        cs = score(state.model, cds.features)
-        metrics[f"corrupted_auc_{sig:g}"] = auc_mann_whitney(
-            cs[cds.labels == 1], cs[cds.labels == 0])
-    for eps in _float_list(resolved["report_eps"]):
-        metrics[f"robust_auc_{eps:g}"] = estimate_robust_auc(
-            state.model, dataset, eps, state.aux,
-            AttackConfig(steps=cfg.steps, step_size=max(cfg.eta_z, 1e-3)),
-            lambda_max=cfg.lambda_max)
+    metrics = _auc_metrics(ck, dataset, "final_nominal_auc", resolved["report_sigmas"],
+                           resolved["report_eps"],
+                           AttackConfig(steps=cfg.steps, step_size=max(cfg.eta_z, 1e-3)),
+                           resolved["seed"])
     metrics["wall_clock_seconds"] = time.perf_counter() - started
 
     report_path = resolved["report"] or resolved["out"] + ".report"
@@ -182,24 +182,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ck = load_checkpoint(args.ckpt)
-    model = ck.model()
     dataset = load_csv(args.data, (ck.scaler_min, ck.scaler_max))
-    seed = args.seed if args.seed is not None else 0
-    scores = score(model, dataset.features)
-    pos, neg = scores[dataset.labels == 1], scores[dataset.labels == 0]
-    lines = [f"clipped_values={dataset.clipped}",
-             f"nominal_auc={auc_mann_whitney(pos, neg):.17g}"]
-    for sig in _float_list(args.sigmas):
-        cds = corrupt(dataset, sig, seed)
-        cs = score(model, cds.features)
-        lines.append(f"corrupted_auc_{sig:g}="
-                     f"{auc_mann_whitney(cs[cds.labels == 1], cs[cds.labels == 0]):.17g}")
-    atk = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
-    for eps in _float_list(args.eps):
-        val = estimate_robust_auc(model, dataset, eps, ck.aux(), atk,
-                                  lambda_max=ck.dual.lambda_max)
-        lines.append(f"robust_auc_{eps:g}={val:.17g}")
-    _emit(lines, args.out)
+    metrics = _auc_metrics(ck, dataset, "nominal_auc", args.sigmas, args.eps,
+                           AttackConfig(steps=args.attack_steps,
+                                        step_size=args.attack_step_size), args.seed)
+    _emit([f"clipped_values={dataset.clipped}"]
+          + [f"{key}={value:.17g}" for key, value in metrics.items()], args.out)
     return 0
 
 
@@ -256,7 +244,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     rep = grad_check(args.arch, trials=args.trials, h=args.h, tol=args.tol,
-                     input_dim=args.input_dim, seed=args.seed or 0)
+                     input_dim=args.input_dim, seed=args.seed)
     print(f"arch={rep.arch}")
     print(f"trials={rep.trials}")
     print(f"max_rel_err={rep.max_rel_err:.6g}")
@@ -299,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="0.05,0.1")
     p.add_argument("--attack-steps", type=int, default=10)
     p.add_argument("--attack-step-size", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_eval)
 
@@ -327,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--input-dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_grad_check)
 
     return parser
@@ -341,10 +329,7 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except DraucError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DraucError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

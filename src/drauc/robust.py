@@ -66,14 +66,14 @@ class DualState:
     eps: tuple = ()
 
     def __post_init__(self):
-        if self.lambda_max <= 0.0:
-            raise ValueError("lambda_max must be positive")
+        if not 0.0 < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
         for i, v in enumerate(self.lam):
             if not 0.0 <= v <= self.lambda_max:
                 raise ValueError(f"lam[{i}]={v} outside [0, {self.lambda_max}]")
         for i, v in enumerate(self.eps):
-            if v < 0.0:
-                raise ValueError(f"eps[{i}] must be >= 0, got {v}")
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"eps[{i}] must be finite and >= 0, got {v}")
 
 
 def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,

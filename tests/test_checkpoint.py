@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from drauc import (CHECKPOINT_VERSION, Checkpoint, CheckpointError,
-                   DataFormatError, DualState, format_report, load_checkpoint,
+from drauc import (AuxParams, Checkpoint, CheckpointError, DataFormatError,
+                   DualState, ScoringModel, format_report, load_checkpoint,
                    parse_report, save_checkpoint, score)
 
 
 def sample_checkpoint(**overrides):
     fields = dict(
-        format_version=CHECKPOINT_VERSION,
-        arch="mlp1-tanh-sigmoid(2)",
-        input_dim=2,
-        theta=np.array([0.1, -0.2, 0.3, 1e-17, 0.5, 1/3, -0.7, 0.123456789012345678, 0.9]),
-        a=0.25, b=0.5, alpha=-0.125,
+        model=ScoringModel("mlp1-tanh-sigmoid", np.array(
+            [0.1, -0.2, 0.3, 1e-17, 0.5, 1/3, -0.7, 0.123456789012345678, 0.9]), 2, 2),
+        aux=AuxParams(a=0.25, b=0.5, alpha=-0.125),
         variant="da",
         dual=DualState(lambda_max=1e3, lam=(0.75, 1.5), eps=(0.4, 0.525)),
         scaler_min=np.array([0.01, -1.5]),
@@ -31,15 +29,15 @@ class TestRoundTrip:
         path = tmp_path / "ck.txt"
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
-        assert np.array_equal(back.theta, ck.theta)
+        assert np.array_equal(back.model.params, ck.model.params)
         assert np.array_equal(back.scaler_min, ck.scaler_min)
         assert np.array_equal(back.scaler_max, ck.scaler_max)
         for name in ("a", "b", "alpha"):
-            assert getattr(back, name) == getattr(ck, name)
+            assert getattr(back.aux, name) == getattr(ck.aux, name)
         assert back.dual.lam == ck.dual.lam and back.dual.eps == ck.dual.eps
         assert back.dual.lambda_max == ck.dual.lambda_max
-        assert (back.arch, back.variant, back.seed, back.iteration) == \
-            (ck.arch, ck.variant, ck.seed, ck.iteration)
+        assert (back.model.arch_descriptor, back.variant, back.seed, back.iteration) == \
+            (ck.model.arch_descriptor, ck.variant, ck.seed, ck.iteration)
         assert back.cfg == ck.cfg
         assert len(back.dual.lam) == len(back.dual.eps) == 2
 
@@ -55,10 +53,10 @@ class TestRoundTrip:
         path = tmp_path / "ck.txt"
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
-        model = back.model()
+        model = back.model
         assert model.arch == "mlp1-tanh-sigmoid"
         assert model.hidden_width == 2
-        aux = back.aux()
+        aux = back.aux
         assert (aux.a, aux.b, aux.alpha) == (0.25, 0.5, -0.125)
         dual = back.dual
         assert dual.lam[0] == 0.75 and dual.eps[1] == 0.525
@@ -66,11 +64,11 @@ class TestRoundTrip:
     def test_model_scores_from_theta(self):
         # The stored layout: W row-major (2x2), c, v, output bias.
         ck = sample_checkpoint()
-        t = ck.theta
+        t = ck.model.params
         x = np.array([[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]])
         hidden = np.tanh(x @ t[:4].reshape(2, 2).T + t[4:6])
         expect = 1.0 / (1.0 + np.exp(-np.clip(hidden @ t[6:8] + t[8], -500.0, 500.0)))
-        assert np.array_equal(score(ck.model(), x), expect)
+        assert np.array_equal(score(ck.model, x), expect)
 
     @pytest.mark.parametrize("variant, dual_lines, lam, eps", [
         ("df", "lam=0.25\neps=0.5\n", (0.25,), (0.5,)),
@@ -92,9 +90,9 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_version_mismatch(self, tmp_path):
-        ck = sample_checkpoint(format_version=0)
         path = tmp_path / "ck.txt"
-        save_checkpoint(ck, path)
+        save_checkpoint(sample_checkpoint(), path)
+        path.write_text(path.read_text().replace("format_version=1", "format_version=0"))
         with pytest.raises(CheckpointError, match="format_version"):
             load_checkpoint(path)
 
@@ -137,6 +135,24 @@ class TestValidation:
         save_checkpoint(sample_checkpoint(), path)
         path.write_text(path.read_text().replace("lam_neg=1.5", "lam_neg=2000"))
         with pytest.raises(CheckpointError, match="outside"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("theta=0.10000000000000001,", "theta=nan,", "'theta'"),
+        ("scaler_max=0.98999999999999999,", "scaler_max=inf,", "'scaler_max'"),
+        ("scaler_min=0.01,-1.5", "scaler_min=1,3", "'scaler_min'"),
+        ("a=0.25", "a=7", "a=7"),
+        ("lambda_max=1000", "lambda_max=inf", "lambda_max"),
+        ("eps_pos=0.40000000000000002", "eps_pos=nan", r"eps\[0\]"),
+    ], ids=["theta-nan", "scaler-inf", "scaler-reversed", "a-outside-box",
+            "lambda-max-inf", "eps-nan"])
+    def test_invalid_value_names_its_field(self, tmp_path, old, new, field):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
     def test_non_numeric_field(self, tmp_path):

@@ -118,7 +118,7 @@ class TestTrain:
         ck = load_checkpoint(by_file)
         assert {k: ck.cfg[k] for k in ("k", "steps_K", "batch", "ratio", "seed")} == \
             {"k": "0.8", "steps_K": "3", "batch": "8", "ratio": "0.1", "seed": "5"}
-        assert ck.variant == "da" and ck.iteration == 25 and ck.input_dim == 3
+        assert ck.variant == "da" and ck.iteration == 25 and ck.model.input_dim == 3
 
     @pytest.mark.parametrize("variant, suffixes", [
         ("da", ("_pos", "_neg")), ("df", ("",)), ("aucm", ("",))],
@@ -189,10 +189,29 @@ class TestEval:
         out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
         ck = load_checkpoint(ck_path)
         feats = np.clip((raw - ck.scaler_min) / (ck.scaler_max - ck.scaler_min), 0.0, 1.0)
-        scores = score(ck.model(), feats)
+        scores = score(ck.model, feats)
         expect = auc_mann_whitney(scores[test_labels == 1], scores[test_labels == 0])
         assert out["clipped_values"] == "1"
         assert float(out["nominal_auc"]) == expect
+
+    def test_matches_train_report(self, tmp_path, capsys):
+        # Same data, seed and ascent: eval reproduces train's report AUCs.
+        data, ck = tmp_path / "d.csv", tmp_path / "ck.txt"
+        assert run(["gen-data", "--out", str(data), "--n", "300", "--ratio", "0.2",
+                    "--seed", "4"]) == 0
+        assert run(["train", "--data", str(data), "--variant", "da", "--eps", "0.01",
+                    "--iters-T", "50", "--batch", "16", "--steps-K", "10",
+                    "--eta-z", "0.05", "--seed", "4", "--report-sigmas", "0.1",
+                    "--report-eps", "0.01,0.002", "--out", str(ck)]) == 0
+        assert run(["eval", "--ckpt", str(ck), "--data", str(data), "--sigmas", "0.1",
+                    "--eps", "0.01,0.002", "--attack-steps", "10",
+                    "--attack-step-size", "0.05", "--seed", "4",
+                    "--out", str(tmp_path / "eval.txt")]) == 0
+        report = parse_report((tmp_path / "ck.txt.report").read_text())
+        evaluated = parse_report((tmp_path / "eval.txt").read_text())
+        assert report["final_nominal_auc"] == evaluated["nominal_auc"]
+        for key in ("corrupted_auc_0.1", "robust_auc_0.01", "robust_auc_0.002"):
+            assert report[key] == evaluated[key]
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert run(["eval", "--ckpt", str(tmp_path / "nope.txt"),
@@ -332,8 +351,8 @@ class TestKnobTable:
                     "--out", str(out)]) == 0
         state = train(gen_synthetic(60, 2, seed=4), cfg, init_model("linear-sigmoid", 2, 4))
         ck = load_checkpoint(out)
-        assert np.array_equal(ck.theta, state.model.params)
-        assert (ck.a, ck.b, ck.alpha) == (state.aux.a, state.aux.b, state.aux.alpha)
+        assert np.array_equal(ck.model.params, state.model.params)
+        assert (ck.aux.a, ck.aux.b, ck.aux.alpha) == (state.aux.a, state.aux.b, state.aux.alpha)
         assert ck.dual == state.dual and ck.iteration == 3
 
 
