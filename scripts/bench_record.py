@@ -8,8 +8,10 @@ lists, one after another.  The file holds, per workload, the run's
 end-to-end metrics (`wall_s` and `setup_s` are medians, `peak_rss_mb` the
 highest peak), the quartiles of its rescaled round times and its
 correct/attempted/failed counts; plus the host (Python, NumPy, usable
-CPUs), DIR's commit and whether DIR's tracked files differ from it.  FILE
-defaults to the next free BENCH_<n>.json at the root of this checkout.
+CPUs) and DIR's commit.  It measures committed code only: if DIR is not
+a git checkout, or its tracked files differ from its HEAD, it lists them
+and exits non-zero before running anything.  FILE defaults to the next
+free BENCH_<n>.json at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -62,9 +64,12 @@ def main():
     def git(*argv):
         return subprocess.run(["git", *argv], cwd=checkout,
                               capture_output=True, text=True).stdout.strip()
+    commit, changed = git("rev-parse", "HEAD"), git("diff", "--name-only", "HEAD")
+    if not commit or changed:
+        sys.exit(f"{checkout}: not a git checkout, or tracked files differ from HEAD "
+                 f"(commit them first):\n{changed}")
     record = {
-        "commit": git("rev-parse", "HEAD") or None,
-        "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "commit": commit,
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {SECONDS} --trace 0",
         "host": {"python": platform.python_version(), "numpy": np.__version__,

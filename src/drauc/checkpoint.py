@@ -7,8 +7,10 @@ Floats are written with 17 significant digits, which parse back to the
 identical float64, so save followed by load is a bitwise identity.  Vector
 fields are comma-joined.  Checkpoint keys are written in a fixed order and
 config snapshot keys are sorted, so identical states produce identical
-bytes.  Loading rebuilds the three objects, so their own validation runs,
-and also rejects non-finite vector entries and a scaler with min > max.
+bytes.  Saving and loading reject non-finite vector entries, so no file
+holds one.  Loading rebuilds the three objects, so their own validation
+runs, and also rejects a scaler with min > max, an unknown variant or one
+that does not match the multiplier keys, and an iteration below 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import CheckpointError, ConfigError, DataFormatError
 from .model import ScoringModel, parse_arch
 from .losses import AuxParams
 from .robust import GROUP_SUFFIXES, DualState
+from .training import VARIANTS
 
 CHECKPOINT_VERSION = 1
 
@@ -51,6 +54,12 @@ def _fmt_vec(v: np.ndarray) -> str:
     return ",".join(_fmt(x) for x in v)
 
 
+def _finite(v: np.ndarray, key: str) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise CheckpointError(f"field {key!r} contains a non-finite entry")
+    return v
+
+
 def _parse_vec(s: str, key: str) -> np.ndarray:
     if s == "":
         return np.empty(0)
@@ -58,9 +67,7 @@ def _parse_vec(s: str, key: str) -> np.ndarray:
         v = np.array([float(p) for p in s.split(",")])
     except ValueError:
         raise CheckpointError(f"field {key!r} contains a non-numeric entry") from None
-    if not np.isfinite(v).all():
-        raise CheckpointError(f"field {key!r} contains a non-finite entry")
-    return v
+    return _finite(v, key)
 
 
 def _build(what: str, make, *args, **kwargs):
@@ -73,6 +80,9 @@ def _build(what: str, make, *args, **kwargs):
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
     model, aux, dual = ck.model, ck.aux, ck.dual
+    for key, v in (("theta", model.params), ("scaler_min", ck.scaler_min),
+                   ("scaler_max", ck.scaler_max)):
+        _finite(v, key)
     lines = [
         f"format_version={CHECKPOINT_VERSION}",
         f"arch={model.arch_descriptor}",
@@ -153,6 +163,12 @@ def load_checkpoint(path) -> Checkpoint:
     # Any per-class key selects the two-group layout, which must then be
     # complete and free of single-budget keys.
     n_groups = 2 if any(key in fields for key in _dual_keys(2)) else 1
+    variant = need("variant")
+    if variant not in VARIANTS:
+        raise CheckpointError(f"field 'variant' must be one of {VARIANTS}, got {variant!r}")
+    if (variant == "da") != (n_groups == 2):
+        raise CheckpointError(f"field 'variant' {variant!r} does not match the "
+                              f"{n_groups}-group multiplier keys")
     values = [need_float(key) for key in _dual_keys(n_groups)]
     for key in _dual_keys(3 - n_groups):
         if key in fields:
@@ -160,15 +176,18 @@ def load_checkpoint(path) -> Checkpoint:
     dual = _build("multipliers", DualState, lambda_max=need_float("lambda_max"),
                   lam=tuple(values[:n_groups]), eps=tuple(values[n_groups:]))
 
+    iteration = need_int("iteration")
+    if iteration < 1:
+        raise CheckpointError(f"field 'iteration' must be >= 1, got {iteration}")
     return Checkpoint(
         model=model,
         aux=aux,
-        variant=need("variant"),
+        variant=variant,
         dual=dual,
         scaler_min=scaler_min,
         scaler_max=scaler_max,
         seed=need_int("seed"),
-        iteration=need_int("iteration"),
+        iteration=iteration,
         cfg=cfg,
     )
 

@@ -19,8 +19,9 @@ triples of a point that may move to a grid point or stay put.
   * a brute-force search for the worst distribution of a tiny 1-D dataset
     under a mean-squared-transport budget, restricted to one destination
     per point and exact up to grid resolution: the Pareto frontiers of
-    joint moves for the two halves of the points are merged by a
-    searchsorted pass instead of raw enumeration,
+    joint moves for the two halves of the points, built in row blocks that
+    drop entries below a sampled lower envelope before any sort, are merged
+    by a searchsorted pass instead of raw enumeration,
   * the closed-form barycenter attack that collapses two point clusters
     onto their mass-weighted mean, driving strict AUC to zero at cost
     p*(1-p)*(x_pos - x_neg)^2.
@@ -235,22 +236,43 @@ def _pareto_prune(costs, gains, cap):
     return order[keep]
 
 
+_ENVELOPE_SIDE = 64  # sampled rows and columns of a product, for its envelope
+_PRODUCT_BLOCK = 1 << 20  # product entries formed at once
+
+
 def _joint_frontier(frontiers, cap):
     """Pareto frontier of joint destinations for a group of points.
 
     Folds the per-point (destinations, costs, gains) frontiers in one at a
-    time: full product, budget filter, prune.  Returns (positions, costs,
-    gains) with one row of positions per entry; an empty group yields the
-    single all-stay entry of cost and gain 0.
+    time: product, budget filter, prune.  The product is formed in row
+    blocks, each of which first drops the entries below a lower envelope:
+    the frontier of a strided sample of the product, row and column 0
+    included, so it starts at cost 0.  A dropped entry has a real entry of
+    no greater cost and greater gain, which the prune sorts first, so the
+    pruned indices and their order are those of the full product.  Returns
+    (positions, costs, gains) with one row of positions per entry; an empty
+    group yields the single all-stay entry of cost and gain 0.
     """
     positions = np.zeros((1, 0))
     costs = np.zeros(1)
     gains = np.zeros(1)
     for cand, cand_cost, cand_gain in frontiers:
-        comb_cost = (costs[:, None] + cand_cost[None, :]).ravel()
-        comb_gain = (gains[:, None] + cand_gain[None, :]).ravel()
+        m, k = costs.size, cand.size
+        rs, cs = max(1, m // _ENVELOPE_SIDE), max(1, k // _ENVELOPE_SIDE)
+        env_cost = (costs[::rs, None] + cand_cost[::cs]).ravel()
+        env_gain = (gains[::rs, None] + cand_gain[::cs]).ravel()
+        env = _pareto_prune(env_cost, env_gain, cap)
+        env_cost, env_gain = env_cost[env], env_gain[env]
+        step, parts = max(1, _PRODUCT_BLOCK // k), []
+        for lo in range(0, m, step):
+            c = (costs[lo:lo + step, None] + cand_cost).ravel()
+            g = (gains[lo:lo + step, None] + cand_gain).ravel()
+            floor = env_gain[np.searchsorted(env_cost, c, side="right") - 1]
+            ok = np.flatnonzero((c <= cap) & (g >= floor))
+            parts.append((ok + lo * k, c[ok], g[ok]))
+        index, comb_cost, comb_gain = map(np.concatenate, zip(*parts))
         keep = _pareto_prune(comb_cost, comb_gain, cap)
-        rows, cols = np.divmod(keep, cand.size)
+        rows, cols = np.divmod(index[keep], k)
         positions = np.hstack([positions[rows], cand[cols, None]])
         costs, gains = comb_cost[keep], comb_gain[keep]
     return positions, costs, gains
@@ -266,8 +288,9 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
     Refuses n > 6 or d > 1, where enumeration stops being meaningful.
 
     Meet in the middle: the Pareto frontiers of the first n//2 points and
-    of the rest are built separately; each entry of the first is paired
-    with the best entry of the second its leftover budget affords.
+    of the rest are built separately, each product in row blocks pruned
+    against a lower envelope (``_joint_frontier``); each entry of the first
+    is paired with the best entry of the second its leftover budget affords.
     """
     if dataset.n > 6 or dataset.d > 1:
         raise ValueError(

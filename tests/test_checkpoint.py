@@ -155,6 +155,36 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("overrides, old, new, field", [
+        ({}, "variant=da", "variant=bogus", "'variant'"),
+        ({}, "variant=da", "variant=df", "'variant'"),
+        ({}, "variant=da", "variant=aucm-baseline", "'variant'"),
+        (dict(variant="df", dual=DualState(lam=(0.75,), eps=(0.4,))),
+         "variant=df", "variant=da", "'variant'"),
+        ({}, "iteration=42", "iteration=0", "'iteration'"),
+        ({}, "iteration=42", "iteration=-5", "'iteration'"),
+    ], ids=["variant-unknown", "df-with-per-class-keys", "aucm-with-per-class-keys",
+            "da-with-single-budget-keys", "iteration-zero", "iteration-negative"])
+    def test_variant_and_iteration_name_their_field(self, tmp_path, overrides, old,
+                                                    new, field):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(**overrides), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [("theta", np.nan), ("scaler_min", -np.inf),
+                                              ("scaler_max", np.inf)])
+    def test_save_refuses_non_finite_vector(self, tmp_path, field, value):
+        ck = sample_checkpoint()
+        (ck.model.params if field == "theta" else getattr(ck, field))[1] = value
+        path = tmp_path / "ck.txt"
+        with pytest.raises(CheckpointError, match=f"'{field}' contains a non-finite entry"):
+            save_checkpoint(ck, path)
+        assert not path.exists()
+
     def test_non_numeric_field(self, tmp_path):
         ck = sample_checkpoint()
         path = tmp_path / "ck.txt"
