@@ -456,6 +456,46 @@ class TestFrontierMatchesFullScan:
         assert first_max_differs > 0
 
 
+def pareto_front(costs, gains, cap):
+    """Entries within ``cap`` that no cheaper-or-equal, better-or-equal entry
+    dominates, by ascending cost; ties keep the lowest index."""
+    ok = np.flatnonzero(costs <= cap)
+    order = ok[np.lexsort((-gains[ok], costs[ok]))]
+    g = gains[order]
+    return order[np.concatenate([[True], g[1:] > np.maximum.accumulate(g)[:-1]])]
+
+
+def unpruned_worst_case(ds, eps, res, aux, p_hat):
+    """The brute-force oracle for the identity scorer with each joint
+    frontier pruned from its full product: fold each half's points in one
+    at a time, then pair each entry of the first half with the last
+    affordable entry of the second."""
+    x, labels = ds.features[:, 0], ds.labels
+    cap = ds.n * eps + 1e-12 * max(1.0, ds.n * eps)
+    grid = np.linspace(0.0, 1.0, res)
+    halves = []
+    for points in (range(ds.n // 2), range(ds.n // 2, ds.n)):
+        pos, costs, gains = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
+        for i in points:
+            cand = np.append(grid, x[i])
+            cost = (cand - x[i]) ** 2
+            gain = surrogate_loss(aux, p_hat, cand, int(labels[i]))
+            f = pareto_front(cost, gain, cap)
+            cand, cost, gain = cand[f], cost[f], gain[f]
+            comb_cost = (costs[:, None] + cost).ravel()
+            comb_gain = (gains[:, None] + gain).ravel()
+            keep = pareto_front(comb_cost, comb_gain, cap)
+            rows, cols = np.divmod(keep, cand.size)
+            pos = np.hstack([pos[rows], cand[cols, None]])
+            costs, gains = comb_cost[keep], comb_gain[keep]
+        halves.append((pos, costs, gains))
+    (pos_a, cost_a, gain_a), (pos_b, cost_b, gain_b) = halves
+    match = np.searchsorted(cost_b, cap - cost_a, side="right") - 1
+    totals = gain_a + gain_b[match]
+    best = int(np.argmax(totals))
+    return float(totals[best] / ds.n), np.concatenate([pos_a[best], pos_b[match[best]]])
+
+
 class TestBruteForceWorstCase:
     def test_zero_budget_is_nominal(self):
         ds, aux, p_hat = example1_style_instance()
@@ -588,46 +628,6 @@ class TestBruteForceWorstCase:
         sup, pos = brute_force_worst_case(ds, 0.2, 1001, AuxParams(0.5, 0.5, 0.3), 0.4, IDENT)
         assert sup == 0.15671688
         assert pos.tolist() == [0.393, 0.355, 0.309, 0.421, 1.0]
-
-
-def pareto_front(costs, gains, cap):
-    """Entries within ``cap`` that no cheaper-or-equal, better-or-equal entry
-    dominates, by ascending cost; ties keep the lowest index."""
-    ok = np.flatnonzero(costs <= cap)
-    order = ok[np.lexsort((-gains[ok], costs[ok]))]
-    g = gains[order]
-    return order[np.concatenate([[True], g[1:] > np.maximum.accumulate(g)[:-1]])]
-
-
-def unpruned_worst_case(ds, eps, res, aux, p_hat):
-    """The brute-force oracle for the identity scorer with each joint
-    frontier pruned from its full product: fold each half's points in one
-    at a time, then pair each entry of the first half with the last
-    affordable entry of the second."""
-    x, labels = ds.features[:, 0], ds.labels
-    cap = ds.n * eps + 1e-12 * max(1.0, ds.n * eps)
-    grid = np.linspace(0.0, 1.0, res)
-    halves = []
-    for points in (range(ds.n // 2), range(ds.n // 2, ds.n)):
-        pos, costs, gains = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
-        for i in points:
-            cand = np.append(grid, x[i])
-            cost = (cand - x[i]) ** 2
-            gain = surrogate_loss(aux, p_hat, cand, int(labels[i]))
-            f = pareto_front(cost, gain, cap)
-            cand, cost, gain = cand[f], cost[f], gain[f]
-            comb_cost = (costs[:, None] + cost).ravel()
-            comb_gain = (gains[:, None] + gain).ravel()
-            keep = pareto_front(comb_cost, comb_gain, cap)
-            rows, cols = np.divmod(keep, cand.size)
-            pos = np.hstack([pos[rows], cand[cols, None]])
-            costs, gains = comb_cost[keep], comb_gain[keep]
-        halves.append((pos, costs, gains))
-    (pos_a, cost_a, gain_a), (pos_b, cost_b, gain_b) = halves
-    match = np.searchsorted(cost_b, cap - cost_a, side="right") - 1
-    totals = gain_a + gain_b[match]
-    best = int(np.argmax(totals))
-    return float(totals[best] / ds.n), np.concatenate([pos_a[best], pos_b[match[best]]])
 
 
 class TestBarycenterAttack:
