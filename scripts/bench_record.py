@@ -3,15 +3,18 @@
     python3 scripts/bench_record.py [--checkout DIR] [--out FILE]
 
 Runs `python3 perfbench/run.py --workload W --seed 1 --seconds 10 --trace 0`
-in DIR (default: this checkout) for each workload that DIR's BENCHMARK.json
-lists, one after another.  The file holds, per workload, the run's
-end-to-end metrics (`wall_s` and `setup_s` are medians, `peak_rss_mb` the
-highest peak), the quartiles of its rescaled round times and its
-correct/attempted/failed counts; plus the host (Python, NumPy, usable
-CPUs) and DIR's commit.  It measures committed code only: if DIR is not
-a git checkout, or its tracked files differ from its HEAD, it lists them
-and exits non-zero before running anything.  FILE defaults to the next
-free BENCH_<n>.json at the root of this checkout.
+in DIR (default: this checkout) three times for each workload that DIR's
+BENCHMARK.json lists, one workload after another.  Per workload, the file
+holds each end-to-end metric as the median, min and max of the three
+runs' values (within a run, `wall_s` and `setup_s` are medians and
+`peak_rss_mb` the highest peak), each run's quartiles of its rescaled
+round times, and the correct/attempted/failed counts over the three runs;
+plus the host (Python, NumPy, usable CPUs) and DIR's commit.  A single run
+moves with the host's noise; the median of three damps it, and min and
+max show the spread.  It measures committed code only: if DIR is not a git
+checkout, or its tracked files differ from its HEAD, it lists them and
+exits non-zero before running anything.  FILE defaults to the next free
+BENCH_<n>.json at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEED, SECONDS = 1, 10
+SEED, SECONDS, RUNS = 1, 10, 3
 
 
 def next_bench_path():
@@ -46,10 +49,22 @@ def run_workload(checkout, name):
     result = json.loads(lines[-1])
     rounds = next(ln for ln in lines if ln.startswith("round_s "))
     quartiles = dict(kv.split("=") for kv in rounds.split()[1:4])
+    return result, {k: float(quartiles[k]) for k in ("q1", "median", "q3")}
+
+
+def summarize(runs):
+    """Median, min and max of each end-to-end metric over the runs."""
+    metrics = {}
+    for metric in runs[0][0]["metrics"]:
+        values = [result["metrics"][metric]["value"] for result, _ in runs]
+        metrics[metric] = {"median": float(np.median(values)),
+                           "min": min(values), "max": max(values)}
     return {
-        **{metric: m["value"] for metric, m in result["metrics"].items()},
-        "round_s": {k: float(quartiles[k]) for k in ("q1", "median", "q3")},
-        **{k: result[k] for k in ("correct", "attempted", "failed")},
+        **metrics,
+        "runs": len(runs),
+        "round_s": [quartiles for _, quartiles in runs],
+        "correct": all(result["correct"] for result, _ in runs),
+        **{k: sum(result[k] for result, _ in runs) for k in ("attempted", "failed")},
     }
 
 
@@ -71,13 +86,14 @@ def main():
     record = {
         "commit": commit,
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
-                   f"--seconds {SECONDS} --trace 0",
+                   f"--seconds {SECONDS} --trace 0, {RUNS} times",
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
         "workloads": {},
     }
     for name in names:
-        record["workloads"][name] = run_workload(checkout, name)
+        runs = [run_workload(checkout, name) for _ in range(RUNS)]
+        record["workloads"][name] = summarize(runs)
         print(name, json.dumps(record["workloads"][name]), flush=True)
     path = args.out or next_bench_path()
     with open(path, "w") as fh:

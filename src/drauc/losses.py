@@ -58,11 +58,12 @@ class _FixedLabelLoss:
     terms up front performs the same IEEE operations, in the same order, as
     masking both classes' terms with 0/1 and summing them."""
 
-    __slots__ = ("pos", "w", "c", "l", "k", "c0", "_d_f_terms")
+    __slots__ = ("aux", "p", "pos", "w", "c", "l", "k", "c0", "_d_f_terms")
 
     def __init__(self, aux: AuxParams, p: float, y):
         if not 0.0 < p < 1.0:
             raise ValueError(f"p_hat must lie in (0, 1), got {p}")
+        self.aux, self.p = aux, p
         self.pos = pos = np.asarray(y) == 1
         self.w = np.where(pos, 1.0 - p, p)
         self.c = np.where(pos, aux.a, aux.b)
@@ -71,14 +72,32 @@ class _FixedLabelLoss:
         self.c0 = p * (1.0 - p) * aux.alpha**2
         self._d_f_terms = None
 
-    def value(self, f):
-        return self.w * np.square(f - self.c) + self.k * (self.l * f) - self.c0
+    def _value(self, f_c, lf):
+        return self.w * np.square(f_c) + self.k * lf - self.c0
 
-    def d_f(self, f):
+    def _d_f(self, f_c):
         if self._d_f_terms is None:  # 2w and k*l, once per object
             self._d_f_terms = (2.0 * self.w, self.k * self.l)
         two_w, kl = self._d_f_terms
-        return two_w * (f - self.c) + kl
+        return two_w * f_c + kl
+
+    def value(self, f):
+        return self._value(f - self.c, self.l * f)
+
+    def d_f(self, f):
+        return self._d_f(f - self.c)
+
+    def value_and_grads(self, f):
+        """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f, all from one
+        f - c and one l*f.  dg/da and dg/db take f - a and f - b, whose sign
+        sets that of the 0.0 on the other class's rows."""
+        aux, p = self.aux, self.p
+        f_c, lf = f - self.c, self.l * f
+        d_a = -2.0 * (1.0 - p) * (f - aux.a) * self.pos
+        d_b = -2.0 * p * (f - aux.b) * (~self.pos)
+        # + 0.0 * f broadcasts to the input shape and turns -0.0 into 0.0.
+        d_alpha = 2.0 * lf - 2.0 * p * (1.0 - p) * aux.alpha + 0.0 * f
+        return self._value(f_c, lf), self._d_f(f_c), d_a, d_b, d_alpha
 
 
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):
@@ -89,20 +108,10 @@ def surrogate_loss(aux: AuxParams, p_hat: float, f, y):
 
 def surrogate_loss_grads(aux: AuxParams, p_hat: float, f, y):
     """Partials of g: (d/df, d/da, d/db, d/dalpha), shapes matching f."""
-    loss = _FixedLabelLoss(aux, p_hat, y)
-    f_arr = np.asarray(f, dtype=float)
-    p = p_hat
-    d_f = loss.d_f(f_arr)
-    d_a = -2.0 * (1.0 - p) * (f_arr - aux.a) * loss.pos
-    d_b = -2.0 * p * (f_arr - aux.b) * (~loss.pos)
-    d_alpha = (
-        2.0 * (loss.l * f_arr)
-        - 2.0 * p * (1.0 - p) * aux.alpha
-        + 0.0 * f_arr  # broadcast to the input shape; turns -0.0 into 0.0
-    )
+    _, *grads = _FixedLabelLoss(aux, p_hat, y).value_and_grads(np.asarray(f, dtype=float))
     if np.asarray(f).ndim == 0 and np.asarray(y).ndim == 0:
-        return float(d_f), float(d_a), float(d_b), float(d_alpha)
-    return d_f, d_a, d_b, d_alpha
+        return tuple(float(g) for g in grads)
+    return tuple(grads)
 
 
 def closed_form_aux(pos_scores, neg_scores) -> AuxParams:
@@ -156,13 +165,14 @@ def auc_mann_whitney(pos_scores, neg_scores, tie_policy: str = "half") -> float:
     """
     if tie_policy not in ("half", "strict"):
         raise ValueError(f"tie_policy must be 'half' or 'strict', got {tie_policy!r}")
-    pos = np.sort(np.asarray(pos_scores, dtype=float))
+    pos = np.array(pos_scores, dtype=float)  # a copy, sorted in place
+    pos.sort()
     neg = np.asarray(neg_scores, dtype=float)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both classes must be non-empty")
-    n_le = np.searchsorted(pos, neg, side="right")  # pos <= neg_j
-    wins = (pos.size - n_le).astype(float)          # pos >  neg_j
+    n_le = pos.searchsorted(neg, side="right")  # pos <= neg_j
+    wins = (pos.size - n_le).astype(float)      # pos >  neg_j
     if tie_policy == "half":
-        n_lt = np.searchsorted(pos, neg, side="left")
+        n_lt = pos.searchsorted(neg, side="left")
         wins += 0.5 * (n_le - n_lt)
-    return float(wins.sum() / (pos.size * neg.size))
+    return float(np.add.reduce(wins) / (pos.size * neg.size))

@@ -168,24 +168,32 @@ def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
 
 
 def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
-                              lam: float, z, grid_resolution: int = 100_001):
+                              lam, z, grid_resolution: int = 100_001):
     """Exact 1-D maximizer over a dense grid plus the point itself.  It
     scans every destination, unpruned, and returns the frontier's pick
-    among the maximizers: the first entry of their own frontier."""
+    among the maximizers: the first entry of their own frontier.
+
+    ``lam`` is one multiplier, for one (value, adversarial example) pair,
+    or a 1-D sequence of them, for a list of such pairs that scores the
+    grid once; each pair is bitwise the one-multiplier call's."""
     if model.input_dim != 1:
         raise ValueError("exact oracle requires a 1-D model")
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
-    if not 0.0 <= lam < math.inf:
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or not ((0.0 <= lams) & (lams < math.inf)).all():
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     x, y = z
     x0 = np.asarray(x, dtype=float).reshape(-1)[:1]
     ((dest, cost, gain),) = _destination_frontiers(
         model, aux, p_hat, x0, np.array([int(y)]), grid_resolution, prune=False)
-    obj = gain - lam * cost
-    top = np.flatnonzero(obj == obj.max())
-    i = top[_pareto_prune(cost[top], gain[top], math.inf)[0]]
-    return float(obj[i]), (np.array([dest[i]]), int(y))
+    picks = []
+    for lam_i in lams.reshape(-1).tolist():
+        obj = gain - lam_i * cost
+        top = np.flatnonzero(obj == obj.max())
+        i = top[_pareto_prune(cost[top], gain[top], math.inf)[0]]
+        picks.append((float(obj[i]), (np.array([dest[i]]), int(y))))
+    return picks if lams.ndim else picks[0]
 
 
 @dataclass(frozen=True)

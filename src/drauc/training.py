@@ -16,7 +16,9 @@ penalized by its group's multiplier; the objective carries
 sum_g lam_g * eps_g, and each group present in the batch takes the
 envelope step above on the mean cost of its own rows: when the realized
 attack cost exceeds the budget, lam_g rises, reining the attack in, and
-vice versa.
+vice versa.  With the attack off (eta_z = 0) the batch is its own worst
+case: each group present records mean_cost 0.0, and no costs, group masks
+or penalty are computed, since g - lam * 0.0 is g bit for bit.
 
 The variant only picks the groups, once, before the loop:
   df             one group: the whole batch against budget eps.
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Dataset
-from .losses import AuxParams, auc_mann_whitney, surrogate_loss, surrogate_loss_grads
+from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
 from .model import ScoringModel, forward, score, vjp_params
 from .robust import GROUP_SUFFIXES, AttackConfig, DualState, attack_batch
 
@@ -125,15 +127,15 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
     If the draw contains no positive, one uniformly chosen slot is replaced
     by a uniformly chosen positive example.
     """
-    if dataset.n_pos == 0:
+    if dataset.p_hat == 0.0:  # the cached share, not a recount
         raise ValueError("dataset has no positive examples")
     if batch_size > dataset.n:
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {dataset.n}")
     idx = rng.choice(dataset.n, size=batch_size, replace=False)
     if not (dataset.labels[idx] == 1).any():
         slot = int(rng.integers(batch_size))
-        pick = int(rng.integers(dataset.n_pos))
-        idx[slot] = dataset.pos_indices()[pick]
+        pos = dataset.pos_indices()
+        idx[slot] = pos[int(rng.integers(pos.size))]
     return idx
 
 
@@ -153,10 +155,10 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
     eta_z, eps = (0.0, 0.0) if cfg.variant == "aucm-baseline" else (cfg.eta_z, cfg.eps)
     if cfg.variant == "da":
         budgets = np.array(split_epsilon(eps, p_hat, cfg.k_split))
-        row_group = (dataset.labels == 0).astype(np.intp)  # positives 0, negatives 1
+        label_group = np.array([1, 0])  # group of label 0, of label 1: negatives 1
     else:
         budgets = np.array([eps])
-        row_group = np.zeros(dataset.n, dtype=np.intp)
+        label_group = np.array([0, 0])
     suffixes = GROUP_SUFFIXES[budgets.size]
     lam_keys = ["lam" + s for s in suffixes]
     cost_keys = ["mean_cost" + s for s in suffixes]
@@ -164,40 +166,50 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
     attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
 
     rng = np.random.default_rng(cfg.seed)
-    theta = initial_model.params.copy()
+    # One model for the whole run; its params are the iterate, updated in
+    # place.  Means are np.add.reduce(x) / n, the values ndarray.mean gives.
+    model = replace(initial_model, params=initial_model.params.copy())
+    theta = model.params
+    n = cfg.batch_size
     a = b = alpha = 0.0
     history = []
     for t in range(1, cfg.iters + 1):
-        idx = sample_batch(dataset, cfg.batch_size, rng)
+        idx = sample_batch(dataset, n, rng)
         x_batch = dataset.features[idx]
         y_batch = dataset.labels[idx]
-        group = row_group[idx]
-        model_t = replace(initial_model, params=theta)
         aux_t = AuxParams(a, b, alpha)
-        pos_mask = y_batch == 1
+        loss = _FixedLabelLoss(aux_t, p_hat, y_batch)
+        n_pos = int(np.count_nonzero(loss.pos))
 
-        lam_rows = lam[group]
-        x_adv = x_batch
-        if attack_cfg is not None:
-            _, x_adv = attack_batch(model_t, aux_t, p_hat, lam_rows,
+        if attack_cfg is None:
+            # The batch is its own worst case: every cost is 0.0, and
+            # g - lam * 0.0 is g bit for bit.
+            x_adv = x_batch
+            seen = set(label_group[[n_pos < n, n_pos > 0]].tolist())  # groups present
+            mean_costs = [0.0 if g in seen else None  # None: group absent
+                          for g in range(budgets.size)]
+        else:
+            group = label_group[y_batch]
+            lam_rows = lam[group]
+            _, x_adv = attack_batch(model, aux_t, p_hat, lam_rows,
                                     x_batch, y_batch, attack_cfg)
+            costs = np.add.reduce((x_adv - x_batch) ** 2, axis=1)
+            mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
+                          for c in (costs[group == g] for g in range(budgets.size))]
+        f_adv, cache = forward(model, x_adv)
+        g_adv, d_f, d_a, d_b, d_alpha = loss.value_and_grads(f_adv)
+        if attack_cfg is not None:
+            g_adv = g_adv - lam_rows * costs
 
-        costs = ((x_adv - x_batch) ** 2).sum(axis=1)
-        mean_costs = [float(c.mean()) if c.size else None  # None: group absent
-                      for c in (costs[group == g] for g in range(budgets.size))]
-        f_adv, cache = forward(model_t, x_adv)
-        g_adv = surrogate_loss(aux_t, p_hat, f_adv, y_batch)
-        d_f, d_a, d_b, d_alpha = surrogate_loss_grads(aux_t, p_hat, f_adv, y_batch)
+        objective = float(np.add.reduce(lam * budgets)) + float(np.add.reduce(g_adv) / n)
 
-        objective = float((lam * budgets).sum()) + float((g_adv - lam_rows * costs).mean())
-
-        f_nom = f_adv if attack_cfg is None else score(model_t, x_batch)
-        if pos_mask.any() and (~pos_mask).any():
-            batch_auc = auc_mann_whitney(f_nom[pos_mask], f_nom[~pos_mask])
+        if 0 < n_pos < n:
+            f_nom = f_adv if attack_cfg is None else score(model, x_batch)
+            batch_auc = auc_mann_whitney(f_nom[loss.pos], f_nom[~loss.pos])
         else:
             batch_auc = 0.5  # no ranked pairs in a single-class batch
 
-        grad_theta = vjp_params(model_t, cache, d_f).mean(axis=0)
+        grad_theta = np.add.reduce(vjp_params(model, cache, d_f), axis=0) / n
 
         record = {
             "iteration": t,
@@ -206,7 +218,7 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
             "a": a,
             "b": b,
             "batch_auc": batch_auc,
-            "theta": theta,
+            "theta": theta.copy(),
         }
         record.update(zip(lam_keys, lam.tolist()))
         record.update(zip(cost_keys, mean_costs))
@@ -214,17 +226,17 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
 
         # Simultaneous updates from the iteration-start values.
         # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
-        alpha = float(min(max(alpha + cfg.eta_alpha * d_alpha.mean(), -1.0), 1.0))
+        alpha = float(min(max(alpha + cfg.eta_alpha * (np.add.reduce(d_alpha) / n), -1.0), 1.0))
         for g, mean_cost in enumerate(mean_costs):
             if mean_cost is not None:
                 lam[g] = min(max(lam[g] - cfg.eta_lambda * (budgets[g] - mean_cost),
                                  0.0), cfg.lambda_max)
-        theta = theta - cfg.eta_w * grad_theta
-        a = float(min(max(a - cfg.eta_w * d_a.mean(), 0.0), 1.0))
-        b = float(min(max(b - cfg.eta_w * d_b.mean(), 0.0), 1.0))
+        theta -= cfg.eta_w * grad_theta
+        a = float(min(max(a - cfg.eta_w * (np.add.reduce(d_a) / n), 0.0), 1.0))
+        b = float(min(max(b - cfg.eta_w * (np.add.reduce(d_b) / n), 0.0), 1.0))
 
     return TrainState(
-        model=replace(initial_model, params=theta),
+        model=model,
         aux=AuxParams(a, b, alpha),
         dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam.tolist()),
                        eps=tuple(budgets.tolist())),

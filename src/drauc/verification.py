@@ -195,8 +195,7 @@ def check_phi_monotone_lambda(trials=100, seed=6):
         p_hat = float(rng.uniform(0.1, 0.9))
         z = (np.array([rng.uniform(0, 1)]), int(rng.integers(2)))
         lams = np.sort(10 ** rng.uniform(-2, 3, size=4))
-        vals = [robust_surrogate_exact_1d(m, aux, p_hat, float(l), z, 2001)[0]
-                for l in lams]
+        vals = [v for v, _ in robust_surrogate_exact_1d(m, aux, p_hat, lams, z, 2001)]
         if any(vals[i] < vals[i + 1] - 1e-12 for i in range(3)):
             return _result("robust.phi_monotone_lambda", False,
                            f"phi increased along lams={lams}")

@@ -3,6 +3,7 @@ import pytest
 
 from drauc import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
                    saddle_value, surrogate_loss, surrogate_loss_grads)
+from drauc.losses import _FixedLabelLoss
 from drauc.verification import check_alpha_stationarity, check_saddle_identity
 
 
@@ -167,6 +168,56 @@ class TestMaskedFormBitwise:
                 assert all(type(g) is float for g in grads)
                 for got, want in zip(grads, masked_grads(aux, p, f, y)):
                     assert same_bits(got, want)
+
+
+def row_form_loss_and_grads(aux, p, f, y):
+    """g and its partials in the per-row coefficient form, each built from
+    its own f - c and l*f, as surrogate_loss and surrogate_loss_grads were
+    first written."""
+    f = np.asarray(f, dtype=float)
+    pos = np.asarray(y) == 1
+    w = np.where(pos, 1.0 - p, p)
+    c = np.where(pos, aux.a, aux.b)
+    l = np.where(pos, -(1.0 - p), p)
+    k = 2.0 * (1.0 + aux.alpha)
+    g = w * np.square(f - c) + k * (l * f) - p * (1.0 - p) * aux.alpha**2
+    d_f = (2.0 * w) * (f - c) + k * l
+    d_a = -2.0 * (1.0 - p) * (f - aux.a) * pos
+    d_b = -2.0 * p * (f - aux.b) * (~pos)
+    d_alpha = 2.0 * (l * f) - 2.0 * p * (1.0 - p) * aux.alpha + 0.0 * f
+    return g, d_f, d_a, d_b, d_alpha
+
+
+class TestSharedLossMethod:
+    """value_and_grads shares f - c and l*f across its five outputs and
+    gives each one's separate formula bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, -0.3])
+    def test_arrays(self, alpha):
+        rng = np.random.default_rng(43)
+        for a, b, p in ((0.3, 0.75, 0.2), (0.0, 1.0, 0.5), (0.9, 0.1, 0.85)):
+            aux = AuxParams(a, b, alpha)
+            fs = np.repeat(np.concatenate([[0.0, 1.0, a, b], rng.uniform(0, 1, size=60)]), 2)
+            for ys in (np.tile([1, 0], fs.size // 2), rng.integers(0, 2, fs.size), 0, 1):
+                got = _FixedLabelLoss(aux, p, ys).value_and_grads(fs)
+                want = row_form_loss_and_grads(aux, p, fs, ys)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+                assert same_bits(surrogate_loss(aux, p, fs, ys), want[0])
+                assert all(same_bits(g, w) for g, w in
+                           zip(surrogate_loss_grads(aux, p, fs, ys), want[1:]))
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_scalars(self, alpha):
+        a, b, p = 0.3, 0.75, 0.2
+        aux = AuxParams(a, b, alpha)
+        for f in (0.0, 1.0, a, b, 0.6180339887):
+            for y in (0, 1):
+                got = _FixedLabelLoss(aux, p, y).value_and_grads(np.asarray(f))
+                want = row_form_loss_and_grads(aux, p, f, y)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+                grads = surrogate_loss_grads(aux, p, f, y)
+                assert type(grads) is tuple and all(type(g) is float for g in grads)
+                assert all(same_bits(g, w) for g, w in zip(grads, want[1:]))
 
 
 class TestClosedForm:

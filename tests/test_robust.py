@@ -12,6 +12,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc.robust import _suffix_argmin
+from drauc.verification import check_phi_monotone_lambda
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
 AUX0 = AuxParams(0.0, 0.0, 0.0)
@@ -76,21 +77,14 @@ class TestRobustSurrogate:
             assert y_adv == y
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
-    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf, [1.0, -5.0], [[1.0]]])
     def test_exact_oracle_rejects_bad_multiplier(self, lam):
         with pytest.raises(ValueError, match="lam"):
             robust_surrogate_exact_1d(IDENT, AUX0, 0.5, lam, (np.array([0.3]), 0), 101)
 
     def test_exact_oracle_monotone_in_lambda(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
-            p_hat = float(rng.uniform(0.1, 0.9))
-            z = (np.array([rng.uniform(0, 1)]), int(rng.integers(2)))
-            lams = np.sort(10 ** rng.uniform(-2, 3, size=5))
-            vals = [robust_surrogate_exact_1d(IDENT, aux, p_hat, float(l), z, 2001)[0]
-                    for l in lams]
-            assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(4))
+        res = check_phi_monotone_lambda(trials=100, seed=12)
+        assert res.passed, res.detail
 
 
 ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(4)", "linear-identity-clamped"]
@@ -420,9 +414,15 @@ class TestFrontierMatchesFullScan:
     def test_exact_oracle_bitwise(self):
         for (ds, aux, p_hat, eps, model), lams, res in self.CASES:
             for x0, y in zip(ds.features[:, 0], ds.labels):
-                for lam in map(float, lams[::9]):
+                z = (np.array([x0]), int(y))
+                picks = robust_surrogate_exact_1d(model, aux, p_hat, lams[::9], z, res)
+                assert len(picks) == len(lams[::9])
+                for lam, pick in zip(map(float, lams[::9]), picks):
                     val, (x_adv, y_adv) = robust_surrogate_exact_1d(
-                        model, aux, p_hat, lam, (np.array([x0]), int(y)), res)
+                        model, aux, p_hat, lam, z, res)
+                    assert type(val) is type(pick[0]) is float
+                    assert np.float64(pick[0]).tobytes() == np.float64(val).tobytes()
+                    assert pick[1][0].tobytes() == x_adv.tobytes() and pick[1][1] == y_adv
                     cand, obj, i = full_scan_argmax(model, aux, p_hat, lam, x0, int(y), res)
                     assert np.float64(val).tobytes() == obj[i].tobytes()
                     assert y_adv == y

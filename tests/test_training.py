@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drauc import (Dataset, TrainConfig, auc_mann_whitney, gen_synthetic,
-                   init_model, sample_batch, score, split_epsilon, train)
+from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
+                   attack_batch, auc_mann_whitney, forward, gen_synthetic,
+                   init_model, sample_batch, score, split_epsilon,
+                   surrogate_loss, surrogate_loss_grads, train, vjp_params)
+from drauc.robust import GROUP_SUFFIXES
 from drauc.verification import check_separable_training
 
 
@@ -139,8 +143,8 @@ class TestTrainers:
                     assert r0[key] == r1[key]
 
     def test_history_holds_every_iterate(self):
-        # Records hold the iterate itself, not a copy: each must still be
-        # its own array, untouched by later updates.
+        # Each record holds its own copy of the iterate, untouched by the
+        # in-place updates that follow.
         ds = make_tailed_dataset()
         m = init_model("linear-sigmoid", 2, 15)
         state = train(ds, TrainConfig(variant="df", iters=5, batch_size=16, seed=15), m)
@@ -209,3 +213,139 @@ class TestTrainers:
                 TrainConfig(lambda0=lambda0, lambda_max=1.0)
         TrainConfig(lambda0=0.0)
         TrainConfig(lambda0=1.0, lambda_max=1.0)  # both bounds allowed
+
+
+def reference_sample_batch(dataset, batch_size, rng):
+    """sample_batch as first written: recounts the positives on every call."""
+    if dataset.n_pos == 0:
+        raise ValueError("dataset has no positive examples")
+    idx = rng.choice(dataset.n, size=batch_size, replace=False)
+    if not (dataset.labels[idx] == 1).any():
+        slot = int(rng.integers(batch_size))
+        pick = int(rng.integers(dataset.n_pos))
+        idx[slot] = dataset.pos_indices()[pick]
+    return idx
+
+
+def reference_train(dataset, cfg, initial_model):
+    """The training loop as first written: a model rebuilt and the loss built
+    twice per iteration, ndarray.mean, and zero costs, group masks and a
+    zero penalty with the attack off."""
+    p_hat = dataset.p_hat
+    eta_z, eps = (0.0, 0.0) if cfg.variant == "aucm-baseline" else (cfg.eta_z, cfg.eps)
+    if cfg.variant == "da":
+        budgets = np.array(split_epsilon(eps, p_hat, cfg.k_split))
+        row_group = (dataset.labels == 0).astype(np.intp)
+    else:
+        budgets = np.array([eps])
+        row_group = np.zeros(dataset.n, dtype=np.intp)
+    suffixes = GROUP_SUFFIXES[budgets.size]
+    lam = np.full(budgets.size, cfg.lambda0, dtype=np.float64)
+    attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
+
+    rng = np.random.default_rng(cfg.seed)
+    theta = initial_model.params.copy()
+    a = b = alpha = 0.0
+    history = []
+    for t in range(1, cfg.iters + 1):
+        idx = reference_sample_batch(dataset, cfg.batch_size, rng)
+        x_batch = dataset.features[idx]
+        y_batch = dataset.labels[idx]
+        group = row_group[idx]
+        model_t = replace(initial_model, params=theta)
+        aux_t = AuxParams(a, b, alpha)
+        pos_mask = y_batch == 1
+
+        lam_rows = lam[group]
+        x_adv = x_batch
+        if attack_cfg is not None:
+            _, x_adv = attack_batch(model_t, aux_t, p_hat, lam_rows,
+                                    x_batch, y_batch, attack_cfg)
+
+        costs = ((x_adv - x_batch) ** 2).sum(axis=1)
+        mean_costs = [float(c.mean()) if c.size else None
+                      for c in (costs[group == g] for g in range(budgets.size))]
+        f_adv, cache = forward(model_t, x_adv)
+        g_adv = surrogate_loss(aux_t, p_hat, f_adv, y_batch)
+        d_f, d_a, d_b, d_alpha = surrogate_loss_grads(aux_t, p_hat, f_adv, y_batch)
+
+        objective = float((lam * budgets).sum()) + float((g_adv - lam_rows * costs).mean())
+
+        f_nom = f_adv if attack_cfg is None else score(model_t, x_batch)
+        if pos_mask.any() and (~pos_mask).any():
+            batch_auc = auc_mann_whitney(f_nom[pos_mask], f_nom[~pos_mask])
+        else:
+            batch_auc = 0.5
+
+        grad_theta = vjp_params(model_t, cache, d_f).mean(axis=0)
+
+        record = {"iteration": t, "objective": objective, "alpha": alpha, "a": a,
+                  "b": b, "batch_auc": batch_auc, "theta": theta}
+        record.update(zip(["lam" + s for s in suffixes], lam.tolist()))
+        record.update(zip(["mean_cost" + s for s in suffixes], mean_costs))
+        history.append(record)
+
+        alpha = float(min(max(alpha + cfg.eta_alpha * d_alpha.mean(), -1.0), 1.0))
+        for g, mean_cost in enumerate(mean_costs):
+            if mean_cost is not None:
+                lam[g] = min(max(lam[g] - cfg.eta_lambda * (budgets[g] - mean_cost),
+                                 0.0), cfg.lambda_max)
+        theta = theta - cfg.eta_w * grad_theta
+        a = float(min(max(a - cfg.eta_w * d_a.mean(), 0.0), 1.0))
+        b = float(min(max(b - cfg.eta_w * d_b.mean(), 0.0), 1.0))
+
+    dual = DualState(lambda_max=cfg.lambda_max, lam=tuple(lam.tolist()),
+                     eps=tuple(budgets.tolist()))
+    return replace(initial_model, params=theta), AuxParams(a, b, alpha), dual, history
+
+
+def same_bits(u, v):
+    """Same type and bit pattern: -0.0 differs from 0.0, None only matches None."""
+    return type(u) is type(v) and (u is None or np.asarray(u).tobytes() == np.asarray(v).tobytes())
+
+
+def few_negatives_dataset():
+    # One negative in seven rows: a batch of three often lacks it.
+    feats = np.random.default_rng(21).uniform(0, 1, size=(7, 2))
+    return Dataset.from_arrays(feats, np.array([1, 1, 0, 1, 1, 1, 1]))
+
+
+class TestLoopBitwise:
+    """train walks the reference loop's trajectory bit for bit."""
+
+    CASES = ([(variant, eta_z, 0.1) for variant in ("df", "da", "aucm-baseline")
+              for eta_z in (0.05, 0.0)]
+             + [("da", 0.0, 0.3), ("df", 0.2, 0.002)])
+
+    def assert_matches(self, ds, cfg, model):
+        state = train(ds, cfg, model)
+        ref_model, ref_aux, ref_dual, ref_history = reference_train(ds, cfg, model)
+        assert len(state.history) == len(ref_history) == cfg.iters
+        for got, want in zip(state.history, ref_history):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert same_bits(got[key], want[key]), (got["iteration"], key)
+        assert same_bits(state.model.params, ref_model.params)
+        assert all(same_bits(getattr(state.aux, k), getattr(ref_aux, k))
+                   for k in ("a", "b", "alpha"))
+        assert state.dual.lambda_max == ref_dual.lambda_max
+        assert same_bits(state.dual.lam, ref_dual.lam)
+        assert same_bits(state.dual.eps, ref_dual.eps)
+        return state
+
+    @pytest.mark.parametrize("variant, eta_z, eps", CASES)
+    def test_matches_reference(self, variant, eta_z, eps):
+        ds = make_tailed_dataset()
+        cfg = TrainConfig(variant=variant, iters=60, batch_size=16, eta_z=eta_z,
+                          eps=eps, seed=31)
+        self.assert_matches(ds, cfg, init_model("mlp1-tanh-sigmoid(4)", 2, 31))
+
+    @pytest.mark.parametrize("variant, eta_z", [("da", 0.0), ("da", 0.1), ("df", 0.0)])
+    def test_matches_reference_with_absent_negatives(self, variant, eta_z):
+        cfg = TrainConfig(variant=variant, iters=40, batch_size=3, eta_z=eta_z,
+                          eps=0.1, seed=32)
+        state = self.assert_matches(few_negatives_dataset(), cfg,
+                                    init_model("linear-sigmoid", 2, 32))
+        if variant == "da":
+            absent = [rec["mean_cost_neg"] is None for rec in state.history]
+            assert any(absent) and not all(absent)
