@@ -155,7 +155,7 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
     eta_z, eps = (0.0, 0.0) if cfg.variant == "aucm-baseline" else (cfg.eta_z, cfg.eps)
     if cfg.variant == "da":
         budgets = np.array(split_epsilon(eps, p_hat, cfg.k_split))
-        label_group = np.array([1, 0])  # group of label 0, of label 1: negatives 1
+        label_group = np.array([1, 0])  # by label: negatives group 1, positives 0
     else:
         budgets = np.array([eps])
         label_group = np.array([0, 0])
@@ -182,8 +182,7 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
         n_pos = int(np.count_nonzero(loss.pos))
 
         if attack_cfg is None:
-            # The batch is its own worst case: every cost is 0.0, and
-            # g - lam * 0.0 is g bit for bit.
+            # Every cost is 0.0, and g - lam * 0.0 is g bit for bit.
             x_adv = x_batch
             seen = set(label_group[[n_pos < n, n_pos > 0]].tolist())  # groups present
             mean_costs = [0.0 if g in seen else None  # None: group absent
