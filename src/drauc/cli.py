@@ -247,6 +247,7 @@ def _cmd_grad_check(args) -> int:
                      input_dim=args.input_dim, seed=args.seed)
     print(f"arch={rep.arch}")
     print(f"trials={rep.trials}")
+    print(f"checked={rep.checked}")
     print(f"max_rel_err={rep.max_rel_err:.6g}")
     print(f"tol={rep.tol:g}")
     print(f"worst={rep.worst}")

@@ -14,19 +14,37 @@ when it is built, into views that these functions read (``W``, ``WT``,
 ``c``, ``v`` and the bias ``b``), so an in-place edit of ``params`` is
 seen by the next pass.
 
+``forward`` and ``score`` also take many models, or many batches, in one
+pass.  A model's ``params`` may carry leading run axes, (..., P), and so
+may a batch, (..., n, d); the two sets of leading axes broadcast as
+``np.matmul`` broadcasts them, so R stacked models may score one shared
+batch, one model R stacked batches, or R models R batches, and the scores
+come out (..., n).  A call without run axes is the single-model call.
+Each run is its own slice of every product: the stacked tanh layer is
+(..., h, d) @ (..., d, n), which NumPy hands to BLAS one slice at a time,
+and the output layer is ``np.matvec`` of the (..., n, h) rows with v, which
+gives bitwise the ``rows @ v`` matrix-vector product for each slice.  So
+every run's scores and cache are bitwise those of its own unstacked
+call.  (A row's score can still change in the last bit with the other
+rows of its batch, see below; a caller that needs one input's exact
+score stacks it as its own n = 1 batch.)  ``vjp_input`` and
+``vjp_params`` take one model and one batch, and refuse a stacked model
+or cache.
+
 The passes work feature-major: the tanh layer is the (h, n) array
 W @ x.T, and the products return (d, n) and (P, n) arrays, so each
 elementwise pass runs along the batch, not along h or d.  Two layouts
 decide rounding and stay row-major.  NumPy hands a product with a vector
 (``hidden @ v``, a linear scorer's ``x @ w``, and at d = 1 the input
 gradient's product with W) to a BLAS matrix-vector kernel that rounds by
-its matrix's layout, so these run on row-major copies.  And
-``vjp_params`` returns a row-major (n, P) array, on which a mean over rows
-sums in sequence.  So every output is bitwise what row-major passes give.
-Passes over batches of one shape may share a ``work`` dict that keeps
-their (h, n) arrays (the tanh layer, d f / d (Wx + c), and one spare that
-the row-major copy and the vjp's outer product take in turn); each pass
-then overwrites the previous one's cache.
+its matrix's layout and blocks its rows, so these run on row-major
+copies.  And ``vjp_params`` returns a row-major (n, P) array, on which a
+mean over rows sums in sequence.  So every output is bitwise what
+row-major passes give.  Passes over batches of one shape may share a
+``work`` dict that keeps their (h, n) arrays (the tanh layer,
+d f / d (Wx + c), and one spare that the row-major copy and the vjp's
+outer product take in turn); each pass then overwrites the previous
+one's cache.
 
 Gradients are hand-written (no autodiff framework) and checked against
 central finite differences in the test suite.  The tanh hidden activation
@@ -97,13 +115,14 @@ def param_count(arch_name: str, input_dim: int, hidden_width: int = 0) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ScoringModel:
-    """A scorer with a flat parameter vector.
+    """A scorer with a flat parameter vector, or a stack of them.
 
     The parameter layout is:
       linear archs:  [w (d), b]
       mlp:           [W row-major (h*d), c (h), v (h), b]
-    Instances are immutable; build variants with ``dataclasses.replace``,
-    which unpacks the new parameters afresh.
+    ``params`` is (P,) for one model or (..., P) for stacked runs, each
+    run one row.  Instances are immutable; build variants with
+    ``dataclasses.replace``, which unpacks the new parameters afresh.
     """
 
     arch: str
@@ -119,19 +138,21 @@ class ScoringModel:
         if self.arch == MLP1_TANH_SIGMOID and self.hidden_width < 1:
             raise ConfigError("mlp architecture needs hidden_width >= 1")
         expected = param_count(self.arch, self.input_dim, self.hidden_width)
-        if self.params.shape != (expected,):
+        if self.params.shape[-1:] != (expected,):
             raise ConfigError(
                 f"params length {self.params.shape} does not match "
                 f"{self.arch} with d={self.input_dim} (expected {expected})"
             )
-        # Views of params that every pass reads: the mlp's hidden weights W
-        # (h, d), WT and biases c (empty for the linear archs), the output
-        # weights v (w for the linear archs) and the bias b = params[-1:].
+        # Views of params that every pass reads, each with the run axes in
+        # front: the mlp's hidden weights W (..., h, d), WT and biases c
+        # (empty for the linear archs), the output weights v (w for the
+        # linear archs) and the bias b = params[..., -1:].
         d, p = self.input_dim, self.params
         h = self.hidden_width if self.arch == MLP1_TANH_SIGMOID else 0
-        w_hidden = p[: h * d].reshape(h, d)
-        for name, view in (("W", w_hidden), ("WT", w_hidden.T), ("c", p[h * d : h * d + h]),
-                           ("v", p[h * d + h : -1]), ("b", p[-1:])):
+        w_hidden = p[..., : h * d].reshape(*p.shape[:-1], h, d)
+        for name, view in (("W", w_hidden), ("WT", w_hidden.mT),
+                           ("c", p[..., h * d : h * d + h]),
+                           ("v", p[..., h * d + h : -1]), ("b", p[..., -1:])):
             object.__setattr__(self, name, view)
 
     @property
@@ -179,33 +200,48 @@ def _scratch(work, key, shape):
 
 
 def _row_major(a, work):
-    """Row-major copy of a.T, for a matrix-vector product."""
+    """Row-major copy of a with its last two axes swapped, for a
+    matrix-vector product."""
     if work is None:
-        return np.ascontiguousarray(a.T)
-    rows = _scratch(work, "spare", a.shape[::-1])
-    np.copyto(rows, a.T)
+        return np.ascontiguousarray(a.mT)
+    rows = _scratch(work, "spare", a.mT.shape)
+    np.copyto(rows, a.mT)
     return rows
 
 
+def _run_axes(model, batch):
+    """The broadcast leading (run) axes of a model's params and a batch."""
+    lead_p, lead_x = model.params.shape[:-1], batch.shape[:-2]
+    if not lead_p or not lead_x:
+        return lead_p or lead_x
+    try:
+        return np.broadcast_shapes(lead_p, lead_x)
+    except ValueError:
+        raise ValueError(f"run axes {lead_p} of params and {lead_x} of the "
+                         "batch do not broadcast") from None
+
+
 def forward(model: ScoringModel, x, *, work=None):
-    """Scores of a batch (n, d), or of one input as a row, and the cache
-    (batch, tanh layer (n, h) or None, derivative of the output nonlinearity);
-    the tanh layer is a transposed view of (h, n) memory."""
+    """Scores of a batch (..., n, d), or of one input as a row, and the
+    cache (batch, tanh layer (..., n, h) or None, derivative of the output
+    nonlinearity); the tanh layer is a transposed view of (..., h, n)
+    memory.  Run axes of params and batch broadcast (module docstring)."""
     arr = np.asarray(x, dtype=float)
     batch = arr[None, :] if arr.ndim == 1 else arr
-    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
+    if batch.ndim < 2 or batch.shape[-1] != model.input_dim:
         raise ValueError(f"input of shape {arr.shape} does not match "
                          f"input_dim={model.input_dim}")
+    lead = _run_axes(model, batch)
     hidden = None
     if model.arch == MLP1_TANH_SIGMOID:
-        hidden_t = np.matmul(model.W, batch.T,
-                             out=_scratch(work, "hidden", (model.hidden_width, len(batch))))
-        hidden_t += model.c[:, None]
+        hidden_t = np.matmul(model.W, batch.mT, out=_scratch(
+            work, "hidden", (*lead, model.hidden_width, batch.shape[-2])))
+        hidden_t += model.c[..., None]
         np.tanh(hidden_t, out=hidden_t)
-        u = _row_major(hidden_t, work) @ model.v
-        hidden = hidden_t.T
+        u = np.matvec(_row_major(hidden_t, work), model.v)
+        hidden = hidden_t.mT
     else:
-        u = np.ascontiguousarray(batch) @ model.v
+        u = np.matvec(np.ascontiguousarray(batch), model.v)
     u = u + model.b
     if model.arch == LINEAR_IDENTITY_CLAMPED:
         f = np.minimum(np.maximum(0.0, u), 1.0)
@@ -222,11 +258,18 @@ def _pre_activation_grad(model, hidden, slope, out, work=None):
     return d_pre
 
 
+def _one_run(model, slope):
+    if model.params.ndim != 1 or slope.ndim != 1:
+        raise ValueError("vector-Jacobian products take one model and one "
+                         "batch, not stacked runs")
+
+
 def vjp_input(model: ScoringModel, cache, d_f, *, work=None):
     """Rows of d_f * (d f / d x), shape (n, d): the input gradient of a loss
     whose derivative with respect to each row's score is d_f.  A transposed
     view of (d, n) memory; ``work`` is the one the cache's pass was given."""
     _, hidden, slope = cache
+    _one_run(model, slope)
     if hidden is None:
         jac = np.multiply.outer(model.v, slope)
     else:
@@ -241,6 +284,7 @@ def vjp_params(model: ScoringModel, cache, d_f):
     """Rows of d_f * (d f / d params), shape (n, P), in the flat layout;
     a row-major copy of (P, n) rows."""
     batch, hidden, slope = cache
+    _one_run(model, slope)
     h, d = model.W.shape  # h = 0 for the linear archs
     grad = np.empty((model.params.size, len(slope)))
     if hidden is not None:
@@ -254,11 +298,15 @@ def vjp_params(model: ScoringModel, cache, d_f):
 
 
 def score(model: ScoringModel, x):
-    """Score an input (shape (d,)) or a batch (shape (n, d)).
+    """Score an input (shape (d,)) or a batch (shape (..., n, d)).
 
-    Returns a float for a single input, an array of shape (n,) for a batch.
-    Output always lies in [0, 1].
+    Returns a float for a single input to one model, an array of shape
+    (...,) for one input to stacked models, and an array of shape (..., n)
+    for a batch.  Output always lies in [0, 1].
     """
     f, _ = forward(model, x)
-    return float(f[0]) if np.ndim(x) == 1 else f
+    if np.ndim(x) != 1:
+        return f
+    f = f[..., 0]
+    return float(f) if f.ndim == 0 else f
 

@@ -52,18 +52,34 @@ def _random_dataset(rng, n_max=20):
 
 # ---------------------------------------------------------------- model
 
-def check_score_range(draws=10_000, seed=0):
+def _range_scores(draws, seed):
+    """Scores of draws // 3 randomly perturbed models of each architecture,
+    each on one random input, in draw order.  Draws are taken in the order
+    of a loop that scores each model as it draws it; the models of one
+    (arch, d) are then scored as stacked one-row runs, each bitwise its own
+    single-model score."""
     rng = np.random.default_rng(seed)
     archs = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
-    lo, hi = np.inf, -np.inf
     per_arch = draws // len(archs)
-    for arch in archs:
-        for _ in range(per_arch):
-            d = int(rng.integers(1, 5))
+    scores = np.empty((len(archs), per_arch))
+    for arch, out in zip(archs, scores):
+        dims = np.empty(per_arch, dtype=int)
+        groups = {}  # d -> (a model of that shape, its draws' params, inputs)
+        for i in range(per_arch):
+            dims[i] = d = int(rng.integers(1, 5))
             m = init_model(arch, d, seed=int(rng.integers(2**31)))
-            m = replace(m, params=m.params + rng.normal(0, 2.0, m.params.shape))
-            f = score(m, rng.uniform(0, 1, size=d))
-            lo, hi = min(lo, f), max(hi, f)
+            _, params, inputs = groups.setdefault(d, (m, [], []))
+            params.append(m.params + rng.normal(0, 2.0, m.params.shape))
+            inputs.append(rng.uniform(0, 1, size=d))
+        for d, (m, params, inputs) in groups.items():
+            out[dims == d] = score(replace(m, params=np.array(params)),
+                                   np.array(inputs)[:, None, :])[:, 0]
+    return scores.ravel()
+
+
+def check_score_range(draws=10_000, seed=0):
+    scores = _range_scores(draws, seed)
+    lo, hi = float(scores.min()), float(scores.max())
     ok = 0.0 <= lo and hi <= 1.0
     return _result("model.score_range", ok, f"range over draws: [{lo:.3g}, {hi:.3g}]")
 

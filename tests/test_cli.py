@@ -315,6 +315,22 @@ class TestVerifyAndGradCheck:
         assert run(["grad-check", "--arch", "linear-sigmoid", "--trials", "20",
                     "--tol", "1e-18", "--seed", "0"]) == 1
 
+    def test_grad_check_prints_checked_trials(self, capsys):
+        assert run(["grad-check", "--arch", "linear-identity-clamped", "--trials", "50",
+                    "--seed", "0"]) == 0
+        fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert fields["trials"] == "50"
+        assert 0 < int(fields["checked"]) < 50
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--trials", "0", "trials"), ("--trials", "-3", "trials"),
+        ("--tol", "inf", "tol"), ("--h", "nan", "h")])
+    def test_grad_check_rejects_bad_settings(self, capsys, flag, value, name):
+        assert run(["grad-check", "--arch", "linear-sigmoid", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "passed=" not in captured.out
+        assert captured.err.startswith(f"error: {name} must be")
+
 
 # The train flag of each TrainConfig field.
 TRAIN_CONFIG_FLAGS = {

@@ -189,3 +189,98 @@ class TestParameterViews:
             fresh = ScoringModel(m.arch, m.params.copy(), m.input_dim, m.hidden_width)
             assert np.array_equal(after, forward(fresh, x)[0])
             assert not np.array_equal(after, before)
+
+
+class TestStackedForward:
+    """Stacked runs: each slice of one pass is bitwise its own call."""
+
+    ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
+
+    @staticmethod
+    def runs(arch, d, r, rng):
+        """r perturbed models of one shape, and the same params stacked."""
+        base = init_model(arch, d, seed=int(rng.integers(2**31)))
+        params = base.params + rng.normal(0.0, 1.0, (r, base.params.size))
+        models = [replace(base, params=params[i].copy()) for i in range(r)]
+        return models, replace(base, params=params)
+
+    @staticmethod
+    def assert_slice(stacked_out, i, single_out):
+        f, (batch, hidden, slope) = stacked_out
+        f1, (batch1, hidden1, slope1) = single_out
+        assert np.array_equal(f[i], f1)
+        assert np.array_equal(np.broadcast_to(batch, (*f.shape[:-1], *batch1.shape))[i],
+                              batch1)
+        assert (hidden is None) == (hidden1 is None)
+        if hidden is not None:
+            assert np.array_equal(hidden[i], hidden1)
+        assert np.array_equal(slope[i], slope1)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slices_match_single_model(self, arch, d):
+        rng = np.random.default_rng(31 + d)
+        for n in (1, 4, 128):
+            for r in (1, 5, 66):
+                models, stacked = self.runs(arch, d, r, rng)
+                xs = rng.uniform(0.0, 1.0, size=(r, n, d))
+                # Stacked params on one shared batch.
+                out = forward(stacked, xs[0])
+                assert out[0].shape == (r, n)
+                for i in range(r):
+                    self.assert_slice(out, i, forward(models[i], xs[0]))
+                # One model on stacked batches.
+                out = forward(models[0], xs)
+                for i in range(r):
+                    self.assert_slice(out, i, forward(models[0], xs[i]))
+                # Stacked params, each on its own batch.
+                out = forward(stacked, xs)
+                for i in range(r):
+                    self.assert_slice(out, i, forward(models[i], xs[i]))
+
+    def test_score_of_one_input_per_run(self):
+        rng = np.random.default_rng(32)
+        models, stacked = self.runs("mlp1-tanh-sigmoid(8)", 2, 4, rng)
+        x = rng.uniform(0.0, 1.0, size=2)
+        f = score(stacked, x)
+        assert f.shape == (4,)
+        assert [float(v) for v in f] == [score(m, x) for m in models]
+        assert isinstance(score(models[0], x), float)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_in_place_edits_reach_stacked_forward(self, arch):
+        rng = np.random.default_rng(33)
+        _, stacked = self.runs(arch, 2, 3, rng)
+        x = rng.uniform(0.0, 1.0, size=(5, 2))
+        before = forward(stacked, x)[0]
+        stacked.params[1, -1] += 0.25
+        after = forward(stacked, x)[0]
+        assert np.array_equal(after[[0, 2]], before[[0, 2]])
+        assert not np.array_equal(after[1], before[1])
+
+    def test_run_axes_must_broadcast(self):
+        rng = np.random.default_rng(34)
+        for arch in self.ARCHS:
+            _, stacked = self.runs(arch, 2, 3, rng)
+            with pytest.raises(ValueError, match="do not broadcast"):
+                forward(stacked, rng.uniform(0.0, 1.0, size=(4, 5, 2)))
+            with pytest.raises(ValueError, match="input_dim"):
+                forward(stacked, rng.uniform(0.0, 1.0, size=(3, 5, 3)))
+            assert forward(stacked, rng.uniform(0.0, 1.0, size=(1, 5, 2)))[0].shape == (3, 5)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_vjps_refuse_stacked_runs(self, arch):
+        rng = np.random.default_rng(35)
+        models, stacked = self.runs(arch, 2, 3, rng)
+        xs = rng.uniform(0.0, 1.0, size=(3, 5, 2))
+        d_f = np.ones((3, 5))
+        for model, batch in ((stacked, xs[0]), (models[0], xs), (stacked, xs)):
+            _, cache = forward(model, batch)
+            with pytest.raises(ValueError, match="stacked"):
+                vjp_input(model, cache, d_f)
+            with pytest.raises(ValueError, match="stacked"):
+                vjp_params(model, cache, d_f)
+        # A one-run cache read through a stacked model is refused too.
+        _, cache = forward(models[0], xs[0])
+        with pytest.raises(ValueError, match="stacked"):
+            vjp_params(stacked, cache, d_f[0])
