@@ -209,18 +209,6 @@ def _row_major(a, work):
     return rows
 
 
-def _run_axes(model, batch):
-    """The broadcast leading (run) axes of a model's params and a batch."""
-    lead_p, lead_x = model.params.shape[:-1], batch.shape[:-2]
-    if not lead_p or not lead_x:
-        return lead_p or lead_x
-    try:
-        return np.broadcast_shapes(lead_p, lead_x)
-    except ValueError:
-        raise ValueError(f"run axes {lead_p} of params and {lead_x} of the "
-                         "batch do not broadcast") from None
-
-
 def forward(model: ScoringModel, x, *, work=None):
     """Scores of a batch (..., n, d), or of one input as a row, and the
     cache (batch, tanh layer (..., n, h) or None, derivative of the output
@@ -231,7 +219,9 @@ def forward(model: ScoringModel, x, *, work=None):
     if batch.ndim < 2 or batch.shape[-1] != model.input_dim:
         raise ValueError(f"input of shape {arr.shape} does not match "
                          f"input_dim={model.input_dim}")
-    lead = _run_axes(model, batch)
+    lead = batch.shape[:-2]  # the run axes, which np.broadcast_shapes checks
+    if model.params.ndim > 1:
+        lead = np.broadcast_shapes(model.params.shape[:-1], lead)
     hidden = None
     if model.arch == MLP1_TANH_SIGMOID:
         hidden_t = np.matmul(model.W, batch.mT, out=_scratch(

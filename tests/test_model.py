@@ -262,7 +262,7 @@ class TestStackedForward:
         rng = np.random.default_rng(34)
         for arch in self.ARCHS:
             _, stacked = self.runs(arch, 2, 3, rng)
-            with pytest.raises(ValueError, match="do not broadcast"):
+            with pytest.raises(ValueError, match="cannot be broadcast"):
                 forward(stacked, rng.uniform(0.0, 1.0, size=(4, 5, 2)))
             with pytest.raises(ValueError, match="input_dim"):
                 forward(stacked, rng.uniform(0.0, 1.0, size=(3, 5, 3)))
