@@ -26,7 +26,9 @@ is exact, and it yields the identity (enforced by the test suite)
 With scores in [0, 1], the optimizers live in a, b in [0, 1] and
 alpha in [-1, 1], so those boxes are the domains enforced here.
 For fixed labels g and dg/df take a per-row coefficient form
-(``_FixedLabelLoss``), which the inner ascent builds once per call.
+(``_FixedLabelLoss``), built once per training iteration or ascent call;
+its ``value`` and ``d_f`` can write into a caller's buffers and share one
+f - c.
 """
 
 from __future__ import annotations
@@ -72,20 +74,28 @@ class _FixedLabelLoss:
         self.c0 = p * (1.0 - p) * aux.alpha**2
         self._d_f_terms = None
 
-    def _value(self, f_c, lf):
-        return self.w * np.square(f_c) + self.k * lf - self.c0
+    def _value(self, f_c, lf, out=None):
+        """g from f - c and l*f, which it scales by k in place."""
+        g = np.square(f_c, out=out)
+        g *= self.w
+        lf *= self.k
+        g += lf
+        g -= self.c0
+        return g
 
-    def _d_f(self, f_c):
+    def value(self, f, out=None, f_c=None, lf=None):
+        """g at scores f.  Given buffers, g goes to ``out``, f - c (which
+        ``d_f`` reads) to ``f_c`` and k*(l*f) to ``lf``."""
+        return self._value(np.subtract(f, self.c, out=f_c), np.multiply(self.l, f, out=lf), out)
+
+    def d_f(self, f_c, out=None):
+        """dg/df from f - c, as ``value`` leaves it in ``f_c``."""
         if self._d_f_terms is None:  # 2w and k*l, once per object
             self._d_f_terms = (2.0 * self.w, self.k * self.l)
         two_w, kl = self._d_f_terms
-        return two_w * f_c + kl
-
-    def value(self, f):
-        return self._value(f - self.c, self.l * f)
-
-    def d_f(self, f):
-        return self._d_f(f - self.c)
+        d_f = np.multiply(two_w, f_c, out=out)
+        d_f += kl
+        return d_f
 
     def value_and_grads(self, f):
         """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f, all from one
@@ -97,7 +107,7 @@ class _FixedLabelLoss:
         d_b = -2.0 * p * (f - aux.b) * (~self.pos)
         # + 0.0 * f broadcasts to the input shape and turns -0.0 into 0.0.
         d_alpha = 2.0 * lf - 2.0 * p * (1.0 - p) * aux.alpha + 0.0 * f
-        return self._value(f_c, lf), self._d_f(f_c), d_a, d_b, d_alpha
+        return self._value(f_c, lf), self.d_f(f_c), d_a, d_b, d_alpha
 
 
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):

@@ -8,8 +8,8 @@ Three small architectures map feature vectors in [0,1]^d to a score in
     linear-identity-clamped   f(x) = clamp(w.x + b, 0, 1)
 
 One ``forward`` pass returns the scores and a cache that the input and
-parameter vector-Jacobian products read; ``score`` wraps it for callers
-that need only the scores.  A model unpacks its parameter vector once,
+parameter vector-Jacobian products read; ``score`` runs the same pass
+without the cache's slope, for callers that need only the scores.  A model unpacks its parameter vector once,
 when it is built, into views that these functions read (``W``, ``WT``,
 ``c``, ``v`` and the bias ``b``), so an in-place edit of ``params`` is
 seen by the next pass.
@@ -40,11 +40,19 @@ gradient's product with W) to a BLAS matrix-vector kernel that rounds by
 its matrix's layout and blocks its rows, so these run on row-major
 copies.  And ``vjp_params`` returns a row-major (n, P) array, on which a
 mean over rows sums in sequence.  So every output is bitwise what
-row-major passes give.  Passes over batches of one shape may share a
-``work`` dict that keeps their (h, n) arrays (the tanh layer,
-d f / d (Wx + c), and one spare that the row-major copy and the vjp's
-outer product take in turn); each pass then overwrites the previous
-one's cache.
+row-major passes give.
+
+``forward``, ``score`` and ``vjp_input`` check their inputs, then run
+the passes of a ``_Passes`` bound to the model for that one call, and
+return arrays of their own.  A caller that makes many passes over
+batches of one shape, as the inner ascent does, binds them once instead:
+the parameter views in pass shape, and one buffer for each array a pass
+writes, which the first pass allocates and every later pass overwrites.
+``scores`` writes the tanh layer (h, n), its row-major copy, u and f;
+``output_slope`` the slope; ``input_grad`` d f / d (Wx + c) (h, n), the
+outer product of v and the slope (h, n) and the (d, n) gradient.  Such a
+caller must not hold f, the slope, the tanh layer or the gradient across
+passes: the next pass overwrites them.
 
 Gradients are hand-written (no autodiff framework) and checked against
 central finite differences in the test suite.  The tanh hidden activation
@@ -61,7 +69,6 @@ boundary, where no two-sided derivative exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,86 +173,135 @@ def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
     name, width = parse_arch(arch)
     if input_dim < 1:
         raise ConfigError("input_dim must be >= 1")
-    rng = np.random.default_rng(seed)
+    params = _init_params(name, input_dim, width, np.random.default_rng(seed))
+    return ScoringModel(name, params, input_dim, width)
+
+
+def _init_params(name: str, input_dim: int, width: int, rng: np.random.Generator):
+    """``init_model``'s parameter vector for a parsed arch, drawn from rng."""
     if name in (LINEAR_SIGMOID, LINEAR_IDENTITY_CLAMPED):
         s = 1.0 / np.sqrt(input_dim)
-        w = rng.uniform(-s, s, size=input_dim)
-        params = np.concatenate([w, [0.0]])
-        return ScoringModel(name, params, input_dim)
+        return np.concatenate([rng.uniform(-s, s, size=input_dim), [0.0]])
     s_in = 1.0 / np.sqrt(input_dim)
     s_hid = 1.0 / np.sqrt(width)
     w_hidden = rng.uniform(-s_in, s_in, size=(width, input_dim))
     v = rng.uniform(-s_hid, s_hid, size=width)
-    params = np.concatenate([w_hidden.ravel(), np.zeros(width), v, [0.0]])
-    return ScoringModel(name, params, input_dim, width)
+    return np.concatenate([w_hidden.ravel(), np.zeros(width), v, [0.0]])
 
 
-def _sigmoid(u):
-    # The clamp keeps exp finite for wildly scaled parameters; sigmoid
-    # saturates to 0/1 well before it engages.  np.maximum(lo, .) then
-    # np.minimum(., hi) give np.clip's values, NaN and -0.0 included,
-    # without its wrapper's cost.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(-500.0, u), 500.0)))
+def _row_major(a, out=None):
+    """A row-major copy of a, for a matrix-vector product; written to out
+    if given, else to a new array (never a itself, which later passes
+    would overwrite)."""
+    if out is None:
+        return np.array(a, order="C")
+    np.copyto(out, a)
+    return out
 
 
-def _scratch(work, key, shape):
-    """A view, shaped ``shape``, of the flat array the dict ``work`` keeps
-    under ``key``, made on first use; None without a dict, for a NumPy
-    ``out=`` that allocates."""
-    if work is None:
-        return None
-    if key not in work:
-        work[key] = np.empty(math.prod(shape))
-    return work[key].reshape(shape)
+class _Passes:
+    """A model's passes over batches of one shape, (..., n, d), bound once:
+    the parameter views in pass shape (W, WT, c as (h, 1), v, b) and one
+    buffer for every array a pass writes.  The first pass allocates each
+    buffer (as its ufunc's ``out``, which starts as None) and every later
+    pass writes into it (module docstring)."""
+
+    __slots__ = ("W", "WT", "c", "v", "b", "mlp", "clamped", "hidden", "rows", "u",
+                 "f", "slope", "d_pre", "outer", "jac")
+
+    def __init__(self, model: ScoringModel):
+        self.W, self.WT, self.c, self.v, self.b = (model.W, model.WT, model.c[..., None],
+                                                   model.v, model.b)
+        self.mlp = model.arch == MLP1_TANH_SIGMOID
+        self.clamped = model.arch == LINEAR_IDENTITY_CLAMPED
+        self.hidden = self.rows = self.u = self.f = self.slope = None
+        self.d_pre = self.outer = self.jac = None
+
+    def scores(self, xT):
+        """Scores f (..., n) of the feature-major batch xT (..., d, n)."""
+        if self.mlp:
+            xT = self.hidden = np.matmul(self.W, xT, out=self.hidden)
+            xT += self.c
+            np.tanh(xT, out=xT)
+        rows = self.rows = _row_major(xT.mT, self.rows)
+        u = self.u = np.matvec(rows, self.v, out=self.u)
+        u += self.b
+        if self.clamped:
+            f = self.f = np.maximum(0.0, u, out=self.f)
+            return np.minimum(f, 1.0, out=f)
+        # The clamp keeps exp finite for wildly scaled parameters; sigmoid
+        # saturates to 0/1 well before it engages.  np.maximum(lo, .) then
+        # np.minimum(., hi) give np.clip's values, NaN and -0.0 included,
+        # without its wrapper's cost.
+        f = self.f = np.maximum(-500.0, u, out=self.f)
+        np.minimum(f, 500.0, out=f)
+        np.negative(f, out=f)
+        np.exp(f, out=f)
+        f += 1.0
+        return np.divide(1.0, f, out=f)
+
+    def output_slope(self):
+        """d f / d u at the last scores: f * (1 - f), or for the clamp 1.0
+        on its ramp, ends included, where f == u exactly, and 0.0 off it."""
+        if self.clamped:
+            if self.slope is None:
+                self.slope = np.empty_like(self.f)
+            return np.equal(self.f, self.u, out=self.slope)
+        slope = self.slope = np.subtract(1.0, self.f, out=self.slope)
+        slope *= self.f
+        return slope
+
+    def input_grad(self, d_f, hidden, slope):
+        """d_f * (d f / d x) as a (d, n) array, from one pass's tanh layer
+        ``hidden`` (h, n) (None for the linear archs) and slope."""
+        if hidden is None:
+            jac = self.jac = np.multiply.outer(self.v, slope, out=self.jac)
+        else:
+            d_pre, self.outer = _pre_activation_grad(self.v, hidden, slope,
+                                                     self.d_pre, self.outer)
+            self.d_pre = d_pre
+            if len(self.WT) > 1:
+                jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
+            else:  # d = 1: a matrix-vector product
+                rows = self.rows = _row_major(d_pre.T, self.rows)
+                self.jac = np.matmul(rows, self.W, out=self.jac)
+                jac = self.jac.T
+        jac *= d_f
+        return jac
 
 
-def _row_major(a, work):
-    """Row-major copy of a with its last two axes swapped, for a
-    matrix-vector product."""
-    if work is None:
-        return np.ascontiguousarray(a.mT)
-    rows = _scratch(work, "spare", a.mT.shape)
-    np.copyto(rows, a.mT)
-    return rows
-
-
-def forward(model: ScoringModel, x, *, work=None):
-    """Scores of a batch (..., n, d), or of one input as a row, and the
-    cache (batch, tanh layer (..., n, h) or None, derivative of the output
-    nonlinearity); the tanh layer is a transposed view of (..., h, n)
-    memory.  Run axes of params and batch broadcast (module docstring)."""
+def _batch(model: ScoringModel, x):
+    """x as a batch (..., n, d), one input as a row."""
     arr = np.asarray(x, dtype=float)
     batch = arr[None, :] if arr.ndim == 1 else arr
     if batch.ndim < 2 or batch.shape[-1] != model.input_dim:
         raise ValueError(f"input of shape {arr.shape} does not match "
                          f"input_dim={model.input_dim}")
-    lead = batch.shape[:-2]  # the run axes, which np.broadcast_shapes checks
-    if model.params.ndim > 1:
-        lead = np.broadcast_shapes(model.params.shape[:-1], lead)
-    hidden = None
-    if model.arch == MLP1_TANH_SIGMOID:
-        hidden_t = np.matmul(model.W, batch.mT, out=_scratch(
-            work, "hidden", (*lead, model.hidden_width, batch.shape[-2])))
-        hidden_t += model.c[..., None]
-        np.tanh(hidden_t, out=hidden_t)
-        u = np.matvec(_row_major(hidden_t, work), model.v)
-        hidden = hidden_t.mT
-    else:
-        u = np.matvec(np.ascontiguousarray(batch), model.v)
-    u = u + model.b
-    if model.arch == LINEAR_IDENTITY_CLAMPED:
-        f = np.minimum(np.maximum(0.0, u), 1.0)
-        return f, (batch, None, ((u >= 0.0) & (u <= 1.0)).astype(float))
-    f = _sigmoid(u)
-    return f, (batch, hidden, f * (1.0 - f))
+    if model.params.ndim > 1:  # run axes that do not broadcast raise
+        np.broadcast_shapes(model.params.shape[:-1], batch.shape[:-2])
+    return batch
 
 
-def _pre_activation_grad(model, hidden, slope, out, work=None):
-    """d f / d (Wx + c) for the mlp as (h, n), written to out if given."""
-    d_pre = np.square(hidden.T, out=out)
+def forward(model: ScoringModel, x):
+    """Scores of a batch (..., n, d), or of one input as a row, and the
+    cache (batch, tanh layer (..., n, h) or None, derivative of the output
+    nonlinearity); the tanh layer is a transposed view of (..., h, n)
+    memory.  Run axes of params and batch broadcast (module docstring)."""
+    batch = _batch(model, x)
+    passes = _Passes(model)
+    f = passes.scores(batch.mT)
+    hidden = None if passes.hidden is None else passes.hidden.mT
+    return f, (batch, hidden, passes.output_slope())
+
+
+def _pre_activation_grad(v, hidden, slope, out=None, outer=None):
+    """d f / d (Wx + c) for the mlp as (h, n), from the tanh layer hidden
+    (h, n), and the outer product of v and slope it is made from."""
+    d_pre = np.square(hidden, out=out)
     np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= np.multiply.outer(model.v, slope, out=_scratch(work, "spare", d_pre.shape))
-    return d_pre
+    outer = np.multiply.outer(v, slope, out=outer)
+    d_pre *= outer
+    return d_pre, outer
 
 
 def _one_run(model, slope):
@@ -254,20 +310,13 @@ def _one_run(model, slope):
                          "batch, not stacked runs")
 
 
-def vjp_input(model: ScoringModel, cache, d_f, *, work=None):
+def vjp_input(model: ScoringModel, cache, d_f):
     """Rows of d_f * (d f / d x), shape (n, d): the input gradient of a loss
     whose derivative with respect to each row's score is d_f.  A transposed
-    view of (d, n) memory; ``work`` is the one the cache's pass was given."""
+    view of (d, n) memory."""
     _, hidden, slope = cache
     _one_run(model, slope)
-    if hidden is None:
-        jac = np.multiply.outer(model.v, slope)
-    else:
-        d_pre = _pre_activation_grad(model, hidden, slope,
-                                     _scratch(work, "d_pre", hidden.T.shape), work)
-        jac = model.WT @ d_pre if model.input_dim > 1 else (_row_major(d_pre, work) @ model.W).T
-    jac *= d_f
-    return jac.T
+    return _Passes(model).input_grad(d_f, None if hidden is None else hidden.T, slope).T
 
 
 def vjp_params(model: ScoringModel, cache, d_f):
@@ -278,7 +327,7 @@ def vjp_params(model: ScoringModel, cache, d_f):
     h, d = model.W.shape  # h = 0 for the linear archs
     grad = np.empty((model.params.size, len(slope)))
     if hidden is not None:
-        d_pre = _pre_activation_grad(model, hidden, slope, grad[h * d : h * d + h])
+        d_pre, _ = _pre_activation_grad(model.v, hidden.T, slope, grad[h * d : h * d + h])
         np.multiply(d_pre[:, None, :], batch.T, out=grad[: h * d].reshape(h, d, len(slope)))
     # The output layer's weights and bias, after the mlp's hidden layer.
     np.multiply(batch.T if hidden is None else hidden.T, slope, out=grad[h * d + h : -1])
@@ -294,7 +343,8 @@ def score(model: ScoringModel, x):
     (...,) for one input to stacked models, and an array of shape (..., n)
     for a batch.  Output always lies in [0, 1].
     """
-    f, _ = forward(model, x)
+    batch = _batch(model, x)
+    f = _Passes(model).scores(batch.mT)
     if np.ndim(x) != 1:
         return f
     f = f[..., 0]

@@ -8,7 +8,10 @@ computed here by K-step projected gradient ascent started at x' = x.  The
 returned value is the best penalized objective seen along the iterates
 (including the start), so phi_lam(z) >= g(z) holds for every lam, and the
 value collapses to g(z) as lam grows.  Perturbations never change labels:
-the transport cost across labels is infinite.
+the transport cost across labels is infinite.  Each ascent call binds
+its K+1 passes once (the model's views and buffers, the loss's per-row
+terms and the iterates), and skips the penalty's work where the penalty
+is +0.0: with every multiplier 0, and at the start (``attack_batch``).
 
 Desk-scale oracles back the solver.  The three 1-D ones read one
 per-point frontier: the undominated (destination, squared cost, loss)
@@ -36,7 +39,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney, surrogate_loss
-from .model import ScoringModel, forward, score, vjp_input
+from .model import ScoringModel, _Passes, score
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,26 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
                  x_batch: np.ndarray, y_batch, cfg: AttackConfig):
     """Ascent on the penalized objective under one multiplier ``lam`` or
     one per row.  The forward pass at an iterate gives both its value and
-    the next step's gradient: K+1 passes in all.  The loss's per-row
-    coefficients and the penalty's 2*lam are built once per call.
+    the next step's gradient: K+1 passes in all.
 
-    The start, the iterate and the best iterate are (d, n) arrays, so each
-    elementwise pass runs along the batch, and the K+1 steps reuse them and
-    the model's ``work`` arrays in place.  A row's squared cost sums its d
-    terms in sequence, as a row-major sum does for d < 8 (NumPy sums longer
-    contiguous rows pairwise).
+    Each call binds what its passes read and write once: the model's views
+    in pass shape and its pass buffers (``model._Passes``), the loss's
+    per-row terms, 2*lam, and (d, n) arrays for the start, the iterate,
+    the best iterate, the step and its square, so each elementwise pass
+    runs along the batch and every ufunc writes in place.  One f - c
+    serves the value and dg/df, and the last pass takes no slope.  A row's
+    squared cost sums its d terms in sequence, as a row-major sum does for
+    d < 8 (NumPy sums longer contiguous rows pairwise).
+
+    The penalty's work (the step x - x0, its cost, ``vals -= lam*cost``
+    and ``grad -= 2*lam*dx``) is skipped where it changes no bit: when
+    every multiplier is 0, and at the start, where every cost is +0.0.
+    There lam*cost is +0.0 (or -0.0 under a multiplier of -0.0), and
+    v - (+-0.0) is v for every value v, since no value is -0.0:
+    w*(f - c)**2 is never -0.0, and x - x is +0.0.  grad - 2*lam*dx then
+    differs from grad at most in the sign of a zero; x + (+-0.0) is x for
+    every iterate x in [0, 1] but -0.0, and np.maximum(0.0, .) maps -0.0
+    to +0.0 either way.
 
     Returns (values, x_adv) where each row of the row-major (n, d) array
     x_adv is the best iterate seen for that example (the start point
@@ -96,39 +111,51 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     """
     x0 = np.asarray(x_batch, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape not in ((), x0.shape[:1]) or (lam < 0.0).any():
-        raise ValueError(f"lam must be >= 0, one value or one per row, got {lam}")
+    if lam.shape not in ((), x0.shape[:1]) or not ((0.0 <= lam) & (lam < math.inf)).all():
+        raise ValueError(f"lam must be finite and >= 0, one value or one per row, got {lam}")
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
     loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)))
-    two_lam = 2.0 * lam
+    values, x_adv, _ = _ascent(model, loss, lam, x0, cfg)
+    return values, x_adv
 
+
+def _ascent(model, loss, lam, x0, cfg):
+    """``attack_batch`` on checked inputs, with the batch's loss built:
+    (values, x_adv, scores of the start)."""
+    n = x0.shape[0]
+    passes = _Passes(model)
     start = x0.T.copy()
     x_cur, best_x = start.copy(), start.copy()
-    dx, sq = np.empty_like(start), np.empty_like(start)
-    cost, improved = np.empty(x0.shape[0]), np.empty(x0.shape[0], dtype=bool)
-    work = {}
+    f_c, lf, vals, best_val, d_f = np.empty((5, n))
+    improved = np.empty(n, dtype=bool)
+    penalized = bool(lam.any())
+    if penalized:
+        two_lam = 2.0 * lam
+        dx, sq, cost = np.empty_like(start), np.empty_like(start), np.empty(n)
     for k in range(cfg.steps + 1):
-        f, cache = forward(model, x_cur.T, work=work)
-        np.subtract(x_cur, start, out=dx)
-        np.add.reduce(np.square(dx, out=sq), axis=0, out=cost)
-        vals = loss.value(f)
-        vals -= np.multiply(lam, cost, out=cost)
+        f = passes.scores(x_cur)
+        loss.value(f, vals, f_c, lf)
+        if penalized and k:
+            np.subtract(x_cur, start, out=dx)
+            np.add.reduce(np.square(dx, out=sq), axis=0, out=cost)
+            vals -= np.multiply(lam, cost, out=cost)
         if k == 0:  # the original point is the first candidate
-            best_val = vals
+            f_start = f.copy()
+            np.copyto(best_val, vals)
         else:
             np.greater(vals, best_val, out=improved)
             np.copyto(best_val, vals, where=improved)
             np.copyto(best_x, x_cur, where=improved)
         if k == cfg.steps:
             break
-        grad = vjp_input(model, cache, loss.d_f(f), work=work).T
-        cache = None  # the next pass must not hold two caches at once
-        grad -= np.multiply(two_lam, dx, out=dx)
+        grad = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden, passes.output_slope())
+        if penalized and k:
+            grad -= np.multiply(two_lam, dx, out=dx)
         grad *= cfg.step_size
         x_cur += grad
         np.minimum(np.maximum(0.0, x_cur, out=x_cur), 1.0, out=x_cur)
-    return best_val, best_x.T.copy()
+    return best_val, best_x.T.copy(), f_start
 
 
 def robust_surrogate(model: ScoringModel, aux: AuxParams, p_hat: float,

@@ -47,8 +47,8 @@ import numpy as np
 
 from .data import Dataset
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
-from .model import ScoringModel, forward, score, vjp_params
-from .robust import GROUP_SUFFIXES, AttackConfig, DualState, attack_batch
+from .model import ScoringModel, forward, vjp_params
+from .robust import GROUP_SUFFIXES, AttackConfig, DualState, _ascent
 
 VARIANTS = ("df", "da", "aucm-baseline")
 
@@ -190,8 +190,7 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
         else:
             group = label_group[y_batch]
             lam_rows = lam[group]
-            _, x_adv = attack_batch(model, aux_t, p_hat, lam_rows,
-                                    x_batch, y_batch, attack_cfg)
+            _, x_adv, f_nom = _ascent(model, loss, lam_rows, x_batch, attack_cfg)
             costs = np.add.reduce((x_adv - x_batch) ** 2, axis=1)
             mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
                           for c in (costs[group == g] for g in range(budgets.size))]
@@ -203,7 +202,8 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
         objective = float(np.add.reduce(lam * budgets)) + float(np.add.reduce(g_adv) / n)
 
         if 0 < n_pos < n:
-            f_nom = f_adv if attack_cfg is None else score(model, x_batch)
+            if attack_cfg is None:
+                f_nom = f_adv  # else the ascent's first pass scored x_batch
             batch_auc = auc_mann_whitney(f_nom[loss.pos], f_nom[~loss.pos])
         else:
             batch_auc = 0.5  # no ranked pairs in a single-class batch

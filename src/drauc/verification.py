@@ -19,7 +19,7 @@ from .gradcheck import grad_check
 from .losses import (AuxParams, auc_mann_whitney, closed_form_aux,
                      pairwise_sq_risk, saddle_value, surrogate_loss,
                      surrogate_loss_grads)
-from .model import init_model, score, ScoringModel
+from .model import init_model, _init_params, parse_arch, score, ScoringModel
 from .robust import (AttackConfig, barycenter_attack,
                      brute_force_worst_case, dual_curve, min_cost_flip_search,
                      robust_surrogate, robust_surrogate_exact_1d)
@@ -55,25 +55,26 @@ def _random_dataset(rng, n_max=20):
 def _range_scores(draws, seed):
     """Scores of draws // 3 randomly perturbed models of each architecture,
     each on one random input, in draw order.  Draws are taken in the order
-    of a loop that scores each model as it draws it; the models of one
-    (arch, d) are then scored as stacked one-row runs, each bitwise its own
-    single-model score."""
+    of a loop that builds each model with ``init_model`` and scores it as
+    it draws it; the draws of one (arch, d) are then scored as stacked
+    one-row runs of one model, each bitwise its own single-model score."""
     rng = np.random.default_rng(seed)
     archs = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
     per_arch = draws // len(archs)
     scores = np.empty((len(archs), per_arch))
     for arch, out in zip(archs, scores):
+        name, width = parse_arch(arch)
         dims = np.empty(per_arch, dtype=int)
-        groups = {}  # d -> (a model of that shape, its draws' params, inputs)
+        groups = {}  # d -> (its draws' params, inputs)
         for i in range(per_arch):
             dims[i] = d = int(rng.integers(1, 5))
-            m = init_model(arch, d, seed=int(rng.integers(2**31)))
-            _, params, inputs = groups.setdefault(d, (m, [], []))
-            params.append(m.params + rng.normal(0, 2.0, m.params.shape))
+            init = _init_params(name, d, width, np.random.default_rng(int(rng.integers(2**31))))
+            params, inputs = groups.setdefault(d, ([], []))
+            params.append(init + rng.normal(0, 2.0, init.shape))
             inputs.append(rng.uniform(0, 1, size=d))
-        for d, (m, params, inputs) in groups.items():
-            out[dims == d] = score(replace(m, params=np.array(params)),
-                                   np.array(inputs)[:, None, :])[:, 0]
+        for d, (params, inputs) in groups.items():
+            model = ScoringModel(name, np.array(params), d, width)
+            out[dims == d] = score(model, np.array(inputs)[:, None, :])[:, 0]
     return scores.ravel()
 
 

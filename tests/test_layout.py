@@ -1,7 +1,8 @@
 """The feature-major model passes and ascent against row-major copies.
 
 ``forward``, ``vjp_input``, ``vjp_params`` and ``attack_batch`` run their
-elementwise work on (features, rows) arrays.  The copies below do the same
+elementwise work on (features, rows) arrays, the ascent in buffers bound
+once per call.  The copies below do the same
 arithmetic on (rows, features) arrays, as the package did before; every
 output must match them bit for bit, across batch sizes that cross BLAS
 blocking edges.
@@ -13,7 +14,10 @@ import numpy as np
 import pytest
 
 from drauc import (AttackConfig, AuxParams, attack_batch, forward, init_model,
-                   vjp_input, vjp_params)
+                   score, vjp_input, vjp_params)
+from drauc.losses import _FixedLabelLoss
+from drauc.model import _Passes
+from drauc.robust import _ascent
 
 ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
 DIMS = [1, 2, 3]
@@ -137,15 +141,27 @@ class TestFeatureMajorMatchesRowMajor:
         assert same_bytes(np.ascontiguousarray(vjp_input(model, want_cache, d_f)), want_in)
 
     def test_shared_work_arrays(self, arch, d, n):
+        # One binding serves the passes over every batch of its shape, as in
+        # the ascent; each pass overwrites the previous one's buffers.
         model, x, _, rng = instance(arch, d, n)
         d_f = rng.normal(size=n)
-        work = {}
+        passes = _Passes(model)
         for batch in (x, rng.uniform(0.0, 1.0, size=x.shape)):
-            f, cache = forward(model, batch, work=work)
-            got = np.ascontiguousarray(vjp_input(model, cache, d_f, work=work))
+            f = passes.scores(np.ascontiguousarray(batch.T))
+            got = passes.input_grad(d_f, passes.hidden, passes.output_slope())
             want_f, want_cache = row_major_forward(model, batch)
             assert same_bytes(f, want_f)
-            assert same_bytes(got, row_major_vjp_input(model, want_cache, d_f))
+            assert same_bytes(np.ascontiguousarray(got.T),
+                              row_major_vjp_input(model, want_cache, d_f))
+
+    def test_start_scores_match_score(self, arch, d, n):
+        # Training reads the batch's scores off the ascent's first pass.
+        model, x, y, _ = instance(arch, d, n)
+        loss = _FixedLabelLoss(AUX, P_HAT, y)
+        for lam in (0.0, 0.7):
+            *_, f_start = _ascent(model, loss, np.asarray(lam), x,
+                                  AttackConfig(steps=2, step_size=1.0))
+            assert same_bytes(f_start, score(model, x))
 
     def test_ascent(self, arch, d, n):
         model, x, y, _ = instance(arch, d, n)

@@ -211,6 +211,15 @@ class TestAttackBatch:
         with pytest.raises(ValueError):
             attack_batch(model, aux, 0.4, -0.1, x, y, cfg)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, "one NaN row"])
+    def test_non_finite_multiplier_rejected(self, lam):
+        model, aux, x, y = attack_instance("linear-sigmoid", 33)
+        if lam == "one NaN row":
+            lam = np.full(x.shape[0], 0.1)
+            lam[1] = math.nan
+        with pytest.raises(ValueError, match="lam must be finite"):
+            attack_batch(model, aux, 0.4, lam, x, y, AttackConfig())
+
     @pytest.mark.parametrize("arch", ARCHS)
     def test_scalar_multiplier_as_before(self, arch):
         model, aux, x, y = attack_instance(arch, 34)
@@ -258,6 +267,37 @@ class TestAttackBatch:
                     projected += n_projected
                     earlier += n_earlier
         assert projected > 0 and earlier > 0
+
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_zero_multipliers_match_references_bitwise(self, arch):
+        # Every multiplier 0: the ascent skips the penalty's work.  Rows
+        # start on both box faces, and step sizes up to 3 leave them and
+        # overshoot the best iterate.
+        model, aux, x, y = attack_instance(arch, 36, n=40)
+        x[0], x[1], x[2, 0], x[3, 1] = 0.0, 1.0, 0.0, 1.0
+        models = [model]
+        if arch == "linear-identity-clamped":
+            models = [replace(model, params=np.array([0.9, 0.7, -0.3]))]
+        if arch.startswith("mlp"):
+            # Output pre-activations beyond +-500 on some rows, where the
+            # sigmoid's clamp engages.
+            steep = replace(model, params=np.concatenate(
+                [model.params[:-5], 400.0 * model.params[-5:-1], [-300.0]]))
+            assert np.abs(forward(steep, x)[1][1] @ steep.v + steep.b).max() > 500.0
+            models.append(steep)
+        projected = 0
+        for m in models:
+            for step_size in (0.2, 1.0, 3.0):
+                cfg = AttackConfig(steps=8, step_size=step_size)
+                want = three_pass_ascent(m, aux, 0.4, 0.0, x, y, cfg)
+                for lam in (0.0, np.zeros(x.shape[0])):
+                    got = attack_batch(m, aux, 0.4, lam, x, y, cfg)
+                    *masked, n_projected, _ = masked_ascent(m, aux, 0.4, lam, x, y, cfg)
+                    for g, w, v in zip(got, want, masked):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes() == v.tobytes()
+                    projected += n_projected
+        assert projected > 0
 
 
 def example1_style_instance():

@@ -349,3 +349,25 @@ class TestLoopBitwise:
         if variant == "da":
             absent = [rec["mean_cost_neg"] is None for rec in state.history]
             assert any(absent) and not all(absent)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("arch", ["mlp1-tanh-sigmoid(8)", "linear-sigmoid"])
+@pytest.mark.parametrize("variant", ["da", "df"])
+def test_batch_auc_replays_from_data(variant, arch, d):
+    # The loop's only use of its rng is sample_batch, so the batches replay;
+    # each record's batch_auc is the AUC of its batch under its theta.
+    from drauc import make_long_tailed
+    ds = make_long_tailed(gen_synthetic(400, d, seed=40 + d), 0.1, seed=40 + d)
+    cfg = TrainConfig(variant=variant, iters=200, batch_size=32, eps=0.5, seed=41)
+    model = init_model(arch, d, 41)
+    state = train(ds, cfg, model)
+    rng = np.random.default_rng(cfg.seed)
+    for rec in state.history:
+        idx = sample_batch(ds, cfg.batch_size, rng)
+        f = score(replace(model, params=rec["theta"]), ds.features[idx])
+        pos = ds.labels[idx] == 1
+        assert auc_mann_whitney(f[pos], f[~pos]) == rec["batch_auc"], rec["iteration"]
+    # The multipliers start at 1 and end at 0: both ascent paths ran.
+    lams = [v for key, v in state.history[-1].items() if key.startswith("lam")]
+    assert lams and not any(lams)
