@@ -49,10 +49,11 @@ batches of one shape, as the inner ascent does, binds them once instead:
 the parameter views in pass shape, and one buffer for each array a pass
 writes, which the first pass allocates and every later pass overwrites.
 ``scores`` writes the tanh layer (h, n), its row-major copy, u and f;
-``output_slope`` the slope; ``input_grad`` d f / d (Wx + c) (h, n), the
-outer product of v and the slope (h, n) and the (d, n) gradient.  Such a
-caller must not hold f, the slope, the tanh layer or the gradient across
-passes: the next pass overwrites them.
+``output_slope`` the slope; ``input_grad`` d f / d (Wx + c) (h, n) and
+the (d, n) gradient, and it forms the outer product of v and the slope
+(h, n) in the row-major copy's memory, which no later step of the pass
+reads.  Such a caller must not hold f, the slope, the tanh layer or the
+gradient across passes: the next pass overwrites them.
 
 Gradients are hand-written (no autodiff framework) and checked against
 central finite differences in the test suite.  The tanh hidden activation
@@ -257,9 +258,10 @@ class _Passes:
         if hidden is None:
             jac = self.jac = np.multiply.outer(self.v, slope, out=self.jac)
         else:
-            d_pre, self.outer = _pre_activation_grad(self.v, hidden, slope,
-                                                     self.d_pre, self.outer)
-            self.d_pre = d_pre
+            if self.outer is None and self.rows is not None:
+                self.outer = self.rows.reshape(hidden.shape)  # free by now
+            d_pre = self.d_pre = _pre_activation_grad(self.v, hidden, slope,
+                                                      self.d_pre, self.outer)
             if len(self.WT) > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
             else:  # d = 1: a matrix-vector product
@@ -296,12 +298,12 @@ def forward(model: ScoringModel, x):
 
 def _pre_activation_grad(v, hidden, slope, out=None, outer=None):
     """d f / d (Wx + c) for the mlp as (h, n), from the tanh layer hidden
-    (h, n), and the outer product of v and slope it is made from."""
+    (h, n); written to ``out``, and the outer product of v and slope it is
+    made from to ``outer``, if given."""
     d_pre = np.square(hidden, out=out)
     np.subtract(1.0, d_pre, out=d_pre)
-    outer = np.multiply.outer(v, slope, out=outer)
-    d_pre *= outer
-    return d_pre, outer
+    d_pre *= np.multiply.outer(v, slope, out=outer)
+    return d_pre
 
 
 def _one_run(model, slope):
@@ -327,7 +329,7 @@ def vjp_params(model: ScoringModel, cache, d_f):
     h, d = model.W.shape  # h = 0 for the linear archs
     grad = np.empty((model.params.size, len(slope)))
     if hidden is not None:
-        d_pre, _ = _pre_activation_grad(model.v, hidden.T, slope, grad[h * d : h * d + h])
+        d_pre = _pre_activation_grad(model.v, hidden.T, slope, grad[h * d : h * d + h])
         np.multiply(d_pre[:, None, :], batch.T, out=grad[: h * d].reshape(h, d, len(slope)))
     # The output layer's weights and bias, after the mlp's hidden layer.
     np.multiply(batch.T if hidden is None else hidden.T, slope, out=grad[h * d + h : -1])

@@ -8,10 +8,14 @@ computed here by K-step projected gradient ascent started at x' = x.  The
 returned value is the best penalized objective seen along the iterates
 (including the start), so phi_lam(z) >= g(z) holds for every lam, and the
 value collapses to g(z) as lam grows.  Perturbations never change labels:
-the transport cost across labels is infinite.  Each ascent call binds
-its K+1 passes once (the model's views and buffers, the loss's per-row
+the transport cost across labels is infinite.  An ascent binds its K+1
+passes once per batch (the model's views and buffers, the loss's per-row
 terms and the iterates), and skips the penalty's work where the penalty
 is +0.0: with every multiplier 0, and at the start (``attack_batch``).
+So its first step, up to the first iterate's value and input gradient,
+reads no multiplier: it runs once per batch, and each multiplier's ascent
+continues from there.  The robust-AUC bisection runs its 62 multipliers
+from one such start.
 
 Desk-scale oracles back the solver.  The three 1-D ones read one
 per-point frontier: the undominated (destination, squared cost, loss)
@@ -86,14 +90,14 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     one per row.  The forward pass at an iterate gives both its value and
     the next step's gradient: K+1 passes in all.
 
-    Each call binds what its passes read and write once: the model's views
+    The call binds the ascent once (``_BoundAscent``): the model's views
     in pass shape and its pass buffers (``model._Passes``), the loss's
-    per-row terms, 2*lam, and (d, n) arrays for the start, the iterate,
-    the best iterate, the step and its square, so each elementwise pass
-    runs along the batch and every ufunc writes in place.  One f - c
-    serves the value and dg/df, and the last pass takes no slope.  A row's
-    squared cost sums its d terms in sequence, as a row-major sum does for
-    d < 8 (NumPy sums longer contiguous rows pairwise).
+    per-row terms, and (d, n) arrays for the start, the iterate, the best
+    iterate, the step and its square, so each elementwise pass runs along
+    the batch and every ufunc writes in place.  One f - c serves the value
+    and dg/df, and the last pass takes no slope.  A row's squared cost
+    sums its d terms in sequence, as a row-major sum does for d < 8 (NumPy
+    sums longer contiguous rows pairwise).
 
     The penalty's work (the step x - x0, its cost, ``vals -= lam*cost``
     and ``grad -= 2*lam*dx``) is skipped where it changes no bit: when
@@ -103,7 +107,10 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     w*(f - c)**2 is never -0.0, and x - x is +0.0.  grad - 2*lam*dx then
     differs from grad at most in the sign of a zero; x + (+-0.0) is x for
     every iterate x in [0, 1] but -0.0, and np.maximum(0.0, .) maps -0.0
-    to +0.0 either way.
+    to +0.0 either way.  So the first step, up to the first iterate's
+    unpenalized value and its input gradient, does not read ``lam``: the
+    bound ascent computes it once per batch, and each multiplier's ascent
+    continues from there, bit for bit what a fresh call gives.
 
     Returns (values, x_adv) where each row of the row-major (n, d) array
     x_adv is the best iterate seen for that example (the start point
@@ -113,49 +120,97 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     lam = np.asarray(lam, dtype=float)
     if lam.shape not in ((), x0.shape[:1]) or not ((0.0 <= lam) & (lam < math.inf)).all():
         raise ValueError(f"lam must be finite and >= 0, one value or one per row, got {lam}")
+    return _bind_ascent(model, aux, p_hat, x0, y_batch, cfg).run(lam)
+
+
+def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg, reuse=False):
+    """The ascent bound over a float batch x0 in [0, 1]^d and its labels
+    (one label or one per row)."""
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
     loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)))
-    values, x_adv, _ = _ascent(model, loss, lam, x0, cfg)
-    return values, x_adv
+    return _BoundAscent(model, loss, x0, cfg, reuse)
 
 
-def _ascent(model, loss, lam, x0, cfg):
-    """``attack_batch`` on checked inputs, with the batch's loss built:
-    (values, x_adv, scores of the start)."""
-    n = x0.shape[0]
-    passes = _Passes(model)
-    start = x0.T.copy()
-    x_cur, best_x = start.copy(), start.copy()
-    f_c, lf, vals, best_val, d_f = np.empty((5, n))
-    improved = np.empty(n, dtype=bool)
-    penalized = bool(lam.any())
-    if penalized:
-        two_lam = 2.0 * lam
-        dx, sq, cost = np.empty_like(start), np.empty_like(start), np.empty(n)
-    for k in range(cfg.steps + 1):
-        f = passes.scores(x_cur)
-        loss.value(f, vals, f_c, lf)
-        if penalized and k:
-            np.subtract(x_cur, start, out=dx)
-            np.add.reduce(np.square(dx, out=sq), axis=0, out=cost)
-            vals -= np.multiply(lam, cost, out=cost)
-        if k == 0:  # the original point is the first candidate
-            f_start = f.copy()
-            np.copyto(best_val, vals)
-        else:
+class _BoundAscent:
+    """The K-step ascent over one batch, bound once for any number of
+    multipliers (``attack_batch``).
+
+    Binding runs everything that does not read the multiplier: pass 0 at
+    the start (its scores, value and input gradient), the step to the
+    first iterate x1 and its clip, and pass 1 (x1's scores, unpenalized
+    value and, for K > 1, input gradient).  ``run(lam)`` continues from
+    pass 1.  With ``reuse``, each run copies the start into buffers of its
+    own, so binding once and running many multipliers gives each the bits
+    of its own call; without it, the one run takes the start's arrays as
+    its buffers, as a single ascent call would.  ``f_start`` holds the
+    start's scores.
+    """
+
+    __slots__ = ("passes", "loss", "steps", "step_size", "reuse", "start", "f_start",
+                 "val0", "x1", "vals1", "grad1", "f_c", "lf", "d_f", "step")
+
+    def __init__(self, model, loss, x0, cfg, reuse=False):
+        n = x0.shape[0]
+        self.passes = passes = _Passes(model)
+        self.loss, self.steps, self.step_size = loss, cfg.steps, cfg.step_size
+        self.reuse = reuse
+        self.start = start = x0.T.copy()
+        self.f_c, self.lf, self.d_f = f_c, lf, d_f = np.empty((3, n))
+        self.step = np.empty_like(start)
+        # Pass 0: the start is the first candidate, at cost +0.0.
+        f = passes.scores(start)
+        self.f_start = f.copy()
+        self.val0 = loss.value(f, None, f_c, lf)
+        grad = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden, passes.output_slope())
+        grad *= cfg.step_size
+        self.x1 = x1 = start + grad
+        np.minimum(np.maximum(0.0, x1, out=x1), 1.0, out=x1)
+        # Pass 1, unpenalized.
+        self.vals1 = loss.value(passes.scores(x1), None, f_c, lf)
+        self.grad1 = None
+        if cfg.steps > 1:
+            # A pass buffer, which a single run reads before the next pass.
+            self.grad1 = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden,
+                                           passes.output_slope())
+            if reuse:
+                self.grad1 = self.grad1.copy()
+
+    def run(self, lam):
+        """(values, x_adv) of ``attack_batch`` under ``lam``, a float64
+        scalar or array (one value or one per row), finite and >= 0."""
+        passes, loss, start, step = self.passes, self.loss, self.start, self.step
+        f_c, lf, d_f = self.f_c, self.lf, self.d_f
+        x_cur, vals, best_val = self.x1, self.vals1, self.val0
+        if self.reuse:
+            x_cur, vals, best_val = x_cur.copy(), vals.copy(), best_val.copy()
+        best_x = start.copy()
+        improved = np.empty(vals.shape, dtype=bool)
+        penalized = bool(lam.any())
+        if penalized:
+            two_lam = 2.0 * lam
+            dx, sq, cost = np.empty_like(start), np.empty_like(start), np.empty(vals.shape)
+        for k in range(1, self.steps + 1):
+            if penalized:
+                np.subtract(x_cur, start, out=dx)
+                np.add.reduce(np.square(dx, out=sq), axis=0, out=cost)
+                vals -= np.multiply(lam, cost, out=cost)
             np.greater(vals, best_val, out=improved)
             np.copyto(best_val, vals, where=improved)
             np.copyto(best_x, x_cur, where=improved)
-        if k == cfg.steps:
-            break
-        grad = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden, passes.output_slope())
-        if penalized and k:
-            grad -= np.multiply(two_lam, dx, out=dx)
-        grad *= cfg.step_size
-        x_cur += grad
-        np.minimum(np.maximum(0.0, x_cur, out=x_cur), 1.0, out=x_cur)
-    return best_val, best_x.T.copy(), f_start
+            if k == self.steps:
+                break
+            if k == 1:
+                grad = self.grad1
+            else:
+                grad = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden,
+                                         passes.output_slope())
+            if penalized:  # grad - 2*lam*dx, in dx
+                grad = np.subtract(grad, np.multiply(two_lam, dx, out=dx), out=dx)
+            x_cur += np.multiply(grad, self.step_size, out=step)
+            np.minimum(np.maximum(0.0, x_cur, out=x_cur), 1.0, out=x_cur)
+            loss.value(passes.scores(x_cur), vals, f_c, lf)
+        return best_val, best_x.T.copy()
 
 
 def robust_surrogate(model: ScoringModel, aux: AuxParams, p_hat: float,
@@ -414,11 +469,16 @@ def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max,
                           iters: int = 60):
     """Largest-damage multiplier whose mean realized cost stays <= radius.
 
-    Bisection keeps the feasible side: the returned lam always satisfies
-    the budget on this data.
+    Bisection keeps the feasible side: the returned attack always
+    satisfies the budget on this data.  If even ``lambda_max`` overspends,
+    that is the start rows, at cost 0.  The ascent is bound once, so its
+    multiplier-free first step (``attack_batch``) runs once for all the
+    multipliers tried: 2 + iters when the bisection runs.
     """
+    ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg, reuse=True)
+
     def mean_cost(lam):
-        _, x_adv = attack_batch(model, aux, p_hat, lam, x0, y, cfg)
+        _, x_adv = ascent.run(np.float64(lam))
         return float(((x_adv - x0) ** 2).sum(axis=1).mean()), x_adv
 
     cost0, adv0 = mean_cost(0.0)
@@ -426,7 +486,7 @@ def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max,
         return 0.0, adv0
     cost_hi, adv_hi = mean_cost(lambda_max)
     if cost_hi > radius:
-        return lambda_max, adv_hi
+        return lambda_max, x0.copy()
     lo, hi = 0.0, lambda_max
     adv = adv_hi
     for _ in range(iters):
@@ -452,9 +512,13 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
     """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")
+    if not 0.0 < lambda_max < math.inf:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     cfg = cfg or AttackConfig()
     feats, labels = dataset.features, dataset.labels
     if isinstance(eps, (tuple, list)):
+        if len(eps) != 2:
+            raise ValueError(f"eps must be one budget or an (eps_pos, eps_neg) pair, got {eps}")
         groups = [(labels == 1, float(eps[0])), (labels == 0, float(eps[1]))]
     else:
         groups = [(slice(None), float(eps))]

@@ -48,7 +48,7 @@ import numpy as np
 from .data import Dataset
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
 from .model import ScoringModel, forward, vjp_params
-from .robust import GROUP_SUFFIXES, AttackConfig, DualState, _ascent
+from .robust import GROUP_SUFFIXES, AttackConfig, DualState, _BoundAscent
 
 VARIANTS = ("df", "da", "aucm-baseline")
 
@@ -190,7 +190,10 @@ def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> Tr
         else:
             group = label_group[y_batch]
             lam_rows = lam[group]
-            _, x_adv, f_nom = _ascent(model, loss, lam_rows, x_batch, attack_cfg)
+            ascent = _BoundAscent(model, loss, x_batch, attack_cfg)
+            _, x_adv = ascent.run(lam_rows)
+            f_nom = ascent.f_start
+            del ascent  # its buffers, before the next iteration binds its own
             costs = np.add.reduce((x_adv - x_batch) ** 2, axis=1)
             mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
                           for c in (costs[group == g] for g in range(budgets.size))]

@@ -17,7 +17,7 @@ from drauc import (AttackConfig, AuxParams, attack_batch, forward, init_model,
                    score, vjp_input, vjp_params)
 from drauc.losses import _FixedLabelLoss
 from drauc.model import _Passes
-from drauc.robust import _ascent
+from drauc.robust import _BoundAscent
 
 ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
 DIMS = [1, 2, 3]
@@ -155,13 +155,14 @@ class TestFeatureMajorMatchesRowMajor:
                               row_major_vjp_input(model, want_cache, d_f))
 
     def test_start_scores_match_score(self, arch, d, n):
-        # Training reads the batch's scores off the ascent's first pass.
+        # Training reads the batch's scores off the ascent's first pass;
+        # runs under any multiplier leave them as they were.
         model, x, y, _ = instance(arch, d, n)
-        loss = _FixedLabelLoss(AUX, P_HAT, y)
+        ascent = _BoundAscent(model, _FixedLabelLoss(AUX, P_HAT, y), x,
+                              AttackConfig(steps=2, step_size=1.0), reuse=True)
         for lam in (0.0, 0.7):
-            *_, f_start = _ascent(model, loss, np.asarray(lam), x,
-                                  AttackConfig(steps=2, step_size=1.0))
-            assert same_bytes(f_start, score(model, x))
+            ascent.run(np.asarray(lam))
+            assert same_bytes(ascent.f_start, score(model, x))
 
     def test_ascent(self, arch, d, n):
         model, x, y, _ = instance(arch, d, n)

@@ -11,7 +11,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    min_cost_flip_search, robust_surrogate,
                    robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
-from drauc.robust import _suffix_argmin
+from drauc.robust import _bind_ascent, _calibrate_multiplier, _suffix_argmin
 from drauc.verification import check_phi_monotone_lambda
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
@@ -298,6 +298,91 @@ class TestAttackBatch:
                         assert g.shape == w.shape and g.tobytes() == w.tobytes() == v.tobytes()
                     projected += n_projected
         assert projected > 0
+
+
+def calibrate_per_attack(model, aux, p_hat, x0, y, radius, cfg, lambda_max, iters=60):
+    """``_calibrate_multiplier`` with one ``attack_batch`` call per
+    multiplier, each binding its own ascent."""
+    def mean_cost(lam):
+        _, x_adv = attack_batch(model, aux, p_hat, lam, x0, y, cfg)
+        return float(((x_adv - x0) ** 2).sum(axis=1).mean()), x_adv
+
+    cost0, adv0 = mean_cost(0.0)
+    if cost0 <= radius:
+        return 0.0, adv0
+    cost_hi, adv_hi = mean_cost(lambda_max)
+    if cost_hi > radius:
+        return lambda_max, adv_hi
+    lo, hi = 0.0, lambda_max
+    adv = adv_hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        cost_mid, adv_mid = mean_cost(mid)
+        if cost_mid <= radius:
+            hi, adv = mid, adv_mid
+        else:
+            lo = mid
+    return hi, adv
+
+
+class TestBoundAscent:
+    """One bound ascent serves many multipliers, each bitwise its own
+    fresh ascent."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_runs_match_masked_form_bitwise(self, arch, steps):
+        model, aux, x, y = attack_instance(arch, 37, n=30)
+        x[0], x[1, 0] = 0.0, 1.0  # rows on the box faces
+        cfg = AttackConfig(steps=steps, step_size=1.0)
+        lam_rows = 10.0 ** np.linspace(-2.0, 1.0, x.shape[0])
+        lam_rows[::5] = 0.0
+        ascent = _bind_ascent(model, aux, 0.4, x, y, cfg, reuse=True)
+        # Scalar, per-row and all-zero multipliers, each run twice on the
+        # same binding and once through a fresh ``attack_batch``.
+        lams = [0.7, lam_rows, 0.0, np.zeros(x.shape[0])]
+        for lam in lams + lams:
+            *want, _, _ = masked_ascent(model, aux, 0.4, lam, x, y, cfg)
+            for got in (ascent.run(np.asarray(lam, dtype=float)),
+                        attack_batch(model, aux, 0.4, lam, x, y, cfg)):
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_calibration_matches_one_attack_per_multiplier(self, arch, steps):
+        model, aux, x, y = attack_instance(arch, 38, n=30)
+        if arch == "linear-identity-clamped":  # rows on the ramp, so the attack moves
+            model = replace(model, params=np.array([0.9, 0.7, -0.3]))
+        cfg = AttackConfig(steps=steps, step_size=0.5)
+        free = {}  # mean cost of the unpenalized attack, per row set
+        for name, mask in (("all", slice(None)), ("pos", y == 1), ("neg", y == 0)):
+            _, adv = attack_batch(model, aux, 0.4, 0.0, x[mask], y[mask], cfg)
+            free[name] = float(((adv - x[mask]) ** 2).sum(axis=1).mean())
+            assert free[name] > 0.0
+        cases = [(slice(None), 0.25 * free["all"], True),   # binding
+                 (slice(None), 2.0 * free["all"], False),   # slack
+                 (y == 1, 0.3 * free["pos"], True),         # a per-class pair
+                 (y == 0, 0.5 * free["neg"], True)]
+        for mask, radius, binding in cases:
+            args = (model, aux, 0.4, x[mask], y[mask], radius, cfg, 1e3)
+            lam, adv = _calibrate_multiplier(*args)
+            want_lam, want_adv = calibrate_per_attack(*args)
+            assert lam == want_lam and (lam > 0.0) == binding
+            assert adv.shape == want_adv.shape and adv.tobytes() == want_adv.tobytes()
+
+    def test_overspending_lambda_max_returns_the_start(self):
+        # Under lambda_max = 1e-9 the attack still costs 0.0074, 74 times
+        # the radius: the feasible answer is to move no row.
+        ds = gen_synthetic(200, 2, seed=3)
+        model = init_model("linear-sigmoid", 2, seed=3)
+        scores = score(model, ds.features)
+        aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
+        lam, adv = _calibrate_multiplier(model, aux, ds.p_hat, ds.features, ds.labels,
+                                         1e-4, AttackConfig(), 1e-9)
+        assert ((adv - ds.features) ** 2).sum(axis=1).mean() <= 1e-4
+        nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
+        assert estimate_robust_auc(model, ds, 1e-4, aux, lambda_max=1e-9) == nominal
 
 
 def example1_style_instance():
@@ -799,6 +884,18 @@ class TestEstimateRobustAuc:
         for eps in (math.nan, math.inf, (math.nan, 0.05), (0.0, math.nan), -0.1):
             with pytest.raises(ValueError, match="eps"):
                 estimate_robust_auc(model, ds, eps, aux)
+
+    @pytest.mark.parametrize("eps", [(0.001, 0.001, 5.0), (0.001,), [0.001, 0.002, 0.003], ()])
+    def test_per_class_budgets_take_a_pair(self, trained, eps):
+        ds, model, aux = trained
+        with pytest.raises(ValueError, match="eps"):
+            estimate_robust_auc(model, ds, eps, aux)
+
+    @pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_max_validation(self, trained, lambda_max):
+        ds, model, aux = trained
+        with pytest.raises(ValueError, match="lambda_max"):
+            estimate_robust_auc(model, ds, 0.01, aux, lambda_max=lambda_max)
 
 
 class TestDualState:
