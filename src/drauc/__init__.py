@@ -20,8 +20,9 @@ from .model import (ScoringModel, forward, init_model, param_count, parse_arch, 
 from .robust import (AttackConfig, BarycenterAttack, DualCurve, DualState,
                      attack_batch, barycenter_attack, brute_force_worst_case,
                      dual_curve, estimate_robust_auc, min_cost_flip_search,
-                     robust_surrogate, robust_surrogate_exact_1d)
-from .training import TrainConfig, TrainState, sample_batch, split_epsilon, train
+                     robust_surrogate_exact_1d)
+from .training import (TrainConfig, TrainState, sample_batch, split_epsilon, train,
+                       train_stacked)
 
 __all__ = [
     "CHECKPOINT_VERSION", "Checkpoint", "format_report", "load_checkpoint",
@@ -37,6 +38,7 @@ __all__ = [
     "AttackConfig", "BarycenterAttack", "DualCurve", "DualState",
     "attack_batch", "barycenter_attack", "brute_force_worst_case", "dual_curve",
     "estimate_robust_auc", "min_cost_flip_search",
-    "robust_surrogate", "robust_surrogate_exact_1d",
+    "robust_surrogate_exact_1d",
     "TrainConfig", "TrainState", "sample_batch", "split_epsilon", "train",
+    "train_stacked",
 ]

@@ -53,25 +53,43 @@ class AuxParams:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
 
 
+def _run_terms(aux, p):
+    """One run's scalar terms of ``_FixedLabelLoss``, from its (a, b, alpha)
+    and p, as floats: the class weights 1-p and p, a, b, -(1-p), k, c0,
+    and the coefficients of dg/da, dg/db and dg/dalpha."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p_hat must lie in (0, 1), got {p}")
+    a, b, alpha = aux
+    return (1.0 - p, p, a, b, -(1.0 - p), 2.0 * (1.0 + alpha), p * (1.0 - p) * alpha**2,
+            -2.0 * (1.0 - p), -2.0 * p, 2.0 * p * (1.0 - p) * alpha)
+
+
 class _FixedLabelLoss:
     """g = w*(f - c)**2 + k*(l*f) - c0 and dg/df = 2w*(f - c) + k*l for fixed
     labels: (w, c, l) is (1-p, a, -(1-p)) on positives and (p, b, p) on
     negatives, k = 2(1+alpha) and c0 = p(1-p)alpha^2.  Picking each row's
     terms up front performs the same IEEE operations, in the same order, as
-    masking both classes' terms with 0/1 and summing them."""
+    masking both classes' terms with 0/1 and summing them.
 
-    __slots__ = ("aux", "p", "pos", "w", "c", "l", "k", "c0", "_d_f_terms")
+    ``aux`` is one AuxParams and ``p`` one float, or for R stacked runs
+    with labels (R, n) one (a, b, alpha) triple and one p per run.  Each
+    run's scalar terms are worked out in floats and stacked as (R, 1)
+    columns, so every run's arrays are bitwise those of its own call."""
 
-    def __init__(self, aux: AuxParams, p: float, y):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p_hat must lie in (0, 1), got {p}")
-        self.aux, self.p = aux, p
+    __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "_d_f_terms")
+
+    def __init__(self, aux, p, y):
+        if isinstance(aux, AuxParams):
+            terms = _run_terms((aux.a, aux.b, aux.alpha), p)
+        elif len(aux) == 1:  # floats broadcast as one run's (1, 1) columns do
+            terms = _run_terms(aux[0], p[0])
+        else:  # one (R, 1) column per term
+            terms = np.array([_run_terms(run, p_r) for run, p_r in zip(aux, p)]).T[..., None]
+        w_pos, p, self.a, self.b, l_pos, self.k, self.c0, *self.dcoefs = terms
         self.pos = pos = np.asarray(y) == 1
-        self.w = np.where(pos, 1.0 - p, p)
-        self.c = np.where(pos, aux.a, aux.b)
-        self.l = np.where(pos, -(1.0 - p), p)
-        self.k = 2.0 * (1.0 + aux.alpha)
-        self.c0 = p * (1.0 - p) * aux.alpha**2
+        self.w = np.where(pos, w_pos, p)
+        self.c = np.where(pos, self.a, self.b)
+        self.l = np.where(pos, l_pos, p)
         self._d_f_terms = None
 
     def _value(self, f_c, lf, out=None):
@@ -101,12 +119,12 @@ class _FixedLabelLoss:
         """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f, all from one
         f - c and one l*f.  dg/da and dg/db take f - a and f - b, whose sign
         sets that of the 0.0 on the other class's rows."""
-        aux, p = self.aux, self.p
+        da, db, dalpha = self.dcoefs  # -2(1-p), -2p and 2p(1-p)alpha
         f_c, lf = f - self.c, self.l * f
-        d_a = -2.0 * (1.0 - p) * (f - aux.a) * self.pos
-        d_b = -2.0 * p * (f - aux.b) * (~self.pos)
+        d_a = da * (f - self.a) * self.pos
+        d_b = db * (f - self.b) * (~self.pos)
         # + 0.0 * f broadcasts to the input shape and turns -0.0 into 0.0.
-        d_alpha = 2.0 * lf - 2.0 * p * (1.0 - p) * aux.alpha + 0.0 * f
+        d_alpha = 2.0 * lf - dalpha + 0.0 * f
         return self._value(f_c, lf), self.d_f(f_c), d_a, d_b, d_alpha
 
 

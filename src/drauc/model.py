@@ -28,8 +28,10 @@ every run's scores and cache are bitwise those of its own unstacked
 call.  (A row's score can still change in the last bit with the other
 rows of its batch, see below; a caller that needs one input's exact
 score stacks it as its own n = 1 batch.)  ``vjp_input`` and
-``vjp_params`` take one model and one batch, and refuse a stacked model
-or cache.
+``vjp_params`` read a stacked cache the same way: their outer products
+are v[..., :, None] * slope[..., None, :], and the input gradient's
+product with W is a stacked ``np.matmul``, so each run's rows are bitwise
+those of its own call.
 
 The passes work feature-major: the tanh layer is the (h, n) array
 W @ x.T, and the products return (d, n) and (P, n) arrays, so each
@@ -253,22 +255,22 @@ class _Passes:
         return slope
 
     def input_grad(self, d_f, hidden, slope):
-        """d_f * (d f / d x) as a (d, n) array, from one pass's tanh layer
-        ``hidden`` (h, n) (None for the linear archs) and slope."""
+        """d_f * (d f / d x) as a (..., d, n) array, from one pass's tanh
+        layer ``hidden`` (..., h, n) (None for the linear archs) and slope."""
         if hidden is None:
-            jac = self.jac = np.multiply.outer(self.v, slope, out=self.jac)
+            jac = self.jac = np.multiply(self.v[..., :, None], slope[..., None, :], out=self.jac)
         else:
             if self.outer is None and self.rows is not None:
                 self.outer = self.rows.reshape(hidden.shape)  # free by now
             d_pre = self.d_pre = _pre_activation_grad(self.v, hidden, slope,
                                                       self.d_pre, self.outer)
-            if len(self.WT) > 1:
+            if self.WT.shape[-2] > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
             else:  # d = 1: a matrix-vector product
-                rows = self.rows = _row_major(d_pre.T, self.rows)
+                rows = self.rows = _row_major(d_pre.mT, self.rows)
                 self.jac = np.matmul(rows, self.W, out=self.jac)
-                jac = self.jac.T
-        jac *= d_f
+                jac = self.jac.mT
+        jac *= d_f[..., None, :]
         return jac
 
 
@@ -279,8 +281,9 @@ def _batch(model: ScoringModel, x):
     if batch.ndim < 2 or batch.shape[-1] != model.input_dim:
         raise ValueError(f"input of shape {arr.shape} does not match "
                          f"input_dim={model.input_dim}")
-    if model.params.ndim > 1:  # run axes that do not broadcast raise
-        np.broadcast_shapes(model.params.shape[:-1], batch.shape[:-2])
+    runs = model.params.shape[:-1]
+    if runs and runs != batch.shape[:-2]:  # run axes that do not broadcast raise
+        np.broadcast_shapes(runs, batch.shape[:-2])
     return batch
 
 
@@ -297,45 +300,40 @@ def forward(model: ScoringModel, x):
 
 
 def _pre_activation_grad(v, hidden, slope, out=None, outer=None):
-    """d f / d (Wx + c) for the mlp as (h, n), from the tanh layer hidden
-    (h, n); written to ``out``, and the outer product of v and slope it is
-    made from to ``outer``, if given."""
+    """d f / d (Wx + c) for the mlp as (..., h, n), from the tanh layer
+    hidden (..., h, n); written to ``out``, and the outer product of v and
+    slope it is made from to ``outer``, if given."""
     d_pre = np.square(hidden, out=out)
     np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= np.multiply.outer(v, slope, out=outer)
+    d_pre *= np.multiply(v[..., :, None], slope[..., None, :], out=outer)
     return d_pre
 
 
-def _one_run(model, slope):
-    if model.params.ndim != 1 or slope.ndim != 1:
-        raise ValueError("vector-Jacobian products take one model and one "
-                         "batch, not stacked runs")
-
-
 def vjp_input(model: ScoringModel, cache, d_f):
-    """Rows of d_f * (d f / d x), shape (n, d): the input gradient of a loss
-    whose derivative with respect to each row's score is d_f.  A transposed
-    view of (d, n) memory."""
+    """Rows of d_f * (d f / d x), shape (..., n, d): the input gradient of
+    a loss whose derivative with respect to each row's score is d_f.  A
+    transposed view of (..., d, n) memory."""
     _, hidden, slope = cache
-    _one_run(model, slope)
-    return _Passes(model).input_grad(d_f, None if hidden is None else hidden.T, slope).T
+    return _Passes(model).input_grad(d_f, None if hidden is None else hidden.mT, slope).mT
 
 
 def vjp_params(model: ScoringModel, cache, d_f):
-    """Rows of d_f * (d f / d params), shape (n, P), in the flat layout;
-    a row-major copy of (P, n) rows."""
+    """Rows of d_f * (d f / d params), shape (..., n, P), in the flat
+    layout; a row-major copy of (..., P, n) rows."""
     batch, hidden, slope = cache
-    _one_run(model, slope)
-    h, d = model.W.shape  # h = 0 for the linear archs
-    grad = np.empty((model.params.size, len(slope)))
+    h, d = model.W.shape[-2:]  # h = 0 for the linear archs
+    *runs, n = slope.shape  # the run axes of params and batch, broadcast
+    grad = np.empty((*runs, model.params.shape[-1], n))
     if hidden is not None:
-        d_pre = _pre_activation_grad(model.v, hidden.T, slope, grad[h * d : h * d + h])
-        np.multiply(d_pre[:, None, :], batch.T, out=grad[: h * d].reshape(h, d, len(slope)))
+        d_pre = _pre_activation_grad(model.v, hidden.mT, slope, grad[..., h * d : h * d + h, :])
+        np.multiply(d_pre[..., :, None, :], batch.mT[..., None, :, :],
+                    out=grad[..., : h * d, :].reshape(*runs, h, d, n))
     # The output layer's weights and bias, after the mlp's hidden layer.
-    np.multiply(batch.T if hidden is None else hidden.T, slope, out=grad[h * d + h : -1])
-    grad[-1] = slope
-    grad *= d_f
-    return np.ascontiguousarray(grad.T)
+    np.multiply(batch.mT if hidden is None else hidden.mT, slope[..., None, :],
+                out=grad[..., h * d + h : -1, :])
+    grad[..., -1, :] = slope
+    grad *= d_f[..., None, :]
+    return np.ascontiguousarray(grad.mT)
 
 
 def score(model: ScoringModel, x):

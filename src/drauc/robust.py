@@ -129,12 +129,16 @@ def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg, reuse=False):
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
     loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)))
-    return _BoundAscent(model, loss, x0, cfg, reuse)
+    return _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size, reuse)
 
 
 class _BoundAscent:
-    """The K-step ascent over one batch, bound once for any number of
-    multipliers (``attack_batch``).
+    """The K-step ascent over one batch (n, d), or over R stacked runs'
+    batches (R, n, d), bound once for any number of multipliers
+    (``attack_batch``).  A stacked ascent takes the model and loss of its
+    runs (``model``, ``losses._FixedLabelLoss``), a step size that is one
+    float or an (R, 1, 1) column, and multipliers per row (R, n); each
+    run's values and iterates are bitwise those of its own ascent.
 
     Binding runs everything that does not read the multiplier: pass 0 at
     the start (its scores, value and input gradient), the step to the
@@ -150,26 +154,25 @@ class _BoundAscent:
     __slots__ = ("passes", "loss", "steps", "step_size", "reuse", "start", "f_start",
                  "val0", "x1", "vals1", "grad1", "f_c", "lf", "d_f", "step")
 
-    def __init__(self, model, loss, x0, cfg, reuse=False):
-        n = x0.shape[0]
+    def __init__(self, model, loss, x0, steps, step_size, reuse=False):
         self.passes = passes = _Passes(model)
-        self.loss, self.steps, self.step_size = loss, cfg.steps, cfg.step_size
+        self.loss, self.steps, self.step_size = loss, steps, step_size
         self.reuse = reuse
-        self.start = start = x0.T.copy()
-        self.f_c, self.lf, self.d_f = f_c, lf, d_f = np.empty((3, n))
+        self.start = start = x0.mT.copy()
+        self.f_c, self.lf, self.d_f = f_c, lf, d_f = np.empty((3, *x0.shape[:-1]))
         self.step = np.empty_like(start)
         # Pass 0: the start is the first candidate, at cost +0.0.
         f = passes.scores(start)
         self.f_start = f.copy()
         self.val0 = loss.value(f, None, f_c, lf)
         grad = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden, passes.output_slope())
-        grad *= cfg.step_size
+        grad *= step_size
         self.x1 = x1 = start + grad
         np.minimum(np.maximum(0.0, x1, out=x1), 1.0, out=x1)
         # Pass 1, unpenalized.
         self.vals1 = loss.value(passes.scores(x1), None, f_c, lf)
         self.grad1 = None
-        if cfg.steps > 1:
+        if steps > 1:
             # A pass buffer, which a single run reads before the next pass.
             self.grad1 = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden,
                                            passes.output_slope())
@@ -178,7 +181,9 @@ class _BoundAscent:
 
     def run(self, lam):
         """(values, x_adv) of ``attack_batch`` under ``lam``, a float64
-        scalar or array (one value or one per row), finite and >= 0."""
+        scalar or array (one value or one per row), finite and >= 0.  One
+        multiplier above 0 puts every run's penalty on, which changes no
+        bit of a run whose multipliers are all 0 (``attack_batch``)."""
         passes, loss, start, step = self.passes, self.loss, self.start, self.step
         f_c, lf, d_f = self.f_c, self.lf, self.d_f
         x_cur, vals, best_val = self.x1, self.vals1, self.val0
@@ -186,18 +191,20 @@ class _BoundAscent:
             x_cur, vals, best_val = x_cur.copy(), vals.copy(), best_val.copy()
         best_x = start.copy()
         improved = np.empty(vals.shape, dtype=bool)
+        improved_x = improved[..., None, :]  # a view, for the iterates' rows
         penalized = bool(lam.any())
-        if penalized:
-            two_lam = 2.0 * lam
+        if penalized:  # one 2*lam per row, laid out as the iterates if per row
+            two_lam = (np.multiply(2.0, lam[..., None, :], out=np.empty_like(start)) if lam.ndim
+                       else 2.0 * lam)
             dx, sq, cost = np.empty_like(start), np.empty_like(start), np.empty(vals.shape)
         for k in range(1, self.steps + 1):
             if penalized:
                 np.subtract(x_cur, start, out=dx)
-                np.add.reduce(np.square(dx, out=sq), axis=0, out=cost)
+                np.add.reduce(np.square(dx, out=sq), axis=-2, out=cost)
                 vals -= np.multiply(lam, cost, out=cost)
             np.greater(vals, best_val, out=improved)
             np.copyto(best_val, vals, where=improved)
-            np.copyto(best_x, x_cur, where=improved)
+            np.copyto(best_x, x_cur, where=improved_x)
             if k == self.steps:
                 break
             if k == 1:
@@ -210,16 +217,7 @@ class _BoundAscent:
             x_cur += np.multiply(grad, self.step_size, out=step)
             np.minimum(np.maximum(0.0, x_cur, out=x_cur), 1.0, out=x_cur)
             loss.value(passes.scores(x_cur), vals, f_c, lf)
-        return best_val, best_x.T.copy()
-
-
-def robust_surrogate(model: ScoringModel, aux: AuxParams, p_hat: float,
-                     lam: float, z, cfg: AttackConfig):
-    """phi_lam at a single example; returns (value, adversarial example)."""
-    x, y = z
-    x0 = np.asarray(x, dtype=float).reshape(1, -1)
-    vals, x_adv = attack_batch(model, aux, p_hat, lam, x0, int(y), cfg)
-    return float(vals[0]), (x_adv[0], int(y))
+        return best_val, best_x.mT.copy()
 
 
 def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
@@ -503,12 +501,15 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
                         aux: AuxParams, cfg: AttackConfig | None = None, *,
                         lambda_max: float = 1e3,
                         tie_policy: str = "half") -> float:
-    """Empirical lower-bound robust AUC under a transport budget.
+    """Empirical upper bound on the robust AUC under a transport budget:
+    the AUC after one feasible attack, which is at least the AUC after the
+    worst attack within the budget.
 
     ``eps`` is a single budget, or an (eps_pos, eps_neg) pair for per-class
-    budgets.  Each attacked class uses a multiplier calibrated by bisection
-    so the mean realized cost stays within its radius; a zero radius leaves
-    the class untouched, so eps = 0 reproduces the nominal AUC exactly.
+    budgets: a length-2 tuple, list or 1-D array.  Each attacked class uses
+    a multiplier calibrated by bisection so the mean realized cost stays
+    within its radius; a zero radius leaves the class untouched, so eps = 0
+    reproduces the nominal AUC exactly.
     """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")
@@ -516,12 +517,16 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     cfg = cfg or AttackConfig()
     feats, labels = dataset.features, dataset.labels
-    if isinstance(eps, (tuple, list)):
-        if len(eps) != 2:
-            raise ValueError(f"eps must be one budget or an (eps_pos, eps_neg) pair, got {eps}")
-        groups = [(labels == 1, float(eps[0])), (labels == 0, float(eps[1]))]
+    try:
+        radii = np.asarray(eps, dtype=float)
+    except (TypeError, ValueError):  # a ragged or non-numeric sequence
+        radii = None
+    if radii is None or radii.shape not in ((), (2,)):
+        raise ValueError(f"eps must be one budget or an (eps_pos, eps_neg) pair, got {eps}")
+    if radii.ndim == 0:
+        groups = [(slice(None), float(radii))]
     else:
-        groups = [(slice(None), float(eps))]
+        groups = [(labels == 1, float(radii[0])), (labels == 0, float(radii[1]))]
     adv = feats.copy()
     for mask, radius in groups:
         if not 0.0 <= radius < math.inf:

@@ -36,6 +36,10 @@ costs are exactly zero, and every reduction runs in batch order.
 
 The loss's imbalance ratio is the training set's cached p_hat; batches
 estimate expectations but do not redefine the ratio.
+
+``train_stacked`` runs many such runs of one shape in this one loop, with
+a leading run axis on every array, each run bitwise as it trains alone;
+``train`` is its one-run call.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from .data import Dataset
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
 from .model import ScoringModel, forward, vjp_params
-from .robust import GROUP_SUFFIXES, AttackConfig, DualState, _BoundAscent
+from .robust import GROUP_SUFFIXES, DualState, _BoundAscent
 
 VARIANTS = ("df", "da", "aucm-baseline")
 
@@ -140,108 +144,175 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
 
 
 def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> TrainState:
-    """Train ``cfg.variant``: one loop over the label groups the variant picks.
+    """Train ``cfg.variant`` on ``dataset`` from ``initial_model``: the
+    one-run call of ``train_stacked``."""
+    return train_stacked([(dataset, cfg, initial_model)])[0]
+
+
+_ATTACK = "attack (eta_z > 0 outside aucm-baseline)"
+
+
+def _stack_shape(cfg, model):
+    """What the runs of one stack must share: the shape of every stacked
+    array, and whether the inner ascent runs."""
+    return {"arch": model.arch_descriptor, "input_dim": model.input_dim, "iters": cfg.iters,
+            "batch_size": cfg.batch_size, "steps": cfg.steps,
+            _ATTACK: cfg.variant != "aucm-baseline" and cfg.eta_z > 0.0}
+
+
+def train_stacked(runs) -> list[TrainState]:
+    """Train R runs, each a (dataset, cfg, initial model) triple, in one
+    loop over the label groups each run's variant picks, with a leading run
+    axis on every array; returns one TrainState per run.
+
+    The runs share arch, input_dim, iters, batch_size and steps, and the
+    attack (``eta_z`` > 0 outside ``aucm-baseline``) is on in all of them
+    or in none; any other mix raises a ValueError naming the field.  All
+    else is per run: dataset, seed and rng, parameters, aux, multipliers,
+    variant, eps, k_split, learning rates, lambda0 and lambda_max.  Each
+    run's trajectory is bitwise that of ``train`` on it alone: every
+    product, reduction and elementwise pass is its own slice of the
+    stacked one, and the scalar updates run per run.
 
     A batch that lacks a group skips that group's multiplier update for the
     iteration (the sampler guarantees positives; negatives can be absent in
     tiny datasets).
     """
-    if dataset.n_pos == 0 or dataset.n_neg == 0:
-        raise ValueError("training requires both classes")
-    if initial_model.input_dim != dataset.d:
-        raise ValueError("model input_dim does not match dataset dimension")
+    runs = list(runs)
+    if not runs:
+        raise ValueError("runs must hold at least one (dataset, cfg, model) run")
+    _, cfg0, model0 = runs[0]
+    shape = _stack_shape(cfg0, model0)
+    for i, (dataset, cfg, model) in enumerate(runs):
+        if dataset.n_pos == 0 or dataset.n_neg == 0:
+            raise ValueError("training requires both classes")
+        if model.input_dim != dataset.d:
+            raise ValueError("model input_dim does not match dataset dimension")
+        if model.params.ndim != 1:
+            raise ValueError(f"run {i}: params must be one model's (P,) vector")
+        for name, value in _stack_shape(cfg, model).items():
+            if value != shape[name]:
+                raise ValueError(f"stacked runs must share {name}: run 0 has "
+                                 f"{shape[name]!r}, run {i} has {value!r}")
 
-    p_hat = dataset.p_hat
-    eta_z, eps = (0.0, 0.0) if cfg.variant == "aucm-baseline" else (cfg.eta_z, cfg.eps)
-    if cfg.variant == "da":
-        budgets = np.array(split_epsilon(eps, p_hat, cfg.k_split))
-        label_group = np.array([1, 0])  # by label: negatives group 1, positives 0
-    else:
-        budgets = np.array([eps])
-        label_group = np.array([0, 0])
-    suffixes = GROUP_SUFFIXES[budgets.size]
-    lam_keys = ["lam" + s for s in suffixes]
-    cost_keys = ["mean_cost" + s for s in suffixes]
-    lam = np.full(budgets.size, cfg.lambda0, dtype=np.float64)
-    attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
-
-    rng = np.random.default_rng(cfg.seed)
-    # One model for the whole run; its params are the iterate, updated in
-    # place.  Means are np.add.reduce(x) / n, the values ndarray.mean gives.
-    model = replace(initial_model, params=initial_model.params.copy())
-    theta = model.params
-    n = cfg.batch_size
-    a = b = alpha = 0.0
-    history = []
-    for t in range(1, cfg.iters + 1):
-        idx = sample_batch(dataset, n, rng)
-        x_batch = dataset.features[idx]
-        y_batch = dataset.labels[idx]
-        aux_t = AuxParams(a, b, alpha)
-        loss = _FixedLabelLoss(aux_t, p_hat, y_batch)
-        n_pos = int(np.count_nonzero(loss.pos))
-
-        if attack_cfg is None:
-            # Every cost is 0.0, and g - lam * 0.0 is g bit for bit.
-            x_adv = x_batch
-            seen = set(label_group[[n_pos < n, n_pos > 0]].tolist())  # groups present
-            mean_costs = [0.0 if g in seen else None  # None: group absent
-                          for g in range(budgets.size)]
+    R, n, attack = len(runs), cfg0.batch_size, shape[_ATTACK]
+    datasets = [dataset for dataset, _, _ in runs]
+    cfgs = [cfg for _, cfg, _ in runs]
+    # Per run: its groups' budgets and history keys, and the group of each
+    # label (negatives group 1, positives 0 under da); lam[r, g] is run r's
+    # multiplier for group g, and a df run leaves column 1 unread.
+    budgets, lam_keys, cost_keys = [], [], []
+    label_group = np.zeros((R, 2), dtype=np.intp)
+    for r, (dataset, cfg) in enumerate(zip(datasets, cfgs)):
+        eps = 0.0 if cfg.variant == "aucm-baseline" else cfg.eps
+        if cfg.variant == "da":
+            budgets.append(np.array(split_epsilon(eps, dataset.p_hat, cfg.k_split)))
+            label_group[r, 0] = 1
         else:
-            group = label_group[y_batch]
-            lam_rows = lam[group]
-            ascent = _BoundAscent(model, loss, x_batch, attack_cfg)
+            budgets.append(np.array([eps]))
+        suffixes = GROUP_SUFFIXES[budgets[-1].size]
+        lam_keys.append(["lam" + s for s in suffixes])
+        cost_keys.append(["mean_cost" + s for s in suffixes])
+    group_of = label_group.tolist()
+    lam = np.array([[cfg.lambda0] * 2 for cfg in cfgs])
+    p_hat = [dataset.p_hat for dataset in datasets]
+    eta_w = np.array([[cfg.eta_w] for cfg in cfgs])
+    run_ix = np.arange(R)[:, None]
+
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    # The stacked params are the iterates, updated in place.  Means are
+    # np.add.reduce(x) / n, the values ndarray.mean gives; a stacked
+    # reduction gives each run the bits of its own.
+    theta = np.stack([m.params for _, _, m in runs])
+    aux = [(0.0, 0.0, 0.0)] * R  # a, b, alpha per run
+    histories = [[] for _ in runs]
+    x_batch = np.empty((R, n, model0.input_dim))
+    y_batch = np.empty((R, n), dtype=datasets[0].labels.dtype)
+    # The passes take a lone run's arrays without the run axis, since
+    # NumPy's cost per call grows with the number of axes; their outputs
+    # are read back as (R, n) rows.
+    lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
+    model = replace(model0, params=lone(theta))
+    xs, ys = lone(x_batch), lone(y_batch)
+    step_size = lone(np.array([cfg.eta_z for cfg in cfgs])[:, None, None])
+    for t in range(1, cfg0.iters + 1):
+        for r, (dataset, rng) in enumerate(zip(datasets, rngs)):
+            idx = sample_batch(dataset, n, rng)
+            dataset.features.take(idx, axis=0, out=x_batch[r])
+            dataset.labels.take(idx, out=y_batch[r])
+        loss = _FixedLabelLoss(aux, p_hat, ys)
+        pos_rows = loss.pos.reshape(R, n)
+
+        if attack:
+            group = label_group[run_ix, y_batch]
+            lam_rows = lone(lam[run_ix, group])
+            ascent = _BoundAscent(model, loss, xs, cfg0.steps, step_size)
             _, x_adv = ascent.run(lam_rows)
             f_nom = ascent.f_start
             del ascent  # its buffers, before the next iteration binds its own
-            costs = np.add.reduce((x_adv - x_batch) ** 2, axis=1)
-            mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
-                          for c in (costs[group == g] for g in range(budgets.size))]
+            costs = np.add.reduce((x_adv - xs) ** 2, axis=-1)
+        else:
+            x_adv = xs  # every cost is 0.0, and g - lam * 0.0 is g bit for bit
         f_adv, cache = forward(model, x_adv)
         g_adv, d_f, d_a, d_b, d_alpha = loss.value_and_grads(f_adv)
-        if attack_cfg is not None:
+        if attack:
             g_adv = g_adv - lam_rows * costs
-
-        objective = float(np.add.reduce(lam * budgets)) + float(np.add.reduce(g_adv) / n)
-
-        if 0 < n_pos < n:
-            if attack_cfg is None:
-                f_nom = f_adv  # else the ascent's first pass scored x_batch
-            batch_auc = auc_mann_whitney(f_nom[loss.pos], f_nom[~loss.pos])
+            costs = costs.reshape(R, n)
         else:
-            batch_auc = 0.5  # no ranked pairs in a single-class batch
+            f_nom = f_adv  # else the ascent's first pass scored x_batch
+        f_nom = f_nom.reshape(R, n)
+        g_means = (np.add.reduce(g_adv.reshape(R, n), axis=-1) / n).tolist()
+        aux_steps = (np.add.reduce([d_a, d_b, d_alpha], axis=-1) / n).reshape(3, R).T.tolist()
+        grad_theta = np.add.reduce(vjp_params(model, cache, d_f), axis=-2) / n
 
-        grad_theta = np.add.reduce(vjp_params(model, cache, d_f), axis=0) / n
+        for r, cfg in enumerate(cfgs):
+            a, b, alpha = aux[r]
+            budget = budgets[r]
+            lam_r = lam[r, : budget.size]
+            pos = pos_rows[r]
+            n_pos = int(np.count_nonzero(pos))
+            if attack:
+                mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
+                              for c in (costs[r][group[r] == g] for g in range(budget.size))]
+            else:
+                seen = {group_of[r][0] if n_pos < n else None,  # groups present
+                        group_of[r][1] if n_pos > 0 else None}
+                mean_costs = [0.0 if g in seen else None  # None: group absent
+                              for g in range(budget.size)]
+            if 0 < n_pos < n:
+                batch_auc = auc_mann_whitney(f_nom[r][pos], f_nom[r][~pos])
+            else:
+                batch_auc = 0.5  # no ranked pairs in a single-class batch
+            record = {
+                "iteration": t,
+                "objective": float(np.add.reduce(lam_r * budget)) + g_means[r],
+                "alpha": alpha,
+                "a": a,
+                "b": b,
+                "batch_auc": batch_auc,
+                "theta": theta[r].copy(),
+            }
+            record.update(zip(lam_keys[r], lam_r.tolist()))
+            record.update(zip(cost_keys[r], mean_costs))
+            histories[r].append(record)
 
-        record = {
-            "iteration": t,
-            "objective": objective,
-            "alpha": alpha,
-            "a": a,
-            "b": b,
-            "batch_auc": batch_auc,
-            "theta": theta.copy(),
-        }
-        record.update(zip(lam_keys, lam.tolist()))
-        record.update(zip(cost_keys, mean_costs))
-        history.append(record)
+            # Simultaneous updates from the iteration-start values.
+            # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
+            step_a, step_b, step_alpha = aux_steps[r]
+            for g, mean_cost in enumerate(mean_costs):
+                if mean_cost is not None:
+                    lam_r[g] = min(max(lam_r[g] - cfg.eta_lambda * (budget[g] - mean_cost),
+                                       0.0), cfg.lambda_max)
+            aux[r] = (float(min(max(a - cfg.eta_w * step_a, 0.0), 1.0)),
+                      float(min(max(b - cfg.eta_w * step_b, 0.0), 1.0)),
+                      float(min(max(alpha + cfg.eta_alpha * step_alpha, -1.0), 1.0)))
+        theta -= eta_w * grad_theta
 
-        # Simultaneous updates from the iteration-start values.
-        # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
-        alpha = float(min(max(alpha + cfg.eta_alpha * (np.add.reduce(d_alpha) / n), -1.0), 1.0))
-        for g, mean_cost in enumerate(mean_costs):
-            if mean_cost is not None:
-                lam[g] = min(max(lam[g] - cfg.eta_lambda * (budgets[g] - mean_cost),
-                                 0.0), cfg.lambda_max)
-        theta -= cfg.eta_w * grad_theta
-        a = float(min(max(a - cfg.eta_w * (np.add.reduce(d_a) / n), 0.0), 1.0))
-        b = float(min(max(b - cfg.eta_w * (np.add.reduce(d_b) / n), 0.0), 1.0))
-
-    return TrainState(
-        model=model,
-        aux=AuxParams(a, b, alpha),
-        dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam.tolist()),
-                       eps=tuple(budgets.tolist())),
+    return [TrainState(
+        model=replace(m, params=theta[r].copy()),
+        aux=AuxParams(*aux[r]),
+        dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam[r, :budgets[r].size].tolist()),
+                       eps=tuple(budgets[r].tolist())),
         iteration=cfg.iters,
-        history=history,
-    )
+        history=histories[r],
+    ) for r, (_, cfg, m) in enumerate(runs)]

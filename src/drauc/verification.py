@@ -16,14 +16,13 @@ import numpy as np
 
 from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
 from .gradcheck import grad_check
-from .losses import (AuxParams, auc_mann_whitney, closed_form_aux,
-                     pairwise_sq_risk, saddle_value, surrogate_loss,
-                     surrogate_loss_grads)
+from .losses import (AuxParams, _FixedLabelLoss, auc_mann_whitney, closed_form_aux,
+                     pairwise_sq_risk, saddle_value, surrogate_loss_grads)
 from .model import init_model, _init_params, parse_arch, score, ScoringModel
-from .robust import (AttackConfig, barycenter_attack,
+from .robust import (AttackConfig, _BoundAscent, barycenter_attack,
                      brute_force_worst_case, dual_curve, min_cost_flip_search,
-                     robust_surrogate, robust_surrogate_exact_1d)
-from .training import TrainConfig, train
+                     robust_surrogate_exact_1d)
+from .training import TrainConfig, train, train_stacked
 
 
 @dataclass(frozen=True)
@@ -183,23 +182,49 @@ def check_auc_properties(trials=200, seed=4):
 
 # --------------------------------------------------------------- robust
 
-def check_phi_dominance(trials=200, seed=5):
+def _phi_trials(trials, seed):
+    """Each random trial's multiplier, g(z), phi and whether its iterates
+    stayed in the box, in draw order.  Draws are taken in the order of a
+    loop that attacks each trial as it draws it; the trials of one (arch, d)
+    are then attacked as stacked n = 1 runs, each with its own aux, p_hat
+    and multiplier and bitwise its own ascent."""
     rng = np.random.default_rng(seed)
     cfg = AttackConfig(steps=10, step_size=0.05)
-    for _ in range(trials):
+    groups = {}  # (arch, d) -> its trials' (index, params, aux, p_hat, lam, x, y)
+    for i in range(trials):
         d = int(rng.integers(1, 4))
-        arch = rng.choice(["linear-sigmoid", "mlp1-tanh-sigmoid(4)"])
-        m = init_model(str(arch), d, seed=int(rng.integers(2**31)))
-        aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
+        arch = str(rng.choice(["linear-sigmoid", "mlp1-tanh-sigmoid(4)"]))
+        params = init_model(arch, d, seed=int(rng.integers(2**31))).params
+        aux = (rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
         p_hat = float(rng.uniform(0.1, 0.9))
         lam = float(10 ** rng.uniform(-3, 6)) if rng.random() > 0.1 else 0.0
         x = rng.uniform(0, 1, size=d)
         y = int(rng.integers(2))
-        g0 = surrogate_loss(aux, p_hat, score(m, x), y)
-        val, (x_adv, y_adv) = robust_surrogate(m, aux, p_hat, lam, (x, y), cfg)
-        if val < g0 - 1e-12 or y_adv != y or x_adv.min() < 0 or x_adv.max() > 1:
-            return _result("robust.phi_dominance", False,
-                           f"violated at lam={lam:.3g}: phi={val:.6g} < g={g0:.6g}")
+        groups.setdefault((arch, d), []).append((i, params, aux, p_hat, lam, x, y))
+    lams, g0, phi = np.empty((3, trials))
+    in_box = np.empty(trials, dtype=bool)
+    for (arch, d), group in groups.items():
+        index, params, auxs, p_hats, lam, x, y = map(list, zip(*group))
+        name, width = parse_arch(arch)
+        model = ScoringModel(name, np.array(params), d, width)
+        x0 = np.array(x)[:, None, :]  # each trial its own n = 1 batch
+        loss = _FixedLabelLoss(auxs, p_hats, np.array(y)[:, None])
+        lams[index] = lam
+        g0[index] = loss.value(score(model, x0))[:, 0]
+        vals, x_adv = _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size).run(
+            lams[index][:, None])
+        phi[index] = vals[:, 0]
+        in_box[index] = (x_adv.min(axis=(1, 2)) >= 0) & (x_adv.max(axis=(1, 2)) <= 1)
+    return lams, g0, phi, in_box
+
+
+def check_phi_dominance(trials=200, seed=5):
+    lams, g0, phi, in_box = _phi_trials(trials, seed)
+    bad = np.flatnonzero((phi < g0 - 1e-12) | ~in_box)
+    if bad.size:  # the first violating trial, in draw order
+        i = bad[0]
+        return _result("robust.phi_dominance", False,
+                       f"violated at lam={lams[i]:.3g}: phi={phi[i]:.6g} < g={g0[i]:.6g}")
     return _result("robust.phi_dominance", True,
                    "phi >= g(z), labels preserved, iterates stay in the box")
 
@@ -312,10 +337,11 @@ def _small_train_setup(seed=0):
 
 def check_domain_preservation(iters=60, seed=11):
     ds, model = _small_train_setup(seed)
-    for variant in ("df", "da"):
-        cfg = TrainConfig(variant=variant, iters=iters, batch_size=16,
-                          eps=0.05, eta_z=0.05, seed=seed)
-        state = train(ds, cfg, model)
+    variants = ("df", "da")
+    cfgs = [TrainConfig(variant=variant, iters=iters, batch_size=16, eps=0.05, eta_z=0.05,
+                        seed=seed) for variant in variants]
+    states = train_stacked([(ds, cfg, model) for cfg in cfgs])
+    for variant, cfg, state in zip(variants, cfgs, states):
         recs = state.history + [{
             "a": state.aux.a, "b": state.aux.b, "alpha": state.aux.alpha,
         }]
@@ -332,27 +358,37 @@ def check_domain_preservation(iters=60, seed=11):
                    "aux and multipliers stayed in their boxes every iteration")
 
 
+def _same_run(s1, s2):
+    """Whether two TrainStates hold bitwise the same final params, aux,
+    multipliers and budgets, and the same history, theta included."""
+    def bits(s):
+        finals = (s.model.params, (s.aux.a, s.aux.b, s.aux.alpha), s.dual.lam, s.dual.eps)
+        return [np.asarray(v).tobytes() for v in finals] + [
+            (key, None if v is None else np.asarray(v).tobytes())
+            for rec in s.history for key, v in rec.items()]
+    return bits(s1) == bits(s2)
+
+
 def check_trainer_determinism(iters=40, seed=12):
+    """Reruns, and both rows of a two-run stack of the config, are bitwise
+    the first run."""
     ds, model = _small_train_setup(seed)
     cfg = TrainConfig(variant="df", iters=iters, batch_size=16, eps=0.05, seed=seed)
     s1 = train(ds, cfg, model)
-    s2 = train(ds, cfg, model)
-    same = np.array_equal(s1.model.params, s2.model.params) and all(
-        np.array_equal(r1.pop("theta"), r2.pop("theta")) and r1 == r2
-        for r1, r2 in zip([dict(r) for r in s1.history],
-                          [dict(r) for r in s2.history]))
+    again = [train(ds, cfg, model), *train_stacked([(ds, cfg, model)] * 2)]
+    same = all(_same_run(s1, s) for s in again)
     return _result("trainer.determinism", same, "reruns are bitwise identical")
 
 
 def check_ablation_equivalence(iters=100, seed=13, dataset=None, model=None):
     """The variants on ``dataset`` from ``model``, by default the small
-    two-blob set and a linear scorer drawn from ``seed``."""
+    two-blob set and a linear scorer drawn from ``seed``, in one stack."""
     small_ds, small_model = _small_train_setup(seed)
     ds = small_ds if dataset is None else dataset
     model = small_model if model is None else model
     base = dict(iters=iters, batch_size=16, eta_z=0.0, eps=0.0, seed=seed)
-    runs = [train(ds, TrainConfig(variant=variant, **base), model)
-            for variant in ("df", "da", "aucm-baseline")]
+    runs = train_stacked([(ds, TrainConfig(variant=variant, **base), model)
+                          for variant in ("df", "da", "aucm-baseline")])
     keys = ("objective", "alpha", "a", "b", "batch_auc")
     for other in runs[1:]:
         if not np.array_equal(runs[0].model.params, other.model.params):
@@ -371,10 +407,12 @@ def check_ablation_equivalence(iters=100, seed=13, dataset=None, model=None):
 
 def check_lambda_direction(iters=40, seed=14):
     ds, model = _small_train_setup(seed)
-    for eps, expect_up in ((0.0, True), (1.0, False)):
-        cfg = TrainConfig(variant="df", iters=iters, batch_size=16,
-                          eps=eps, eta_z=0.05, seed=seed)
-        hist = train(ds, cfg, model).history
+    budgets = ((0.0, True), (1.0, False))
+    states = train_stacked([(ds, TrainConfig(variant="df", iters=iters, batch_size=16,
+                                             eps=eps, eta_z=0.05, seed=seed), model)
+                            for eps, _ in budgets])
+    for (eps, expect_up), state in zip(budgets, states):
+        hist = state.history
         for r0, r1 in zip(hist, hist[1:]):
             went_up = r1["lam"] > r0["lam"] + 1e-15
             went_down = r1["lam"] < r0["lam"] - 1e-15
@@ -395,15 +433,16 @@ def check_separable_training(seed=15):
     labels = np.concatenate([np.ones(20, dtype=int), np.zeros(20, dtype=int)])
     ds = Dataset.from_arrays(feats, labels)
     model = init_model("linear-sigmoid", 1, seed=seed)
-    for variant, eps in (("df", 0.01), ("da", 0.01), ("aucm-baseline", 0.0)):
-        cfg = TrainConfig(variant=variant, iters=500, batch_size=8,
-                          eps=eps, seed=seed)
-        state = train(ds, cfg, model)
+    runs = [(ds, TrainConfig(variant=variant, iters=500, batch_size=8, eps=eps, seed=seed), model)
+            for variant, eps in (("df", 0.01), ("da", 0.01), ("aucm-baseline", 0.0))]
+    # The attacked variants in one stack; the baseline does not attack.
+    states = train_stacked(runs[:2]) + [train(*runs[2])]
+    for (_, cfg, _), state in zip(runs, states):
         scores = score(state.model, ds.features)
         auc = auc_mann_whitney(scores[labels == 1], scores[labels == 0])
         if auc != 1.0:
             return _result("trainer.separable_training", False,
-                           f"{variant}: training AUC {auc} after 500 iterations")
+                           f"{cfg.variant}: training AUC {auc} after 500 iterations")
     return _result("trainer.separable_training", True,
                    "all variants rank the separable set perfectly")
 

@@ -10,7 +10,8 @@ import pytest
 from drauc import (AttackConfig, TrainConfig, auc_mann_whitney, barycenter_attack,
                    closed_form_aux, corrupt, estimate_robust_auc, gen_synthetic,
                    init_model, load_checkpoint, load_csv, make_long_tailed,
-                   min_cost_flip_search, save_csv, score, split_epsilon, train)
+                   min_cost_flip_search, save_csv, score, split_epsilon, train,
+                   train_stacked)
 from drauc.cli import run_command
 from drauc.verification import (check_ablation_equivalence,
                                 check_closed_form_optimality,
@@ -84,24 +85,29 @@ def test_criterion_6_ablation_equivalence():
 
 def test_criterion_7_robustness_direction():
     sw = Stopwatch(300.0)
+    seeds = range(5)
+    train_sets = {s: make_long_tailed(gen_synthetic(2000, 2, seed=s), 0.1, seed=s) for s in seeds}
 
-    def run_seed(seed, variant):
-        train_set = make_long_tailed(gen_synthetic(2000, 2, seed=seed), 0.1, seed=seed)
-        test = gen_synthetic(2000, 2, seed=seed + 1000)
-        test_cor = corrupt(test, 0.2, seed=seed + 2000)
-        cfg = TrainConfig(variant=variant, iters=2000, batch_size=128,
-                          eps=0.5 if variant == "da" else 0.0, k_split=1.0,
-                          seed=seed)
-        state = train(train_set, cfg, init_model("mlp1-tanh-sigmoid(8)", 2, seed))
+    def run_variant(variant):
+        # The five seeds of one variant train as one stack.
+        runs = [(train_sets[s],
+                 TrainConfig(variant=variant, iters=2000, batch_size=128,
+                             eps=0.5 if variant == "da" else 0.0, k_split=1.0, seed=s),
+                 init_model("mlp1-tanh-sigmoid(8)", 2, s))
+                for s in seeds]
+        results = []
+        for s, state in zip(seeds, train_stacked(runs)):
+            test = gen_synthetic(2000, 2, seed=s + 1000)
+            test_cor = corrupt(test, 0.2, seed=s + 2000)
 
-        def auc(dset):
-            s = score(state.model, dset.features)
-            return auc_mann_whitney(s[dset.labels == 1], s[dset.labels == 0])
+            def auc(dset):
+                f = score(state.model, dset.features)
+                return auc_mann_whitney(f[dset.labels == 1], f[dset.labels == 0])
 
-        return auc(test), auc(test_cor)
+            results.append((auc(test), auc(test_cor)))
+        return results
 
-    results = {v: [run_seed(s, v) for s in range(5)]
-               for v in ("aucm-baseline", "da")}
+    results = {v: run_variant(v) for v in ("aucm-baseline", "da")}
     nom = {v: np.median([r[0] for r in res]) for v, res in results.items()}
     cor = {v: np.median([r[1] for r in res]) for v, res in results.items()}
     assert cor["da"] >= cor["aucm-baseline"], (cor, nom)

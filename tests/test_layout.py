@@ -158,8 +158,7 @@ class TestFeatureMajorMatchesRowMajor:
         # Training reads the batch's scores off the ascent's first pass;
         # runs under any multiplier leave them as they were.
         model, x, y, _ = instance(arch, d, n)
-        ascent = _BoundAscent(model, _FixedLabelLoss(AUX, P_HAT, y), x,
-                              AttackConfig(steps=2, step_size=1.0), reuse=True)
+        ascent = _BoundAscent(model, _FixedLabelLoss(AUX, P_HAT, y), x, 2, 1.0, reuse=True)
         for lam in (0.0, 0.7):
             ascent.run(np.asarray(lam))
             assert same_bytes(ascent.f_start, score(model, x))

@@ -262,18 +262,26 @@ class TestStackedForward:
             assert forward(stacked, rng.uniform(0.0, 1.0, size=(1, 5, 2)))[0].shape == (3, 5)
 
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_vjps_refuse_stacked_runs(self, arch):
-        rng = np.random.default_rng(35)
-        models, stacked = self.runs(arch, 2, 3, rng)
-        xs = rng.uniform(0.0, 1.0, size=(3, 5, 2))
-        d_f = np.ones((3, 5))
-        for model, batch in ((stacked, xs[0]), (models[0], xs), (stacked, xs)):
-            _, cache = forward(model, batch)
-            with pytest.raises(ValueError, match="stacked"):
-                vjp_input(model, cache, d_f)
-            with pytest.raises(ValueError, match="stacked"):
-                vjp_params(model, cache, d_f)
-        # A one-run cache read through a stacked model is refused too.
-        _, cache = forward(models[0], xs[0])
-        with pytest.raises(ValueError, match="stacked"):
-            vjp_params(stacked, cache, d_f[0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vjps_of_stacked_runs_match_single_model(self, arch, d):
+        rng = np.random.default_rng(35 + d)
+        for n in (1, 5, 128):
+            models, stacked = self.runs(arch, d, 3, rng)
+            xs = rng.uniform(0.0, 1.0, size=(3, n, d))
+            d_f = rng.normal(size=(3, n))
+            # Stacked params on a shared batch, one model on stacked
+            # batches, and stacked params each on its own batch.
+            for model, batch, solo in ((stacked, xs[0], lambda i: (models[i], xs[0])),
+                                       (models[0], xs, lambda i: (models[0], xs[i])),
+                                       (stacked, xs, lambda i: (models[i], xs[i]))):
+                _, cache = forward(model, batch)
+                got_in = vjp_input(model, cache, d_f)
+                got_params = vjp_params(model, cache, d_f)
+                assert got_params.flags.c_contiguous
+                for i in range(3):
+                    m_i, x_i = solo(i)
+                    _, cache_i = forward(m_i, x_i)
+                    want_in = vjp_input(m_i, cache_i, d_f[i])
+                    want_params = vjp_params(m_i, cache_i, d_f[i])
+                    assert got_in[i].tobytes() == want_in.tobytes()
+                    assert got_params[i].tobytes() == want_params.tobytes()

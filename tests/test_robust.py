@@ -8,8 +8,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    attack_batch, auc_mann_whitney, barycenter_attack,
                    brute_force_worst_case, closed_form_aux, dual_curve,
                    estimate_robust_auc, forward, gen_synthetic, init_model,
-                   min_cost_flip_search, robust_surrogate,
-                   robust_surrogate_exact_1d, score, surrogate_loss,
+                   min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc.robust import _bind_ascent, _calibrate_multiplier, _suffix_argmin
 from drauc.verification import check_phi_monotone_lambda
@@ -23,11 +22,9 @@ class TestRobustSurrogate:
         # g(x') = 0.5 x'^2 + x' and lam = 1: maximize x' - 0.5 x'^2 on [0,1],
         # optimum 0.5 at x' = 1.
         cfg = AttackConfig(steps=50, step_size=0.5)
-        val, (x_adv, y) = robust_surrogate(IDENT, AUX0, 0.5, 1.0,
-                                           (np.array([0.0]), 0), cfg)
+        (val,), (x_adv,) = attack_batch(IDENT, AUX0, 0.5, 1.0, np.array([[0.0]]), 0, cfg)
         assert abs(val - 0.5) <= 1e-4
         assert abs(x_adv[0] - 1.0) <= 1e-4
-        assert y == 0
 
     def test_exact_oracle_interior_optimum(self):
         # lam = 10: maximize x' - 9.5 x'^2, optimum 1/19 with value 9.5/361.
@@ -38,15 +35,14 @@ class TestRobustSurrogate:
 
     def test_pga_agrees_with_exact_oracle_on_stable_step(self):
         cfg = AttackConfig(steps=300, step_size=0.04)
-        val, _ = robust_surrogate(IDENT, AUX0, 0.5, 10.0, (np.array([0.0]), 0), cfg)
+        (val,), _ = attack_batch(IDENT, AUX0, 0.5, 10.0, np.array([[0.0]]), 0, cfg)
         assert val == pytest.approx(9.5 / 361.0, abs=1e-6)
 
     def test_infinite_penalty_limit(self):
         cfg = AttackConfig(steps=10, step_size=0.05)
         for x0 in (0.3, 0.6):
-            z = (np.array([x0]), 0)
             g0 = surrogate_loss(AUX0, 0.5, x0, 0)
-            val, (x_adv, _) = robust_surrogate(IDENT, AUX0, 0.5, 1e6, z, cfg)
+            (val,), _ = attack_batch(IDENT, AUX0, 0.5, 1e6, np.array([[x0]]), 0, cfg)
             assert abs(val - g0) <= 1e-6
             assert val >= g0
 
@@ -54,8 +50,7 @@ class TestRobustSurrogate:
         # One huge unstable step lands far below the start; the returned
         # pair must be the start itself.
         cfg = AttackConfig(steps=1, step_size=0.05)
-        z = (np.array([0.3]), 0)
-        val, (x_adv, _) = robust_surrogate(IDENT, AUX0, 0.5, 1e3, z, cfg)
+        (val,), (x_adv,) = attack_batch(IDENT, AUX0, 0.5, 1e3, np.array([[0.3]]), 0, cfg)
         assert val == surrogate_loss(AUX0, 0.5, 0.3, 0)
         assert x_adv[0] == 0.3
 
@@ -72,9 +67,8 @@ class TestRobustSurrogate:
             x = rng.uniform(0, 1, size=d)
             y = int(rng.integers(2))
             g0 = surrogate_loss(aux, p_hat, score(m, x), y)
-            val, (x_adv, y_adv) = robust_surrogate(m, aux, p_hat, lam, (x, y), cfg)
+            (val,), x_adv = attack_batch(m, aux, p_hat, lam, x[None, :], y, cfg)
             assert val >= g0 - 1e-12
-            assert y_adv == y
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
     @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf, [1.0, -5.0], [[1.0]]])
@@ -885,11 +879,21 @@ class TestEstimateRobustAuc:
             with pytest.raises(ValueError, match="eps"):
                 estimate_robust_auc(model, ds, eps, aux)
 
-    @pytest.mark.parametrize("eps", [(0.001, 0.001, 5.0), (0.001,), [0.001, 0.002, 0.003], ()])
+    @pytest.mark.parametrize("eps", [(0.001, 0.001, 5.0), (0.001,), [0.001, 0.002, 0.003], (),
+                                     np.array([0.001, 0.002, 0.003]), np.array([[0.01, 0.0]]),
+                                     [0.01, (0.0, 0.0)]])
     def test_per_class_budgets_take_a_pair(self, trained, eps):
         ds, model, aux = trained
-        with pytest.raises(ValueError, match="eps"):
+        with pytest.raises(ValueError, match="^eps must be one budget or an"):
             estimate_robust_auc(model, ds, eps, aux)
+
+    def test_ndarray_pair_matches_tuple(self, trained):
+        ds, model, aux = trained
+        want = estimate_robust_auc(model, ds, (0.01, 0.0), aux)
+        for eps in (np.array([0.01, 0.0]), [0.01, 0.0]):
+            assert estimate_robust_auc(model, ds, eps, aux) == want
+        assert estimate_robust_auc(model, ds, np.float64(0.01), aux) == \
+            estimate_robust_auc(model, ds, 0.01, aux)
 
     @pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.nan, math.inf])
     def test_lambda_max_validation(self, trained, lambda_max):

@@ -1,10 +1,12 @@
-"""The checks that score many throwaway models in stacked passes, against
-per-model loops.
+"""The checks that score or attack many throwaway models in stacked passes,
+against per-model loops.
 
 ``grad_check`` scores each trial's finite-difference points, and
 ``check_score_range`` each (arch, d) group of its draws, as stacked
-one-row runs.  The loops below score one model at a time, as the package
-did before; the stacked checks must give exactly their results.
+one-row runs; ``check_phi_dominance`` attacks each (arch, d) group of its
+trials as stacked one-row runs.  The loops below score or attack one model
+at a time, as the package did before; the stacked checks must give exactly
+their results.
 """
 
 from dataclasses import replace
@@ -12,10 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drauc import AuxParams, forward, grad_check, init_model, score
+from drauc import AttackConfig, AuxParams, attack_batch, forward, grad_check, init_model, score
 from drauc.losses import surrogate_loss, surrogate_loss_grads
 from drauc.model import vjp_input, vjp_params
-from drauc.verification import _range_scores, check_score_range
+from drauc.verification import _phi_trials, _range_scores, check_phi_dominance, check_score_range
 
 ARCHS = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
 
@@ -88,6 +90,48 @@ def per_draw_score_range(draws, seed):
             scores.append(f)
             lo, hi = min(lo, f), max(hi, f)
     return scores, lo, hi
+
+
+def per_trial_phi(trials, seed):
+    """Each trial's (lam, g(z), phi, in the box) from a loop that attacks
+    each trial as it draws it, through ``attack_batch`` on a one-row batch."""
+    rng = np.random.default_rng(seed)
+    cfg = AttackConfig(steps=10, step_size=0.05)
+    out = []
+    for _ in range(trials):
+        d = int(rng.integers(1, 4))
+        arch = rng.choice(["linear-sigmoid", "mlp1-tanh-sigmoid(4)"])
+        m = init_model(str(arch), d, seed=int(rng.integers(2**31)))
+        aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
+        p_hat = float(rng.uniform(0.1, 0.9))
+        lam = float(10 ** rng.uniform(-3, 6)) if rng.random() > 0.1 else 0.0
+        x = rng.uniform(0, 1, size=d)
+        y = int(rng.integers(2))
+        g0 = surrogate_loss(aux, p_hat, score(m, x), y)
+        (val,), x_adv = attack_batch(m, aux, p_hat, lam, x[None, :], y, cfg)
+        out.append((lam, g0, val, 0 <= x_adv.min() and x_adv.max() <= 1))
+    return out
+
+
+@pytest.mark.parametrize("trials, seed", [(40, 5), (200, 5), (300, 11)])
+def test_phi_dominance_matches_per_trial_loop(trials, seed):
+    lams, g0, phi, in_box = _phi_trials(trials, seed)
+    want = per_trial_phi(trials, seed)
+    assert [tuple(t) for t in zip(lams.tolist(), g0.tolist(), phi.tolist(),
+                                  in_box.tolist())] == want
+    for k, got in ((1, g0), (2, phi)):
+        assert np.array([w[k] for w in want]).tobytes() == got.tobytes()
+    assert check_phi_dominance(trials, seed).passed
+
+
+def test_phi_dominance_reports_first_violation(monkeypatch):
+    # Trials 1 (out of the box) and 2 (phi below g) violate; 1 is reported.
+    trials = (np.array([0.5, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]),
+              np.array([0.1, 0.25, 0.1]), np.array([True, False, True]))
+    monkeypatch.setattr("drauc.verification._phi_trials", lambda n, seed: trials)
+    res = check_phi_dominance()
+    assert not res.passed
+    assert res.detail == "violated at lam=2: phi=0.25 < g=0.2"
 
 
 @pytest.mark.parametrize("arch", ARCHS)
