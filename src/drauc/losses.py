@@ -52,6 +52,9 @@ class AuxParams:
         if not -1.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
 
+    def __iter__(self):  # unpacks as the (a, b, alpha) triple
+        return iter((self.a, self.b, self.alpha))
+
 
 def _run_terms(aux, p):
     """One run's scalar terms of ``_FixedLabelLoss``, from its (a, b, alpha)
@@ -71,18 +74,17 @@ class _FixedLabelLoss:
     terms up front performs the same IEEE operations, in the same order, as
     masking both classes' terms with 0/1 and summing them.
 
-    ``aux`` is one AuxParams and ``p`` one float, or for R stacked runs
-    with labels (R, n) one (a, b, alpha) triple and one p per run.  Each
-    run's scalar terms are worked out in floats and stacked as (R, 1)
-    columns, so every run's arrays are bitwise those of its own call."""
+    ``aux`` is one (a, b, alpha) triple, an AuxParams or a tuple, and ``p``
+    one float; or, for R stacked runs with labels (R, n), a sequence of R
+    triples and one of R floats.  Each run's scalar terms are worked out in
+    floats and stacked as (R, 1) columns, so every run's arrays are bitwise
+    those of its own call."""
 
     __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "_d_f_terms")
 
     def __init__(self, aux, p, y):
-        if isinstance(aux, AuxParams):
-            terms = _run_terms((aux.a, aux.b, aux.alpha), p)
-        elif len(aux) == 1:  # floats broadcast as one run's (1, 1) columns do
-            terms = _run_terms(aux[0], p[0])
+        if isinstance(p, float) or np.ndim(p) == 0:  # one run: floats
+            terms = _run_terms(aux, p)
         else:  # one (R, 1) column per term
             terms = np.array([_run_terms(run, p_r) for run, p_r in zip(aux, p)]).T[..., None]
         w_pos, p, self.a, self.b, l_pos, self.k, self.c0, *self.dcoefs = terms
@@ -129,7 +131,9 @@ class _FixedLabelLoss:
 
 
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):
-    """Evaluate g at a scored example; f and y may be scalars or arrays."""
+    """Evaluate g at a scored example; f and y may be scalars or arrays.
+    For R stacked runs, ``aux`` and ``p_hat`` hold one triple and one float
+    per run and f and y are (R, n)."""
     val = _FixedLabelLoss(aux, p_hat, y).value(np.asarray(f, dtype=float))
     return float(val) if val.ndim == 0 else val
 

@@ -204,17 +204,18 @@ def _row_major(a, out=None):
 
 class _Passes:
     """A model's passes over batches of one shape, (..., n, d), bound once:
-    the parameter views in pass shape (W, WT, c as (h, 1), v, b) and one
-    buffer for every array a pass writes.  The first pass allocates each
-    buffer (as its ufunc's ``out``, which starts as None) and every later
-    pass writes into it (module docstring)."""
+    the parameter views in pass shape (W, WT, c as (h, 1), v, v as (h, 1),
+    b) and one buffer for every array a pass writes.  The first pass
+    allocates each buffer (as its ufunc's ``out``, which starts as None)
+    and every later pass writes into it (module docstring)."""
 
-    __slots__ = ("W", "WT", "c", "v", "b", "mlp", "clamped", "hidden", "rows", "u",
-                 "f", "slope", "d_pre", "outer", "jac")
+    __slots__ = ("W", "WT", "c", "v", "v_col", "b", "mlp", "clamped", "hidden", "rows",
+                 "u", "f", "slope", "d_pre", "outer", "jac")
 
     def __init__(self, model: ScoringModel):
         self.W, self.WT, self.c, self.v, self.b = (model.W, model.WT, model.c[..., None],
                                                    model.v, model.b)
+        self.v_col = model.v[..., :, None]
         self.mlp = model.arch == MLP1_TANH_SIGMOID
         self.clamped = model.arch == LINEAR_IDENTITY_CLAMPED
         self.hidden = self.rows = self.u = self.f = self.slope = None
@@ -258,11 +259,11 @@ class _Passes:
         """d_f * (d f / d x) as a (..., d, n) array, from one pass's tanh
         layer ``hidden`` (..., h, n) (None for the linear archs) and slope."""
         if hidden is None:
-            jac = self.jac = np.multiply(self.v[..., :, None], slope[..., None, :], out=self.jac)
+            jac = self.jac = np.multiply(self.v_col, slope[..., None, :], out=self.jac)
         else:
             if self.outer is None and self.rows is not None:
                 self.outer = self.rows.reshape(hidden.shape)  # free by now
-            d_pre = self.d_pre = _pre_activation_grad(self.v, hidden, slope,
+            d_pre = self.d_pre = _pre_activation_grad(self.v_col, hidden, slope,
                                                       self.d_pre, self.outer)
             if self.WT.shape[-2] > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
@@ -299,13 +300,14 @@ def forward(model: ScoringModel, x):
     return f, (batch, hidden, passes.output_slope())
 
 
-def _pre_activation_grad(v, hidden, slope, out=None, outer=None):
+def _pre_activation_grad(v_col, hidden, slope, out=None, outer=None):
     """d f / d (Wx + c) for the mlp as (..., h, n), from the tanh layer
-    hidden (..., h, n); written to ``out``, and the outer product of v and
-    slope it is made from to ``outer``, if given."""
+    hidden (..., h, n) and v as a column (..., h, 1); written to ``out``,
+    and the outer product of v and slope it is made from to ``outer``, if
+    given."""
     d_pre = np.square(hidden, out=out)
     np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= np.multiply(v[..., :, None], slope[..., None, :], out=outer)
+    d_pre *= np.multiply(v_col, slope[..., None, :], out=outer)
     return d_pre
 
 
@@ -325,7 +327,8 @@ def vjp_params(model: ScoringModel, cache, d_f):
     *runs, n = slope.shape  # the run axes of params and batch, broadcast
     grad = np.empty((*runs, model.params.shape[-1], n))
     if hidden is not None:
-        d_pre = _pre_activation_grad(model.v, hidden.mT, slope, grad[..., h * d : h * d + h, :])
+        d_pre = _pre_activation_grad(model.v[..., :, None], hidden.mT, slope,
+                                     grad[..., h * d : h * d + h, :])
         np.multiply(d_pre[..., :, None, :], batch.mT[..., None, :, :],
                     out=grad[..., : h * d, :].reshape(*runs, h, d, n))
     # The output layer's weights and bias, after the mlp's hidden layer.

@@ -112,23 +112,28 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     bound ascent computes it once per batch, and each multiplier's ascent
     continues from there, bit for bit what a fresh call gives.
 
-    Returns (values, x_adv) where each row of the row-major (n, d) array
-    x_adv is the best iterate seen for that example (the start point
+    R stacked runs attack in one call, each bitwise as it does alone: a
+    model with (R, P) params, batches (R, n, d), one (a, b, alpha) triple
+    and one p_hat per run in ``aux`` and ``p_hat``, and ``lam`` one value
+    or one per row (R, n).
+
+    Returns (values, x_adv) where each row of the row-major (..., n, d)
+    array x_adv is the best iterate seen for that example (the start point
     counts, so values >= g(z)).
     """
     x0 = np.asarray(x_batch, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape not in ((), x0.shape[:1]) or not ((0.0 <= lam) & (lam < math.inf)).all():
+    if lam.shape not in ((), x0.shape[:-1]) or not ((0.0 <= lam) & (lam < math.inf)).all():
         raise ValueError(f"lam must be finite and >= 0, one value or one per row, got {lam}")
     return _bind_ascent(model, aux, p_hat, x0, y_batch, cfg).run(lam)
 
 
 def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg, reuse=False):
-    """The ascent bound over a float batch x0 in [0, 1]^d and its labels
-    (one label or one per row)."""
+    """The ascent bound over a float batch x0 in [0, 1]^d, or R stacked
+    runs' batches, and its labels (one label or one per row)."""
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
-    loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), (x0.shape[0],)))
+    loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), x0.shape[:-1]))
     return _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size, reuse)
 
 

@@ -214,9 +214,11 @@ def train_stacked(runs) -> list[TrainState]:
         lam_keys.append(["lam" + s for s in suffixes])
         cost_keys.append(["mean_cost" + s for s in suffixes])
     group_of = label_group.tolist()
-    lam = np.array([[cfg.lambda0] * 2 for cfg in cfgs])
+    # Float64 whatever the configs' types: an int lambda0 would otherwise
+    # make lam an int array that truncates every multiplier update.
+    lam = np.array([[cfg.lambda0] * 2 for cfg in cfgs], dtype=np.float64)
+    lam_runs = [lam[r, : budget.size] for r, budget in enumerate(budgets)]  # views
     p_hat = [dataset.p_hat for dataset in datasets]
-    eta_w = np.array([[cfg.eta_w] for cfg in cfgs])
     run_ix = np.arange(R)[:, None]
 
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
@@ -224,23 +226,32 @@ def train_stacked(runs) -> list[TrainState]:
     # np.add.reduce(x) / n, the values ndarray.mean gives; a stacked
     # reduction gives each run the bits of its own.
     theta = np.stack([m.params for _, _, m in runs])
+    theta_runs = list(theta)  # views
     aux = [(0.0, 0.0, 0.0)] * R  # a, b, alpha per run
     histories = [[] for _ in runs]
     x_batch = np.empty((R, n, model0.input_dim))
     y_batch = np.empty((R, n), dtype=datasets[0].labels.dtype)
-    # The passes take a lone run's arrays without the run axis, since
-    # NumPy's cost per call grows with the number of axes; their outputs
-    # are read back as (R, n) rows.
+    # The passes and the loss take a lone run's arrays and terms without
+    # the run axis, and its steps as floats, since NumPy's cost per call
+    # grows with the number of axes: kept in the (1, ...) layout, a lone
+    # run of the benchmark's train-aucm-long config trains about 11%
+    # slower, and of train-da-ref's about 5%.  Their outputs are read back
+    # as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
-    model = replace(model0, params=lone(theta))
+    params = lone(theta)
+    model = replace(model0, params=params)
     xs, ys = lone(x_batch), lone(y_batch)
-    step_size = lone(np.array([cfg.eta_z for cfg in cfgs])[:, None, None])
+    if R == 1:
+        eta_w, step_size = float(cfg0.eta_w), float(cfg0.eta_z)
+    else:  # (R, 1) and (R, 1, 1) columns
+        eta_w = np.array([[cfg.eta_w] for cfg in cfgs], dtype=np.float64)
+        step_size = np.array([[[cfg.eta_z]] for cfg in cfgs], dtype=np.float64)
     for t in range(1, cfg0.iters + 1):
         for r, (dataset, rng) in enumerate(zip(datasets, rngs)):
             idx = sample_batch(dataset, n, rng)
             dataset.features.take(idx, axis=0, out=x_batch[r])
             dataset.labels.take(idx, out=y_batch[r])
-        loss = _FixedLabelLoss(aux, p_hat, ys)
+        loss = _FixedLabelLoss(lone(aux), lone(p_hat), ys)
         pos_rows = loss.pos.reshape(R, n)
 
         if attack:
@@ -261,15 +272,14 @@ def train_stacked(runs) -> list[TrainState]:
         else:
             f_nom = f_adv  # else the ascent's first pass scored x_batch
         f_nom = f_nom.reshape(R, n)
-        g_means = (np.add.reduce(g_adv.reshape(R, n), axis=-1) / n).tolist()
-        aux_steps = (np.add.reduce([d_a, d_b, d_alpha], axis=-1) / n).reshape(3, R).T.tolist()
+        # Each run's means of g and of dg/da, dg/db and dg/dalpha.
+        means = (np.add.reduce([g_adv, d_a, d_b, d_alpha], axis=-1) / n).reshape(4, R).T.tolist()
         grad_theta = np.add.reduce(vjp_params(model, cache, d_f), axis=-2) / n
 
         for r, cfg in enumerate(cfgs):
             a, b, alpha = aux[r]
-            budget = budgets[r]
-            lam_r = lam[r, : budget.size]
-            pos = pos_rows[r]
+            g_mean, step_a, step_b, step_alpha = means[r]
+            budget, lam_r, pos = budgets[r], lam_runs[r], pos_rows[r]
             n_pos = int(np.count_nonzero(pos))
             if attack:
                 mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
@@ -280,17 +290,18 @@ def train_stacked(runs) -> list[TrainState]:
                 mean_costs = [0.0 if g in seen else None  # None: group absent
                               for g in range(budget.size)]
             if 0 < n_pos < n:
-                batch_auc = auc_mann_whitney(f_nom[r][pos], f_nom[r][~pos])
+                f_r = f_nom[r]
+                batch_auc = auc_mann_whitney(f_r[pos], f_r[~pos])
             else:
                 batch_auc = 0.5  # no ranked pairs in a single-class batch
             record = {
                 "iteration": t,
-                "objective": float(np.add.reduce(lam_r * budget)) + g_means[r],
+                "objective": float(np.add.reduce(lam_r * budget)) + g_mean,
                 "alpha": alpha,
                 "a": a,
                 "b": b,
                 "batch_auc": batch_auc,
-                "theta": theta[r].copy(),
+                "theta": theta_runs[r].copy(),
             }
             record.update(zip(lam_keys[r], lam_r.tolist()))
             record.update(zip(cost_keys[r], mean_costs))
@@ -298,7 +309,6 @@ def train_stacked(runs) -> list[TrainState]:
 
             # Simultaneous updates from the iteration-start values.
             # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
-            step_a, step_b, step_alpha = aux_steps[r]
             for g, mean_cost in enumerate(mean_costs):
                 if mean_cost is not None:
                     lam_r[g] = min(max(lam_r[g] - cfg.eta_lambda * (budget[g] - mean_cost),
@@ -306,12 +316,12 @@ def train_stacked(runs) -> list[TrainState]:
             aux[r] = (float(min(max(a - cfg.eta_w * step_a, 0.0), 1.0)),
                       float(min(max(b - cfg.eta_w * step_b, 0.0), 1.0)),
                       float(min(max(alpha + cfg.eta_alpha * step_alpha, -1.0), 1.0)))
-        theta -= eta_w * grad_theta
+        params -= eta_w * grad_theta
 
     return [TrainState(
-        model=replace(m, params=theta[r].copy()),
+        model=replace(m, params=theta_runs[r].copy()),
         aux=AuxParams(*aux[r]),
-        dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam[r, :budgets[r].size].tolist()),
+        dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam_runs[r].tolist()),
                        eps=tuple(budgets[r].tolist())),
         iteration=cfg.iters,
         history=histories[r],

@@ -16,10 +16,10 @@ import numpy as np
 
 from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
 from .gradcheck import grad_check
-from .losses import (AuxParams, _FixedLabelLoss, auc_mann_whitney, closed_form_aux,
-                     pairwise_sq_risk, saddle_value, surrogate_loss_grads)
+from .losses import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
+                     saddle_value, surrogate_loss, surrogate_loss_grads)
 from .model import init_model, _init_params, parse_arch, score, ScoringModel
-from .robust import (AttackConfig, _BoundAscent, barycenter_attack,
+from .robust import (AttackConfig, attack_batch, barycenter_attack,
                      brute_force_worst_case, dual_curve, min_cost_flip_search,
                      robust_surrogate_exact_1d)
 from .training import TrainConfig, train, train_stacked
@@ -207,12 +207,10 @@ def _phi_trials(trials, seed):
         index, params, auxs, p_hats, lam, x, y = map(list, zip(*group))
         name, width = parse_arch(arch)
         model = ScoringModel(name, np.array(params), d, width)
-        x0 = np.array(x)[:, None, :]  # each trial its own n = 1 batch
-        loss = _FixedLabelLoss(auxs, p_hats, np.array(y)[:, None])
+        x0, y = np.array(x)[:, None, :], np.array(y)[:, None]  # each trial an n = 1 batch
         lams[index] = lam
-        g0[index] = loss.value(score(model, x0))[:, 0]
-        vals, x_adv = _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size).run(
-            lams[index][:, None])
+        g0[index] = surrogate_loss(auxs, p_hats, score(model, x0), y)[:, 0]
+        vals, x_adv = attack_batch(model, auxs, p_hats, lams[index][:, None], x0, y, cfg)
         phi[index] = vals[:, 0]
         in_box[index] = (x_adv.min(axis=(1, 2)) >= 0) & (x_adv.max(axis=(1, 2)) <= 1)
     return lams, g0, phi, in_box

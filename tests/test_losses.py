@@ -206,6 +206,16 @@ class TestSharedLossMethod:
                 assert all(same_bits(g, w) for g, w in
                            zip(surrogate_loss_grads(aux, p, fs, ys), want[1:]))
 
+    def test_one_run_takes_any_triple_and_scalar_p(self):
+        # An AuxParams or a plain (a, b, alpha) tuple, and p as a float or a
+        # 0-d array: the same loss, bit for bit.
+        fs = np.random.default_rng(44).uniform(0, 1, size=40)
+        ys = (np.arange(40) % 3 == 0).astype(int)
+        want = _FixedLabelLoss(AuxParams(0.3, 0.75, -0.3), 0.2, ys).value_and_grads(fs)
+        for aux, p in (((0.3, 0.75, -0.3), 0.2), (AuxParams(0.3, 0.75, -0.3), np.array(0.2))):
+            got = _FixedLabelLoss(aux, p, ys).value_and_grads(fs)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
     def test_scalars(self, alpha):
         a, b, p = 0.3, 0.75, 0.2

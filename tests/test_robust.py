@@ -226,6 +226,29 @@ class TestAttackBatch:
         assert np.array_equal(vals, vec_vals) and np.array_equal(x_adv, vec_x)
 
     @pytest.mark.parametrize("arch", ARCHS)
+    def test_stacked_runs_match_their_own_calls_bitwise(self, arch):
+        # Three runs: their own models, batches, aux, p_hat and per-row
+        # multipliers, one of them all 0 (its penalty off when alone).
+        runs = [attack_instance(arch, seed) for seed in (35, 36, 37)]
+        auxs = [(0.3, 0.6, -0.2), (0.1, 0.9, 0.5), (0.7, 0.2, -0.9)]
+        p_hats = [0.4, 0.15, 0.8]
+        rng = np.random.default_rng(38)
+        lams = np.stack([10.0 ** rng.uniform(-2, 2, 12), np.zeros(12), np.full(12, 0.5)])
+        model = replace(runs[0][0], params=np.stack([m.params for m, _, _, _ in runs]))
+        x = np.stack([x for _, _, x, _ in runs])
+        y = np.stack([y for _, _, _, y in runs])
+        cfg = AttackConfig(steps=8, step_size=1.0)
+        vals, x_adv = attack_batch(model, auxs, p_hats, lams, x, y, cfg)
+        assert vals.shape == (3, 12) and x_adv.shape == (3, 12, 2)
+        for r, (m, _, x_r, y_r) in enumerate(runs):
+            want_vals, want_x = attack_batch(m, AuxParams(*auxs[r]), p_hats[r], lams[r],
+                                             x_r, y_r, cfg)
+            assert vals[r].tobytes() == want_vals.tobytes()
+            assert x_adv[r].tobytes() == want_x.tobytes()
+        with pytest.raises(ValueError, match="one value or one per row"):
+            attack_batch(model, auxs, p_hats, lams[0], x, y, cfg)
+
+    @pytest.mark.parametrize("arch", ARCHS)
     def test_per_row_multipliers_match_masked_form_bitwise(self, arch):
         # Step sizes up to 3 reach the box faces and overshoot the best
         # iterate; some multipliers are 0.

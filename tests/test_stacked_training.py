@@ -89,6 +89,23 @@ def test_identical_runs_stay_identical():
     assert _same_run(first, second) and _same_run(first, train(*run))
 
 
+@pytest.mark.parametrize("lambda0", [1, 0])
+@pytest.mark.parametrize("variant", ["da", "df"])
+def test_int_settings_train_as_their_floats(variant, lambda0):
+    # Ints where the config's defaults are floats train as those floats:
+    # the multipliers stay float64, so an update to 0.995 is not cut to 0.
+    ds, model = tailed(150, 2, 80), init_model("mlp1-tanh-sigmoid(8)", 2, 80)
+    base = dict(variant=variant, iters=40, batch_size=16, eps=0.05, seed=80)
+    ints = TrainConfig(lambda0=lambda0, eta_z=1, eta_w=1, **base)
+    floats = TrainConfig(lambda0=float(lambda0), eta_z=1.0, eta_w=1.0, **base)
+    want = train(ds, floats, model)
+    assert any(lam % 1.0 for rec in want.history for lam in
+               (rec.get("lam"), rec.get("lam_pos"), rec.get("lam_neg")) if lam is not None)
+    assert _same_run(train(ds, ints, model), want)
+    assert all(_same_run(s, want) for s in train_stacked([(ds, ints, model),
+                                                          (ds, floats, model)]))
+
+
 class TestStackValidation:
     @staticmethod
     def run(d=2, arch="linear-sigmoid", **kw):
