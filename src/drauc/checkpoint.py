@@ -9,8 +9,9 @@ fields are comma-joined.  Checkpoint keys are written in a fixed order and
 config snapshot keys are sorted, so identical states produce identical
 bytes.  Saving and loading reject non-finite vector entries, so no file
 holds one.  Loading rebuilds the three objects, so their own validation
-runs, and also rejects a scaler with min > max, an unknown variant or one
-that does not match the multiplier keys, and an iteration below 1.
+runs, and also rejects a repeated key, a scaler with min > max, an unknown
+variant or one that does not match the multiplier keys, and an iteration
+below 1.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .model import ScoringModel, parse_arch
 from .losses import AuxParams
-from .robust import GROUP_SUFFIXES, DualState
-from .training import VARIANTS
+from .training import GROUP_SUFFIXES, VARIANTS, DualState
 
 CHECKPOINT_VERSION = 1
 
@@ -119,10 +119,10 @@ def load_checkpoint(path) -> Checkpoint:
         if "=" not in line:
             raise CheckpointError(f"malformed line {line!r}")
         key, value = line.split("=", 1)
-        if key.startswith("cfg."):
-            cfg[key[4:]] = value
-        else:
-            fields[key] = value
+        table, name = (cfg, key[4:]) if key.startswith("cfg.") else (fields, key)
+        if name in table:
+            raise CheckpointError(f"field {key!r} appears more than once")
+        table[name] = value
 
     def need(key: str) -> str:
         if key not in fields:
@@ -179,17 +179,8 @@ def load_checkpoint(path) -> Checkpoint:
     iteration = need_int("iteration")
     if iteration < 1:
         raise CheckpointError(f"field 'iteration' must be >= 1, got {iteration}")
-    return Checkpoint(
-        model=model,
-        aux=aux,
-        variant=variant,
-        dual=dual,
-        scaler_min=scaler_min,
-        scaler_max=scaler_max,
-        seed=need_int("seed"),
-        iteration=iteration,
-        cfg=cfg,
-    )
+    return Checkpoint(model=model, aux=aux, variant=variant, dual=dual, scaler_min=scaler_min,
+                      scaler_max=scaler_max, seed=need_int("seed"), iteration=iteration, cfg=cfg)
 
 
 def format_report(config: dict, metrics: dict, history=None) -> str:

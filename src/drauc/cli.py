@@ -63,6 +63,7 @@ _HELP = {"data": "training CSV; omit for synthetic"}
 
 
 def _read_config_file(path):
+    """A --config file's settings, key -> (value, line number)."""
     cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -71,9 +72,20 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ConfigError(f"{path}: line {lineno}: key {key!r} repeats "
+                                  f"line {cfg[key][1]}")
+            cfg[key] = (value, lineno)
     return cfg
+
+
+def _parse(kind, text, source):
+    """text as a ``kind``, or a ConfigError naming its ``source``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{source}: expected {kind.__name__}, got {text!r}") from None
 
 
 def _resolve(args, knobs):
@@ -85,9 +97,10 @@ def _resolve(args, knobs):
     for key, (kind, default) in knobs.items():
         value = getattr(args, key)
         if value is None and key in file_cfg:
-            value = kind(file_cfg[key])
+            text, lineno = file_cfg[key]
+            value = _parse(kind, text, f"{args.config}: line {lineno}: {key}")
         if value is None and key == "seed" and os.environ.get("DRAUC_SEED"):
-            value = int(os.environ["DRAUC_SEED"])
+            value = _parse(int, os.environ["DRAUC_SEED"], "environment variable DRAUC_SEED")
         out[key] = default if value is None else value
     return out
 

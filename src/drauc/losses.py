@@ -25,10 +25,8 @@ is exact, and it yields the identity (enforced by the test suite)
 
 With scores in [0, 1], the optimizers live in a, b in [0, 1] and
 alpha in [-1, 1], so those boxes are the domains enforced here.
-For fixed labels g and dg/df take a per-row coefficient form
-(``_FixedLabelLoss``), built once per training iteration or ascent call;
-its ``value`` and ``d_f`` can write into a caller's buffers and share one
-f - c.
+For fixed labels g and its partials take a per-row coefficient form
+(``_FixedLabelLoss``).
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ class _FixedLabelLoss:
     floats and stacked as (R, 1) columns, so every run's arrays are bitwise
     those of its own call."""
 
-    __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "_d_f_terms")
+    __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "two_w", "kl")
 
     def __init__(self, aux, p, y):
         if isinstance(p, float) or np.ndim(p) == 0:  # one run: floats
@@ -92,7 +90,7 @@ class _FixedLabelLoss:
         self.w = np.where(pos, w_pos, p)
         self.c = np.where(pos, self.a, self.b)
         self.l = np.where(pos, l_pos, p)
-        self._d_f_terms = None
+        self.two_w, self.kl = 2.0 * self.w, self.k * self.l
 
     def _value(self, f_c, lf, out=None):
         """g from f - c and l*f, which it scales by k in place."""
@@ -110,11 +108,8 @@ class _FixedLabelLoss:
 
     def d_f(self, f_c, out=None):
         """dg/df from f - c, as ``value`` leaves it in ``f_c``."""
-        if self._d_f_terms is None:  # 2w and k*l, once per object
-            self._d_f_terms = (2.0 * self.w, self.k * self.l)
-        two_w, kl = self._d_f_terms
-        d_f = np.multiply(two_w, f_c, out=out)
-        d_f += kl
+        d_f = np.multiply(self.two_w, f_c, out=out)
+        d_f += self.kl
         return d_f
 
     def value_and_grads(self, f):

@@ -9,53 +9,21 @@ Three small architectures map feature vectors in [0,1]^d to a score in
 
 One ``forward`` pass returns the scores and a cache that the input and
 parameter vector-Jacobian products read; ``score`` runs the same pass
-without the cache's slope, for callers that need only the scores.  A model unpacks its parameter vector once,
-when it is built, into views that these functions read (``W``, ``WT``,
-``c``, ``v`` and the bias ``b``), so an in-place edit of ``params`` is
-seen by the next pass.
+without the cache's slope, for callers that need only the scores.  A
+model unpacks its parameter vector once, when it is built, into views that
+these functions read (``W``, ``WT``, ``c``, ``v`` and the bias ``b``), so
+an in-place edit of ``params`` is seen by the next pass.
 
-``forward`` and ``score`` also take many models, or many batches, in one
-pass.  A model's ``params`` may carry leading run axes, (..., P), and so
-may a batch, (..., n, d); the two sets of leading axes broadcast as
+These functions also take many models, or many batches, in one call.  A
+model's ``params`` may carry leading run axes, (..., P), and so may a
+batch, (..., n, d); the two sets of leading axes broadcast as
 ``np.matmul`` broadcasts them, so R stacked models may score one shared
 batch, one model R stacked batches, or R models R batches, and the scores
 come out (..., n).  A call without run axes is the single-model call.
-Each run is its own slice of every product: the stacked tanh layer is
-(..., h, d) @ (..., d, n), which NumPy hands to BLAS one slice at a time,
-and the output layer is ``np.matvec`` of the (..., n, h) rows with v, which
-gives bitwise the ``rows @ v`` matrix-vector product for each slice.  So
-every run's scores and cache are bitwise those of its own unstacked
-call.  (A row's score can still change in the last bit with the other
-rows of its batch, see below; a caller that needs one input's exact
-score stacks it as its own n = 1 batch.)  ``vjp_input`` and
-``vjp_params`` read a stacked cache the same way: their outer products
-are v[..., :, None] * slope[..., None, :], and the input gradient's
-product with W is a stacked ``np.matmul``, so each run's rows are bitwise
-those of its own call.
-
-The passes work feature-major: the tanh layer is the (h, n) array
-W @ x.T, and the products return (d, n) and (P, n) arrays, so each
-elementwise pass runs along the batch, not along h or d.  Two layouts
-decide rounding and stay row-major.  NumPy hands a product with a vector
-(``hidden @ v``, a linear scorer's ``x @ w``, and at d = 1 the input
-gradient's product with W) to a BLAS matrix-vector kernel that rounds by
-its matrix's layout and blocks its rows, so these run on row-major
-copies.  And ``vjp_params`` returns a row-major (n, P) array, on which a
-mean over rows sums in sequence.  So every output is bitwise what
-row-major passes give.
-
-``forward``, ``score`` and ``vjp_input`` check their inputs, then run
-the passes of a ``_Passes`` bound to the model for that one call, and
-return arrays of their own.  A caller that makes many passes over
-batches of one shape, as the inner ascent does, binds them once instead:
-the parameter views in pass shape, and one buffer for each array a pass
-writes, which the first pass allocates and every later pass overwrites.
-``scores`` writes the tanh layer (h, n), its row-major copy, u and f;
-``output_slope`` the slope; ``input_grad`` d f / d (Wx + c) (h, n) and
-the (d, n) gradient, and it forms the outer product of v and the slope
-(h, n) in the row-major copy's memory, which no later step of the pass
-reads.  Such a caller must not hold f, the slope, the tanh layer or the
-gradient across passes: the next pass overwrites them.
+Every run's outputs are bitwise those of its own unstacked call (see
+``_Passes`` for the layout that makes them so).  A row's score can still
+change in the last bit with the other rows of its batch; a caller that
+needs one input's exact score stacks it as its own n = 1 batch.
 
 Gradients are hand-written (no autodiff framework) and checked against
 central finite differences in the test suite.  The tanh hidden activation
@@ -106,12 +74,6 @@ def parse_arch(arch: str) -> tuple[str, int]:
                 raise ConfigError(f"hidden width must be >= 1, got {width}")
             return MLP1_TANH_SIGMOID, width
     raise ConfigError(f"unknown architecture {arch!r}")
-
-
-def format_arch(name: str, hidden_width: int) -> str:
-    if name == MLP1_TANH_SIGMOID:
-        return f"{name}({hidden_width})"
-    return name
 
 
 def param_count(arch_name: str, input_dim: int, hidden_width: int = 0) -> int:
@@ -167,7 +129,10 @@ class ScoringModel:
 
     @property
     def arch_descriptor(self) -> str:
-        return format_arch(self.arch, self.hidden_width)
+        """The architecture as ``parse_arch`` reads it."""
+        if self.arch == MLP1_TANH_SIGMOID:
+            return f"{self.arch}({self.hidden_width})"
+        return self.arch
 
 
 def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
@@ -203,11 +168,32 @@ def _row_major(a, out=None):
 
 
 class _Passes:
-    """A model's passes over batches of one shape, (..., n, d), bound once:
-    the parameter views in pass shape (W, WT, c as (h, 1), v, v as (h, 1),
-    b) and one buffer for every array a pass writes.  The first pass
-    allocates each buffer (as its ufunc's ``out``, which starts as None)
-    and every later pass writes into it (module docstring)."""
+    """A model's passes over batches of one shape, (..., n, d), bound once.
+
+    The passes work feature-major: the tanh layer is the (h, n) array
+    W @ x.T and the gradients are (d, n) and (P, n) arrays, so each
+    elementwise pass runs along the batch.  Two layouts decide rounding
+    and stay row-major.  NumPy hands a product with a vector (``hidden @
+    v``, a linear scorer's ``x @ w``, and at d = 1 the input gradient's
+    product with W) to a BLAS matrix-vector kernel that rounds by its
+    matrix's layout and blocks its rows, so these run on row-major copies.
+    And ``vjp_params`` returns a row-major (n, P) array, on which a mean
+    over rows sums in sequence.  Stacked runs are slices of every product:
+    the tanh layer is (..., h, d) @ (..., d, n), which NumPy hands to BLAS
+    one slice at a time, the output layer ``np.matvec`` of the (..., n, h)
+    rows with v, bitwise each slice's ``rows @ v``, and the outer products
+    v[..., :, None] * slope[..., None, :] broadcast per run.
+
+    The parameter views are bound in pass shape (W, WT, c as (h, 1), v, v
+    as (h, 1), b), with one buffer for every array a pass writes, which
+    the first pass allocates (as its ufunc's ``out``, first None) and every
+    later pass overwrites: ``scores`` the tanh layer (h, n), its row-major
+    copy, u and f; ``output_slope`` the slope; ``input_grad`` d f / d (Wx +
+    c) (h, n), the outer product of v and the slope (h, n), in the
+    row-major copy's memory, and the (d, n) gradient.  So a caller that
+    makes many passes, as the inner ascent does, must not hold f, the
+    slope, the tanh layer or the gradient across them.
+    """
 
     __slots__ = ("W", "WT", "c", "v", "v_col", "b", "mlp", "clamped", "hidden", "rows",
                  "u", "f", "slope", "d_pre", "outer", "jac")

@@ -8,14 +8,8 @@ computed here by K-step projected gradient ascent started at x' = x.  The
 returned value is the best penalized objective seen along the iterates
 (including the start), so phi_lam(z) >= g(z) holds for every lam, and the
 value collapses to g(z) as lam grows.  Perturbations never change labels:
-the transport cost across labels is infinite.  An ascent binds its K+1
-passes once per batch (the model's views and buffers, the loss's per-row
-terms and the iterates), and skips the penalty's work where the penalty
-is +0.0: with every multiplier 0, and at the start (``attack_batch``).
-So its first step, up to the first iterate's value and input gradient,
-reads no multiplier: it runs once per batch, and each multiplier's ascent
-continues from there.  The robust-AUC bisection runs its 62 multipliers
-from one such start.
+the transport cost across labels is infinite.  One bound ascent
+(``_BoundAscent``) serves any number of multipliers over one batch.
 
 Desk-scale oracles back the solver.  The three 1-D ones read one
 per-point frontier: the undominated (destination, squared cost, loss)
@@ -24,11 +18,7 @@ triples of a point that may move to a grid point or stay put.
   * an exact 1-D maximizer over a dense grid (plus the point itself),
   * the dual curve lam*eps + mean(phi_lam) on a multiplier grid, d = 1,
   * a brute-force search for the worst distribution of a tiny 1-D dataset
-    under a mean-squared-transport budget, restricted to one destination
-    per point and exact up to grid resolution: the Pareto frontiers of
-    joint moves for the two halves of the points, built in row blocks that
-    drop entries below a sampled lower envelope before any sort, are merged
-    by a searchsorted pass instead of raw enumeration,
+    under a mean-squared-transport budget, one destination per point,
   * the closed-form barycenter attack that collapses two point clusters
     onto their mass-weighted mean, driving strict AUC to zero at cost
     p*(1-p)*(x_pos - x_neg)^2.
@@ -60,57 +50,10 @@ class AttackConfig:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
 
 
-# Key suffix of each label group in checkpoints and training history: one
-# group for a single budget, (positives, negatives) for per-class budgets.
-GROUP_SUFFIXES = {1: ("",), 2: ("_pos", "_neg")}
-
-
-@dataclass
-class DualState:
-    """Multipliers and radii, one entry per label group."""
-
-    lambda_max: float = 1e3
-    lam: tuple = ()
-    eps: tuple = ()
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_max < math.inf:
-            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
-        for i, v in enumerate(self.lam):
-            if not 0.0 <= v <= self.lambda_max:
-                raise ValueError(f"lam[{i}]={v} outside [0, {self.lambda_max}]")
-        for i, v in enumerate(self.eps):
-            if not 0.0 <= v < math.inf:
-                raise ValueError(f"eps[{i}] must be finite and >= 0, got {v}")
-
-
 def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
                  x_batch: np.ndarray, y_batch, cfg: AttackConfig):
     """Ascent on the penalized objective under one multiplier ``lam`` or
-    one per row.  The forward pass at an iterate gives both its value and
-    the next step's gradient: K+1 passes in all.
-
-    The call binds the ascent once (``_BoundAscent``): the model's views
-    in pass shape and its pass buffers (``model._Passes``), the loss's
-    per-row terms, and (d, n) arrays for the start, the iterate, the best
-    iterate, the step and its square, so each elementwise pass runs along
-    the batch and every ufunc writes in place.  One f - c serves the value
-    and dg/df, and the last pass takes no slope.  A row's squared cost
-    sums its d terms in sequence, as a row-major sum does for d < 8 (NumPy
-    sums longer contiguous rows pairwise).
-
-    The penalty's work (the step x - x0, its cost, ``vals -= lam*cost``
-    and ``grad -= 2*lam*dx``) is skipped where it changes no bit: when
-    every multiplier is 0, and at the start, where every cost is +0.0.
-    There lam*cost is +0.0 (or -0.0 under a multiplier of -0.0), and
-    v - (+-0.0) is v for every value v, since no value is -0.0:
-    w*(f - c)**2 is never -0.0, and x - x is +0.0.  grad - 2*lam*dx then
-    differs from grad at most in the sign of a zero; x + (+-0.0) is x for
-    every iterate x in [0, 1] but -0.0, and np.maximum(0.0, .) maps -0.0
-    to +0.0 either way.  So the first step, up to the first iterate's
-    unpenalized value and its input gradient, does not read ``lam``: the
-    bound ascent computes it once per batch, and each multiplier's ascent
-    continues from there, bit for bit what a fresh call gives.
+    one per row, through one bound ascent (``_BoundAscent``).
 
     R stacked runs attack in one call, each bitwise as it does alone: a
     model with (R, P) params, batches (R, n, d), one (a, b, alpha) triple
@@ -128,45 +71,54 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
     return _bind_ascent(model, aux, p_hat, x0, y_batch, cfg).run(lam)
 
 
-def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg, reuse=False):
+def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg):
     """The ascent bound over a float batch x0 in [0, 1]^d, or R stacked
     runs' batches, and its labels (one label or one per row)."""
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
     loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), x0.shape[:-1]))
-    return _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size, reuse)
+    return _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size)
 
 
 class _BoundAscent:
-    """The K-step ascent over one batch (n, d), or over R stacked runs'
-    batches (R, n, d), bound once for any number of multipliers
-    (``attack_batch``).  A stacked ascent takes the model and loss of its
-    runs (``model``, ``losses._FixedLabelLoss``), a step size that is one
-    float or an (R, 1, 1) column, and multipliers per row (R, n); each
-    run's values and iterates are bitwise those of its own ascent.
+    """The K-step ascent over one batch (n, d), or R stacked runs' batches
+    (R, n, d), bound once for any number of multipliers.  A stacked ascent
+    takes its runs' model and loss, a step size that is one float or an
+    (R, 1, 1) column, and multipliers per row (R, n); each run's values and
+    iterates are bitwise those of its own ascent.
 
-    Binding runs everything that does not read the multiplier: pass 0 at
-    the start (its scores, value and input gradient), the step to the
-    first iterate x1 and its clip, and pass 1 (x1's scores, unpenalized
+    The model's passes (``model._Passes``) and the loss's per-row terms are
+    bound once; the start, iterates, best iterate and step are (d, n)
+    arrays, so each elementwise pass runs along the batch, in place.  The
+    forward pass at an iterate gives its value and the next step's gradient
+    (K+1 passes), one f - c serves the value and dg/df, and a row's squared
+    cost sums its d terms in sequence, as a row-major sum does for d < 8.
+
+    The penalty's work (the step x - x0, its cost, ``vals -= lam*cost``
+    and ``grad -= 2*lam*dx``) is skipped where it changes no bit: when
+    every multiplier is 0, and at the start, where every cost is +0.0.
+    There lam*cost is +0.0 (or -0.0 under a multiplier of -0.0), and
+    v - (+-0.0) is v for every value v, since no value is -0.0:
+    w*(f - c)**2 is never -0.0, and x - x is +0.0.  grad - 2*lam*dx then
+    differs from grad at most in the sign of a zero; x + (+-0.0) is x for
+    every iterate x in [0, 1] but -0.0, and np.maximum(0.0, .) maps -0.0
+    to +0.0 either way.  So the first step reads no multiplier, and
+    binding runs it once: pass 0 at the start (scores ``f_start``, value,
+    input gradient), the clipped step to x1, and pass 1 (x1's unpenalized
     value and, for K > 1, input gradient).  ``run(lam)`` continues from
-    pass 1.  With ``reuse``, each run copies the start into buffers of its
-    own, so binding once and running many multipliers gives each the bits
-    of its own call; without it, the one run takes the start's arrays as
-    its buffers, as a single ascent call would.  ``f_start`` holds the
-    start's scores.
+    pass 1 on copies of these arrays, so no run writes into the binding
+    and each gives the bits of a fresh ascent.
     """
 
-    __slots__ = ("passes", "loss", "steps", "step_size", "reuse", "start", "f_start",
+    __slots__ = ("passes", "loss", "steps", "step_size", "start", "f_start",
                  "val0", "x1", "vals1", "grad1", "f_c", "lf", "d_f", "step")
 
-    def __init__(self, model, loss, x0, steps, step_size, reuse=False):
+    def __init__(self, model, loss, x0, steps, step_size):
         self.passes = passes = _Passes(model)
         self.loss, self.steps, self.step_size = loss, steps, step_size
-        self.reuse = reuse
         self.start = start = x0.mT.copy()
         self.f_c, self.lf, self.d_f = f_c, lf, d_f = np.empty((3, *x0.shape[:-1]))
         self.step = np.empty_like(start)
-        # Pass 0: the start is the first candidate, at cost +0.0.
         f = passes.scores(start)
         self.f_start = f.copy()
         self.val0 = loss.value(f, None, f_c, lf)
@@ -174,26 +126,20 @@ class _BoundAscent:
         grad *= step_size
         self.x1 = x1 = start + grad
         np.minimum(np.maximum(0.0, x1, out=x1), 1.0, out=x1)
-        # Pass 1, unpenalized.
         self.vals1 = loss.value(passes.scores(x1), None, f_c, lf)
         self.grad1 = None
-        if steps > 1:
-            # A pass buffer, which a single run reads before the next pass.
+        if steps > 1:  # a copy: the next pass overwrites the pass buffer
             self.grad1 = passes.input_grad(loss.d_f(f_c, d_f), passes.hidden,
-                                           passes.output_slope())
-            if reuse:
-                self.grad1 = self.grad1.copy()
+                                           passes.output_slope()).copy()
 
     def run(self, lam):
         """(values, x_adv) of ``attack_batch`` under ``lam``, a float64
         scalar or array (one value or one per row), finite and >= 0.  One
         multiplier above 0 puts every run's penalty on, which changes no
-        bit of a run whose multipliers are all 0 (``attack_batch``)."""
+        bit of a run whose multipliers are all 0."""
         passes, loss, start, step = self.passes, self.loss, self.start, self.step
         f_c, lf, d_f = self.f_c, self.lf, self.d_f
-        x_cur, vals, best_val = self.x1, self.vals1, self.val0
-        if self.reuse:
-            x_cur, vals, best_val = x_cur.copy(), vals.copy(), best_val.copy()
+        x_cur, vals, best_val = self.x1.copy(), self.vals1.copy(), self.val0.copy()
         best_x = start.copy()
         improved = np.empty(vals.shape, dtype=bool)
         improved_x = improved[..., None, :]  # a view, for the iterates' rows
@@ -226,7 +172,7 @@ class _BoundAscent:
 
 
 def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
-                           cap=math.inf, prune=True):
+                           cap=math.inf):
     """Per-point Pareto frontier of 1-D destinations, for every oracle.
 
     Point i may move to any grid point or stay at x[i], at squared cost
@@ -235,8 +181,7 @@ def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
     point, the undominated entries within ``cap`` by ascending cost; the
     first costs 0.  For lam >= 0, max(gains - lam*costs) over a frontier
     is the maximum over all destinations bit for bit: IEEE multiplication
-    and subtraction are monotone, so a dominated entry never wins.  With
-    ``prune=False`` every destination is returned, the grid's first.
+    and subtraction are monotone, so a dominated entry never wins.
     """
     grid = np.linspace(0.0, 1.0, grid_resolution)
     f_grid = score(model, grid[:, None])
@@ -247,16 +192,15 @@ def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
         cand = np.append(grid, xi)
         cost = (cand - xi) ** 2
         gain = np.append(g_grid[yi], gi)
-        keep = _pareto_prune(cost, gain, cap) if prune else slice(None)
+        keep = _pareto_prune(cost, gain, cap)
         frontiers.append((cand[keep], cost[keep], gain[keep]))
     return frontiers
 
 
 def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
                               lam, z, grid_resolution: int = 100_001):
-    """Exact 1-D maximizer over a dense grid plus the point itself.  It
-    scans every destination, unpruned, and returns the frontier's pick
-    among the maximizers: the first entry of their own frontier.
+    """Exact 1-D maximizer over a dense grid plus the point itself: the
+    first maximum over the point's frontier, the least-cost maximizer.
 
     ``lam`` is one multiplier, for one (value, adversarial example) pair,
     or a 1-D sequence of them, for a list of such pairs that scores the
@@ -271,12 +215,11 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     x, y = z
     x0 = np.asarray(x, dtype=float).reshape(-1)[:1]
     ((dest, cost, gain),) = _destination_frontiers(
-        model, aux, p_hat, x0, np.array([int(y)]), grid_resolution, prune=False)
+        model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
     picks = []
     for lam_i in lams.reshape(-1).tolist():
         obj = gain - lam_i * cost
-        top = np.flatnonzero(obj == obj.max())
-        i = top[_pareto_prune(cost[top], gain[top], math.inf)[0]]
+        i = np.argmax(obj)
         picks.append((float(obj[i]), (np.array([dest[i]]), int(y))))
     return picks if lams.ndim else picks[0]
 
@@ -380,10 +323,10 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
     staying put.  Same-label moves only; exact up to grid resolution.
     Refuses n > 6 or d > 1, where enumeration stops being meaningful.
 
-    Meet in the middle: the Pareto frontiers of the first n//2 points and
-    of the rest are built separately, each product in row blocks pruned
-    against a lower envelope (``_joint_frontier``); each entry of the first
-    is paired with the best entry of the second its leftover budget affords.
+    Meet in the middle: the joint Pareto frontiers (``_joint_frontier``) of
+    the first n//2 points and of the rest are built separately, and each
+    entry of the first is paired with the best entry of the second its
+    leftover budget affords.
     """
     if dataset.n > 6 or dataset.d > 1:
         raise ValueError(
@@ -474,11 +417,10 @@ def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max,
 
     Bisection keeps the feasible side: the returned attack always
     satisfies the budget on this data.  If even ``lambda_max`` overspends,
-    that is the start rows, at cost 0.  The ascent is bound once, so its
-    multiplier-free first step (``attack_batch``) runs once for all the
-    multipliers tried: 2 + iters when the bisection runs.
+    that is the start rows, at cost 0.  One bound ascent serves every
+    multiplier tried: 2 + iters when the bisection runs.
     """
-    ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg, reuse=True)
+    ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg)
 
     def mean_cost(lam):
         _, x_adv = ascent.run(np.float64(lam))

@@ -23,11 +23,9 @@ or penalty are computed, since g - lam * 0.0 is g bit for bit.
 The variant only picks the groups, once, before the loop:
   df             one group: the whole batch against budget eps.
   da             two groups, positives and negatives, against
-                 eps_pos = k*eps and eps_neg = (1 - k*p)*eps/(1 - p).  The
-                 class-weighted parameter updates use the realized batch
-                 class proportions, which makes them coincide with the
-                 plain batch mean, computed in batch order so the
-                 trajectory is bitwise reproducible.
+                 eps_pos = k*eps and eps_neg = (1 - k*p)*eps/(1 - p).
+                 Class-weighted updates with the realized batch class
+                 proportions are the plain batch mean, in batch order.
   aucm-baseline  the df group with the attack disabled (eta_z = 0, eps = 0).
 
 With eta_z = 0 and eps = 0 all three variants walk bitwise-identical
@@ -37,9 +35,8 @@ costs are exactly zero, and every reduction runs in batch order.
 The loss's imbalance ratio is the training set's cached p_hat; batches
 estimate expectations but do not redefine the ratio.
 
-``train_stacked`` runs many such runs of one shape in this one loop, with
-a leading run axis on every array, each run bitwise as it trains alone;
-``train`` is its one-run call.
+``train_stacked`` trains many runs of one shape in this loop; ``train``
+is its one-run call.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import numpy as np
 from .data import Dataset
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
 from .model import ScoringModel, forward, vjp_params
-from .robust import GROUP_SUFFIXES, DualState, _BoundAscent
+from .robust import _BoundAscent
 
 VARIANTS = ("df", "da", "aucm-baseline")
 
@@ -97,6 +94,30 @@ class TrainConfig:
             raise ValueError("lambda_max must be > 0")
         if not 0.0 <= self.lambda0 <= self.lambda_max:
             raise ValueError(f"lambda0 must lie in [0, lambda_max], got {self.lambda0}")
+
+
+# Key suffix of each label group in checkpoints and training history: one
+# group for a single budget, (positives, negatives) for per-class budgets.
+GROUP_SUFFIXES = {1: ("",), 2: ("_pos", "_neg")}
+
+
+@dataclass
+class DualState:
+    """Multipliers and radii, one entry per label group."""
+
+    lambda_max: float = 1e3
+    lam: tuple = ()
+    eps: tuple = ()
+
+    def __post_init__(self):
+        if not 0.0 < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
+        for i, v in enumerate(self.lam):
+            if not 0.0 <= v <= self.lambda_max:
+                raise ValueError(f"lam[{i}]={v} outside [0, {self.lambda_max}]")
+        for i, v in enumerate(self.eps):
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"eps[{i}] must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -232,11 +253,10 @@ def train_stacked(runs) -> list[TrainState]:
     x_batch = np.empty((R, n, model0.input_dim))
     y_batch = np.empty((R, n), dtype=datasets[0].labels.dtype)
     # The passes and the loss take a lone run's arrays and terms without
-    # the run axis, and its steps as floats, since NumPy's cost per call
-    # grows with the number of axes: kept in the (1, ...) layout, a lone
-    # run of the benchmark's train-aucm-long config trains about 11%
-    # slower, and of train-da-ref's about 5%.  Their outputs are read back
-    # as (R, n) rows.
+    # the run axis, and its steps as floats: NumPy's cost per call grows
+    # with the number of axes, and in the (1, ...) layout a lone run trains
+    # 11% slower on train-aucm-long's config and 5% on train-da-ref's.
+    # Their outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
     params = lone(theta)
     model = replace(model0, params=params)

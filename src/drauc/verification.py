@@ -53,10 +53,8 @@ def _random_dataset(rng, n_max=20):
 
 def _range_scores(draws, seed):
     """Scores of draws // 3 randomly perturbed models of each architecture,
-    each on one random input, in draw order.  Draws are taken in the order
-    of a loop that builds each model with ``init_model`` and scores it as
-    it draws it; the draws of one (arch, d) are then scored as stacked
-    one-row runs of one model, each bitwise its own single-model score."""
+    each on one random input, in draw order.  The draws of one (arch, d)
+    are scored as stacked one-row runs, each bitwise its own score."""
     rng = np.random.default_rng(seed)
     archs = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
     per_arch = draws // len(archs)
@@ -184,10 +182,9 @@ def check_auc_properties(trials=200, seed=4):
 
 def _phi_trials(trials, seed):
     """Each random trial's multiplier, g(z), phi and whether its iterates
-    stayed in the box, in draw order.  Draws are taken in the order of a
-    loop that attacks each trial as it draws it; the trials of one (arch, d)
-    are then attacked as stacked n = 1 runs, each with its own aux, p_hat
-    and multiplier and bitwise its own ascent."""
+    stayed in the box, in draw order.  The trials of one (arch, d) are
+    attacked as stacked n = 1 runs, each with its own aux, p_hat and
+    multiplier and bitwise its own ascent."""
     rng = np.random.default_rng(seed)
     cfg = AttackConfig(steps=10, step_size=0.05)
     groups = {}  # (arch, d) -> its trials' (index, params, aux, p_hat, lam, x, y)
@@ -479,32 +476,33 @@ def check_data_invariants(tmpdir=None, seed=16):
 # ------------------------------------------------------------------ run
 
 def run_all(scale: str = "full") -> list[CheckResult]:
-    """Run every check in order; each result carries its elapsed seconds."""
-    quick = scale == "quick"
+    """Run every check in order; each result carries its elapsed seconds.
+    The full scale runs each check at its defaults, the quick one at the
+    smaller sizes listed here."""
     checks = [
-        (check_score_range, dict(draws=1500 if quick else 10_000)),
-        (check_model_gradients, dict(trials=25 if quick else 150)),
+        (check_score_range, dict(draws=1500)),
+        (check_model_gradients, dict(trials=25)),
         (check_init_determinism, {}),
-        (check_saddle_identity, dict(datasets=20 if quick else 100)),
-        (check_closed_form_optimality, dict(datasets=5 if quick else 20)),
-        (check_alpha_stationarity, dict(datasets=10 if quick else 50)),
-        (check_auc_properties, dict(trials=40 if quick else 200)),
-        (check_phi_dominance, dict(trials=40 if quick else 200)),
-        (check_phi_monotone_lambda, dict(trials=20 if quick else 100)),
-        (check_weak_duality, dict(instances=10 if quick else 50)),
-        (check_dual_convexity, dict(trials=5 if quick else 25)),
-        (check_barycenter_identity, dict(trials=100 if quick else 500)),
-        (check_barycenter_brute_force, dict(trials=5 if quick else 25)),
-        (check_domain_preservation, dict(iters=25 if quick else 60)),
-        (check_trainer_determinism, dict(iters=15 if quick else 40)),
-        (check_ablation_equivalence, dict(iters=30 if quick else 100)),
-        (check_lambda_direction, dict(iters=15 if quick else 40)),
+        (check_saddle_identity, dict(datasets=20)),
+        (check_closed_form_optimality, dict(datasets=5)),
+        (check_alpha_stationarity, dict(datasets=10)),
+        (check_auc_properties, dict(trials=40)),
+        (check_phi_dominance, dict(trials=40)),
+        (check_phi_monotone_lambda, dict(trials=20)),
+        (check_weak_duality, dict(instances=10)),
+        (check_dual_convexity, dict(trials=5)),
+        (check_barycenter_identity, dict(trials=100)),
+        (check_barycenter_brute_force, dict(trials=5)),
+        (check_domain_preservation, dict(iters=25)),
+        (check_trainer_determinism, dict(iters=15)),
+        (check_ablation_equivalence, dict(iters=30)),
+        (check_lambda_direction, dict(iters=15)),
         (check_separable_training, {}),
         (check_data_invariants, {}),
     ]
     results = []
-    for check, kwargs in checks:
+    for check, quick in checks:
         start = time.perf_counter()
-        res = check(**kwargs)
+        res = check(**quick) if scale == "quick" else check()
         results.append(replace(res, seconds=time.perf_counter() - start))
     return results

@@ -193,6 +193,15 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="'a'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line", ["a=0.5", "cfg.eta_z=0.1"])
+    def test_repeated_key_names_it(self, tmp_path, line):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        path.write_text(path.read_text() + line + "\n")
+        key = line.split("=")[0]
+        with pytest.raises(CheckpointError, match=f"'{key}' appears more than once"):
+            load_checkpoint(path)
+
 
 class TestReport:
     def test_format_and_parse(self):

@@ -144,6 +144,31 @@ class TestTrain:
                     "--out", str(out)]) == 0
         assert load_checkpoint(out).seed == 31
 
+    def test_bad_config_value_names_its_source(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant=df\n# a comment\neta_z=abc\n")
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 3: eta_z: expected float, got 'abc'" in err
+        assert not out.exists()
+
+    def test_bad_env_seed_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DRAUC_SEED", "abc")
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--n", "100", "--iters-T", "5", "--batch", "8",
+                    "--out", str(out)]) == 2
+        assert "DRAUC_SEED: expected int, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("n=60\nratio=0.1\nseed=3\nratio=0.2\n")
+        out = tmp_path / "ds.csv"
+        assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: line 4: key 'ratio' repeats line 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_reports_aucs(self, tmp_path, capsys):

@@ -354,7 +354,7 @@ class TestBoundAscent:
         cfg = AttackConfig(steps=steps, step_size=1.0)
         lam_rows = 10.0 ** np.linspace(-2.0, 1.0, x.shape[0])
         lam_rows[::5] = 0.0
-        ascent = _bind_ascent(model, aux, 0.4, x, y, cfg, reuse=True)
+        ascent = _bind_ascent(model, aux, 0.4, x, y, cfg)
         # Scalar, per-row and all-zero multipliers, each run twice on the
         # same binding and once through a fresh ``attack_batch``.
         lams = [0.7, lam_rows, 0.0, np.zeros(x.shape[0])]
@@ -364,6 +364,23 @@ class TestBoundAscent:
                         attack_batch(model, aux, 0.4, lam, x, y, cfg)):
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_runs_leave_the_binding_unchanged(self, arch, steps):
+        model, aux, x, y = attack_instance(arch, 39, n=30)
+        cfg = AttackConfig(steps=steps, step_size=1.0)
+        ascent = _bind_ascent(model, aux, 0.4, x, y, cfg)
+        bound = ("start", "f_start", "x1", "vals1", "val0", "grad1")
+        before = {name: np.asarray(getattr(ascent, name)).tobytes() for name in bound}
+        lam_rows = 10.0 ** np.linspace(-2.0, 1.0, x.shape[0])
+        for lam in (lam_rows, np.zeros(())):
+            got = ascent.run(lam)
+            want = attack_batch(model, aux, 0.4, lam, x, y, cfg)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert {name: np.asarray(getattr(ascent, name)).tobytes()
+                    for name in bound} == before
 
     @pytest.mark.parametrize("steps", [1, 2, 10])
     @pytest.mark.parametrize("arch", ARCHS)

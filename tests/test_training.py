@@ -8,7 +8,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    attack_batch, auc_mann_whitney, forward, gen_synthetic,
                    init_model, sample_batch, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, vjp_params)
-from drauc.robust import GROUP_SUFFIXES
+from drauc.training import GROUP_SUFFIXES
 from drauc.verification import check_separable_training
 
 
