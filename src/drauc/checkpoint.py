@@ -113,16 +113,18 @@ def load_checkpoint(path) -> Checkpoint:
         raw = fh.read().split("\n")
     fields: dict[str, str] = {}
     cfg: dict[str, str] = {}
-    for line in raw:
+    first_line = {}  # key -> its line number
+    for lineno, line in enumerate(raw, start=1):
         if not line:
             continue
         if "=" not in line:
-            raise CheckpointError(f"malformed line {line!r}")
+            raise CheckpointError(f"line {lineno}: malformed line {line!r}")
         key, value = line.split("=", 1)
         table, name = (cfg, key[4:]) if key.startswith("cfg.") else (fields, key)
         if name in table:
-            raise CheckpointError(f"field {key!r} appears more than once")
-        table[name] = value
+            raise CheckpointError(f"line {lineno}: field {key!r} appears more than once, "
+                                  f"first on line {first_line[key]}")
+        table[name], first_line[key] = value, lineno
 
     def need(key: str) -> str:
         if key not in fields:
@@ -207,12 +209,16 @@ def format_report(config: dict, metrics: dict, history=None) -> str:
 
 
 def parse_report(text: str) -> dict:
-    out = {}
+    """A report's key -> value; a line without '=' or a repeated key is a
+    DataFormatError naming its line."""
+    out, first_line = {}, {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise DataFormatError(f"no '=' in report line {line!r}", line=lineno)
-        out[key] = value
+        if key in out:
+            raise DataFormatError(f"key {key!r} repeats line {first_line[key]}", line=lineno)
+        out[key], first_line[key] = value, lineno
     return out

@@ -13,6 +13,7 @@ Config keys are the flag names with dashes replaced by underscores
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -90,37 +91,48 @@ def _parse(kind, text, source):
 
 def _resolve(args, knobs):
     file_cfg = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(knobs)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, (_, lineno) in file_cfg.items():
+        if key not in knobs:
+            raise ConfigError(f"{args.config}: line {lineno}: unknown key {key!r}")
     out = {}
     for key, (kind, default) in knobs.items():
-        value = getattr(args, key)
+        value, source = getattr(args, key), "--" + key.replace("_", "-")
         if value is None and key in file_cfg:
             text, lineno = file_cfg[key]
-            value = _parse(kind, text, f"{args.config}: line {lineno}: {key}")
+            source = f"{args.config}: line {lineno}: {key}"
+            value = _parse(kind, text, source)
         if value is None and key == "seed" and os.environ.get("DRAUC_SEED"):
-            value = _parse(int, os.environ["DRAUC_SEED"], "environment variable DRAUC_SEED")
+            source = "environment variable DRAUC_SEED"
+            value = _parse(int, os.environ["DRAUC_SEED"], source)
+        if key == "seed" and value is not None and value < 0:
+            raise ConfigError(f"{source}: expected an int >= 0, got {value}")
         out[key] = default if value is None else value
     return out
 
 
-def _float_list(text: str):
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+def _float_list(text: str, source: str, name: str):
+    """The comma-separated values of ``text``, each a finite ``name`` >= 0,
+    or a ConfigError naming the setting ``source``."""
+    values = [_parse(float, p, source) for p in text.split(",") if p.strip() != ""]
+    for value in values:
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"{source}: {name} must be finite and >= 0, got {value}")
+    return values
 
 
-def _auc_metrics(ck: Checkpoint, dataset, nominal_key: str, sigmas: str, eps: str,
+def _auc_metrics(ck: Checkpoint, dataset, nominal_key: str, sigmas, eps,
                  attack: AttackConfig, seed: int) -> dict:
     """The AUCs of `drauc train`'s report and of `drauc eval`: nominal AUC
-    under ``nominal_key``, corrupted AUC per sigma, robust AUC per budget."""
+    under ``nominal_key``, corrupted AUC per sigma, robust AUC per budget
+    in ``eps``."""
     def auc(ds):
         scores = score(ck.model, ds.features)
         return auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
 
     metrics = {nominal_key: auc(dataset)}
-    for sig in _float_list(sigmas):
+    for sig in sigmas:
         metrics[f"corrupted_auc_{sig:g}"] = auc(corrupt(dataset, sig, seed))
-    for radius in _float_list(eps):
+    for radius in eps:
         metrics[f"robust_auc_{radius:g}"] = estimate_robust_auc(
             ck.model, dataset, radius, ck.aux, attack, lambda_max=ck.dual.lambda_max)
     return metrics
@@ -155,6 +167,8 @@ def _cmd_train(args) -> int:
                          for f in fields(TrainConfig)
                          if f.name != "variant"},
                       variant=_VARIANT_ALIASES[resolved["variant"]])
+    sigmas = _float_list(resolved["report_sigmas"], "report_sigmas", "sigma")
+    radii = _float_list(resolved["report_eps"], "report_eps", "eps")
     started = time.perf_counter()
     if resolved["data"]:
         dataset = load_csv(resolved["data"])
@@ -176,8 +190,7 @@ def _cmd_train(args) -> int:
     )
     save_checkpoint(ck, resolved["out"])
 
-    metrics = _auc_metrics(ck, dataset, "final_nominal_auc", resolved["report_sigmas"],
-                           resolved["report_eps"],
+    metrics = _auc_metrics(ck, dataset, "final_nominal_auc", sigmas, radii,
                            AttackConfig(steps=cfg.steps, step_size=max(cfg.eta_z, 1e-3)),
                            resolved["seed"])
     metrics["wall_clock_seconds"] = time.perf_counter() - started
@@ -194,11 +207,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    sigmas = _float_list(args.sigmas, "--sigmas", "sigma")
+    radii = _float_list(args.eps, "--eps", "eps")
+    attack = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
     ck = load_checkpoint(args.ckpt)
     dataset = load_csv(args.data, (ck.scaler_min, ck.scaler_max))
-    metrics = _auc_metrics(ck, dataset, "nominal_auc", args.sigmas, args.eps,
-                           AttackConfig(steps=args.attack_steps,
-                                        step_size=args.attack_step_size), args.seed)
+    metrics = _auc_metrics(ck, dataset, "nominal_auc", sigmas, radii, attack, args.seed)
     _emit([f"clipped_values={dataset.clipped}"]
           + [f"{key}={value:.17g}" for key, value in metrics.items()], args.out)
     return 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import AuxParams, _FixedLabelLoss, surrogate_loss, surrogate_loss_grads
+from .losses import AuxParams, surrogate_loss, surrogate_loss_grads
 from .model import (LINEAR_IDENTITY_CLAMPED, ScoringModel, forward, init_model,
                     param_count, parse_arch, vjp_input, vjp_params)
 
@@ -26,18 +26,13 @@ class GradCheckReport:
     worst: str
 
 
-def _central_diff(fn, v0, h):
-    return (fn(v0 + h) - fn(v0 - h)) / (2.0 * h)
-
-
-def _fd_points(v, h, runs, first):
-    """``runs`` rows, each a copy of v but for rows first + i, which hold
-    v[i] + h, and first + v.size + i, which hold v[i] - h."""
-    pts = np.empty((runs, v.size))
-    pts[:] = v
+def _fd_points(v, h):
+    """2 * v.size copies of v, but for row i, which holds v[i] + h, and row
+    v.size + i, which holds v[i] - h."""
+    pts = np.tile(v, (2 * v.size, 1))
     i = np.arange(v.size)
-    pts[first + i, i] = v + h
-    pts[first + v.size + i, i] = v - h
+    pts[i, i] = v + h
+    pts[v.size + i, i] = v - h
     return pts
 
 
@@ -48,9 +43,10 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
     random interior configurations; passes iff the worst scaled error is
     within tol.
 
-    Each trial scores all its parameter and input points in one stacked
-    pass, each point its own one-row run, so each score is bitwise that of
-    the perturbed model on the (perturbed) input alone."""
+    Each trial perturbs one vector (a, b, alpha, theta, x) one coordinate
+    at a time and values all its points in one stacked pass, each point its
+    own one-row run with its own (a, b, alpha), so each value is bitwise
+    that of the perturbed loss, model and input alone."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     for name, value in (("h", h), ("tol", tol)):
@@ -64,6 +60,7 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
     n_p = param_count(arch_name, input_dim, width)
     names = (["a", "b", "alpha"] + [f"theta[{i}]" for i in range(n_p)]
              + [f"x[{i}]" for i in range(input_dim)])
+    n_v = len(names)
 
     for trial in range(trials):
         model = init_model(arch, input_dim, seed=int(rng.integers(2**31)))
@@ -90,23 +87,14 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
         d_x = vjp_input(model, cache, np.array([d_f]))[0]
         analytic = np.concatenate(([d_a, d_b, d_alpha], d_theta, d_x))
 
-        numeric_aux = [
-            _central_diff(lambda v: surrogate_loss(AuxParams(v, b, alpha), p_hat, s, y), a, h),
-            _central_diff(lambda v: surrogate_loss(AuxParams(a, v, alpha), p_hat, s, y), b, h),
-            _central_diff(lambda v: surrogate_loss(AuxParams(a, b, v), p_hat, s, y), alpha, h),
-        ]
-        # Runs 0..2P-1 each move one parameter, on the input x; runs 2P..
-        # each move one input coordinate, under the model's parameters.
-        runs = 2 * (n_p + input_dim)
-        stacked = ScoringModel(arch_name, _fd_points(model.params, h, runs, 0),
-                               input_dim, width)
-        inputs = _fd_points(x, h, runs, 2 * n_p)
-        g = _FixedLabelLoss(aux, p_hat, y).value(forward(stacked, inputs[:, None, :])[0][:, 0])
-        g_theta, g_x = g[: 2 * n_p], g[2 * n_p :]
-        numeric = np.concatenate((
-            numeric_aux,
-            (g_theta[:n_p] - g_theta[n_p:]) / (2.0 * h),
-            (g_x[:input_dim] - g_x[input_dim:]) / (2.0 * h)))
+        # Run i moves coordinate i of (a, b, alpha, theta, x) up by h and
+        # run n_v + i moves it down.
+        pts = _fd_points(np.concatenate(([a, b, alpha], model.params, x)), h)
+        stacked = ScoringModel(arch_name, pts[:, 3 : 3 + n_p], input_dim, width)
+        f_pts = forward(stacked, pts[:, None, 3 + n_p :])[0]
+        g = surrogate_loss(pts[:, :3].tolist(), [p_hat] * len(pts), f_pts,
+                           np.full((len(pts), 1), y))[:, 0]
+        numeric = (g[:n_v] - g[n_v:]) / (2.0 * h)
 
         # Scaled error: relative for large gradients, absolute for tiny
         # ones.  The first largest one in this trial, as a scan in check

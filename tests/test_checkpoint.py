@@ -202,6 +202,24 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=f"'{key}' appears more than once"):
             load_checkpoint(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        lines = path.read_text().splitlines()
+        first = lines.index("a=0.25") + 1
+        path.write_text("\n".join(lines + ["a=0.5"]) + "\n")
+        with pytest.raises(CheckpointError, match=f"^line {len(lines) + 1}: field 'a' appears "
+                                                  f"more than once, first on line {first}$"):
+            load_checkpoint(path)
+
+    def test_malformed_line_names_its_line(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["no equals here"] + lines[3:]) + "\n")
+        with pytest.raises(CheckpointError, match="^line 4: malformed line 'no equals here'$"):
+            load_checkpoint(path)
+
 
 class TestReport:
     def test_format_and_parse(self):
@@ -222,3 +240,8 @@ class TestReport:
     def test_line_without_equals_names_line(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_report("a=1\nno equals here\n")
+
+    def test_repeated_key_names_both_lines(self):
+        # The last value used to win without a word.
+        with pytest.raises(DataFormatError, match="^line 3: key 'a' repeats line 1$"):
+            parse_report("a=1\nb=2\na=3\n")
