@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .model import ScoringModel, parse_arch
+from .model import ScoringModel, param_count
 from .losses import AuxParams
 from .training import GROUP_SUFFIXES, VARIANTS, DualState
 
@@ -85,7 +85,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         _finite(v, key)
     lines = [
         f"format_version={CHECKPOINT_VERSION}",
-        f"arch={model.arch_descriptor}",
+        f"arch={model.arch}",
         f"input_dim={model.input_dim}",
         f"theta={_fmt_vec(model.params)}",
         f"a={_fmt(aux.a)}",
@@ -149,10 +149,10 @@ def load_checkpoint(path) -> Checkpoint:
             f"format_version {version} does not match supported "
             f"version {CHECKPOINT_VERSION}")
 
-    name, width = _build("field 'arch'", parse_arch, need("arch"))
-    input_dim = need_int("input_dim")
+    arch, input_dim = need("arch"), need_int("input_dim")
+    _build("field 'arch'", param_count, arch, input_dim)  # an unknown arch names its field
     model = _build("field 'theta' does not fit 'arch' and 'input_dim'", ScoringModel,
-                   name, _parse_vec(need("theta"), "theta"), input_dim, width)
+                   arch, _parse_vec(need("theta"), "theta"), input_dim)
     aux = _build("auxiliaries", AuxParams,
                  need_float("a"), need_float("b"), need_float("alpha"))
     scaler_min = _parse_vec(need("scaler_min"), "scaler_min")

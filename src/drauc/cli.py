@@ -89,6 +89,13 @@ def _parse(kind, text, source):
         raise ConfigError(f"{source}: expected {kind.__name__}, got {text!r}") from None
 
 
+def _seed(value, source="--seed"):
+    """value, unless negative: a ConfigError naming the setting ``source``."""
+    if value < 0:
+        raise ConfigError(f"{source}: expected an int >= 0, got {value}")
+    return value
+
+
 def _resolve(args, knobs):
     file_cfg = _read_config_file(args.config) if args.config else {}
     for key, (_, lineno) in file_cfg.items():
@@ -104,8 +111,8 @@ def _resolve(args, knobs):
         if value is None and key == "seed" and os.environ.get("DRAUC_SEED"):
             source = "environment variable DRAUC_SEED"
             value = _parse(int, os.environ["DRAUC_SEED"], source)
-        if key == "seed" and value is not None and value < 0:
-            raise ConfigError(f"{source}: expected an int >= 0, got {value}")
+        if key == "seed" and value is not None:
+            _seed(value, source)
         out[key] = default if value is None else value
     return out
 
@@ -207,6 +214,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _seed(args.seed)
     sigmas = _float_list(args.sigmas, "--sigmas", "sigma")
     radii = _float_list(args.eps, "--eps", "eps")
     attack = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
@@ -271,7 +279,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     rep = grad_check(args.arch, trials=args.trials, h=args.h, tol=args.tol,
-                     input_dim=args.input_dim, seed=args.seed)
+                     input_dim=args.input_dim, seed=_seed(args.seed))
     print(f"arch={rep.arch}")
     print(f"trials={rep.trials}")
     print(f"checked={rep.checked}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .losses import AuxParams, surrogate_loss, surrogate_loss_grads
 from .model import (LINEAR_IDENTITY_CLAMPED, ScoringModel, forward, init_model,
-                    param_count, parse_arch, vjp_input, vjp_params)
+                    param_count, vjp_input, vjp_params)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
     max_err = 0.0
     worst = ""
     checked = 0
-    arch_name, width = parse_arch(arch)
-    n_p = param_count(arch_name, input_dim, width)
+    n_p = param_count(arch, input_dim)
     names = (["a", "b", "alpha"] + [f"theta[{i}]" for i in range(n_p)]
              + [f"x[{i}]" for i in range(input_dim)])
     n_v = len(names)
@@ -90,7 +89,7 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
         # Run i moves coordinate i of (a, b, alpha, theta, x) up by h and
         # run n_v + i moves it down.
         pts = _fd_points(np.concatenate(([a, b, alpha], model.params, x)), h)
-        stacked = ScoringModel(arch_name, pts[:, 3 : 3 + n_p], input_dim, width)
+        stacked = ScoringModel(arch, pts[:, 3 : 3 + n_p], input_dim)
         f_pts = forward(stacked, pts[:, None, 3 + n_p :])[0]
         g = surrogate_loss(pts[:, :3].tolist(), [p_hat] * len(pts), f_pts,
                            np.full((len(pts), 1), y))[:, 0]

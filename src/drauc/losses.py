@@ -125,18 +125,28 @@ class _FixedLabelLoss:
         return self._value(f_c, lf), self.d_f(f_c), d_a, d_b, d_alpha
 
 
+def _check_labels(y):
+    """y as an array; a label other than 0 or 1 is a ValueError."""
+    labels = np.asarray(y)
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {np.unique(bad)}")
+    return labels
+
+
 def surrogate_loss(aux: AuxParams, p_hat: float, f, y):
     """Evaluate g at a scored example; f and y may be scalars or arrays.
     For R stacked runs, ``aux`` and ``p_hat`` hold one triple and one float
-    per run and f and y are (R, n)."""
-    val = _FixedLabelLoss(aux, p_hat, y).value(np.asarray(f, dtype=float))
+    per run and f and y are (R, n).  Every label must be 0 or 1."""
+    val = _FixedLabelLoss(aux, p_hat, _check_labels(y)).value(np.asarray(f, dtype=float))
     return float(val) if val.ndim == 0 else val
 
 
 def surrogate_loss_grads(aux: AuxParams, p_hat: float, f, y):
     """Partials of g: (d/df, d/da, d/db, d/dalpha), shapes matching f."""
-    _, *grads = _FixedLabelLoss(aux, p_hat, y).value_and_grads(np.asarray(f, dtype=float))
-    if np.asarray(f).ndim == 0 and np.asarray(y).ndim == 0:
+    labels = _check_labels(y)
+    _, *grads = _FixedLabelLoss(aux, p_hat, labels).value_and_grads(np.asarray(f, dtype=float))
+    if np.asarray(f).ndim == 0 and labels.ndim == 0:
         return tuple(float(g) for g in grads)
     return tuple(grads)
 

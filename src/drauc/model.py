@@ -50,11 +50,9 @@ LINEAR_SIGMOID = "linear-sigmoid"
 MLP1_TANH_SIGMOID = "mlp1-tanh-sigmoid"
 LINEAR_IDENTITY_CLAMPED = "linear-identity-clamped"
 
-_ARCH_NAMES = (LINEAR_SIGMOID, MLP1_TANH_SIGMOID, LINEAR_IDENTITY_CLAMPED)
-
 
 def parse_arch(arch: str) -> tuple[str, int]:
-    """Split an architecture descriptor into (name, hidden_width).
+    """Split an architecture descriptor into (name, hidden width).
 
     Accepts "linear-sigmoid", "linear-identity-clamped", and
     "mlp1-tanh-sigmoid(H)" with a positive integer H.  Width is 0 for the
@@ -76,19 +74,18 @@ def parse_arch(arch: str) -> tuple[str, int]:
     raise ConfigError(f"unknown architecture {arch!r}")
 
 
-def param_count(arch_name: str, input_dim: int, hidden_width: int = 0) -> int:
+def param_count(arch: str, input_dim: int) -> int:
     """Number of parameters in the flat vector for the given shape."""
-    if arch_name in (LINEAR_SIGMOID, LINEAR_IDENTITY_CLAMPED):
-        return input_dim + 1
-    if arch_name == MLP1_TANH_SIGMOID:
-        return hidden_width * input_dim + 2 * hidden_width + 1
-    raise ConfigError(f"unknown architecture {arch_name!r}")
+    _, width = parse_arch(arch)
+    return width * input_dim + 2 * width + 1 if width else input_dim + 1
 
 
 @dataclass(frozen=True, eq=False)
 class ScoringModel:
     """A scorer with a flat parameter vector, or a stack of them.
 
+    ``arch`` is a descriptor that ``parse_arch`` reads, stored normalized
+    (``" mlp1-tanh-sigmoid(08) "`` becomes ``"mlp1-tanh-sigmoid(8)"``).
     The parameter layout is:
       linear archs:  [w (d), b]
       mlp:           [W row-major (h*d), c (h), v (h), b]
@@ -100,16 +97,13 @@ class ScoringModel:
     arch: str
     params: np.ndarray
     input_dim: int
-    hidden_width: int = 0
 
     def __post_init__(self):
-        if self.arch not in _ARCH_NAMES:
-            raise ConfigError(f"unknown architecture {self.arch!r}")
+        name, h = parse_arch(self.arch)
+        object.__setattr__(self, "arch", f"{name}({h})" if h else name)
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
-        if self.arch == MLP1_TANH_SIGMOID and self.hidden_width < 1:
-            raise ConfigError("mlp architecture needs hidden_width >= 1")
-        expected = param_count(self.arch, self.input_dim, self.hidden_width)
+        expected = param_count(self.arch, self.input_dim)
         if self.params.shape[-1:] != (expected,):
             raise ConfigError(
                 f"params length {self.params.shape} does not match "
@@ -120,34 +114,26 @@ class ScoringModel:
         # (empty for the linear archs), the output weights v (w for the
         # linear archs) and the bias b = params[..., -1:].
         d, p = self.input_dim, self.params
-        h = self.hidden_width if self.arch == MLP1_TANH_SIGMOID else 0
         w_hidden = p[..., : h * d].reshape(*p.shape[:-1], h, d)
         for name, view in (("W", w_hidden), ("WT", w_hidden.mT),
                            ("c", p[..., h * d : h * d + h]),
                            ("v", p[..., h * d + h : -1]), ("b", p[..., -1:])):
             object.__setattr__(self, name, view)
 
-    @property
-    def arch_descriptor(self) -> str:
-        """The architecture as ``parse_arch`` reads it."""
-        if self.arch == MLP1_TANH_SIGMOID:
-            return f"{self.arch}({self.hidden_width})"
-        return self.arch
-
 
 def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
     """Seeded initialization: weights uniform on [-s, s] with s = 1/sqrt(fan_in),
     biases zero.  Bitwise deterministic for fixed (arch, input_dim, seed)."""
-    name, width = parse_arch(arch)
+    params = _init_params(arch, input_dim, np.random.default_rng(seed))
+    return ScoringModel(arch, params, input_dim)
+
+
+def _init_params(arch: str, input_dim: int, rng: np.random.Generator):
+    """``init_model``'s parameter vector for an arch descriptor, drawn from rng."""
+    _, width = parse_arch(arch)
     if input_dim < 1:
         raise ConfigError("input_dim must be >= 1")
-    params = _init_params(name, input_dim, width, np.random.default_rng(seed))
-    return ScoringModel(name, params, input_dim, width)
-
-
-def _init_params(name: str, input_dim: int, width: int, rng: np.random.Generator):
-    """``init_model``'s parameter vector for a parsed arch, drawn from rng."""
-    if name in (LINEAR_SIGMOID, LINEAR_IDENTITY_CLAMPED):
+    if not width:
         s = 1.0 / np.sqrt(input_dim)
         return np.concatenate([rng.uniform(-s, s, size=input_dim), [0.0]])
     s_in = 1.0 / np.sqrt(input_dim)
@@ -202,7 +188,7 @@ class _Passes:
         self.W, self.WT, self.c, self.v, self.b = (model.W, model.WT, model.c[..., None],
                                                    model.v, model.b)
         self.v_col = model.v[..., :, None]
-        self.mlp = model.arch == MLP1_TANH_SIGMOID
+        self.mlp = model.W.shape[-2] > 0
         self.clamped = model.arch == LINEAR_IDENTITY_CLAMPED
         self.hidden = self.rows = self.u = self.f = self.slope = None
         self.d_pre = self.outer = self.jac = None

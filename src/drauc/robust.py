@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney, surrogate_loss
+from .losses import (AuxParams, _FixedLabelLoss, _check_labels, auc_mann_whitney,
+                     surrogate_loss)
 from .model import ScoringModel, _Passes, score
 
 
@@ -73,10 +74,10 @@ def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
 
 def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg):
     """The ascent bound over a float batch x0 in [0, 1]^d, or R stacked
-    runs' batches, and its labels (one label or one per row)."""
+    runs' batches, and its labels (one label or one per row, each 0 or 1)."""
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
-    loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(np.asarray(y_batch), x0.shape[:-1]))
+    loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(_check_labels(y_batch), x0.shape[:-1]))
     return _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size)
 
 
@@ -204,7 +205,8 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
 
     ``lam`` is one multiplier, for one (value, adversarial example) pair,
     or a 1-D sequence of them, for a list of such pairs that scores the
-    grid once; each pair is bitwise the one-multiplier call's."""
+    grid once; each pair is bitwise the one-multiplier call's.  ``z`` is
+    (x, y) with x one point in [0, 1] and the label y 0 or 1."""
     if model.input_dim != 1:
         raise ValueError("exact oracle requires a 1-D model")
     if grid_resolution < 2:
@@ -213,7 +215,9 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     if lams.ndim > 1 or not ((0.0 <= lams) & (lams < math.inf)).all():
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     x, y = z
-    x0 = np.asarray(x, dtype=float).reshape(-1)[:1]
+    x0 = np.asarray(x, dtype=float).reshape(-1)
+    if x0.shape != (1,) or not 0.0 <= x0[0] <= 1.0 or y not in (0, 1):
+        raise ValueError(f"z must be (x, y) with one x in [0, 1] and y 0 or 1, got {z}")
     ((dest, cost, gain),) = _destination_frontiers(
         model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
     picks = []
@@ -411,14 +415,13 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     return float(totals[i]), float(grid[i]), float(grid[j])
 
 
-def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max,
-                          iters: int = 60):
+def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
     """Largest-damage multiplier whose mean realized cost stays <= radius.
 
     Bisection keeps the feasible side: the returned attack always
     satisfies the budget on this data.  If even ``lambda_max`` overspends,
     that is the start rows, at cost 0.  One bound ascent serves every
-    multiplier tried: 2 + iters when the bisection runs.
+    multiplier tried: 62 when the bisection runs.
     """
     ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg)
 
@@ -426,18 +429,19 @@ def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max,
         _, x_adv = ascent.run(np.float64(lam))
         return float(((x_adv - x0) ** 2).sum(axis=1).mean()), x_adv
 
-    cost0, adv0 = mean_cost(0.0)
-    if cost0 <= radius:
-        return 0.0, adv0
-    cost_hi, adv_hi = mean_cost(lambda_max)
-    if cost_hi > radius:
+    # adv holds only the attack the call may still return, so a rejected
+    # attack's rows are freed before the next multiplier's run.
+    cost, adv = mean_cost(0.0)
+    if cost <= radius:
+        return 0.0, adv
+    cost, adv = mean_cost(lambda_max)
+    if cost > radius:
         return lambda_max, x0.copy()
     lo, hi = 0.0, lambda_max
-    adv = adv_hi
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        cost_mid, adv_mid = mean_cost(mid)
-        if cost_mid <= radius:
+        cost, adv_mid = mean_cost(mid)
+        if cost <= radius:
             hi, adv = mid, adv_mid
         else:
             lo = mid
@@ -470,14 +474,14 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
         radii = None
     if radii is None or radii.shape not in ((), (2,)):
         raise ValueError(f"eps must be one budget or an (eps_pos, eps_neg) pair, got {eps}")
+    if not ((0.0 <= radii) & (radii < math.inf)).all():  # every radius before any attack
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if radii.ndim == 0:
         groups = [(slice(None), float(radii))]
     else:
         groups = [(labels == 1, float(radii[0])), (labels == 0, float(radii[1]))]
     adv = feats.copy()
     for mask, radius in groups:
-        if not 0.0 <= radius < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {radius}")
         if radius > 0.0:
             _, adv[mask] = _calibrate_multiplier(
                 model, aux, dataset.p_hat, feats[mask], labels[mask], radius,

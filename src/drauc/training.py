@@ -176,7 +176,7 @@ _ATTACK = "attack (eta_z > 0 outside aucm-baseline)"
 def _stack_shape(cfg, model):
     """What the runs of one stack must share: the shape of every stacked
     array, and whether the inner ascent runs."""
-    return {"arch": model.arch_descriptor, "input_dim": model.input_dim, "iters": cfg.iters,
+    return {"arch": model.arch, "input_dim": model.input_dim, "iters": cfg.iters,
             "batch_size": cfg.batch_size, "steps": cfg.steps,
             _ATTACK: cfg.variant != "aucm-baseline" and cfg.eta_z > 0.0}
 

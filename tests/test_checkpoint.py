@@ -8,8 +8,8 @@ from drauc import (AuxParams, Checkpoint, CheckpointError, DataFormatError,
 
 def sample_checkpoint(**overrides):
     fields = dict(
-        model=ScoringModel("mlp1-tanh-sigmoid", np.array(
-            [0.1, -0.2, 0.3, 1e-17, 0.5, 1/3, -0.7, 0.123456789012345678, 0.9]), 2, 2),
+        model=ScoringModel("mlp1-tanh-sigmoid(2)", np.array(
+            [0.1, -0.2, 0.3, 1e-17, 0.5, 1/3, -0.7, 0.123456789012345678, 0.9]), 2),
         aux=AuxParams(a=0.25, b=0.5, alpha=-0.125),
         variant="da",
         dual=DualState(lambda_max=1e3, lam=(0.75, 1.5), eps=(0.4, 0.525)),
@@ -36,8 +36,8 @@ class TestRoundTrip:
             assert getattr(back.aux, name) == getattr(ck.aux, name)
         assert back.dual.lam == ck.dual.lam and back.dual.eps == ck.dual.eps
         assert back.dual.lambda_max == ck.dual.lambda_max
-        assert (back.model.arch_descriptor, back.variant, back.seed, back.iteration) == \
-            (ck.model.arch_descriptor, ck.variant, ck.seed, ck.iteration)
+        assert (back.model.arch, back.variant, back.seed, back.iteration) == \
+            (ck.model.arch, ck.variant, ck.seed, ck.iteration)
         assert back.cfg == ck.cfg
         assert len(back.dual.lam) == len(back.dual.eps) == 2
 
@@ -54,8 +54,7 @@ class TestRoundTrip:
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
         model = back.model
-        assert model.arch == "mlp1-tanh-sigmoid"
-        assert model.hidden_width == 2
+        assert model.arch == "mlp1-tanh-sigmoid(2)"
         aux = back.aux
         assert (aux.a, aux.b, aux.alpha) == (0.25, 0.5, -0.125)
         dual = back.dual
@@ -94,6 +93,14 @@ class TestValidation:
         save_checkpoint(sample_checkpoint(), path)
         path.write_text(path.read_text().replace("format_version=1", "format_version=0"))
         with pytest.raises(CheckpointError, match="format_version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("arch", ["resnet20", "mlp1-tanh-sigmoid", "mlp1-tanh-sigmoid(0)"])
+    def test_unknown_arch_names_its_field(self, tmp_path, arch):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(), path)
+        path.write_text(path.read_text().replace("arch=mlp1-tanh-sigmoid(2)", f"arch={arch}"))
+        with pytest.raises(CheckpointError, match="^field 'arch': "):
             load_checkpoint(path)
 
     def test_tampered_theta_length(self, tmp_path):

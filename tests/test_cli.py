@@ -119,6 +119,18 @@ class TestTrain:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_eval_seed_fails_before_loading(self, tmp_path, capsys):
+        # Neither file exists: the seed is rejected before either is read.
+        assert run(["eval", "--ckpt", str(tmp_path / "no.ckpt"), "--data",
+                    str(tmp_path / "no.csv"), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --seed: expected an int >= 0, got -3\n"
+
+    def test_negative_grad_check_seed_names_the_flag(self, capsys):
+        assert run(["grad-check", "--arch", "linear-sigmoid", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed: expected an int >= 0, got -3\n"
+        assert captured.out == ""
+
     def test_unknown_gen_data_key_rejected(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("n=60\niters_T=5\n")  # a train key, not a gen-data one

@@ -31,7 +31,7 @@ def sigmoid(u):
 
 
 def row_major_forward(model, batch):
-    if model.arch == "mlp1-tanh-sigmoid":
+    if model.arch.startswith("mlp1-tanh-sigmoid"):
         hidden = np.tanh(batch @ model.WT + model.c)
         f = sigmoid(hidden @ model.v + model.b)
         return f, (batch, hidden, f * (1.0 - f))

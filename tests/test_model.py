@@ -22,7 +22,7 @@ class TestInit:
         m = init_model("mlp1-tanh-sigmoid(8)", 2, seed=0)
         # weights 2*8, hidden biases 8, output weights 8, output bias 1
         assert m.params.size == 33
-        assert param_count("mlp1-tanh-sigmoid", 2, 8) == 33
+        assert param_count("mlp1-tanh-sigmoid(8)", 2) == 33
 
     def test_biases_zero_weights_bounded(self):
         m = init_model("mlp1-tanh-sigmoid(4)", 3, seed=5)
@@ -47,6 +47,15 @@ class TestInit:
     def test_param_length_validated(self):
         with pytest.raises(ConfigError):
             ScoringModel("linear-sigmoid", np.zeros(5), 2)
+
+    def test_arch_is_the_normalized_descriptor(self):
+        m = ScoringModel(" mlp1-tanh-sigmoid(08) ", np.zeros(33), 2)
+        assert m.arch == "mlp1-tanh-sigmoid(8)" and m.W.shape == (8, 2)
+        assert init_model("linear-sigmoid ", 2, seed=0).arch == "linear-sigmoid"
+        with pytest.raises(ConfigError, match="unknown architecture"):
+            ScoringModel("mlp1-tanh-sigmoid", np.zeros(33), 2)
+        with pytest.raises(TypeError):  # the width is part of arch, not a field
+            ScoringModel("linear-sigmoid", np.zeros(3), 2, 5)
 
 
 class TestScore:
@@ -160,7 +169,7 @@ class TestParameterViews:
         m = init_model(arch, 3, seed=6)
         x = rng.uniform(0.0, 1.0, size=(9, 3))
         p2 = m.params + rng.normal(0.0, 1.0, m.params.shape)
-        fresh = ScoringModel(m.arch, p2, m.input_dim, m.hidden_width)
+        fresh = ScoringModel(m.arch, p2, m.input_dim)
         f_replaced, cache_replaced = forward(replace(m, params=p2), x)
         f_fresh, cache_fresh = forward(fresh, x)
         assert np.array_equal(f_replaced, f_fresh)
@@ -179,7 +188,7 @@ class TestParameterViews:
             before = forward(m, x)[0]
             m.params[i] += 0.25
             after = forward(m, x)[0]
-            fresh = ScoringModel(m.arch, m.params.copy(), m.input_dim, m.hidden_width)
+            fresh = ScoringModel(m.arch, m.params.copy(), m.input_dim)
             assert np.array_equal(after, forward(fresh, x)[0])
             assert not np.array_equal(after, before)
 

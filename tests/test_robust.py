@@ -11,7 +11,8 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc.robust import _bind_ascent, _calibrate_multiplier, _suffix_argmin
-from drauc.verification import check_phi_monotone_lambda
+from drauc.verification import (check_barycenter_brute_force, check_barycenter_identity,
+                                check_phi_monotone_lambda)
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
 AUX0 = AuxParams(0.0, 0.0, 0.0)
@@ -54,27 +55,17 @@ class TestRobustSurrogate:
         assert val == surrogate_loss(AUX0, 0.5, 0.3, 0)
         assert x_adv[0] == 0.3
 
-    def test_dominance_property(self):
-        rng = np.random.default_rng(11)
-        cfg = AttackConfig(steps=10, step_size=0.05)
-        for _ in range(200):
-            d = int(rng.integers(1, 4))
-            arch = str(rng.choice(["linear-sigmoid", "mlp1-tanh-sigmoid(4)"]))
-            m = init_model(arch, d, seed=int(rng.integers(2**31)))
-            aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
-            p_hat = float(rng.uniform(0.1, 0.9))
-            lam = float(10 ** rng.uniform(-3, 6))
-            x = rng.uniform(0, 1, size=d)
-            y = int(rng.integers(2))
-            g0 = surrogate_loss(aux, p_hat, score(m, x), y)
-            (val,), x_adv = attack_batch(m, aux, p_hat, lam, x[None, :], y, cfg)
-            assert val >= g0 - 1e-12
-            assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
-
     @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf, [1.0, -5.0], [[1.0]]])
     def test_exact_oracle_rejects_bad_multiplier(self, lam):
         with pytest.raises(ValueError, match="lam"):
             robust_surrogate_exact_1d(IDENT, AUX0, 0.5, lam, (np.array([0.3]), 0), 101)
+
+    @pytest.mark.parametrize("z", [(np.array([0.3, 0.9]), 0), (np.array([]), 0),
+                                   (np.array([1.7]), 1), (np.array([math.nan]), 1),
+                                   (np.array([0.3]), 5), (0.3, -1)])
+    def test_exact_oracle_rejects_bad_example(self, z):
+        with pytest.raises(ValueError, match="^z must be"):
+            robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, z, 101)
 
     def test_exact_oracle_monotone_in_lambda(self):
         res = check_phi_monotone_lambda(trials=100, seed=12)
@@ -119,8 +110,8 @@ def three_pass_ascent(model, aux, p_hat, lam, x0, y, cfg):
 def clip_forward(model, x):
     """``forward`` with per-call parameter slices, a scalar output bias and
     np.clip for the clamps."""
-    p, d, h = model.params, model.input_dim, model.hidden_width
-    if model.arch == "mlp1-tanh-sigmoid":
+    p, d, h = model.params, model.input_dim, model.W.shape[-2]
+    if h:
         hidden = np.tanh(x @ p[: h * d].reshape(h, d).T + p[h * d : h * d + h])
         f = 1.0 / (1.0 + np.exp(-np.clip(hidden @ p[h * d + h : -1] + p[-1], -500.0, 500.0)))
         return f, (x, hidden, f * (1.0 - f))
@@ -204,6 +195,15 @@ class TestAttackBatch:
             attack_batch(model, aux, 0.4, np.full(x.shape[0] - 1, 0.5), x, y, cfg)
         with pytest.raises(ValueError):
             attack_batch(model, aux, 0.4, -0.1, x, y, cfg)
+
+    @pytest.mark.parametrize("y", [5, -1, "one row 2"])
+    def test_labels_other_than_0_and_1_rejected(self, y):
+        model, aux, x, labels = attack_instance("linear-sigmoid", 33)
+        if y == "one row 2":
+            y = labels.copy()
+            y[1] = 2
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            attack_batch(model, aux, 0.4, 0.1, x, y, AttackConfig())
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, "one NaN row"])
     def test_non_finite_multiplier_rejected(self, lam):
@@ -805,12 +805,8 @@ class TestBarycenterAttack:
         assert atk.cost == pytest.approx(0.25, abs=1e-15)
 
     def test_cost_identity_property(self):
-        rng = np.random.default_rng(14)
-        for _ in range(500):
-            atk = barycenter_attack(rng.uniform(0, 1), rng.uniform(0, 1),
-                                    int(rng.integers(1, 300)),
-                                    int(rng.integers(1, 300)))
-            assert abs(atk.cost - atk.bound) <= 1e-12
+        res = check_barycenter_identity(trials=500, seed=14)
+        assert res.passed, res.detail
 
     def test_attack_zeroes_strict_auc(self):
         atk = barycenter_attack(0.99, 0.01, 1, 99)
@@ -854,15 +850,8 @@ class TestMinCostFlipSearch:
         assert t_pos <= t_neg
 
     def test_grid_never_beats_closed_form(self):
-        rng = np.random.default_rng(15)
-        for _ in range(25):
-            x_neg = float(rng.uniform(0.0, 0.45))
-            x_pos = float(rng.uniform(x_neg + 0.05, 1.0))
-            n_pos = int(rng.integers(1, 40))
-            n_neg = int(rng.integers(1, 40))
-            atk = barycenter_attack(x_pos, x_neg, n_pos, n_neg)
-            min_cost, _, _ = min_cost_flip_search(x_pos, x_neg, n_pos, n_neg)
-            assert atk.bound - 1e-12 <= min_cost <= atk.bound + 1e-5
+        res = check_barycenter_brute_force(trials=25, seed=15)
+        assert res.passed, res.detail
 
 
 @pytest.fixture(scope="module")
@@ -918,6 +907,15 @@ class TestEstimateRobustAuc:
         for eps in (math.nan, math.inf, (math.nan, 0.05), (0.0, math.nan), -0.1):
             with pytest.raises(ValueError, match="eps"):
                 estimate_robust_auc(model, ds, eps, aux)
+
+    def test_every_radius_checked_before_any_attack(self, trained, monkeypatch):
+        def attack(*args):
+            raise AssertionError("attacked before every radius was checked")
+
+        monkeypatch.setattr("drauc.robust._calibrate_multiplier", attack)
+        ds, model, aux = trained
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            estimate_robust_auc(model, ds, (0.01, -1.0), aux)
 
     @pytest.mark.parametrize("eps", [(0.001, 0.001, 5.0), (0.001,), [0.001, 0.002, 0.003], (),
                                      np.array([0.001, 0.002, 0.003]), np.array([[0.01, 0.0]]),

@@ -128,7 +128,7 @@ class TestStackValidation:
         with pytest.raises(ValueError, match=f"must share {field}: run 0 has .*, run 1 has"):
             train_stacked([self.run(), self.run(**other)])
 
-    def test_hidden_width_is_part_of_the_arch(self):
+    def test_mlp_widths_are_different_archs(self):
         with pytest.raises(ValueError, match="must share arch"):
             train_stacked([self.run(arch="mlp1-tanh-sigmoid(4)"),
                            self.run(arch="mlp1-tanh-sigmoid(8)")])

