@@ -8,8 +8,8 @@ of closed forms, brute-force oracles, and finite-difference checks.
 
 __version__ = "0.1.0"
 
-from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, format_report,
-                         load_checkpoint, parse_report, save_checkpoint)
+from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, load_checkpoint, parse_report,
+                         save_checkpoint, write_report)
 from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
 from .errors import CheckpointError, ConfigError, DataFormatError, DraucError
 from .gradcheck import GradCheckReport, grad_check
@@ -24,8 +24,8 @@ from .training import (DualState, TrainConfig, TrainState, sample_batch, split_e
                        train, train_stacked)
 
 __all__ = [
-    "CHECKPOINT_VERSION", "Checkpoint", "format_report", "load_checkpoint",
-    "parse_report", "save_checkpoint",
+    "CHECKPOINT_VERSION", "Checkpoint", "load_checkpoint", "parse_report",
+    "save_checkpoint", "write_report",
     "Dataset", "corrupt", "gen_synthetic", "load_csv", "make_long_tailed",
     "save_csv",
     "CheckpointError", "ConfigError", "DataFormatError", "DraucError",

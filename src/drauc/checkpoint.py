@@ -185,27 +185,23 @@ def load_checkpoint(path) -> Checkpoint:
                       scaler_max=scaler_max, seed=need_int("seed"), iteration=iteration, cfg=cfg)
 
 
-def format_report(config: dict, metrics: dict, history=None) -> str:
-    """Machine-readable run report: one metric=value per line.
+def write_report(fh, config: dict, metrics: dict, history=None) -> None:
+    """Write the machine-readable run report to the text stream ``fh``,
+    one metric=value line at a time, so no more than a line is held.
 
     ``config`` keys are prefixed with "config.", history records become
     "history.<iteration>.<field>" lines.
     """
-    lines = []
     for key in sorted(config):
-        lines.append(f"config.{key}={config[key]}")
+        fh.write(f"config.{key}={config[key]}\n")
     for key, value in metrics.items():
-        lines.append(f"{key}={_fmt(value) if isinstance(value, float) else value}")
+        fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
     for rec in history or []:
         t = rec["iteration"]
         for key, value in rec.items():
-            if key in ("iteration", "theta"):
+            if key in ("iteration", "theta") or value is None:
                 continue
-            if value is None:
-                continue
-            v = _fmt(value) if isinstance(value, float) else value
-            lines.append(f"history.{t}.{key}={v}")
-    return "\n".join(lines) + "\n"
+            fh.write(f"history.{t}.{key}={_fmt(value) if isinstance(value, float) else value}\n")
 
 
 def parse_report(text: str) -> dict:

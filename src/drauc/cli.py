@@ -22,7 +22,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .checkpoint import Checkpoint, format_report, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_report
 from .data import corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
@@ -205,7 +205,7 @@ def _cmd_train(args) -> int:
     report_path = resolved["report"] or resolved["out"] + ".report"
     config_snapshot = {k: v for k, v in resolved.items() if v is not None}
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_report(config_snapshot, metrics, state.history))
+        write_report(fh, config_snapshot, metrics, state.history)
     print(f"checkpoint={resolved['out']}")
     print(f"report={report_path}")
     for key, value in metrics.items():

@@ -47,8 +47,9 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
     at a time and values all its points in one stacked pass, each point its
     own one-row run with its own (a, b, alpha), so each value is bitwise
     that of the perturbed loss, model and input alone."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     for name, value in (("h", h), ("tol", tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")

@@ -55,7 +55,7 @@ def parse_arch(arch: str) -> tuple[str, int]:
     """Split an architecture descriptor into (name, hidden width).
 
     Accepts "linear-sigmoid", "linear-identity-clamped", and
-    "mlp1-tanh-sigmoid(H)" with a positive integer H.  Width is 0 for the
+    "mlp1-tanh-sigmoid(H)" with H >= 1 in ASCII digits.  Width is 0 for the
     linear architectures.
     """
     arch = arch.strip()
@@ -64,10 +64,10 @@ def parse_arch(arch: str) -> tuple[str, int]:
     if arch.startswith(MLP1_TANH_SIGMOID):
         rest = arch[len(MLP1_TANH_SIGMOID):]
         if rest.startswith("(") and rest.endswith(")"):
-            try:
-                width = int(rest[1:-1])
-            except ValueError:
-                raise ConfigError(f"invalid hidden width in arch {arch!r}") from None
+            digits = rest[1:-1]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ConfigError(f"invalid hidden width in arch {arch!r}")
+            width = int(digits)
             if width < 1:
                 raise ConfigError(f"hidden width must be >= 1, got {width}")
             return MLP1_TANH_SIGMOID, width
@@ -124,6 +124,8 @@ class ScoringModel:
 def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
     """Seeded initialization: weights uniform on [-s, s] with s = 1/sqrt(fan_in),
     biases zero.  Bitwise deterministic for fixed (arch, input_dim, seed)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     params = _init_params(arch, input_dim, np.random.default_rng(seed))
     return ScoringModel(arch, params, input_dim)
 
@@ -170,19 +172,19 @@ class _Passes:
     rows with v, bitwise each slice's ``rows @ v``, and the outer products
     v[..., :, None] * slope[..., None, :] broadcast per run.
 
-    The parameter views are bound in pass shape (W, WT, c as (h, 1), v, v
-    as (h, 1), b), with one buffer for every array a pass writes, which
-    the first pass allocates (as its ufunc's ``out``, first None) and every
+    The parameter views are bound in pass shape (W, WT, c as (h, 1), v, v as
+    (h, 1), b), with one buffer for every array a pass writes, which the
+    first pass allocates (as its ufunc's ``out``, first None) and every
     later pass overwrites: ``scores`` the tanh layer (h, n), its row-major
-    copy, u and f; ``output_slope`` the slope; ``input_grad`` d f / d (Wx +
-    c) (h, n), the outer product of v and the slope (h, n), in the
-    row-major copy's memory, and the (d, n) gradient.  So a caller that
-    makes many passes, as the inner ascent does, must not hold f, the
-    slope, the tanh layer or the gradient across them.
+    copy, u and f; ``output_slope`` the slope; ``input_grad`` the outer
+    product of v and the slope (h, n), in the row-major copy's memory,
+    d f / d (Wx + c) over the tanh layer, and the (d, n) gradient.  So a
+    caller that makes many passes, as the inner ascent does, must not hold
+    f, the slope, the tanh layer or the gradient across them.
     """
 
     __slots__ = ("W", "WT", "c", "v", "v_col", "b", "mlp", "clamped", "hidden", "rows",
-                 "u", "f", "slope", "d_pre", "outer", "jac")
+                 "u", "f", "slope", "outer", "jac")
 
     def __init__(self, model: ScoringModel):
         self.W, self.WT, self.c, self.v, self.b = (model.W, model.WT, model.c[..., None],
@@ -190,8 +192,7 @@ class _Passes:
         self.v_col = model.v[..., :, None]
         self.mlp = model.W.shape[-2] > 0
         self.clamped = model.arch == LINEAR_IDENTITY_CLAMPED
-        self.hidden = self.rows = self.u = self.f = self.slope = None
-        self.d_pre = self.outer = self.jac = None
+        self.hidden = self.rows = self.u = self.f = self.slope = self.outer = self.jac = None
 
     def scores(self, xT):
         """Scores f (..., n) of the feature-major batch xT (..., d, n)."""
@@ -227,16 +228,17 @@ class _Passes:
         slope *= self.f
         return slope
 
-    def input_grad(self, d_f, hidden, slope):
-        """d_f * (d f / d x) as a (..., d, n) array, from one pass's tanh
-        layer ``hidden`` (..., h, n) (None for the linear archs) and slope."""
-        if hidden is None:
+    def input_grad(self, d_f, slope, hidden=None):
+        """d_f * (d f / d x) as a (..., d, n) array, from one pass's slope
+        and tanh layer (..., h, n; none for the linear archs): ``hidden``,
+        or by default the last pass's own, which this overwrites."""
+        if not self.mlp:
             jac = self.jac = np.multiply(self.v_col, slope[..., None, :], out=self.jac)
         else:
+            hidden, out = (self.hidden, self.hidden) if hidden is None else (hidden, None)
             if self.outer is None and self.rows is not None:
                 self.outer = self.rows.reshape(hidden.shape)  # free by now
-            d_pre = self.d_pre = _pre_activation_grad(self.v_col, hidden, slope,
-                                                      self.d_pre, self.outer)
+            d_pre = _pre_activation_grad(self.v_col, hidden, slope, out, self.outer)
             if self.WT.shape[-2] > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
             else:  # d = 1: a matrix-vector product
@@ -288,7 +290,7 @@ def vjp_input(model: ScoringModel, cache, d_f):
     a loss whose derivative with respect to each row's score is d_f.  A
     transposed view of (..., d, n) memory."""
     _, hidden, slope = cache
-    return _Passes(model).input_grad(d_f, None if hidden is None else hidden.mT, slope).mT
+    return _Passes(model).input_grad(d_f, slope, None if hidden is None else hidden.mT).mT
 
 
 def vjp_params(model: ScoringModel, cache, d_f):

@@ -1,9 +1,12 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from drauc import (AuxParams, Checkpoint, CheckpointError, DataFormatError,
-                   DualState, ScoringModel, format_report, load_checkpoint,
-                   parse_report, save_checkpoint, score)
+                   DualState, ScoringModel, load_checkpoint, parse_report,
+                   save_checkpoint, score, write_report)
 
 
 def sample_checkpoint(**overrides):
@@ -228,9 +231,25 @@ class TestValidation:
             load_checkpoint(path)
 
 
+class _ByteCounter:
+    """A text sink that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode("utf-8"))
+
+
+def report_text(config, metrics, history=None):
+    fh = io.StringIO()
+    write_report(fh, config, metrics, history)
+    return fh.getvalue()
+
+
 class TestReport:
     def test_format_and_parse(self):
-        text = format_report(
+        text = report_text(
             {"variant": "df", "seed": 3},
             {"final_nominal_auc": 0.9375, "note": "ok"},
             [{"iteration": 1, "objective": -0.5, "lam": 1.0, "theta": np.zeros(2),
@@ -243,6 +262,44 @@ class TestReport:
         assert float(parsed["history.1.objective"]) == -0.5
         assert "history.1.theta" not in parsed
         assert "history.1.skipped" not in parsed
+
+    def test_exact_bytes(self):
+        # Config keys sorted, metrics and record fields in their order, None
+        # and theta skipped, ints as they are and floats at 17 digits.
+        text = report_text(
+            {"seed": 3, "arch": "linear-sigmoid"},
+            {"final_nominal_auc": 0.1, "clipped_values": 0},
+            [{"iteration": 1, "objective": 1 / 3, "lam": 0.0, "cost_neg": None,
+              "theta": np.ones(3)},
+             {"iteration": 2, "objective": -2.5e-300, "count": 7, "cost_neg": 0.125}],
+        )
+        assert text == ("config.arch=linear-sigmoid\n"
+                        "config.seed=3\n"
+                        "final_nominal_auc=0.10000000000000001\n"
+                        "clipped_values=0\n"
+                        "history.1.objective=0.33333333333333331\n"
+                        "history.1.lam=0\n"
+                        "history.2.objective=-2.5e-300\n"
+                        "history.2.count=7\n"
+                        "history.2.cost_neg=0.125\n")
+
+    def test_writing_needs_constant_memory(self):
+        # Each line goes to the stream as it is formatted, so the peak does
+        # not grow with the history (joined into one string, these 10,000
+        # records' 70,000 lines took about 12 MB).
+        history = [{"iteration": t, "objective": t / 7, "alpha": -t / 3, "a": 1 / t,
+                    "b": t / 11, "batch_auc": 0.5 + 1 / (t + 2), "theta": np.zeros(9),
+                    "lam": t / 13, "cost": 1 / (t + 5)}
+                   for t in range(1, 10_001)]
+        sink = _ByteCounter()
+        tracemalloc.start()
+        try:
+            write_report(sink, {"variant": "df"}, {"final_nominal_auc": 0.5}, history)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.bytes > 2_000_000
+        assert peak < 256 * 1024
 
     def test_line_without_equals_names_line(self):
         with pytest.raises(DataFormatError, match="line 2"):

@@ -148,7 +148,7 @@ class TestFeatureMajorMatchesRowMajor:
         passes = _Passes(model)
         for batch in (x, rng.uniform(0.0, 1.0, size=x.shape)):
             f = passes.scores(np.ascontiguousarray(batch.T))
-            got = passes.input_grad(d_f, passes.hidden, passes.output_slope())
+            got = passes.input_grad(d_f, passes.output_slope())
             want_f, want_cache = row_major_forward(model, batch)
             assert same_bytes(f, want_f)
             assert same_bytes(np.ascontiguousarray(got.T),

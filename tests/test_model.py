@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,21 @@ class TestInit:
             init_model("resnet20", 2, seed=0)
         with pytest.raises(ConfigError):
             init_model("mlp1-tanh-sigmoid(0)", 2, seed=0)
+
+    @pytest.mark.parametrize("width", ["1_0", " +8 ", "+8", " 8", "\u0663", "8.0", ""])
+    def test_width_must_be_ascii_digits(self, width):
+        # int() would read the first four as 10, 8, 8 and 8, and the Arabic-Indic
+        # digit as 3.
+        arch = f"mlp1-tanh-sigmoid({width})"
+        with pytest.raises(ConfigError, match=re.escape(f"invalid hidden width in arch {arch!r}")):
+            init_model(arch, 2, seed=0)
+
+    def test_negative_seed_names_seed(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew parameters for a negative seed")
+        monkeypatch.setattr("drauc.model._init_params", no_draws)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            init_model("linear-sigmoid", 2, -1)
 
     def test_param_length_validated(self):
         with pytest.raises(ConfigError):

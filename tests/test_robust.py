@@ -624,6 +624,30 @@ def pareto_front(costs, gains, cap):
     return order[np.concatenate([[True], g[1:] > np.maximum.accumulate(g)[:-1]])]
 
 
+def unpruned_fold_cases():
+    """(dataset, aux, p_hat, eps) instances for the brute-force oracle:
+    random draws at the verify grid, then tie-heavy instances, every point
+    at one feature value with one label, so the joint products hold many
+    entries of equal cost and gain."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        ds = Dataset.from_arrays(rng.uniform(0, 1, size=(n, 1)), rng.integers(0, 2, size=n))
+        aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
+        cases.append((ds, aux, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0, 0.25))))
+    for n, x, y in [(2, 0.0, 0), (3, 0.5, 1), (4, 0.3731, 0), (4, 1.0, 1), (3, 0.62, 0)]:
+        ds = Dataset.from_arrays(np.full((n, 1), x), np.full(n, y))
+        cases.append((ds, AuxParams(0.5, 0.5, 0.3), 0.4, 0.1))
+    return cases
+
+
+# brute_force_worst_case's arguments for a pinned five-point instance.
+FIVE_POINT_CASE = (Dataset.from_arrays(np.array([[0.95], [0.05], [0.9], [0.1], [0.62]]),
+                                       np.array([1, 0, 1, 0, 0])),
+                   0.2, 1001, AuxParams(0.5, 0.5, 0.3), 0.4, IDENT)
+
+
 def unpruned_worst_case(ds, eps, res, aux, p_hat):
     """The brute-force oracle for the identity scorer with each joint
     frontier pruned from its full product: fold each half's points in one
@@ -760,20 +784,7 @@ class TestBruteForceWorstCase:
             assert sup == pytest.approx(gains.max() / n, abs=1e-12)
 
     def test_matches_unpruned_fold_bitwise(self):
-        # Random draws at the verify grid, then tie-heavy instances: every
-        # point at one feature value with one label, so the joint products
-        # hold many entries of equal cost and gain.
-        rng = np.random.default_rng(31)
-        cases = []
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            ds = Dataset.from_arrays(rng.uniform(0, 1, size=(n, 1)), rng.integers(0, 2, size=n))
-            aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
-            cases.append((ds, aux, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0, 0.25))))
-        for n, x, y in [(2, 0.0, 0), (3, 0.5, 1), (4, 0.3731, 0), (4, 1.0, 1), (3, 0.62, 0)]:
-            ds = Dataset.from_arrays(np.full((n, 1), x), np.full(n, y))
-            cases.append((ds, AuxParams(0.5, 0.5, 0.3), 0.4, 0.1))
-        for ds, aux, p_hat, eps in cases:
+        for ds, aux, p_hat, eps in unpruned_fold_cases():
             sup, pos = brute_force_worst_case(ds, eps, 1001, aux, p_hat, IDENT)
             want_sup, want_pos = unpruned_worst_case(ds, eps, 1001, aux, p_hat)
             assert np.float64(sup).tobytes() == np.float64(want_sup).tobytes()
@@ -782,11 +793,20 @@ class TestBruteForceWorstCase:
     def test_five_point_instance_pinned(self):
         # Its three-point half multiplies frontiers of about 20,000 and 600
         # entries; the values are those of the full-product merge.
-        ds = Dataset.from_arrays(np.array([[0.95], [0.05], [0.9], [0.1], [0.62]]),
-                                 np.array([1, 0, 1, 0, 0]))
-        sup, pos = brute_force_worst_case(ds, 0.2, 1001, AuxParams(0.5, 0.5, 0.3), 0.4, IDENT)
+        sup, pos = brute_force_worst_case(*FIVE_POINT_CASE)
         assert sup == 0.15671688
         assert pos.tolist() == [0.393, 0.355, 0.309, 0.421, 1.0]
+
+    @pytest.mark.parametrize("block", [64, 1 << 20])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        cases = [(ds, eps, 1001, aux, p_hat, IDENT)
+                 for ds, aux, p_hat, eps in unpruned_fold_cases()] + [FIVE_POINT_CASE]
+        want = [brute_force_worst_case(*case) for case in cases]
+        monkeypatch.setattr("drauc.robust._PRODUCT_BLOCK", block)
+        for case, (want_sup, want_pos) in zip(cases, want):
+            sup, pos = brute_force_worst_case(*case)
+            assert np.float64(sup).tobytes() == np.float64(want_sup).tobytes()
+            assert pos.tobytes() == want_pos.tobytes()
 
 
 class TestBarycenterAttack:

@@ -171,3 +171,11 @@ class TestGradCheckSettings:
     def test_rejects_bad_step_or_tolerance(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             grad_check("linear-sigmoid", trials=5, **{name: value})
+
+    def test_rejects_negative_seed_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked on a negative seed")
+        monkeypatch.setattr("drauc.gradcheck.param_count", no_work)
+        monkeypatch.setattr("drauc.gradcheck.init_model", no_work)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+            grad_check("linear-sigmoid", trials=5, seed=-3)
