@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_report
-from .data import corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
+from .data import corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv, seeded_rng
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
@@ -90,9 +90,11 @@ def _parse(kind, text, source):
 
 
 def _seed(value, source="--seed"):
-    """value, unless negative: a ConfigError naming the setting ``source``."""
-    if value < 0:
-        raise ConfigError(f"{source}: expected an int >= 0, got {value}")
+    """value, unless ``seeded_rng`` refuses it: a ConfigError naming the setting ``source``."""
+    try:
+        seeded_rng(value)
+    except ValueError:
+        raise ConfigError(f"{source}: expected an int >= 0, got {value}") from None
     return value
 
 

@@ -82,13 +82,20 @@ def _apply_scaler(raw: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray
     return out
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """NumPy's generator for ``seed``, an int >= 0, or a ValueError naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_synthetic(n: int, d: int, mu_pos: float = 0.65, mu_neg: float = 0.35,
                   sigma: float = 0.15, seed: int = 0) -> Dataset:
     """Two isotropic Gaussian blobs, half positive at mu_pos and half
     negative at mu_neg, min-max normalized per dimension."""
     if n < 4 or d < 1 or sigma <= 0.0:
         raise ValueError(f"invalid shape parameters n={n}, d={d}, sigma={sigma}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n_pos = n // 2
     n_neg = n - n_pos
     pos = rng.normal(mu_pos, sigma, size=(n_pos, d))
@@ -117,7 +124,7 @@ def make_long_tailed(dataset: Dataset, ratio: float, seed: int = 0) -> Dataset:
     keep = min(keep, dataset.n_pos)
     if keep < 1:
         raise ValueError(f"ratio {ratio} would leave zero positive examples")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     chosen = rng.choice(dataset.pos_indices(), size=keep, replace=False)
     mask = dataset.labels == 0
     mask[chosen] = True
@@ -129,7 +136,7 @@ def corrupt(dataset: Dataset, sigma: float, seed: int = 0) -> Dataset:
     """Add seeded i.i.d. Gaussian noise to features and clip to [0,1]."""
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     noise = rng.standard_normal(dataset.features.shape)
     feats = np.clip(dataset.features + sigma * noise, 0.0, 1.0)
     return Dataset.from_arrays(feats, dataset.labels.copy(),

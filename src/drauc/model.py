@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import seeded_rng
 from .errors import ConfigError
 
 LINEAR_SIGMOID = "linear-sigmoid"
@@ -124,9 +125,7 @@ class ScoringModel:
 def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
     """Seeded initialization: weights uniform on [-s, s] with s = 1/sqrt(fan_in),
     biases zero.  Bitwise deterministic for fixed (arch, input_dim, seed)."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    params = _init_params(arch, input_dim, np.random.default_rng(seed))
+    params = _init_params(arch, input_dim, seeded_rng(seed))
     return ScoringModel(arch, params, input_dim)
 
 

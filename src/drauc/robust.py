@@ -416,37 +416,46 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     return float(totals[i]), float(grid[i]), float(grid[j])
 
 
-def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
-    """Largest-damage multiplier whose mean realized cost stays <= radius.
+def _calibrate(attack, x0, radius, lambda_max):
+    """(lam, attack(lam)) for the largest-damage multiplier whose attack on
+    the rows x0 has mean squared cost <= radius: 0 if its attack fits, and
+    ``lambda_max`` with the start rows if even it overspends.  Otherwise a
+    bracket [a, b], a's attack over the radius and b's within it, shrinks by
+    Illinois regula falsi on cost - radius, bisecting while b > 4a (the cost
+    is flat at 0 for large multipliers), until b's cost is the radius or
+    b - a <= 1e-12 b.  Only b's attack, run and feasible, is held."""
+    def excess(lam):
+        adv = attack(lam)
+        return float(((adv - x0) ** 2).sum(axis=1).mean()) - radius, adv
 
-    Bisection keeps the feasible side: the returned attack always
-    satisfies the budget on this data.  If even ``lambda_max`` overspends,
-    that is the start rows, at cost 0.  One bound ascent serves every
-    multiplier tried: 62 when the bisection runs.
-    """
-    ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg)
-
-    def mean_cost(lam):
-        _, x_adv = ascent.run(np.float64(lam))
-        return float(((x_adv - x0) ** 2).sum(axis=1).mean()), x_adv
-
-    # adv holds only the attack the call may still return, so a rejected
-    # attack's rows are freed before the next multiplier's run.
-    cost, adv = mean_cost(0.0)
-    if cost <= radius:
+    fa, adv = excess(0.0)
+    if fa <= 0.0:
         return 0.0, adv
-    cost, adv = mean_cost(lambda_max)
-    if cost > radius:
+    del adv  # a rejected attack is freed before the next multiplier's run
+    fb, adv = excess(lambda_max)
+    if fb > 0.0:
         return lambda_max, x0.copy()
-    lo, hi = 0.0, lambda_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cost, adv_mid = mean_cost(mid)
-        if cost <= radius:
-            hi, adv = mid, adv_mid
+    a, b, side = 0.0, lambda_max, 0
+    while fb < 0.0 and b - a > 1e-12 * b:
+        if b > 4.0 * a:
+            lam, side = math.sqrt(a) * math.sqrt(b) if a else 0.5 * b, 0
+        else:  # the secant point, at least half the stopping width inside
+            lam = min(max(b - fb * (b - a) / (fb - fa), a + 5e-13 * b), b - 5e-13 * b)
+        f, adv_lam = excess(lam)
+        if f <= 0.0:  # Illinois: an end kept twice halves its excess
+            fa *= 0.5 if side == 1 else 1.0
+            b, fb, adv, side = lam, f, adv_lam, 1
         else:
-            lo = mid
-    return hi, adv
+            fb *= 0.5 if side == -1 else 1.0
+            a, fa, side = lam, f, -1
+        del adv_lam
+    return b, adv
+
+
+def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
+    """``_calibrate`` with one bound ascent serving every multiplier."""
+    ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg)
+    return _calibrate(lambda lam: ascent.run(np.float64(lam))[1], x0, radius, lambda_max)
 
 
 def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
@@ -459,7 +468,7 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
 
     ``eps`` is a single budget, or an (eps_pos, eps_neg) pair for per-class
     budgets: a length-2 tuple, list or 1-D array.  Each attacked class uses
-    a multiplier calibrated by bisection so the mean realized cost stays
+    the multiplier ``_calibrate`` finds, so the mean realized cost stays
     within its radius; a zero radius leaves the class untouched, so eps = 0
     reproduces the nominal AUC exactly.
     """

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, seeded_rng
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
 from .model import ScoringModel, forward, vjp_params
 from .robust import _BoundAscent
@@ -77,21 +77,14 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        for name in ("eta_lambda", "eta_w", "eta_alpha"):
+        for name, least in (("iters", 1), ("batch_size", 2), ("eta_z", 0), ("steps", 1),
+                            ("eps", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        for name in ("eta_lambda", "eta_w", "eta_alpha", "lambda_max"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.eta_z < 0.0:
-            raise ValueError("eta_z must be >= 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.eps < 0.0:
-            raise ValueError("eps must be >= 0")
-        if self.lambda_max <= 0.0:
-            raise ValueError("lambda_max must be > 0")
+        seeded_rng(self.seed)  # a bad seed fails here, not at the first draw
         if not 0.0 <= self.lambda0 <= self.lambda_max:
             raise ValueError(f"lambda0 must lie in [0, lambda_max], got {self.lambda0}")
 
@@ -242,7 +235,7 @@ def train_stacked(runs) -> list[TrainState]:
     p_hat = [dataset.p_hat for dataset in datasets]
     run_ix = np.arange(R)[:, None]
 
-    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    rngs = [seeded_rng(cfg.seed) for cfg in cfgs]
     # The stacked params are the iterates, updated in place.  Means are
     # np.add.reduce(x) / n, the values ndarray.mean gives; a stacked
     # reduction gives each run the bits of its own.

@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
-from drauc import (DataFormatError, Dataset, auc_mann_whitney, corrupt,
-                   gen_synthetic, load_csv, make_long_tailed, save_csv, score,
-                   ScoringModel)
+from drauc import (DataFormatError, Dataset, TrainConfig, auc_mann_whitney, corrupt,
+                   gen_synthetic, grad_check, init_model, load_csv, make_long_tailed,
+                   save_csv, score, ScoringModel)
+
+SEEDED = {
+    "gen_synthetic": lambda seed: gen_synthetic(10, 2, seed=seed),
+    "make_long_tailed": lambda seed: make_long_tailed(gen_synthetic(40, 2), 0.1, seed=seed),
+    "corrupt": lambda seed: corrupt(gen_synthetic(10, 2), 0.1, seed=seed),
+    "TrainConfig": lambda seed: TrainConfig(seed=seed),
+    "init_model": lambda seed: init_model("linear-sigmoid", 2, seed),
+    "grad_check": lambda seed: grad_check("linear-sigmoid", trials=1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_negative_seed_names_seed(entry):
+    SEEDED[entry](0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SEEDED[entry](-1)
 
 
 class TestGenSynthetic:

@@ -10,7 +10,8 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    estimate_robust_auc, forward, gen_synthetic, init_model,
                    min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
-from drauc.robust import _bind_ascent, _calibrate_multiplier, _suffix_argmin
+from drauc.robust import (_BoundAscent, _bind_ascent, _calibrate, _calibrate_multiplier,
+                          _suffix_argmin)
 from drauc.verification import (check_barycenter_brute_force, check_barycenter_identity,
                                 check_phi_monotone_lambda)
 
@@ -317,29 +318,15 @@ class TestAttackBatch:
         assert projected > 0
 
 
-def calibrate_per_attack(model, aux, p_hat, x0, y, radius, cfg, lambda_max, iters=60):
+def calibrate_per_attack(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
     """``_calibrate_multiplier`` with one ``attack_batch`` call per
     multiplier, each binding its own ascent."""
-    def mean_cost(lam):
-        _, x_adv = attack_batch(model, aux, p_hat, lam, x0, y, cfg)
-        return float(((x_adv - x0) ** 2).sum(axis=1).mean()), x_adv
+    return _calibrate(lambda lam: attack_batch(model, aux, p_hat, lam, x0, y, cfg)[1],
+                      x0, radius, lambda_max)
 
-    cost0, adv0 = mean_cost(0.0)
-    if cost0 <= radius:
-        return 0.0, adv0
-    cost_hi, adv_hi = mean_cost(lambda_max)
-    if cost_hi > radius:
-        return lambda_max, adv_hi
-    lo, hi = 0.0, lambda_max
-    adv = adv_hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        cost_mid, adv_mid = mean_cost(mid)
-        if cost_mid <= radius:
-            hi, adv = mid, adv_mid
-        else:
-            lo = mid
-    return hi, adv
+
+def mean_cost(adv, x0):
+    return float(((adv - x0) ** 2).sum(axis=1).mean())
 
 
 class TestBoundAscent:
@@ -417,6 +404,47 @@ class TestBoundAscent:
         assert ((adv - ds.features) ** 2).sum(axis=1).mean() <= 1e-4
         nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
         assert estimate_robust_auc(model, ds, 1e-4, aux, lambda_max=1e-9) == nominal
+
+
+class TestCalibrate:
+    """The multiplier search: few ascents, and only feasible attacks that
+    were run."""
+
+    def test_binding_calibration_takes_at_most_30_ascents(self, monkeypatch):
+        ds = gen_synthetic(300, 2, seed=11)
+        model = init_model("mlp1-tanh-sigmoid(8)", 2, seed=11)
+        scores = score(model, ds.features)
+        aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
+        _, free = attack_batch(model, aux, ds.p_hat, 0.0, ds.features, ds.labels, AttackConfig())
+        radius = 0.5 * mean_cost(free, ds.features)
+        runs, run = [], _BoundAscent.run
+
+        def counted(self, lam):
+            runs.append(lam)
+            return run(self, lam)
+
+        monkeypatch.setattr(_BoundAscent, "run", counted)
+        lam, adv = _calibrate_multiplier(model, aux, ds.p_hat, ds.features, ds.labels, radius,
+                                         AttackConfig(), 1e3)
+        assert 0.0 < lam < 1e3 and mean_cost(adv, ds.features) <= radius
+        assert len(runs) <= 30  # a 60-step bisection takes 62
+
+    @pytest.mark.parametrize("arch", ARCHS[:2])
+    def test_steep_scorers_get_feasible_attacks_that_rerun_bitwise(self, arch):
+        cfg = AttackConfig(steps=10, step_size=0.5)
+        rises = 0
+        for seed in (40, 42):
+            model, aux, x, y = attack_instance(arch, seed, n=30)
+            costs = [mean_cost(attack_batch(model, aux, 0.4, lam, x, y, cfg)[1], x)
+                     for lam in [0.0, *10.0 ** np.linspace(-2.0, 2.0, 200)]]
+            rises += int((np.diff(costs) > 0.0).sum())
+            for frac in (0.1, 0.3, 0.6, 0.9):
+                radius = frac * costs[0]
+                lam, adv = _calibrate_multiplier(model, aux, 0.4, x, y, radius, cfg, 1e3)
+                assert 0.0 < lam < 1e3 and mean_cost(adv, x) <= radius
+                rerun = attack_batch(model, aux, 0.4, lam, x, y, cfg)[1]
+                assert rerun.tobytes() == adv.tobytes()
+        assert rises > 0  # the cost is not monotone in the multiplier
 
 
 def example1_style_instance():
