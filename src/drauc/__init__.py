@@ -17,8 +17,8 @@ from .losses import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_r
                      saddle_value, surrogate_loss, surrogate_loss_grads)
 from .model import (ScoringModel, forward, init_model, param_count, parse_arch, score,
                     vjp_input, vjp_params)
-from .robust import (AttackConfig, BarycenterAttack, DualCurve, attack_batch,
-                     barycenter_attack, brute_force_worst_case, dual_curve,
+from .robust import (AttackConfig, BarycenterAttack, DatasetAttack, DualCurve, attack_batch,
+                     attack_dataset, barycenter_attack, brute_force_worst_case, dual_curve,
                      estimate_robust_auc, min_cost_flip_search, robust_surrogate_exact_1d)
 from .training import (DualState, TrainConfig, TrainState, sample_batch, split_epsilon,
                        train, train_stacked)
@@ -34,8 +34,8 @@ __all__ = [
     "saddle_value", "surrogate_loss", "surrogate_loss_grads",
     "ScoringModel", "forward", "init_model", "param_count", "parse_arch", "score",
     "vjp_input", "vjp_params",
-    "AttackConfig", "BarycenterAttack", "DualCurve", "attack_batch",
-    "barycenter_attack", "brute_force_worst_case", "dual_curve",
+    "AttackConfig", "BarycenterAttack", "DatasetAttack", "DualCurve", "attack_batch",
+    "attack_dataset", "barycenter_attack", "brute_force_worst_case", "dual_curve",
     "estimate_robust_auc", "min_cost_flip_search", "robust_surrogate_exact_1d",
     "DualState", "TrainConfig", "TrainState", "sample_batch", "split_epsilon",
     "train", "train_stacked",

@@ -28,8 +28,8 @@ from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
 from .model import init_model, score, ScoringModel
-from .robust import (AttackConfig, barycenter_attack, brute_force_worst_case,
-                     estimate_robust_auc, min_cost_flip_search)
+from .robust import (AttackConfig, attack_dataset, barycenter_attack, brute_force_worst_case,
+                     min_cost_flip_search)
 from .training import TrainConfig, train
 from .verification import run_all
 
@@ -132,18 +132,25 @@ def _float_list(text: str, source: str, name: str):
 def _auc_metrics(ck: Checkpoint, dataset, nominal_key: str, sigmas, eps,
                  attack: AttackConfig, seed: int) -> dict:
     """The AUCs of `drauc train`'s report and of `drauc eval`: nominal AUC
-    under ``nominal_key``, corrupted AUC per sigma, robust AUC per budget
-    in ``eps``."""
-    def auc(ds):
-        scores = score(ck.model, ds.features)
-        return auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
+    under ``nominal_key``, corrupted AUC per sigma, and per budget in
+    ``eps`` the robust AUC, its attack's multiplier and mean squared cost,
+    and whether the budget binds (1 iff the multiplier is above 0)."""
+    def auc(features):
+        scores = score(ck.model, features)
+        return auc_mann_whitney(scores[dataset.labels == 1], scores[dataset.labels == 0])
 
-    metrics = {nominal_key: auc(dataset)}
+    def robust(radius):  # the scalars alone, so no budget's x_adv outlives its attack
+        atk = attack_dataset(ck.model, dataset, radius, ck.aux, attack,
+                             lambda_max=ck.dual.lambda_max)
+        (lam,), (cost,) = atk.lam, atk.cost
+        return {f"robust_auc_{radius:g}": auc(atk.x_adv), f"robust_lam_{radius:g}": lam,
+                f"robust_cost_{radius:g}": cost, f"robust_binding_{radius:g}": int(lam > 0.0)}
+
+    metrics = {nominal_key: auc(dataset.features)}
     for sig in sigmas:
-        metrics[f"corrupted_auc_{sig:g}"] = auc(corrupt(dataset, sig, seed))
+        metrics[f"corrupted_auc_{sig:g}"] = auc(corrupt(dataset, sig, seed).features)
     for radius in eps:
-        metrics[f"robust_auc_{radius:g}"] = estimate_robust_auc(
-            ck.model, dataset, radius, ck.aux, attack, lambda_max=ck.dual.lambda_max)
+        metrics.update(robust(radius))
     return metrics
 
 

@@ -417,60 +417,62 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
 
 
 def _calibrate(attack, x0, radius, lambda_max):
-    """(lam, attack(lam)) for the largest-damage multiplier whose attack on
-    the rows x0 has mean squared cost <= radius: 0 if its attack fits, and
-    ``lambda_max`` with the start rows if even it overspends.  Otherwise a
-    bracket [a, b], a's attack over the radius and b's within it, shrinks by
-    Illinois regula falsi on cost - radius, bisecting while b > 4a (the cost
-    is flat at 0 for large multipliers), until b's cost is the radius or
-    b - a <= 1e-12 b.  Only b's attack, run and feasible, is held."""
+    """(lam, attack(lam), its mean squared cost) for the largest-damage
+    multiplier whose attack on the rows x0 costs <= radius: 0 if its attack
+    fits, and ``lambda_max`` with the start rows if even it overspends.
+    Otherwise a bracket [a, b], a's attack over the radius and b's within
+    it, shrinks by Illinois regula falsi on cost - radius, bisecting while
+    b > 4a (the cost is flat at 0 for large multipliers), until b's cost is
+    the radius or b - a <= 1e-12 b.  Only b's attack, run and feasible, is held."""
     def excess(lam):
         adv = attack(lam)
-        return float(((adv - x0) ** 2).sum(axis=1).mean()) - radius, adv
+        cost = float(((adv - x0) ** 2).sum(axis=1).mean())
+        return cost - radius, cost, adv
 
-    fa, adv = excess(0.0)
+    fa, cost, adv = excess(0.0)
     if fa <= 0.0:
-        return 0.0, adv
+        return 0.0, adv, cost
     del adv  # a rejected attack is freed before the next multiplier's run
-    fb, adv = excess(lambda_max)
+    fb, cost, adv = excess(lambda_max)
     if fb > 0.0:
-        return lambda_max, x0.copy()
+        return lambda_max, x0.copy(), 0.0
     a, b, side = 0.0, lambda_max, 0
     while fb < 0.0 and b - a > 1e-12 * b:
         if b > 4.0 * a:
             lam, side = math.sqrt(a) * math.sqrt(b) if a else 0.5 * b, 0
         else:  # the secant point, at least half the stopping width inside
             lam = min(max(b - fb * (b - a) / (fb - fa), a + 5e-13 * b), b - 5e-13 * b)
-        f, adv_lam = excess(lam)
+        f, cost_lam, adv_lam = excess(lam)
         if f <= 0.0:  # Illinois: an end kept twice halves its excess
             fa *= 0.5 if side == 1 else 1.0
-            b, fb, adv, side = lam, f, adv_lam, 1
+            b, fb, adv, cost, side = lam, f, adv_lam, cost_lam, 1
         else:
             fb *= 0.5 if side == -1 else 1.0
             a, fa, side = lam, f, -1
         del adv_lam
-    return b, adv
+    return b, adv, cost
 
 
-def _calibrate_multiplier(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
-    """``_calibrate`` with one bound ascent serving every multiplier."""
-    ascent = _bind_ascent(model, aux, p_hat, x0, y, cfg)
-    return _calibrate(lambda lam: ascent.run(np.float64(lam))[1], x0, radius, lambda_max)
+@dataclass(frozen=True)
+class DatasetAttack:
+    """A budgeted attack's rows ``x_adv`` and, per label group, its
+    multiplier ``lam`` and mean squared transport ``cost``."""
+
+    x_adv: np.ndarray
+    lam: tuple
+    cost: tuple
 
 
-def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
-                        aux: AuxParams, cfg: AttackConfig | None = None, *,
-                        lambda_max: float = 1e3,
-                        tie_policy: str = "half") -> float:
-    """Empirical upper bound on the robust AUC under a transport budget:
-    the AUC after one feasible attack, which is at least the AUC after the
-    worst attack within the budget.
-
-    ``eps`` is a single budget, or an (eps_pos, eps_neg) pair for per-class
-    budgets: a length-2 tuple, list or 1-D array.  Each attacked class uses
-    the multiplier ``_calibrate`` finds, so the mean realized cost stays
-    within its radius; a zero radius leaves the class untouched, so eps = 0
-    reproduces the nominal AUC exactly.
+def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
+                   cfg: AttackConfig | None = None, *,
+                   lambda_max: float = 1e3) -> DatasetAttack:
+    """A feasible attack on ``dataset`` within a transport budget: ``eps``
+    is one budget, for one label group (the whole set), or an (eps_pos,
+    eps_neg) pair, for positives then negatives as in ``DualState``: a
+    length-2 tuple, list or 1-D array.  A group with a radius above 0 binds
+    one ascent and takes the multiplier ``_calibrate`` finds, so its mean
+    realized cost stays within the radius.  A zero radius runs no ascent and
+    leaves its rows untouched; its group reports ``lambda_max`` and cost 0.0.
     """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")
@@ -490,11 +492,22 @@ def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
         groups = [(slice(None), float(radii))]
     else:
         groups = [(labels == 1, float(radii[0])), (labels == 0, float(radii[1]))]
-    adv = feats.copy()
-    for mask, radius in groups:
+    adv, lams, costs = feats.copy(), [lambda_max] * len(groups), [0.0] * len(groups)
+    for g, (mask, radius) in enumerate(groups):
         if radius > 0.0:
-            _, adv[mask] = _calibrate_multiplier(
-                model, aux, dataset.p_hat, feats[mask], labels[mask], radius,
-                cfg, lambda_max)
-    scores = score(model, adv)
-    return auc_mann_whitney(scores[labels == 1], scores[labels == 0], tie_policy)
+            x0 = feats[mask]
+            ascent = _bind_ascent(model, aux, dataset.p_hat, x0, labels[mask], cfg)
+            lams[g], adv[mask], costs[g] = _calibrate(
+                lambda lam: ascent.run(np.float64(lam))[1], x0, radius, lambda_max)
+    return DatasetAttack(adv, tuple(lams), tuple(costs))
+
+
+def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
+                        aux: AuxParams, cfg: AttackConfig | None = None, *,
+                        lambda_max: float = 1e3) -> float:
+    """Empirical upper bound on the robust AUC: the AUC after
+    ``attack_dataset``'s feasible attack, which is at least the AUC after
+    the worst attack within the budget (the nominal AUC at eps = 0)."""
+    adv = attack_dataset(model, dataset, eps, aux, cfg, lambda_max=lambda_max).x_adv
+    scores, labels = score(model, adv), dataset.labels
+    return auc_mann_whitney(scores[labels == 1], scores[labels == 0])

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv
+from .data import (Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv,
+                   seeded_rng)
 from .gradcheck import grad_check
 from .losses import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
                      saddle_value, surrogate_loss, surrogate_loss_grads)
@@ -74,7 +75,7 @@ def _range_scores(draws, seed):
     """Scores of draws // 3 randomly perturbed models of each architecture,
     each on one random input, in draw order.  The draws of one (arch, d)
     are scored as stacked one-row runs, each bitwise its own score."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     archs = ["linear-sigmoid", "mlp1-tanh-sigmoid(8)", "linear-identity-clamped"]
     per_arch = draws // len(archs)
     scores = np.empty((len(archs), per_arch))
@@ -122,7 +123,7 @@ def check_init_determinism(seed=7):
 
 @_check("losses.saddle_identity", datasets=20)
 def check_saddle_identity(datasets=100, seed=1):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(datasets):
         fs, ys = _random_dataset(rng)
@@ -153,7 +154,7 @@ def _grid_minmax(fs, ys, p_hat):
 
 @_check("losses.closed_form_optimality", datasets=5)
 def check_closed_form_optimality(datasets=20, seed=2):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = -np.inf
     for _ in range(datasets):
         fs, ys = _random_dataset(rng)
@@ -166,7 +167,7 @@ def check_closed_form_optimality(datasets=20, seed=2):
 
 @_check("losses.alpha_stationarity", datasets=10)
 def check_alpha_stationarity(datasets=50, seed=3):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(datasets):
         fs, ys = _random_dataset(rng)
@@ -179,7 +180,7 @@ def check_alpha_stationarity(datasets=50, seed=3):
 
 @_check("losses.auc_properties", trials=40)
 def check_auc_properties(trials=200, seed=4):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(trials):
         n_pos = int(rng.integers(1, 8))
         n_neg = int(rng.integers(1, 8))
@@ -201,7 +202,7 @@ def _phi_trials(trials, seed):
     stayed in the box, in draw order.  The trials of one (arch, d) are
     attacked as stacked n = 1 runs, each with its own aux, p_hat and
     multiplier and bitwise its own ascent."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cfg = AttackConfig(steps=10, step_size=0.05)
     groups = {}  # (arch, d) -> its trials' (index, params, aux, p_hat, lam, x, y)
     for i in range(trials):
@@ -240,7 +241,7 @@ def check_phi_dominance(trials=200, seed=5):
 
 @_check("robust.phi_monotone_lambda", trials=20)
 def check_phi_monotone_lambda(trials=100, seed=6):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     m = _identity_scorer()
     for _ in range(trials):
         aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
@@ -268,7 +269,7 @@ def _random_tiny_instance(rng):
 
 @_check("robust.weak_duality", instances=10)
 def check_weak_duality(instances=50, seed=7):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     m = _identity_scorer()
     lam_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 99)])
     worst_gap = -np.inf
@@ -288,7 +289,7 @@ def check_weak_duality(instances=50, seed=7):
 
 @_check("robust.dual_convexity", trials=5)
 def check_dual_convexity(trials=25, seed=8):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     m = _identity_scorer()
     lam_grid = np.linspace(0.0, 20.0, 41)
     for _ in range(trials):
@@ -303,7 +304,7 @@ def check_dual_convexity(trials=25, seed=8):
 
 @_check("robust.barycenter_identity", trials=100)
 def check_barycenter_identity(trials=500, seed=9):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(trials):
         atk = barycenter_attack(rng.uniform(0, 1), rng.uniform(0, 1),
@@ -314,7 +315,7 @@ def check_barycenter_identity(trials=500, seed=9):
 
 @_check("robust.barycenter_brute_force", trials=5)
 def check_barycenter_brute_force(trials=25, seed=10):
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(trials):
         x_neg = float(rng.uniform(0.0, 0.45))
         x_pos = float(rng.uniform(x_neg + 0.1, 1.0))

@@ -286,8 +286,31 @@ class TestEval:
         report = parse_report((tmp_path / "ck.txt.report").read_text())
         evaluated = parse_report((tmp_path / "eval.txt").read_text())
         assert report["final_nominal_auc"] == evaluated["nominal_auc"]
-        for key in ("corrupted_auc_0.1", "robust_auc_0.01", "robust_auc_0.002"):
+        for key in ("corrupted_auc_0.1", "robust_auc_0.01", "robust_auc_0.002",
+                    "robust_lam_0.002", "robust_cost_0.002", "robust_binding_0.002"):
             assert report[key] == evaluated[key]
+
+    def test_reports_each_budgets_multiplier_cost_and_binding(self, tmp_path, capsys):
+        data, ck = tmp_path / "d.csv", tmp_path / "ck.txt"
+        assert run(["gen-data", "--out", str(data), "--n", "200", "--seed", "4"]) == 0
+        assert run(["train", "--data", str(data), "--iters-T", "50", "--batch", "16",
+                    "--seed", "4", "--out", str(ck)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(ck), "--data", str(data), "--sigmas", "",
+                    "--eps", "0,0.001,5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = dict(line.split("=", 1) for line in lines)
+        for eps in ("0", "0.001", "5"):
+            keys = [f"robust_{name}_{eps}" for name in ("auc", "lam", "cost", "binding")]
+            at = lines.index(f"{keys[0]}={out[keys[0]]}")
+            assert [line.split("=")[0] for line in lines[at:at + 4]] == keys
+            lam, cost = float(out[keys[1]]), float(out[keys[2]])
+            assert out[keys[3]] == str(int(lam > 0.0)) and 0.0 <= cost <= float(eps)
+        # A zero budget runs no ascent; a budget past the unpenalized
+        # attack's cost leaves the multiplier at 0.
+        assert (out["robust_lam_0"], out["robust_cost_0"]) == ("1000", "0")
+        assert (out["robust_binding_0.001"], out["robust_binding_5"]) == ("1", "0")
+        assert float(out["robust_auc_0.001"]) < float(out["nominal_auc"])
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--eps", "0.1,zz", "--eps: expected float, got 'zz'"),

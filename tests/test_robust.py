@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
-                   attack_batch, auc_mann_whitney, barycenter_attack,
+                   attack_batch, attack_dataset, auc_mann_whitney, barycenter_attack,
                    brute_force_worst_case, closed_form_aux, dual_curve,
                    estimate_robust_auc, forward, gen_synthetic, init_model,
                    min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
-from drauc.robust import (_BoundAscent, _bind_ascent, _calibrate, _calibrate_multiplier,
-                          _suffix_argmin)
+from drauc.robust import _BoundAscent, _bind_ascent, _calibrate, _suffix_argmin
 from drauc.verification import (check_barycenter_brute_force, check_barycenter_identity,
                                 check_phi_monotone_lambda)
 
@@ -319,14 +318,37 @@ class TestAttackBatch:
 
 
 def calibrate_per_attack(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
-    """``_calibrate_multiplier`` with one ``attack_batch`` call per
-    multiplier, each binding its own ascent."""
+    """``attack_dataset``'s calibration of one group with one
+    ``attack_batch`` call per multiplier, each binding its own ascent."""
     return _calibrate(lambda lam: attack_batch(model, aux, p_hat, lam, x0, y, cfg)[1],
                       x0, radius, lambda_max)
 
 
 def mean_cost(adv, x0):
     return float(((adv - x0) ** 2).sum(axis=1).mean())
+
+
+def attack_group(model, aux, ds, mask, radius, cfg, lambda_max=1e3):
+    """``attack_dataset`` on the rows ``mask`` of ``ds`` alone: the whole
+    set under one budget, or one class under a pair whose other radius is
+    0.  Returns the group's (lam, x_adv, cost), after checking that the
+    other rows stay put, that the other group of a pair reports
+    ``lambda_max`` and cost 0, and that the cost is the mean squared
+    transport of the group's rows, bit for bit."""
+    if isinstance(mask, slice):
+        eps, g = radius, 0
+    else:
+        g = 0 if ds.labels[mask][0] == 1 else 1
+        eps = (radius, 0.0) if g == 0 else (0.0, radius)
+    atk = attack_dataset(model, ds, eps, aux, cfg, lambda_max=lambda_max)
+    assert len(atk.lam) == len(atk.cost) == np.ndim(eps) + 1
+    if np.ndim(eps):
+        assert (atk.lam[1 - g], atk.cost[1 - g]) == (lambda_max, 0.0)
+    rest = np.ones(ds.n, dtype=bool)
+    rest[mask] = False
+    assert atk.x_adv[rest].tobytes() == ds.features[rest].tobytes()
+    assert atk.cost[g] == mean_cost(atk.x_adv[mask], ds.features[mask])
+    return atk.lam[g], atk.x_adv[mask], atk.cost[g]
 
 
 class TestBoundAscent:
@@ -375,10 +397,11 @@ class TestBoundAscent:
         model, aux, x, y = attack_instance(arch, 38, n=30)
         if arch == "linear-identity-clamped":  # rows on the ramp, so the attack moves
             model = replace(model, params=np.array([0.9, 0.7, -0.3]))
+        ds = Dataset.from_arrays(x, y)
         cfg = AttackConfig(steps=steps, step_size=0.5)
         free = {}  # mean cost of the unpenalized attack, per row set
         for name, mask in (("all", slice(None)), ("pos", y == 1), ("neg", y == 0)):
-            _, adv = attack_batch(model, aux, 0.4, 0.0, x[mask], y[mask], cfg)
+            _, adv = attack_batch(model, aux, ds.p_hat, 0.0, x[mask], y[mask], cfg)
             free[name] = float(((adv - x[mask]) ** 2).sum(axis=1).mean())
             assert free[name] > 0.0
         cases = [(slice(None), 0.25 * free["all"], True),   # binding
@@ -386,11 +409,12 @@ class TestBoundAscent:
                  (y == 1, 0.3 * free["pos"], True),         # a per-class pair
                  (y == 0, 0.5 * free["neg"], True)]
         for mask, radius, binding in cases:
-            args = (model, aux, 0.4, x[mask], y[mask], radius, cfg, 1e3)
-            lam, adv = _calibrate_multiplier(*args)
-            want_lam, want_adv = calibrate_per_attack(*args)
+            lam, adv, cost = attack_group(model, aux, ds, mask, radius, cfg)
+            want_lam, want_adv, want_cost = calibrate_per_attack(
+                model, aux, ds.p_hat, x[mask], y[mask], radius, cfg, 1e3)
             assert lam == want_lam and (lam > 0.0) == binding
             assert adv.shape == want_adv.shape and adv.tobytes() == want_adv.tobytes()
+            assert cost == want_cost == mean_cost(want_adv, x[mask]) <= radius
 
     def test_overspending_lambda_max_returns_the_start(self):
         # Under lambda_max = 1e-9 the attack still costs 0.0074, 74 times
@@ -399,9 +423,8 @@ class TestBoundAscent:
         model = init_model("linear-sigmoid", 2, seed=3)
         scores = score(model, ds.features)
         aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
-        lam, adv = _calibrate_multiplier(model, aux, ds.p_hat, ds.features, ds.labels,
-                                         1e-4, AttackConfig(), 1e-9)
-        assert ((adv - ds.features) ** 2).sum(axis=1).mean() <= 1e-4
+        lam, adv, cost = attack_group(model, aux, ds, slice(None), 1e-4, AttackConfig(), 1e-9)
+        assert lam == 1e-9 and cost == 0.0 and adv.tobytes() == ds.features.tobytes()
         nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
         assert estimate_robust_auc(model, ds, 1e-4, aux, lambda_max=1e-9) == nominal
 
@@ -424,9 +447,8 @@ class TestCalibrate:
             return run(self, lam)
 
         monkeypatch.setattr(_BoundAscent, "run", counted)
-        lam, adv = _calibrate_multiplier(model, aux, ds.p_hat, ds.features, ds.labels, radius,
-                                         AttackConfig(), 1e3)
-        assert 0.0 < lam < 1e3 and mean_cost(adv, ds.features) <= radius
+        lam, adv, cost = attack_group(model, aux, ds, slice(None), radius, AttackConfig())
+        assert 0.0 < lam < 1e3 and cost <= radius
         assert len(runs) <= 30  # a 60-step bisection takes 62
 
     @pytest.mark.parametrize("arch", ARCHS[:2])
@@ -435,14 +457,15 @@ class TestCalibrate:
         rises = 0
         for seed in (40, 42):
             model, aux, x, y = attack_instance(arch, seed, n=30)
-            costs = [mean_cost(attack_batch(model, aux, 0.4, lam, x, y, cfg)[1], x)
+            ds = Dataset.from_arrays(x, y)
+            costs = [mean_cost(attack_batch(model, aux, ds.p_hat, lam, x, y, cfg)[1], x)
                      for lam in [0.0, *10.0 ** np.linspace(-2.0, 2.0, 200)]]
             rises += int((np.diff(costs) > 0.0).sum())
             for frac in (0.1, 0.3, 0.6, 0.9):
                 radius = frac * costs[0]
-                lam, adv = _calibrate_multiplier(model, aux, 0.4, x, y, radius, cfg, 1e3)
-                assert 0.0 < lam < 1e3 and mean_cost(adv, x) <= radius
-                rerun = attack_batch(model, aux, 0.4, lam, x, y, cfg)[1]
+                lam, adv, cost = attack_group(model, aux, ds, slice(None), radius, cfg)
+                assert 0.0 < lam < 1e3 and cost <= radius
+                rerun = attack_batch(model, aux, ds.p_hat, lam, x, y, cfg)[1]
                 assert rerun.tobytes() == adv.tobytes()
         assert rises > 0  # the cost is not monotone in the multiplier
 
@@ -942,8 +965,8 @@ class TestEstimateRobustAuc:
         ds = Dataset.from_arrays(feats, labels)
         aux = closed_form_aux([0.9, 0.9], [0.1, 0.1])
         cfg = AttackConfig(steps=200, step_size=0.05)
-        val = estimate_robust_auc(IDENT, ds, 0.2, aux, cfg, tie_policy="strict")
-        assert val == 0.0
+        scores = score(IDENT, attack_dataset(IDENT, ds, 0.2, aux, cfg).x_adv)
+        assert auc_mann_whitney(scores[labels == 1], scores[labels == 0], "strict") == 0.0
 
     def test_single_class_rejected(self):
         ds = Dataset.from_arrays(np.array([[0.4], [0.6]]), np.array([1, 1]))
@@ -960,7 +983,7 @@ class TestEstimateRobustAuc:
         def attack(*args):
             raise AssertionError("attacked before every radius was checked")
 
-        monkeypatch.setattr("drauc.robust._calibrate_multiplier", attack)
+        monkeypatch.setattr("drauc.robust._calibrate", attack)
         ds, model, aux = trained
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
             estimate_robust_auc(model, ds, (0.01, -1.0), aux)
@@ -986,6 +1009,29 @@ class TestEstimateRobustAuc:
         ds, model, aux = trained
         with pytest.raises(ValueError, match="lambda_max"):
             estimate_robust_auc(model, ds, 0.01, aux, lambda_max=lambda_max)
+
+
+class TestAttackDataset:
+    """The budgeted attack's multiplier and cost per label group."""
+
+    def test_saturated_budgets_report_a_zero_multiplier(self, trained):
+        # The unpenalized attack costs 0.0138: any budget above it leaves
+        # the multiplier at 0 and gives the same attack.
+        ds, model, aux = trained
+        slack = [attack_dataset(model, ds, eps, aux) for eps in (0.05, 1.0)]
+        assert [(atk.lam, atk.cost) for atk in slack] == [((0.0,), slack[0].cost)] * 2
+        assert 0.0 < slack[0].cost[0] < 0.05
+        assert slack[0].x_adv.tobytes() == slack[1].x_adv.tobytes()
+        assert estimate_robust_auc(model, ds, 0.05, aux) == estimate_robust_auc(model, ds, 1.0, aux)
+
+    def test_binding_budget_spends_at_most_its_radius(self, trained):
+        ds, model, aux = trained
+        scores = score(model, ds.features)
+        nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
+        atk = attack_dataset(model, ds, 1e-3, aux)
+        assert atk.lam[0] > 0.0 and atk.cost[0] <= 1e-3
+        assert atk.cost[0] == mean_cost(atk.x_adv, ds.features)
+        assert estimate_robust_auc(model, ds, 1e-3, aux) < nominal
 
 
 class TestDualState:

@@ -3,6 +3,8 @@ with its name and quick sizes, and ``run_all`` runs every one of them."""
 
 import inspect
 
+import pytest
+
 import drauc.verification as verification
 from drauc.verification import _CHECKS, CheckResult, run_all
 
@@ -43,3 +45,12 @@ def test_check_returns_a_timed_result():
     res = verification.check_init_determinism()
     assert (res.name, res.passed) == ("model.init_determinism", True)
     assert res.seconds > 0.0
+
+
+@pytest.mark.parametrize("attr, quick", [(attr, quick) for _, attr, quick in _CHECKS],
+                         ids=[attr for _, attr, _ in _CHECKS])
+def test_negative_seed_names_the_seed(attr, quick):
+    # Every check's seed goes through ``data.seeded_rng`` (or an entry point
+    # that does), so a negative one is refused by name, not by NumPy.
+    with pytest.raises(ValueError, match="seed"):
+        getattr(verification, attr)(**quick, seed=-1)
