@@ -499,6 +499,7 @@ def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
             ascent = _bind_ascent(model, aux, dataset.p_hat, x0, labels[mask], cfg)
             lams[g], adv[mask], costs[g] = _calibrate(
                 lambda lam: ascent.run(np.float64(lam))[1], x0, radius, lambda_max)
+            del ascent  # no group's bound arrays while the next group is bound
     return DatasetAttack(adv, tuple(lams), tuple(costs))
 
 

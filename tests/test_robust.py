@@ -397,11 +397,11 @@ class TestBoundAscent:
         model, aux, x, y = attack_instance(arch, 38, n=30)
         if arch == "linear-identity-clamped":  # rows on the ramp, so the attack moves
             model = replace(model, params=np.array([0.9, 0.7, -0.3]))
-        ds = Dataset.from_arrays(x, y)
+        ds = replace(Dataset.from_arrays(x, y), p_hat=0.4)
         cfg = AttackConfig(steps=steps, step_size=0.5)
         free = {}  # mean cost of the unpenalized attack, per row set
         for name, mask in (("all", slice(None)), ("pos", y == 1), ("neg", y == 0)):
-            _, adv = attack_batch(model, aux, ds.p_hat, 0.0, x[mask], y[mask], cfg)
+            _, adv = attack_batch(model, aux, 0.4, 0.0, x[mask], y[mask], cfg)
             free[name] = float(((adv - x[mask]) ** 2).sum(axis=1).mean())
             assert free[name] > 0.0
         cases = [(slice(None), 0.25 * free["all"], True),   # binding
@@ -411,7 +411,7 @@ class TestBoundAscent:
         for mask, radius, binding in cases:
             lam, adv, cost = attack_group(model, aux, ds, mask, radius, cfg)
             want_lam, want_adv, want_cost = calibrate_per_attack(
-                model, aux, ds.p_hat, x[mask], y[mask], radius, cfg, 1e3)
+                model, aux, 0.4, x[mask], y[mask], radius, cfg, 1e3)
             assert lam == want_lam and (lam > 0.0) == binding
             assert adv.shape == want_adv.shape and adv.tobytes() == want_adv.tobytes()
             assert cost == want_cost == mean_cost(want_adv, x[mask]) <= radius
@@ -457,15 +457,15 @@ class TestCalibrate:
         rises = 0
         for seed in (40, 42):
             model, aux, x, y = attack_instance(arch, seed, n=30)
-            ds = Dataset.from_arrays(x, y)
-            costs = [mean_cost(attack_batch(model, aux, ds.p_hat, lam, x, y, cfg)[1], x)
+            ds = replace(Dataset.from_arrays(x, y), p_hat=0.4)
+            costs = [mean_cost(attack_batch(model, aux, 0.4, lam, x, y, cfg)[1], x)
                      for lam in [0.0, *10.0 ** np.linspace(-2.0, 2.0, 200)]]
             rises += int((np.diff(costs) > 0.0).sum())
             for frac in (0.1, 0.3, 0.6, 0.9):
                 radius = frac * costs[0]
                 lam, adv, cost = attack_group(model, aux, ds, slice(None), radius, cfg)
                 assert 0.0 < lam < 1e3 and cost <= radius
-                rerun = attack_batch(model, aux, ds.p_hat, lam, x, y, cfg)[1]
+                rerun = attack_batch(model, aux, 0.4, lam, x, y, cfg)[1]
                 assert rerun.tobytes() == adv.tobytes()
         assert rises > 0  # the cost is not monotone in the multiplier
 
