@@ -23,18 +23,17 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_report
-from .data import corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv, seeded_rng
+from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv, seeded_rng
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
 from .model import init_model, score, ScoringModel
 from .robust import (AttackConfig, attack_dataset, barycenter_attack, brute_force_worst_case,
                      min_cost_flip_search)
-from .training import TrainConfig, train
+from .training import VARIANTS, TrainConfig, train
 from .verification import run_all
 
-_VARIANT_ALIASES = {"df": "df", "da": "da", "aucm": "aucm-baseline",
-                    "aucm-baseline": "aucm-baseline"}
+_VARIANT_ALIASES = {"aucm": "aucm-baseline"}
 
 # Config keys (and so flags) of the TrainConfig fields whose names differ.
 _RENAMED = {"iters": "iters_T", "steps": "steps_K", "batch_size": "batch", "k_split": "k"}
@@ -57,8 +56,8 @@ TRAIN_KNOBS = {
     "report_sigmas": (str, "0.2"),
     "report_eps": (str, "0.1"),
 }
-GEN_DATA_KNOBS = {**{key: TRAIN_KNOBS[key] for key in
-                     ("n", "d", "mu_pos", "mu_neg", "sigma", "ratio", "seed")},
+_SYNTHETIC = ("n", "d", "mu_pos", "mu_neg", "sigma", "seed")  # gen_synthetic's settings
+GEN_DATA_KNOBS = {**{key: TRAIN_KNOBS[key] for key in (*_SYNTHETIC, "ratio")},
                   "out": (str, "data.csv")}
 _HELP = {"data": "training CSV; omit for synthetic"}
 
@@ -99,11 +98,12 @@ def _seed(value, source="--seed"):
 
 
 def _resolve(args, knobs):
+    """(settings, sources): each knob's value and its flag, file line, variable or None."""
     file_cfg = _read_config_file(args.config) if args.config else {}
     for key, (_, lineno) in file_cfg.items():
         if key not in knobs:
             raise ConfigError(f"{args.config}: line {lineno}: unknown key {key!r}")
-    out = {}
+    out, sources = {}, {}
     for key, (kind, default) in knobs.items():
         value, source = getattr(args, key), "--" + key.replace("_", "-")
         if value is None and key in file_cfg:
@@ -115,8 +115,18 @@ def _resolve(args, knobs):
             value = _parse(int, os.environ["DRAUC_SEED"], source)
         if key == "seed" and value is not None:
             _seed(value, source)
-        out[key] = default if value is None else value
-    return out
+        out[key], sources[key] = (default, None) if value is None else (value, source)
+    return out, sources
+
+
+def _checked(make, sources, **kwargs):
+    """make(**kwargs), or a ConfigError naming ``sources[field]`` for the field
+    whose check failed: a library check's message starts with its name."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        source = sources.get(str(exc).split(" ", 1)[0])
+        raise ConfigError(f"{source}: {exc}" if source else str(exc)) from None
 
 
 def _float_list(text: str, source: str, name: str):
@@ -129,19 +139,17 @@ def _float_list(text: str, source: str, name: str):
     return values
 
 
-def _auc_metrics(ck: Checkpoint, dataset, nominal_key: str, sigmas, eps,
-                 attack: AttackConfig, seed: int) -> dict:
-    """The AUCs of `drauc train`'s report and of `drauc eval`: nominal AUC
-    under ``nominal_key``, corrupted AUC per sigma, and per budget in
+def _auc_metrics(model, aux, dataset, nominal_key, sigmas, eps, attack, seed) -> dict:
+    """The AUCs of ``model`` in `drauc train`'s report and `drauc eval`: nominal
+    AUC under ``nominal_key``, corrupted AUC per sigma, and per budget in
     ``eps`` the robust AUC, its attack's multiplier and mean squared cost,
     and whether the budget binds (1 iff the multiplier is above 0)."""
     def auc(features):
-        scores = score(ck.model, features)
+        scores = score(model, features)
         return auc_mann_whitney(scores[dataset.labels == 1], scores[dataset.labels == 0])
 
     def robust(radius):  # the scalars alone, so no budget's x_adv outlives its attack
-        atk = attack_dataset(ck.model, dataset, radius, ck.aux, attack,
-                             lambda_max=ck.dual.lambda_max)
+        atk = attack_dataset(model, dataset, radius, aux, attack)
         (lam,), (cost,) = atk.lam, atk.cost
         return {f"robust_auc_{radius:g}": auc(atk.x_adv), f"robust_lam_{radius:g}": lam,
                 f"robust_cost_{radius:g}": cost, f"robust_binding_{radius:g}": int(lam > 0.0)}
@@ -165,9 +173,8 @@ def _emit(lines, out_path=None):
 # ----------------------------------------------------------- subcommands
 
 def _cmd_gen_data(args) -> int:
-    resolved = _resolve(args, GEN_DATA_KNOBS)
-    ds = gen_synthetic(resolved["n"], resolved["d"], resolved["mu_pos"],
-                       resolved["mu_neg"], resolved["sigma"], resolved["seed"])
+    resolved, _ = _resolve(args, GEN_DATA_KNOBS)
+    ds = gen_synthetic(**{key: resolved[key] for key in _SYNTHETIC})
     if resolved["ratio"] is not None:
         ds = make_long_tailed(ds, resolved["ratio"], resolved["seed"])
     save_csv(ds, resolved["out"])
@@ -176,39 +183,32 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    resolved = _resolve(args, TRAIN_KNOBS)
-    if resolved["variant"] not in _VARIANT_ALIASES:
-        raise ConfigError(f"unknown variant {resolved['variant']!r}")
-    cfg = TrainConfig(**{f.name: resolved[_RENAMED.get(f.name, f.name)]
-                         for f in fields(TrainConfig)
-                         if f.name != "variant"},
-                      variant=_VARIANT_ALIASES[resolved["variant"]])
+    resolved, sources = _resolve(args, TRAIN_KNOBS)
+    keys = {f.name: _RENAMED.get(f.name, f.name) for f in fields(TrainConfig)}
+    cfg = _checked(TrainConfig, {f: sources[k] for f, k in keys.items()},
+                   **{f: resolved[k] for f, k in keys.items() if f != "variant"},
+                   variant=_VARIANT_ALIASES.get(resolved["variant"], resolved["variant"]))
     sigmas = _float_list(resolved["report_sigmas"], "report_sigmas", "sigma")
     radii = _float_list(resolved["report_eps"], "report_eps", "eps")
     started = time.perf_counter()
     if resolved["data"]:
         dataset = load_csv(resolved["data"])
     else:
-        dataset = gen_synthetic(resolved["n"], resolved["d"], resolved["mu_pos"],
-                                resolved["mu_neg"], resolved["sigma"],
-                                resolved["seed"])
+        dataset = gen_synthetic(**{key: resolved[key] for key in _SYNTHETIC})
     if resolved["ratio"] is not None:
         dataset = make_long_tailed(dataset, resolved["ratio"], resolved["seed"])
-    model = init_model(resolved["arch"], dataset.d, resolved["seed"])
-    state = train(dataset, cfg, model)
+    state = train(dataset, cfg, init_model(resolved["arch"], dataset.d, resolved["seed"]))
 
-    ck = Checkpoint(
+    save_checkpoint(Checkpoint(
         model=state.model, aux=state.aux, variant=cfg.variant, dual=state.dual,
         scaler_min=dataset.scaler_min, scaler_max=dataset.scaler_max,
         seed=resolved["seed"], iteration=state.iteration,
         cfg={k: str(v) for k, v in sorted(resolved.items())
              if k not in ("out", "report", "data")},
-    )
-    save_checkpoint(ck, resolved["out"])
+    ), resolved["out"])
 
-    metrics = _auc_metrics(ck, dataset, "final_nominal_auc", sigmas, radii,
-                           AttackConfig(steps=cfg.steps, step_size=max(cfg.eta_z, 1e-3)),
-                           resolved["seed"])
+    metrics = _auc_metrics(state.model, state.aux, dataset, "final_nominal_auc", sigmas,
+                           radii, AttackConfig(), resolved["seed"])
     metrics["wall_clock_seconds"] = time.perf_counter() - started
 
     report_path = resolved["report"] or resolved["out"] + ".report"
@@ -226,10 +226,12 @@ def _cmd_eval(args) -> int:
     _seed(args.seed)
     sigmas = _float_list(args.sigmas, "--sigmas", "sigma")
     radii = _float_list(args.eps, "--eps", "eps")
-    attack = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
+    attack = _checked(AttackConfig, {"steps": "--attack-steps", "step_size": "--attack-step-size"},
+                      steps=args.attack_steps, step_size=args.attack_step_size)
     ck = load_checkpoint(args.ckpt)
     dataset = load_csv(args.data, (ck.scaler_min, ck.scaler_max))
-    metrics = _auc_metrics(ck, dataset, "nominal_auc", sigmas, radii, attack, args.seed)
+    metrics = _auc_metrics(ck.model, ck.aux, dataset, "nominal_auc", sigmas, radii, attack,
+                           args.seed)
     _emit([f"clipped_values={dataset.clipped}"]
           + [f"{key}={value:.17g}" for key, value in metrics.items()], args.out)
     return 0
@@ -238,7 +240,6 @@ def _cmd_eval(args) -> int:
 def _cmd_attack_oracle(args) -> int:
     lines = []
     if args.preset == "two-point":
-        from .data import Dataset
         ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0]))
         scorer = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
         sup, positions = brute_force_worst_case(
@@ -251,12 +252,10 @@ def _cmd_attack_oracle(args) -> int:
             x_pos, x_neg, n_pos, n_neg = 0.99, 0.01, 1, 99
         else:
             if None in (args.x_pos, args.x_neg, args.n_pos, args.n_neg):
-                raise ConfigError(
-                    "custom instance needs --x-pos, --x-neg, --n-pos, --n-neg")
+                raise ConfigError("custom instance needs --x-pos, --x-neg, --n-pos, --n-neg")
             x_pos, x_neg, n_pos, n_neg = args.x_pos, args.x_neg, args.n_pos, args.n_neg
         atk = barycenter_attack(x_pos, x_neg, n_pos, n_neg)
-        min_cost, t_pos, t_neg = min_cost_flip_search(
-            x_pos, x_neg, n_pos, n_neg, args.grid)
+        min_cost, t_pos, t_neg = min_cost_flip_search(x_pos, x_neg, n_pos, n_neg, args.grid)
         strict = auc_mann_whitney([atk.target] * n_pos, [atk.target] * n_neg, "strict")
         lines += [
             f"target={atk.target!r}",
@@ -304,7 +303,7 @@ def _cmd_grad_check(args) -> int:
 def _add_knobs(p, knobs):
     """One flag per knob (config key with dashes), plus --config."""
     for key, (kind, _) in knobs.items():
-        choices = sorted(_VARIANT_ALIASES) if key == "variant" else None
+        choices = sorted([*VARIANTS, *_VARIANT_ALIASES]) if key == "variant" else None
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
                        choices=choices, default=None, help=_HELP.get(key))
     p.add_argument("--config", default=None)

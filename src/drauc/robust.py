@@ -36,6 +36,10 @@ from .losses import (AuxParams, _FixedLabelLoss, _check_labels, auc_mann_whitney
                      surrogate_loss)
 from .model import ScoringModel, _Passes, score
 
+# The multiplier search's upper end: a budget that even its attack overspends,
+# or a zero one, moves no row and reports it.
+_LAMBDA_CAP = 1e3
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -416,10 +420,10 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     return float(totals[i]), float(grid[i]), float(grid[j])
 
 
-def _calibrate(attack, x0, radius, lambda_max):
+def _calibrate(attack, x0, radius):
     """(lam, attack(lam), its mean squared cost) for the largest-damage
     multiplier whose attack on the rows x0 costs <= radius: 0 if its attack
-    fits, and ``lambda_max`` with the start rows if even it overspends.
+    fits, and ``_LAMBDA_CAP`` with the start rows if even it overspends.
     Otherwise a bracket [a, b], a's attack over the radius and b's within
     it, shrinks by Illinois regula falsi on cost - radius, bisecting while
     b > 4a (the cost is flat at 0 for large multipliers), until b's cost is
@@ -433,10 +437,10 @@ def _calibrate(attack, x0, radius, lambda_max):
     if fa <= 0.0:
         return 0.0, adv, cost
     del adv  # a rejected attack is freed before the next multiplier's run
-    fb, cost, adv = excess(lambda_max)
+    fb, cost, adv = excess(_LAMBDA_CAP)
     if fb > 0.0:
-        return lambda_max, x0.copy(), 0.0
-    a, b, side = 0.0, lambda_max, 0
+        return _LAMBDA_CAP, x0.copy(), 0.0
+    a, b, side = 0.0, _LAMBDA_CAP, 0
     while fb < 0.0 and b - a > 1e-12 * b:
         if b > 4.0 * a:
             lam, side = math.sqrt(a) * math.sqrt(b) if a else 0.5 * b, 0
@@ -464,20 +468,17 @@ class DatasetAttack:
 
 
 def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
-                   cfg: AttackConfig | None = None, *,
-                   lambda_max: float = 1e3) -> DatasetAttack:
+                   cfg: AttackConfig | None = None) -> DatasetAttack:
     """A feasible attack on ``dataset`` within a transport budget: ``eps``
     is one budget, for one label group (the whole set), or an (eps_pos,
     eps_neg) pair, for positives then negatives as in ``DualState``: a
     length-2 tuple, list or 1-D array.  A group with a radius above 0 binds
     one ascent and takes the multiplier ``_calibrate`` finds, so its mean
     realized cost stays within the radius.  A zero radius runs no ascent and
-    leaves its rows untouched; its group reports ``lambda_max`` and cost 0.0.
+    leaves its rows untouched; its group reports ``_LAMBDA_CAP`` and cost 0.0.
     """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")
-    if not 0.0 < lambda_max < math.inf:
-        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     cfg = cfg or AttackConfig()
     feats, labels = dataset.features, dataset.labels
     try:
@@ -492,23 +493,22 @@ def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
         groups = [(slice(None), float(radii))]
     else:
         groups = [(labels == 1, float(radii[0])), (labels == 0, float(radii[1]))]
-    adv, lams, costs = feats.copy(), [lambda_max] * len(groups), [0.0] * len(groups)
+    adv, lams, costs = feats.copy(), [_LAMBDA_CAP] * len(groups), [0.0] * len(groups)
     for g, (mask, radius) in enumerate(groups):
         if radius > 0.0:
             x0 = feats[mask]
             ascent = _bind_ascent(model, aux, dataset.p_hat, x0, labels[mask], cfg)
             lams[g], adv[mask], costs[g] = _calibrate(
-                lambda lam: ascent.run(np.float64(lam))[1], x0, radius, lambda_max)
+                lambda lam: ascent.run(np.float64(lam))[1], x0, radius)
             del ascent  # no group's bound arrays while the next group is bound
     return DatasetAttack(adv, tuple(lams), tuple(costs))
 
 
 def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
-                        aux: AuxParams, cfg: AttackConfig | None = None, *,
-                        lambda_max: float = 1e3) -> float:
+                        aux: AuxParams, cfg: AttackConfig | None = None) -> float:
     """Empirical upper bound on the robust AUC: the AUC after
     ``attack_dataset``'s feasible attack, which is at least the AUC after
     the worst attack within the budget (the nominal AUC at eps = 0)."""
-    adv = attack_dataset(model, dataset, eps, aux, cfg, lambda_max=lambda_max).x_adv
+    adv = attack_dataset(model, dataset, eps, aux, cfg).x_adv
     scores, labels = score(model, adv), dataset.labels
     return auc_mann_whitney(scores[labels == 1], scores[labels == 0])

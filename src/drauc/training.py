@@ -248,7 +248,7 @@ def train_stacked(runs) -> list[TrainState]:
     # The passes and the loss take a lone run's arrays and terms without
     # the run axis, and its steps as floats: NumPy's cost per call grows
     # with the number of axes, and in the (1, ...) layout a lone run trains
-    # 11% slower on train-aucm-long's config and 5% on train-da-ref's.
+    # 3-9% slower on train-aucm-long's config (2-core x86-64 VM, NumPy 2.4).
     # Their outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
     params = lone(theta)

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -309,3 +310,19 @@ class TestReport:
         # The last value used to win without a word.
         with pytest.raises(DataFormatError, match="^line 3: key 'a' repeats line 1$"):
             parse_report("a=1\nb=2\na=3\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("theta=0.10000000000000001,", "theta=0.1,x,",
+     "field 'theta' contains a non-numeric entry"),
+    ("input_dim=2", "input_dim=two", "field 'input_dim' is not an integer"),
+    ("scaler_min=0.01,-1.5", "scaler_min=0.01", "scaler length does not match input_dim"),
+], ids=["theta-non-numeric", "input-dim-not-int", "scaler-short"])
+def test_malformed_field_is_refused_with_its_message(tmp_path, old, new, message):
+    path = tmp_path / "ck.txt"
+    save_checkpoint(sample_checkpoint(), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)

@@ -1,12 +1,14 @@
 import argparse
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drauc import (TrainConfig, auc_mann_whitney, gen_synthetic, init_model,
-                   load_checkpoint, load_csv, parse_report, score, train)
+from drauc import (AttackConfig, TrainConfig, __version__, attack_batch, auc_mann_whitney,
+                   gen_synthetic, init_model, load_checkpoint, load_csv, parse_report, score,
+                   train)
 from drauc.cli import build_parser, run_command
 from drauc.verification import _CHECKS
 
@@ -188,6 +190,25 @@ class TestTrain:
             present = {f"history.1.{name}{s}" for s in ("", "_pos", "_neg")} & set(report)
             assert present == {f"history.1.{name}{s}" for s in suffixes}
 
+    def test_report_attack_does_not_read_eta_z(self, tmp_path, capsys):
+        # aucm-baseline trains with the attack off whatever eta_z says, so both
+        # runs give one model; its report attacks it as `drauc eval` does.
+        data = tmp_path / "d.csv"
+        assert run(["gen-data", "--out", str(data), "--n", "200", "--seed", "4"]) == 0
+        reports = []
+        for eta_z in ("0", "0.05"):
+            out = tmp_path / f"ck{eta_z}.txt"
+            assert run(["train", "--data", str(data), "--variant", "aucm", "--eta-z", eta_z,
+                        "--iters-T", "50", "--batch", "16", "--seed", "4",
+                        "--report-eps", "0.05,0.1", "--out", str(out)]) == 0
+            reports.append([line for line in Path(f"{out}.report").read_text().splitlines()
+                            if line.startswith("robust_")])
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(out), "--data", str(data)]) == 0
+        evaluated = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("robust_")]
+        assert len(evaluated) == 8 and reports[0] == reports[1] == evaluated
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRAUC_SEED", "31")
         out = tmp_path / "ck.txt"
@@ -311,6 +332,46 @@ class TestEval:
         assert (out["robust_lam_0"], out["robust_cost_0"]) == ("1000", "0")
         assert (out["robust_binding_0.001"], out["robust_binding_5"]) == ("1", "0")
         assert float(out["robust_auc_0.001"]) < float(out["nominal_auc"])
+
+    def test_output_does_not_read_the_training_clip(self, tmp_path, capsys):
+        # Two checkpoints differing only in lambda_max, training's clip on
+        # the multipliers: the eval output must not tell them apart.
+        data, ck, clipped = tmp_path / "d.csv", tmp_path / "ck.txt", tmp_path / "clip.txt"
+        assert run(["gen-data", "--out", str(data), "--n", "200", "--seed", "4"]) == 0
+        assert run(["train", "--data", str(data), "--variant", "aucm", "--iters-T", "50",
+                    "--batch", "16", "--seed", "4", "--out", str(ck)]) == 0
+        text = ck.read_text()
+        assert "\nlambda_max=1000\nlam=1\n" in text
+        clipped.write_text(text.replace("\nlambda_max=1000\n", "\nlambda_max=1\n"))
+        # Under the multiplier 1 the attack overspends the budget, so a
+        # search capped at 1 would report the start rows.
+        model, eps = load_checkpoint(ck), 1e-4
+        ds = load_csv(data, (model.scaler_min, model.scaler_max))
+        _, adv = attack_batch(model.model, model.aux, ds.p_hat, 1.0, ds.features, ds.labels,
+                              AttackConfig())
+        assert ((adv - ds.features) ** 2).sum(axis=1).mean() > eps
+        outputs = []
+        for path in (ck, clipped):
+            capsys.readouterr()
+            assert run(["eval", "--ckpt", str(path), "--data", str(data), "--eps", f"{eps:g}"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        out = dict(line.split("=", 1) for line in outputs[0].splitlines())
+        assert float(out[f"robust_lam_{eps:g}"]) > 1.0
+        assert float(out[f"robust_auc_{eps:g}"]) < float(out["nominal_auc"])
+
+    def test_csv_wider_than_the_checkpoint_is_refused(self, tmp_path, capsys):
+        data, ck = tmp_path / "d.csv", tmp_path / "ck.txt"
+        assert run(["gen-data", "--out", str(data), "--n", "60", "--seed", "4"]) == 0
+        assert run(["train", "--data", str(data), "--iters-T", "5", "--batch", "8",
+                    "--seed", "4", "--out", str(ck)]) == 0
+        wide = tmp_path / "wide.csv"
+        wide.write_text("y,x1,x2,x3\n1,0.1,0.2,0.3\n0,0.4,0.5,0.6\n")
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(ck), "--data", str(wide)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: 3 feature columns do not match the scaler\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--eps", "0.1,zz", "--eps: expected float, got 'zz'"),
@@ -474,6 +535,48 @@ class TestKnobTable:
         assert np.array_equal(ck.model.params, state.model.params)
         assert (ck.aux.a, ck.aux.b, ck.aux.alpha) == (state.aux.a, state.aux.b, state.aux.alpha)
         assert ck.dual == state.dual and ck.iteration == 3
+
+
+class TestSettingSources:
+    """A setting that parses but fails a range check names its flag, its
+    config file and line, or DRAUC_SEED, before any work is done."""
+
+    @pytest.mark.parametrize("argv, config, env, message", [
+        (["train", "--batch", "1"], None, None, "--batch: batch_size must be >= 2"),
+        (["train"], "n=100\nvariant=bogus\n", None,
+         "{cfg}: line 2: variant: variant must be one of ('df', 'da', 'aucm-baseline'), "
+         "got 'bogus'"),
+        (["train"], "n=100\n\neta_z=nan\n", None,
+         "{cfg}: line 3: eta_z: eta_z must be finite, got nan"),
+        (["train"], "n=100\nbatch 8\n", None, "{cfg}: line 2: expected key=value"),
+        (["train"], None, "-5", "environment variable DRAUC_SEED: expected an int >= 0, got -5"),
+        (["eval", "--attack-step-size", "0"], None, None,
+         "--attack-step-size: step_size must be finite and > 0, got 0.0"),
+        (["eval", "--attack-steps", "0"], None, None, "--attack-steps: steps must be >= 1, got 0"),
+    ], ids=["flag", "config-variant", "config-eta-z", "config-no-equals", "env-seed",
+            "eval-step-size", "eval-steps"])
+    def test_bad_setting_names_its_source(self, tmp_path, monkeypatch, capsys, argv, config,
+                                          env, message):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "ck.txt"
+        if config is not None:
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        if env is not None:
+            monkeypatch.setenv("DRAUC_SEED", env)
+        # eval's files do not exist: the settings are checked before either is read.
+        files = (["--out", str(out)] if argv[0] == "train" else
+                 ["--ckpt", str(tmp_path / "no.ckpt"), "--data", str(tmp_path / "no.csv")])
+        assert run([*argv, *files]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+
+def test_version_matches_pyproject(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert __version__ == version
+    assert run(["--version"]) == 0 and capsys.readouterr().out == f"{version}\n"
 
 
 class TestUsageErrors:

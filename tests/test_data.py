@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,24 @@ class TestDatasetValidation:
     def test_p_hat_cached_consistently(self):
         ds = gen_synthetic(80, 2, seed=12)
         assert ds.p_hat == (ds.labels == 1).mean()
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    return load_csv(path)
+
+
+# A CSV wider than a given scaler is a `drauc eval` path, tested in test_cli.py.
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp: Dataset.from_arrays(np.zeros(3), [0, 1, 1]), ValueError,
+     "features must be a 2-D array"),
+    (lambda tmp: Dataset.from_arrays(np.zeros((3, 2)), [0, 1]), ValueError,
+     "labels must match the number of feature rows"),
+    (lambda tmp: _load(tmp, ""), DataFormatError, "line 1: empty file"),
+    (lambda tmp: _load(tmp, "y,x1\n1,0.5\nyes,0.25\n"), DataFormatError,
+     "line 3: non-numeric label 'yes'"),
+], ids=["features-1d", "labels-short", "csv-empty", "csv-label-text"])
+def test_bad_input_is_refused_with_its_message(tmp_path, build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(tmp_path)

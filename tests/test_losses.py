@@ -348,3 +348,10 @@ class TestMannWhitney:
     def test_bad_tie_policy(self):
         with pytest.raises(ValueError):
             auc_mann_whitney([0.5], [0.4], "maybe")
+
+
+@pytest.mark.parametrize("fn", [pairwise_sq_risk, auc_mann_whitney])
+@pytest.mark.parametrize("pos, neg", [([], [0.5]), ([0.5], [])], ids=["no-pos", "no-neg"])
+def test_empty_class_is_refused_with_its_message(fn, pos, neg):
+    with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+        fn(pos, neg)

@@ -310,3 +310,12 @@ class TestStackedForward:
                     want_params = vjp_params(m_i, cache_i, d_f[i])
                     assert got_in[i].tobytes() == want_in.tobytes()
                     assert got_params[i].tobytes() == want_params.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScoringModel("linear-sigmoid", np.array([0.5]), 0),
+    lambda: init_model("linear-sigmoid", 0, seed=0),
+], ids=["ScoringModel", "init_model"])
+def test_zero_input_dim_is_refused_with_its_message(build):
+    with pytest.raises(ConfigError, match=r"^input_dim must be >= 1$"):
+        build()

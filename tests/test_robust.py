@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
                    estimate_robust_auc, forward, gen_synthetic, init_model,
                    min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
+from drauc import robust
 from drauc.robust import _BoundAscent, _bind_ascent, _calibrate, _suffix_argmin
 from drauc.verification import (check_barycenter_brute_force, check_barycenter_identity,
                                 check_phi_monotone_lambda)
@@ -317,33 +319,33 @@ class TestAttackBatch:
         assert projected > 0
 
 
-def calibrate_per_attack(model, aux, p_hat, x0, y, radius, cfg, lambda_max):
+def calibrate_per_attack(model, aux, p_hat, x0, y, radius, cfg):
     """``attack_dataset``'s calibration of one group with one
     ``attack_batch`` call per multiplier, each binding its own ascent."""
     return _calibrate(lambda lam: attack_batch(model, aux, p_hat, lam, x0, y, cfg)[1],
-                      x0, radius, lambda_max)
+                      x0, radius)
 
 
 def mean_cost(adv, x0):
     return float(((adv - x0) ** 2).sum(axis=1).mean())
 
 
-def attack_group(model, aux, ds, mask, radius, cfg, lambda_max=1e3):
+def attack_group(model, aux, ds, mask, radius, cfg):
     """``attack_dataset`` on the rows ``mask`` of ``ds`` alone: the whole
     set under one budget, or one class under a pair whose other radius is
     0.  Returns the group's (lam, x_adv, cost), after checking that the
-    other rows stay put, that the other group of a pair reports
-    ``lambda_max`` and cost 0, and that the cost is the mean squared
+    other rows stay put, that the other group of a pair reports the search
+    cap ``_LAMBDA_CAP`` and cost 0, and that the cost is the mean squared
     transport of the group's rows, bit for bit."""
     if isinstance(mask, slice):
         eps, g = radius, 0
     else:
         g = 0 if ds.labels[mask][0] == 1 else 1
         eps = (radius, 0.0) if g == 0 else (0.0, radius)
-    atk = attack_dataset(model, ds, eps, aux, cfg, lambda_max=lambda_max)
+    atk = attack_dataset(model, ds, eps, aux, cfg)
     assert len(atk.lam) == len(atk.cost) == np.ndim(eps) + 1
     if np.ndim(eps):
-        assert (atk.lam[1 - g], atk.cost[1 - g]) == (lambda_max, 0.0)
+        assert (atk.lam[1 - g], atk.cost[1 - g]) == (robust._LAMBDA_CAP, 0.0)
     rest = np.ones(ds.n, dtype=bool)
     rest[mask] = False
     assert atk.x_adv[rest].tobytes() == ds.features[rest].tobytes()
@@ -411,22 +413,23 @@ class TestBoundAscent:
         for mask, radius, binding in cases:
             lam, adv, cost = attack_group(model, aux, ds, mask, radius, cfg)
             want_lam, want_adv, want_cost = calibrate_per_attack(
-                model, aux, 0.4, x[mask], y[mask], radius, cfg, 1e3)
+                model, aux, 0.4, x[mask], y[mask], radius, cfg)
             assert lam == want_lam and (lam > 0.0) == binding
             assert adv.shape == want_adv.shape and adv.tobytes() == want_adv.tobytes()
             assert cost == want_cost == mean_cost(want_adv, x[mask]) <= radius
 
-    def test_overspending_lambda_max_returns_the_start(self):
-        # Under lambda_max = 1e-9 the attack still costs 0.0074, 74 times
+    def test_overspending_lambda_max_returns_the_start(self, monkeypatch):
+        # Under a search cap of 1e-9 the attack still costs 0.0074, 74 times
         # the radius: the feasible answer is to move no row.
+        monkeypatch.setattr("drauc.robust._LAMBDA_CAP", 1e-9)
         ds = gen_synthetic(200, 2, seed=3)
         model = init_model("linear-sigmoid", 2, seed=3)
         scores = score(model, ds.features)
         aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
-        lam, adv, cost = attack_group(model, aux, ds, slice(None), 1e-4, AttackConfig(), 1e-9)
+        lam, adv, cost = attack_group(model, aux, ds, slice(None), 1e-4, AttackConfig())
         assert lam == 1e-9 and cost == 0.0 and adv.tobytes() == ds.features.tobytes()
         nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
-        assert estimate_robust_auc(model, ds, 1e-4, aux, lambda_max=1e-9) == nominal
+        assert estimate_robust_auc(model, ds, 1e-4, aux) == nominal
 
 
 class TestCalibrate:
@@ -1004,12 +1007,6 @@ class TestEstimateRobustAuc:
         assert estimate_robust_auc(model, ds, np.float64(0.01), aux) == \
             estimate_robust_auc(model, ds, 0.01, aux)
 
-    @pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.nan, math.inf])
-    def test_lambda_max_validation(self, trained, lambda_max):
-        ds, model, aux = trained
-        with pytest.raises(ValueError, match="lambda_max"):
-            estimate_robust_auc(model, ds, 0.01, aux, lambda_max=lambda_max)
-
 
 class TestAttackDataset:
     """The budgeted attack's multiplier and cost per label group."""
@@ -1055,3 +1052,17 @@ class TestDualState:
     def test_non_finite_step_size_rejected(self, step_size):
         with pytest.raises(ValueError, match="step_size must be finite"):
             AttackConfig(step_size=step_size)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: attack_batch(IDENT, AUX0, 0.5, 1.0, np.array([[1.5]]), 0, AttackConfig()),
+     "attack start must lie in [0, 1]^d"),
+    (lambda: robust_surrogate_exact_1d(init_model("linear-sigmoid", 2, seed=0), AUX0, 0.5,
+                                       1.0, (np.array([0.5, 0.5]), 1)),
+     "exact oracle requires a 1-D model"),
+    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.5, 1), grid_resolution=1),
+     "grid_resolution must be >= 2"),
+], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1"])
+def test_bad_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

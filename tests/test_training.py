@@ -7,7 +7,7 @@ import pytest
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    attack_batch, auc_mann_whitney, forward, gen_synthetic,
                    init_model, sample_batch, score, split_epsilon,
-                   surrogate_loss, surrogate_loss_grads, train, vjp_params)
+                   surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params)
 from drauc.training import GROUP_SUFFIXES
 from drauc.verification import (check_domain_preservation, check_lambda_direction,
                                 check_separable_training, check_trainer_determinism)
@@ -319,3 +319,15 @@ def test_batch_auc_replays_from_data(variant, arch, d):
     # The multipliers start at 1 and end at 0: both ascent paths ran.
     lams = [v for key, v in state.history[-1].items() if key.startswith("lam")]
     assert lams and not any(lams)
+
+
+@pytest.mark.parametrize("bad_run", [0, 1])
+def test_stacked_params_are_refused_with_their_run(bad_run):
+    # Each run brings one model's (P,) vector; an (R, P) stack is refused.
+    ds = gen_synthetic(20, 2, seed=0)
+    model = init_model("linear-sigmoid", 2, seed=0)
+    stacked = replace(model, params=np.stack([model.params] * 2))
+    runs = [(ds, TrainConfig(iters=1), stacked if r == bad_run else model) for r in range(2)]
+    message = rf"^run {bad_run}: params must be one model's \(P,\) vector$"
+    with pytest.raises(ValueError, match=message):
+        train_stacked(runs)
