@@ -110,21 +110,13 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read().split("\n")
-    fields: dict[str, str] = {}
-    cfg: dict[str, str] = {}
-    first_line = {}  # key -> its line number
-    for lineno, line in enumerate(raw, start=1):
-        if not line:
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"line {lineno}: malformed line {line!r}")
-        key, value = line.split("=", 1)
-        table, name = (cfg, key[4:]) if key.startswith("cfg.") else (fields, key)
-        if name in table:
-            raise CheckpointError(f"line {lineno}: field {key!r} appears more than once, "
-                                  f"first on line {first_line[key]}")
-        table[name], first_line[key] = value, lineno
+        text = fh.read()
+    try:
+        entries = parse_report(text)
+    except DataFormatError as exc:
+        raise CheckpointError(str(exc)) from None
+    fields = {key: value for key, value in entries.items() if not key.startswith("cfg.")}
+    cfg = {key[4:]: value for key, value in entries.items() if key.startswith("cfg.")}
 
     def need(key: str) -> str:
         if key not in fields:
@@ -205,15 +197,15 @@ def write_report(fh, config: dict, metrics: dict, history=None) -> None:
 
 
 def parse_report(text: str) -> dict:
-    """A report's key -> value; a line without '=' or a repeated key is a
-    DataFormatError naming its line."""
+    """A report's or checkpoint's key -> value; a line without '=' or a
+    repeated key is a DataFormatError naming its line."""
     out, first_line = {}, {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise DataFormatError(f"no '=' in report line {line!r}", line=lineno)
+            raise DataFormatError(f"no '=' in line {line!r}", line=lineno)
         if key in out:
             raise DataFormatError(f"key {key!r} repeats line {first_line[key]}", line=lineno)
         out[key], first_line[key] = value, lineno

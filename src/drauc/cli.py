@@ -27,7 +27,7 @@ from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, s
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
-from .model import init_model, score, ScoringModel
+from .model import init_model, parse_arch, score, ScoringModel
 from .robust import (AttackConfig, attack_dataset, barycenter_attack, brute_force_worst_case,
                      min_cost_flip_search)
 from .training import VARIANTS, TrainConfig, train
@@ -88,15 +88,6 @@ def _parse(kind, text, source):
         raise ConfigError(f"{source}: expected {kind.__name__}, got {text!r}") from None
 
 
-def _seed(value, source="--seed"):
-    """value, unless ``seeded_rng`` refuses it: a ConfigError naming the setting ``source``."""
-    try:
-        seeded_rng(value)
-    except ValueError:
-        raise ConfigError(f"{source}: expected an int >= 0, got {value}") from None
-    return value
-
-
 def _resolve(args, knobs):
     """(settings, sources): each knob's value and its flag, file line, variable or None."""
     file_cfg = _read_config_file(args.config) if args.config else {}
@@ -113,20 +104,8 @@ def _resolve(args, knobs):
         if value is None and key == "seed" and os.environ.get("DRAUC_SEED"):
             source = "environment variable DRAUC_SEED"
             value = _parse(int, os.environ["DRAUC_SEED"], source)
-        if key == "seed" and value is not None:
-            _seed(value, source)
         out[key], sources[key] = (default, None) if value is None else (value, source)
     return out, sources
-
-
-def _checked(make, sources, **kwargs):
-    """make(**kwargs), or a ConfigError naming ``sources[field]`` for the field
-    whose check failed: a library check's message starts with its name."""
-    try:
-        return make(**kwargs)
-    except ValueError as exc:
-        source = sources.get(str(exc).split(" ", 1)[0])
-        raise ConfigError(f"{source}: {exc}" if source else str(exc)) from None
 
 
 def _float_list(text: str, source: str, name: str):
@@ -172,8 +151,7 @@ def _emit(lines, out_path=None):
 
 # ----------------------------------------------------------- subcommands
 
-def _cmd_gen_data(args) -> int:
-    resolved, _ = _resolve(args, GEN_DATA_KNOBS)
+def _cmd_gen_data(resolved, _) -> int:
     ds = gen_synthetic(**{key: resolved[key] for key in _SYNTHETIC})
     if resolved["ratio"] is not None:
         ds = make_long_tailed(ds, resolved["ratio"], resolved["seed"])
@@ -182,14 +160,13 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    resolved, sources = _resolve(args, TRAIN_KNOBS)
-    keys = {f.name: _RENAMED.get(f.name, f.name) for f in fields(TrainConfig)}
-    cfg = _checked(TrainConfig, {f: sources[k] for f, k in keys.items()},
-                   **{f: resolved[k] for f, k in keys.items() if f != "variant"},
-                   variant=_VARIANT_ALIASES.get(resolved["variant"], resolved["variant"]))
-    sigmas = _float_list(resolved["report_sigmas"], "report_sigmas", "sigma")
-    radii = _float_list(resolved["report_eps"], "report_eps", "eps")
+def _cmd_train(resolved, sources) -> int:
+    cfg = TrainConfig(**{f.name: resolved[_RENAMED.get(f.name, f.name)]
+                         for f in fields(TrainConfig) if f.name != "variant"},
+                      variant=_VARIANT_ALIASES.get(resolved["variant"], resolved["variant"]))
+    parse_arch(resolved["arch"])  # an unknown arch fails before the data is made
+    sigmas = _float_list(resolved["report_sigmas"], sources["report_sigmas"], "sigma")
+    radii = _float_list(resolved["report_eps"], sources["report_eps"], "eps")
     started = time.perf_counter()
     if resolved["data"]:
         dataset = load_csv(resolved["data"])
@@ -223,11 +200,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _seed(args.seed)
+    seeded_rng(args.seed)  # a bad seed fails before either file is read
     sigmas = _float_list(args.sigmas, "--sigmas", "sigma")
     radii = _float_list(args.eps, "--eps", "eps")
-    attack = _checked(AttackConfig, {"steps": "--attack-steps", "step_size": "--attack-step-size"},
-                      steps=args.attack_steps, step_size=args.attack_step_size)
+    attack = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
     ck = load_checkpoint(args.ckpt)
     dataset = load_csv(args.data, (ck.scaler_min, ck.scaler_max))
     metrics = _auc_metrics(ck.model, ck.aux, dataset, "nominal_auc", sigmas, radii, attack,
@@ -287,7 +263,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     rep = grad_check(args.arch, trials=args.trials, h=args.h, tol=args.tol,
-                     input_dim=args.input_dim, seed=_seed(args.seed))
+                     input_dim=args.input_dim, seed=args.seed)
     print(f"arch={rep.arch}")
     print(f"trials={rep.trials}")
     print(f"checked={rep.checked}")
@@ -314,15 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="drauc",
         description="Distributionally robust AUC training and verification.")
     parser.add_argument("--version", action="version", version=__version__)
+    # knobs: the settings _resolve reads.  renamed: library name -> setting,
+    # for the settings whose checks name them otherwise than their flags.
+    parser.set_defaults(knobs=None, renamed={})
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic CSV dataset")
     _add_knobs(p, GEN_DATA_KNOBS)
-    p.set_defaults(handler=_cmd_gen_data)
+    p.set_defaults(handler=_cmd_gen_data, knobs=GEN_DATA_KNOBS)
 
     p = sub.add_parser("train", help="train a variant, write checkpoint and report")
     _add_knobs(p, TRAIN_KNOBS)
-    p.set_defaults(handler=_cmd_train)
+    p.set_defaults(handler=_cmd_train, knobs=TRAIN_KNOBS, renamed=_RENAMED)
 
     p = sub.add_parser("eval", help="score a CSV with a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -333,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack-step-size", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_eval)
+    p.set_defaults(handler=_cmd_eval,
+                   renamed={"steps": "attack_steps", "step_size": "attack_step_size"})
 
     p = sub.add_parser("attack-oracle",
                        help="closed-form and brute-force attacks on tiny instances")
@@ -346,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--grid", type=int, default=1001)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_attack_oracle)
+    p.set_defaults(handler=_cmd_attack_oracle, renamed={"grid_resolution": "grid"})
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--quick", action="store_true",
@@ -371,10 +351,18 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    sources = {key: "--" + key.replace("_", "-") for key in vars(args)}
     try:
-        return args.handler(args)
+        if args.knobs is None:
+            return args.handler(args)
+        settings, sources = _resolve(args, args.knobs)
+        return args.handler(settings, sources)
     except (DraucError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A library check's message starts with the name of the setting it
+        # refuses: name that setting's flag, config file and line, or variable.
+        name = str(exc).split(" ", 1)[0]
+        source = sources.get(args.renamed.get(name, name))
+        print(f"error: {source}: {exc}" if source else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -93,8 +93,12 @@ def gen_synthetic(n: int, d: int, mu_pos: float = 0.65, mu_neg: float = 0.35,
                   sigma: float = 0.15, seed: int = 0) -> Dataset:
     """Two isotropic Gaussian blobs, half positive at mu_pos and half
     negative at mu_neg, min-max normalized per dimension."""
-    if n < 4 or d < 1 or sigma <= 0.0:
-        raise ValueError(f"invalid shape parameters n={n}, d={d}, sigma={sigma}")
+    if n < 4:
+        raise ValueError(f"n must be >= 4, got {n}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     rng = seeded_rng(seed)
     n_pos = n // 2
     n_neg = n - n_pos

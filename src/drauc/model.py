@@ -70,9 +70,9 @@ def parse_arch(arch: str) -> tuple[str, int]:
                 raise ConfigError(f"invalid hidden width in arch {arch!r}")
             width = int(digits)
             if width < 1:
-                raise ConfigError(f"hidden width must be >= 1, got {width}")
+                raise ConfigError(f"arch {arch!r} needs a hidden width >= 1, got {width}")
             return MLP1_TANH_SIGMOID, width
-    raise ConfigError(f"unknown architecture {arch!r}")
+    raise ConfigError(f"arch {arch!r} names an unknown architecture")
 
 
 def param_count(arch: str, input_dim: int) -> int:
@@ -227,17 +227,16 @@ class _Passes:
         slope *= self.f
         return slope
 
-    def input_grad(self, d_f, slope, hidden=None):
-        """d_f * (d f / d x) as a (..., d, n) array, from one pass's slope
-        and tanh layer (..., h, n; none for the linear archs): ``hidden``,
-        or by default the last pass's own, which this overwrites."""
+    def input_grad(self, d_f, slope):
+        """d_f * (d f / d x) as a (..., d, n) array, from the last pass's
+        slope and tanh layer (..., h, n; none for the linear archs), which
+        this overwrites."""
         if not self.mlp:
             jac = self.jac = np.multiply(self.v_col, slope[..., None, :], out=self.jac)
         else:
-            hidden, out = (self.hidden, self.hidden) if hidden is None else (hidden, None)
-            if self.outer is None and self.rows is not None:
-                self.outer = self.rows.reshape(hidden.shape)  # free by now
-            d_pre = _pre_activation_grad(self.v_col, hidden, slope, out, self.outer)
+            if self.outer is None:
+                self.outer = self.rows.reshape(self.hidden.shape)  # free by now
+            d_pre = _pre_activation_grad(self.v_col, self.hidden, slope, self.hidden, self.outer)
             if self.WT.shape[-2] > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
             else:  # d = 1: a matrix-vector product
@@ -287,9 +286,11 @@ def _pre_activation_grad(v_col, hidden, slope, out=None, outer=None):
 def vjp_input(model: ScoringModel, cache, d_f):
     """Rows of d_f * (d f / d x), shape (..., n, d): the input gradient of
     a loss whose derivative with respect to each row's score is d_f.  A
-    transposed view of (..., d, n) memory."""
-    _, hidden, slope = cache
-    return _Passes(model).input_grad(d_f, slope, None if hidden is None else hidden.mT).mT
+    transposed view of (..., d, n) memory.  It reruns the cache's batch
+    through the pass the attack's ascent takes."""
+    passes = _Passes(model)
+    passes.scores(cache[0].mT)
+    return passes.input_grad(d_f, passes.output_slope()).mT
 
 
 def vjp_params(model: ScoringModel, cache, d_f):

@@ -381,10 +381,12 @@ def barycenter_attack(x_pos: float, x_neg: float, n_pos: int, n_neg: int) -> Bar
     so strict AUC becomes 0, at mean squared cost exactly
     p*(1-p)*(x_pos - x_neg)^2.
     """
-    if not (0.0 <= x_pos <= 1.0 and 0.0 <= x_neg <= 1.0):
-        raise ValueError("cluster positions must lie in [0, 1]")
-    if n_pos < 1 or n_neg < 1:
-        raise ValueError("counts must be >= 1")
+    for name, x in (("x_pos", x_pos), ("x_neg", x_neg)):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    for name, count in (("n_pos", n_pos), ("n_neg", n_neg)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     p = n_pos / (n_pos + n_neg)
     target = p * x_pos + (1.0 - p) * x_neg
     cost = p * (x_pos - target) ** 2 + (1.0 - p) * (x_neg - target) ** 2
@@ -408,6 +410,8 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     clusters to one point, so the grid minimum matches the closed-form
     bound up to grid resolution.
     """
+    if grid_resolution < 2:
+        raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
     p = n_pos / (n_pos + n_neg)
     grid = np.linspace(0.0, 1.0, grid_resolution)
     cost_pos = p * (x_pos - grid) ** 2

@@ -210,7 +210,7 @@ class TestValidation:
         save_checkpoint(sample_checkpoint(), path)
         path.write_text(path.read_text() + line + "\n")
         key = line.split("=")[0]
-        with pytest.raises(CheckpointError, match=f"'{key}' appears more than once"):
+        with pytest.raises(CheckpointError, match=f"key '{key}' repeats line"):
             load_checkpoint(path)
 
     def test_repeated_key_names_both_lines(self, tmp_path):
@@ -219,8 +219,8 @@ class TestValidation:
         lines = path.read_text().splitlines()
         first = lines.index("a=0.25") + 1
         path.write_text("\n".join(lines + ["a=0.5"]) + "\n")
-        with pytest.raises(CheckpointError, match=f"^line {len(lines) + 1}: field 'a' appears "
-                                                  f"more than once, first on line {first}$"):
+        with pytest.raises(CheckpointError,
+                           match=f"^line {len(lines) + 1}: key 'a' repeats line {first}$"):
             load_checkpoint(path)
 
     def test_malformed_line_names_its_line(self, tmp_path):
@@ -228,7 +228,7 @@ class TestValidation:
         save_checkpoint(sample_checkpoint(), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3] + ["no equals here"] + lines[3:]) + "\n")
-        with pytest.raises(CheckpointError, match="^line 4: malformed line 'no equals here'$"):
+        with pytest.raises(CheckpointError, match="^line 4: no '=' in line 'no equals here'$"):
             load_checkpoint(path)
 
 

@@ -86,9 +86,9 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, setting, message", [
-        ("--report-eps=0.1,zz", "report_eps", "expected float, got 'zz'"),
-        ("--report-eps=-1", "report_eps", "eps must be finite and >= 0, got -1.0"),
-        ("--report-sigmas=nan", "report_sigmas", "sigma must be finite and >= 0, got nan")])
+        ("--report-eps=0.1,zz", "--report-eps", "expected float, got 'zz'"),
+        ("--report-eps=-1", "--report-eps", "eps must be finite and >= 0, got -1.0"),
+        ("--report-sigmas=nan", "--report-sigmas", "sigma must be finite and >= 0, got nan")])
     def test_bad_report_list_rejected_before_training(self, tmp_path, capsys, flag,
                                                       setting, message):
         # These used to train and write the checkpoint, then fail on the report.
@@ -101,7 +101,7 @@ class TestTrain:
     def test_negative_seed_flag_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "ds.csv"
         assert run(["gen-data", "--seed", "-3", "--out", str(out)]) == 2
-        assert "error: --seed: expected an int >= 0, got -3" in capsys.readouterr().err
+        assert "error: --seed: seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_config_seed_names_file_and_line(self, tmp_path, capsys):
@@ -109,7 +109,7 @@ class TestTrain:
         cfg.write_text("n=100\nseed=-3\n")
         out = tmp_path / "ck.txt"
         assert run(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"{cfg}: line 2: seed: expected an int >= 0, got -3" in capsys.readouterr().err
+        assert f"{cfg}: line 2: seed: seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_env_seed_names_the_variable(self, tmp_path, monkeypatch, capsys):
@@ -117,7 +117,7 @@ class TestTrain:
         out = tmp_path / "ck.txt"
         assert run(["train", "--n", "100", "--iters-T", "5", "--batch", "8",
                     "--out", str(out)]) == 2
-        assert "environment variable DRAUC_SEED: expected an int >= 0, got -5" in \
+        assert "environment variable DRAUC_SEED: seed must be >= 0, got -5" in \
             capsys.readouterr().err
         assert not out.exists()
 
@@ -125,12 +125,12 @@ class TestTrain:
         # Neither file exists: the seed is rejected before either is read.
         assert run(["eval", "--ckpt", str(tmp_path / "no.ckpt"), "--data",
                     str(tmp_path / "no.csv"), "--seed", "-3"]) == 2
-        assert capsys.readouterr().err == "error: --seed: expected an int >= 0, got -3\n"
+        assert capsys.readouterr().err == "error: --seed: seed must be >= 0, got -3\n"
 
     def test_negative_grad_check_seed_names_the_flag(self, capsys):
         assert run(["grad-check", "--arch", "linear-sigmoid", "--seed", "-3"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --seed: expected an int >= 0, got -3\n"
+        assert captured.err == "error: --seed: seed must be >= 0, got -3\n"
         assert captured.out == ""
 
     def test_unknown_gen_data_key_rejected(self, tmp_path):
@@ -494,7 +494,7 @@ class TestVerifyAndGradCheck:
         assert run(["grad-check", "--arch", "linear-sigmoid", flag, value]) == 2
         captured = capsys.readouterr()
         assert "passed=" not in captured.out
-        assert captured.err.startswith(f"error: {name} must be")
+        assert captured.err.startswith(f"error: {flag}: {name} must be")
 
 
 # The train flag of each TrainConfig field.
@@ -537,6 +537,11 @@ class TestKnobTable:
         assert ck.dual == state.dual and ck.iteration == 3
 
 
+# A custom attack-oracle instance that every check accepts.
+CUSTOM_ORACLE = ["attack-oracle", "--preset", "custom", "--x-pos", "0.9", "--x-neg", "0.1",
+                 "--n-pos", "2", "--n-neg", "8"]
+
+
 class TestSettingSources:
     """A setting that parses but fails a range check names its flag, its
     config file and line, or DRAUC_SEED, before any work is done."""
@@ -549,12 +554,13 @@ class TestSettingSources:
         (["train"], "n=100\n\neta_z=nan\n", None,
          "{cfg}: line 3: eta_z: eta_z must be finite, got nan"),
         (["train"], "n=100\nbatch 8\n", None, "{cfg}: line 2: expected key=value"),
-        (["train"], None, "-5", "environment variable DRAUC_SEED: expected an int >= 0, got -5"),
+        (["train"], "n=3\n", None, "{cfg}: line 1: n: n must be >= 4, got 3"),
+        (["train"], None, "-5", "environment variable DRAUC_SEED: seed must be >= 0, got -5"),
         (["eval", "--attack-step-size", "0"], None, None,
          "--attack-step-size: step_size must be finite and > 0, got 0.0"),
         (["eval", "--attack-steps", "0"], None, None, "--attack-steps: steps must be >= 1, got 0"),
-    ], ids=["flag", "config-variant", "config-eta-z", "config-no-equals", "env-seed",
-            "eval-step-size", "eval-steps"])
+    ], ids=["flag", "config-variant", "config-eta-z", "config-no-equals", "config-n",
+            "env-seed", "eval-step-size", "eval-steps"])
     def test_bad_setting_names_its_source(self, tmp_path, monkeypatch, capsys, argv, config,
                                           env, message):
         cfg, out = tmp_path / "run.cfg", tmp_path / "ck.txt"
@@ -568,6 +574,42 @@ class TestSettingSources:
                  ["--ckpt", str(tmp_path / "no.ckpt"), "--data", str(tmp_path / "no.csv")])
         assert run([*argv, *files]) == 2
         assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--n", "3"], "--n: n must be >= 4, got 3"),
+        (["train", "--d", "0"], "--d: d must be >= 1, got 0"),
+        (["train", "--sigma", "0"], "--sigma: sigma must be finite and > 0, got 0.0"),
+        (["train", "--ratio", "0.9"], "--ratio: ratio must lie in (0, 0.5], got 0.9"),
+        (["gen-data", "--ratio", "0.9"], "--ratio: ratio must lie in (0, 0.5], got 0.9"),
+        (["train", "--arch", "bogus"], "--arch: arch 'bogus' names an unknown architecture"),
+        (["train", "--variant", "da", "--k", "3"], "--k: k must lie in [0.5, 1.5], got 3.0"),
+        (["train", "--batch", "500", "--n", "100"],
+         "--batch: batch_size 500 exceeds dataset size 100"),
+        (["grad-check", "--input-dim", "0"], "--input-dim: input_dim must be >= 1"),
+        (["attack-oracle", "--preset", "two-point", "--eps", "-1"],
+         "--eps: eps must be >= 0, got -1.0"),
+        ([*CUSTOM_ORACLE, "--n-pos", "0"], "--n-pos: n_pos must be >= 1, got 0"),
+        ([*CUSTOM_ORACLE, "--x-pos", "1.5"], "--x-pos: x_pos must lie in [0, 1], got 1.5"),
+        ([*CUSTOM_ORACLE, "--grid", "0"], "--grid: grid_resolution must be >= 2, got 0"),
+        ([*CUSTOM_ORACLE, "--grid", "-3"], "--grid: grid_resolution must be >= 2, got -3"),
+    ], ids=["n", "d", "sigma", "ratio", "gen-data-ratio", "arch", "k", "batch", "input-dim",
+            "oracle-eps", "n-pos", "x-pos", "grid-0", "grid-negative"])
+    def test_library_check_names_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.txt"
+        files = [] if argv[0] == "grad-check" else ["--out", str(out)]
+        assert run([*argv, *files]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_unknown_arch_fails_before_the_data_is_made(self, tmp_path, monkeypatch, capsys):
+        def no_data(*args, **kwargs):
+            raise AssertionError("generated data for an unknown arch")
+        monkeypatch.setattr("drauc.cli.gen_synthetic", no_data)
+        out = tmp_path / "ck.txt"
+        assert run(["train", "--arch", "bogus", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --arch: arch 'bogus' names an unknown "
+                                           "architecture\n")
         assert not out.exists()
 
 
