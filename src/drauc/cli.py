@@ -351,9 +351,10 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    sources = {key: "--" + key.replace("_", "-") for key in vars(args)}
+    sources = {}  # _resolve's own errors name their sources
     try:
         if args.knobs is None:
+            sources = {key: "--" + key.replace("_", "-") for key in vars(args)}
             return args.handler(args)
         settings, sources = _resolve(args, args.knobs)
         return args.handler(settings, sources)

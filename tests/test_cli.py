@@ -602,6 +602,12 @@ class TestSettingSources:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    def test_config_path_is_not_read_as_a_setting(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("seed x.cfg").write_text("bad line\n")  # its message's first word is "seed"
+        assert run(["train", "--config", "seed x.cfg", "--out", "ck.txt"]) == 2
+        assert capsys.readouterr().err == "error: seed x.cfg: line 1: expected key=value\n"
+
     def test_unknown_arch_fails_before_the_data_is_made(self, tmp_path, monkeypatch, capsys):
         def no_data(*args, **kwargs):
             raise AssertionError("generated data for an unknown arch")
