@@ -10,8 +10,8 @@ config snapshot keys are sorted, so identical states produce identical
 bytes.  Saving and loading reject non-finite vector entries, so no file
 holds one.  Loading rebuilds the three objects, so their own validation
 runs, and also rejects a repeated key, a scaler with min > max, an unknown
-variant or one that does not match the multiplier keys, and an iteration
-below 1.
+variant or a multiplier key of another variant, and an iteration below 1.
+Saving refuses an unknown variant or a ``DualState`` that does not fit it.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .training import GROUP_SUFFIXES, VARIANTS, DualState
 CHECKPOINT_VERSION = 1
 
 
-def _dual_keys(n_groups: int) -> list:
-    """On-disk keys of the multipliers, then the radii, of n_groups groups."""
-    return [name + s for name in ("lam", "eps") for s in GROUP_SUFFIXES[n_groups]]
+def _dual_keys(variant: str) -> list:
+    """On-disk keys of the multipliers, then the radii, of a variant's label groups."""
+    if variant not in GROUP_SUFFIXES:
+        raise CheckpointError(f"field 'variant' must be one of {VARIANTS}, got {variant!r}")
+    return [name + s for name in ("lam", "eps") for s in GROUP_SUFFIXES[variant]]
 
 
 @dataclass
@@ -83,6 +85,10 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     for key, v in (("theta", model.params), ("scaler_min", ck.scaler_min),
                    ("scaler_max", ck.scaler_max)):
         _finite(v, key)
+    keys = _dual_keys(ck.variant)
+    if len(keys) != 2 * len(dual.lam) or len(dual.lam) != len(dual.eps):
+        raise CheckpointError(f"field 'variant' {ck.variant!r} does not fit {len(dual.lam)} "
+                              f"multipliers and {len(dual.eps)} radii")
     lines = [
         f"format_version={CHECKPOINT_VERSION}",
         f"arch={model.arch}",
@@ -94,7 +100,6 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         f"variant={ck.variant}",
         f"lambda_max={_fmt(dual.lambda_max)}",
     ]
-    keys = _dual_keys(len(dual.lam))
     lines += [f"{key}={_fmt(v)}" for key, v in zip(keys, dual.lam + dual.eps)]
     lines += [
         f"scaler_min={_fmt_vec(ck.scaler_min)}",
@@ -118,35 +123,27 @@ def load_checkpoint(path) -> Checkpoint:
     fields = {key: value for key, value in entries.items() if not key.startswith("cfg.")}
     cfg = {key[4:]: value for key, value in entries.items() if key.startswith("cfg.")}
 
-    def need(key: str) -> str:
+    def need(key: str, kind=str):
         if key not in fields:
             raise CheckpointError(f"missing required field {key!r}")
-        return fields[key]
-
-    def need_int(key: str) -> int:
         try:
-            return int(need(key))
+            return kind(fields[key])
         except ValueError:
-            raise CheckpointError(f"field {key!r} is not an integer") from None
+            raise CheckpointError(f"field {key!r} is not "
+                                  f"{'an integer' if kind is int else 'a number'}") from None
 
-    def need_float(key: str) -> float:
-        try:
-            return float(need(key))
-        except ValueError:
-            raise CheckpointError(f"field {key!r} is not a number") from None
-
-    version = need_int("format_version")
+    version = need("format_version", int)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"format_version {version} does not match supported "
             f"version {CHECKPOINT_VERSION}")
 
-    arch, input_dim = need("arch"), need_int("input_dim")
+    arch, input_dim = need("arch"), need("input_dim", int)
     _build("field 'arch'", param_count, arch, input_dim)  # an unknown arch names its field
     model = _build("field 'theta' does not fit 'arch' and 'input_dim'", ScoringModel,
                    arch, _parse_vec(need("theta"), "theta"), input_dim)
     aux = _build("auxiliaries", AuxParams,
-                 need_float("a"), need_float("b"), need_float("alpha"))
+                 need("a", float), need("b", float), need("alpha", float))
     scaler_min = _parse_vec(need("scaler_min"), "scaler_min")
     scaler_max = _parse_vec(need("scaler_max"), "scaler_max")
     if scaler_min.size != input_dim or scaler_max.size != input_dim:
@@ -154,27 +151,20 @@ def load_checkpoint(path) -> Checkpoint:
     if (scaler_min > scaler_max).any():
         raise CheckpointError("field 'scaler_min' exceeds 'scaler_max'")
 
-    # Any per-class key selects the two-group layout, which must then be
-    # complete and free of single-budget keys.
-    n_groups = 2 if any(key in fields for key in _dual_keys(2)) else 1
     variant = need("variant")
-    if variant not in VARIANTS:
-        raise CheckpointError(f"field 'variant' must be one of {VARIANTS}, got {variant!r}")
-    if (variant == "da") != (n_groups == 2):
-        raise CheckpointError(f"field 'variant' {variant!r} does not match the "
-                              f"{n_groups}-group multiplier keys")
-    values = [need_float(key) for key in _dual_keys(n_groups)]
-    for key in _dual_keys(3 - n_groups):
-        if key in fields:
-            raise CheckpointError(f"field {key!r} mixes single-budget and per-class keys")
-    dual = _build("multipliers", DualState, lambda_max=need_float("lambda_max"),
-                  lam=tuple(values[:n_groups]), eps=tuple(values[n_groups:]))
+    keys = _dual_keys(variant)
+    for key in (key for other in VARIANTS for key in _dual_keys(other)):
+        if key in fields and key not in keys:
+            raise CheckpointError(f"field {key!r} does not fit field 'variant' {variant!r}")
+    values, n = [need(key, float) for key in keys], len(keys) // 2
+    dual = _build("multipliers", DualState, lambda_max=need("lambda_max", float),
+                  lam=tuple(values[:n]), eps=tuple(values[n:]))
 
-    iteration = need_int("iteration")
+    iteration = need("iteration", int)
     if iteration < 1:
         raise CheckpointError(f"field 'iteration' must be >= 1, got {iteration}")
     return Checkpoint(model=model, aux=aux, variant=variant, dual=dual, scaler_min=scaler_min,
-                      scaler_max=scaler_max, seed=need_int("seed"), iteration=iteration, cfg=cfg)
+                      scaler_max=scaler_max, seed=need("seed", int), iteration=iteration, cfg=cfg)
 
 
 def write_report(fh, config: dict, metrics: dict, history=None) -> None:

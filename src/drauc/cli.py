@@ -308,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--sigmas", default="0.1,0.2")
     p.add_argument("--eps", default="0.05,0.1")
-    p.add_argument("--attack-steps", type=int, default=10)
-    p.add_argument("--attack-step-size", type=float, default=0.05)
+    p.add_argument("--attack-steps", type=int, default=AttackConfig.steps)
+    p.add_argument("--attack-step-size", type=float, default=AttackConfig.step_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_eval,

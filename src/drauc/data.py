@@ -97,6 +97,9 @@ def gen_synthetic(n: int, d: int, mu_pos: float = 0.65, mu_neg: float = 0.35,
         raise ValueError(f"n must be >= 4, got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    for name, mu in (("mu_pos", mu_pos), ("mu_neg", mu_neg)):
+        if not math.isfinite(mu):
+            raise ValueError(f"{name} must be finite, got {mu}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     rng = seeded_rng(seed)

@@ -40,6 +40,7 @@ boundary, where no two-sided derivative exists.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ import numpy as np
 from .data import seeded_rng
 from .errors import ConfigError
 
-LINEAR_SIGMOID = "linear-sigmoid"
 MLP1_TANH_SIGMOID = "mlp1-tanh-sigmoid"
 LINEAR_IDENTITY_CLAMPED = "linear-identity-clamped"
+_ARCH = re.compile(r"linear-sigmoid|linear-identity-clamped|mlp1-tanh-sigmoid\(([0-9]+)\)")
 
 
 def parse_arch(arch: str) -> tuple[str, int]:
@@ -60,19 +61,15 @@ def parse_arch(arch: str) -> tuple[str, int]:
     linear architectures.
     """
     arch = arch.strip()
-    if arch in (LINEAR_SIGMOID, LINEAR_IDENTITY_CLAMPED):
+    match = _ARCH.fullmatch(arch)
+    if match is None:
+        raise ConfigError(f"arch {arch!r} names an unknown architecture")
+    if match[1] is None:
         return arch, 0
-    if arch.startswith(MLP1_TANH_SIGMOID):
-        rest = arch[len(MLP1_TANH_SIGMOID):]
-        if rest.startswith("(") and rest.endswith(")"):
-            digits = rest[1:-1]
-            if not (digits.isascii() and digits.isdigit()):
-                raise ConfigError(f"invalid hidden width in arch {arch!r}")
-            width = int(digits)
-            if width < 1:
-                raise ConfigError(f"arch {arch!r} needs a hidden width >= 1, got {width}")
-            return MLP1_TANH_SIGMOID, width
-    raise ConfigError(f"arch {arch!r} names an unknown architecture")
+    width = int(match[1])
+    if width < 1:
+        raise ConfigError(f"arch {arch!r} needs a hidden width >= 1, got {width}")
+    return MLP1_TANH_SIGMOID, width
 
 
 def param_count(arch: str, input_dim: int) -> int:

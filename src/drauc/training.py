@@ -51,7 +51,10 @@ from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
 from .model import ScoringModel, forward, vjp_params
 from .robust import _BoundAscent
 
-VARIANTS = ("df", "da", "aucm-baseline")
+# Key suffixes of each variant's label groups in checkpoints and history: one
+# group for a single budget, (positives, negatives) for per-class budgets.
+GROUP_SUFFIXES = {"df": ("",), "da": ("_pos", "_neg"), "aucm-baseline": ("",)}
+VARIANTS = tuple(GROUP_SUFFIXES)
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,6 @@ class TrainConfig:
         seeded_rng(self.seed)  # a bad seed fails here, not at the first draw
         if not 0.0 <= self.lambda0 <= self.lambda_max:
             raise ValueError(f"lambda0 must lie in [0, lambda_max], got {self.lambda0}")
-
-
-# Key suffix of each label group in checkpoints and training history: one
-# group for a single budget, (positives, negatives) for per-class budgets.
-GROUP_SUFFIXES = {1: ("",), 2: ("_pos", "_neg")}
 
 
 @dataclass
@@ -224,7 +222,7 @@ def train_stacked(runs) -> list[TrainState]:
             label_group[r, 0] = 1
         else:
             budgets.append(np.array([eps]))
-        suffixes = GROUP_SUFFIXES[budgets[-1].size]
+        suffixes = GROUP_SUFFIXES[cfg.variant]
         lam_keys.append(["lam" + s for s in suffixes])
         cost_keys.append(["mean_cost" + s for s in suffixes])
     group_of = label_group.tolist()

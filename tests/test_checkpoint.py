@@ -8,6 +8,7 @@ import pytest
 from drauc import (AuxParams, Checkpoint, CheckpointError, DataFormatError,
                    DualState, ScoringModel, load_checkpoint, parse_report,
                    save_checkpoint, score, write_report)
+from drauc.training import GROUP_SUFFIXES, VARIANTS
 
 
 def sample_checkpoint(**overrides):
@@ -72,6 +73,18 @@ class TestRoundTrip:
         hidden = np.tanh(x @ t[:4].reshape(2, 2).T + t[4:6])
         expect = 1.0 / (1.0 + np.exp(-np.clip(hidden @ t[6:8] + t[8], -500.0, 500.0)))
         assert np.array_equal(score(ck.model, x), expect)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_round_trips_bitwise(self, tmp_path, variant):
+        n = len(GROUP_SUFFIXES[variant])
+        ck = sample_checkpoint(variant=variant,
+                               dual=DualState(lam=(1 / 3, 0.75)[:n], eps=(0.1, 0.525)[:n]))
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_checkpoint(ck, p1)
+        back = load_checkpoint(p1)
+        assert back.variant == variant and back.dual == ck.dual
+        save_checkpoint(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("variant, dual_lines, lam, eps", [
         ("df", "lam=0.25\neps=0.5\n", (0.25,), (0.5,)),
@@ -185,6 +198,40 @@ class TestValidation:
         path.write_text(text.replace(old, new))
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("overrides, old, new, message", [
+        ({}, "variant=da", "variant=df", "field 'lam_pos' does not fit field 'variant' 'df'"),
+        ({}, "variant=da", "variant=aucm-baseline",
+         "field 'lam_pos' does not fit field 'variant' 'aucm-baseline'"),
+        ({}, "lam_pos=", "lam=0.5\nlam_pos=", "field 'lam' does not fit field 'variant' 'da'"),
+        # The keys are checked in their layout's order, not the file's.
+        (dict(variant="df", dual=DualState(lam=(0.75,), eps=(0.4,))), "iteration=42",
+         "iteration=42\neps_neg=0.5\nlam_pos=0.5",
+         "field 'lam_pos' does not fit field 'variant' 'df'"),
+    ], ids=["df", "aucm", "da-with-lam", "layout-order"])
+    def test_key_of_another_layout_is_named_with_the_variant(self, tmp_path, overrides, old,
+                                                            new, message):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(sample_checkpoint(**overrides), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant, lam, eps", [
+        ("df", (0.75, 1.5), (0.4, 0.525)),
+        ("da", (0.75,), (0.4,)),
+        ("da", (0.75, 1.5), (0.4,)),
+        ("bogus", (0.75,), (0.4,)),
+    ], ids=["df-with-two", "da-with-one", "da-with-one-radius", "unknown"])
+    def test_save_refuses_a_dual_state_the_variant_does_not_name(self, tmp_path, variant,
+                                                                lam, eps):
+        path = tmp_path / "ck.txt"
+        ck = sample_checkpoint(variant=variant, dual=DualState(lam=lam, eps=eps))
+        with pytest.raises(CheckpointError, match="^field 'variant' "):
+            save_checkpoint(ck, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("field, value", [("theta", np.nan), ("scaler_min", -np.inf),
                                               ("scaler_max", np.inf)])

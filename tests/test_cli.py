@@ -257,6 +257,12 @@ class TestEval:
             assert 0.0 <= float(report[key]) <= 1.0
         assert float(report["robust_auc_0.05"]) <= float(report["nominal_auc"])
 
+    def test_attack_defaults_are_the_train_report_attack(self):
+        # `drauc train`'s report attacks with AttackConfig().
+        args = build_parser().parse_args(["eval", "--ckpt", "ck.txt", "--data", "ds.csv"])
+        assert AttackConfig(steps=args.attack_steps,
+                            step_size=args.attack_step_size) == AttackConfig()
+
     def test_uses_checkpoint_scaler(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         lo, hi = np.array([2.0, -1.0]), np.array([12.0, 3.0])
@@ -555,12 +561,14 @@ class TestSettingSources:
          "{cfg}: line 3: eta_z: eta_z must be finite, got nan"),
         (["train"], "n=100\nbatch 8\n", None, "{cfg}: line 2: expected key=value"),
         (["train"], "n=3\n", None, "{cfg}: line 1: n: n must be >= 4, got 3"),
+        (["train"], "mu_pos=nan\n", None,
+         "{cfg}: line 1: mu_pos: mu_pos must be finite, got nan"),
         (["train"], None, "-5", "environment variable DRAUC_SEED: seed must be >= 0, got -5"),
         (["eval", "--attack-step-size", "0"], None, None,
          "--attack-step-size: step_size must be finite and > 0, got 0.0"),
         (["eval", "--attack-steps", "0"], None, None, "--attack-steps: steps must be >= 1, got 0"),
     ], ids=["flag", "config-variant", "config-eta-z", "config-no-equals", "config-n",
-            "env-seed", "eval-step-size", "eval-steps"])
+            "config-mu-pos", "env-seed", "eval-step-size", "eval-steps"])
     def test_bad_setting_names_its_source(self, tmp_path, monkeypatch, capsys, argv, config,
                                           env, message):
         cfg, out = tmp_path / "run.cfg", tmp_path / "ck.txt"
@@ -583,6 +591,10 @@ class TestSettingSources:
         (["train", "--ratio", "0.9"], "--ratio: ratio must lie in (0, 0.5], got 0.9"),
         (["gen-data", "--ratio", "0.9"], "--ratio: ratio must lie in (0, 0.5], got 0.9"),
         (["train", "--arch", "bogus"], "--arch: arch 'bogus' names an unknown architecture"),
+        (["train", "--arch", "mlp1-tanh-sigmoid(x)"],
+         "--arch: arch 'mlp1-tanh-sigmoid(x)' names an unknown architecture"),
+        (["gen-data", "--mu-pos", "nan"], "--mu-pos: mu_pos must be finite, got nan"),
+        (["gen-data", "--mu-neg", "inf"], "--mu-neg: mu_neg must be finite, got inf"),
         (["train", "--variant", "da", "--k", "3"], "--k: k must lie in [0.5, 1.5], got 3.0"),
         (["train", "--batch", "500", "--n", "100"],
          "--batch: batch_size 500 exceeds dataset size 100"),
@@ -593,8 +605,9 @@ class TestSettingSources:
         ([*CUSTOM_ORACLE, "--x-pos", "1.5"], "--x-pos: x_pos must lie in [0, 1], got 1.5"),
         ([*CUSTOM_ORACLE, "--grid", "0"], "--grid: grid_resolution must be >= 2, got 0"),
         ([*CUSTOM_ORACLE, "--grid", "-3"], "--grid: grid_resolution must be >= 2, got -3"),
-    ], ids=["n", "d", "sigma", "ratio", "gen-data-ratio", "arch", "k", "batch", "input-dim",
-            "oracle-eps", "n-pos", "x-pos", "grid-0", "grid-negative"])
+    ], ids=["n", "d", "sigma", "ratio", "gen-data-ratio", "arch", "arch-width", "mu-pos",
+            "mu-neg", "k", "batch", "input-dim", "oracle-eps", "n-pos", "x-pos", "grid-0",
+            "grid-negative"])
     def test_library_check_names_the_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.txt"
         files = [] if argv[0] == "grad-check" else ["--out", str(out)]

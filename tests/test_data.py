@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ class TestGenSynthetic:
             gen_synthetic(10, 0, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(10, 2, sigma=0.0, seed=0)
+
+    @pytest.mark.parametrize("name, value", [("mu_pos", np.nan), ("mu_neg", np.inf),
+                                             ("mu_pos", -np.inf)])
+    def test_non_finite_mean_names_itself(self, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic warns
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                gen_synthetic(10, 2, seed=0, **{name: value})
 
 
 class TestMakeLongTailed:

@@ -50,7 +50,8 @@ class TestInit:
         # int() would read the first four as 10, 8, 8 and 8, and the Arabic-Indic
         # digit as 3.
         arch = f"mlp1-tanh-sigmoid({width})"
-        with pytest.raises(ConfigError, match=re.escape(f"invalid hidden width in arch {arch!r}")):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"arch {arch!r} names an unknown architecture")):
             init_model(arch, 2, seed=0)
 
     def test_negative_seed_names_seed(self, monkeypatch):

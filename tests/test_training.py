@@ -8,7 +8,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    attack_batch, auc_mann_whitney, forward, gen_synthetic,
                    init_model, sample_batch, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params)
-from drauc.training import GROUP_SUFFIXES
+from drauc.training import GROUP_SUFFIXES, VARIANTS
 from drauc.verification import (check_domain_preservation, check_lambda_direction,
                                 check_separable_training, check_trainer_determinism)
 
@@ -141,6 +141,16 @@ class TestTrainers:
         assert ep == pytest.approx(0.8 * 0.4, abs=1e-15)
         assert ds.p_hat * ep + (1 - ds.p_hat) * en == pytest.approx(0.4, abs=1e-15)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_budget_per_group_suffix(self, variant):
+        # Checkpoints name a variant's multipliers and radii by its suffixes.
+        cfg = TrainConfig(variant=variant, iters=3, batch_size=16, eps=0.4, seed=18)
+        state = train(make_tailed_dataset(), cfg, init_model("linear-sigmoid", 2, 18))
+        suffixes = GROUP_SUFFIXES[variant]
+        assert len(state.dual.lam) == len(state.dual.eps) == len(suffixes)
+        assert all({"lam" + s, "mean_cost" + s} <= rec.keys()
+                   for rec in state.history for s in suffixes)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(variant="nope")
@@ -187,7 +197,7 @@ def reference_train(dataset, cfg, initial_model):
     else:
         budgets = np.array([eps])
         row_group = np.zeros(dataset.n, dtype=np.intp)
-    suffixes = GROUP_SUFFIXES[budgets.size]
+    suffixes = GROUP_SUFFIXES[cfg.variant]
     lam = np.full(budgets.size, cfg.lambda0, dtype=np.float64)
     attack_cfg = AttackConfig(steps=cfg.steps, step_size=eta_z) if eta_z > 0.0 else None
 
