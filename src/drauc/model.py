@@ -50,7 +50,7 @@ from .errors import ConfigError
 
 MLP1_TANH_SIGMOID = "mlp1-tanh-sigmoid"
 LINEAR_IDENTITY_CLAMPED = "linear-identity-clamped"
-_ARCH = re.compile(r"linear-sigmoid|linear-identity-clamped|mlp1-tanh-sigmoid\(([0-9]+)\)")
+_ARCH = r"linear-sigmoid|linear-identity-clamped|mlp1-tanh-sigmoid\(([0-9]+)\)"
 
 
 def parse_arch(arch: str) -> tuple[str, int]:
@@ -61,7 +61,7 @@ def parse_arch(arch: str) -> tuple[str, int]:
     linear architectures.
     """
     arch = arch.strip()
-    match = _ARCH.fullmatch(arch)
+    match = re.fullmatch(_ARCH, arch)
     if match is None:
         raise ConfigError(f"arch {arch!r} names an unknown architecture")
     if match[1] is None:
