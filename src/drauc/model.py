@@ -50,15 +50,17 @@ from .errors import ConfigError
 
 MLP1_TANH_SIGMOID = "mlp1-tanh-sigmoid"
 LINEAR_IDENTITY_CLAMPED = "linear-identity-clamped"
-_ARCH = r"linear-sigmoid|linear-identity-clamped|mlp1-tanh-sigmoid\(([0-9]+)\)"
+# At most nine width digits: a wider layer could not be held in memory, and
+# int() refuses more than 4,300 digits without naming the arch.
+_ARCH = r"linear-sigmoid|linear-identity-clamped|mlp1-tanh-sigmoid\(([0-9]{1,9})\)"
 
 
 def parse_arch(arch: str) -> tuple[str, int]:
     """Split an architecture descriptor into (name, hidden width).
 
     Accepts "linear-sigmoid", "linear-identity-clamped", and
-    "mlp1-tanh-sigmoid(H)" with H >= 1 in ASCII digits.  Width is 0 for the
-    linear architectures.
+    "mlp1-tanh-sigmoid(H)" with H >= 1 in one to nine ASCII digits.  Width
+    is 0 for the linear architectures.
     """
     arch = arch.strip()
     match = re.fullmatch(_ARCH, arch)

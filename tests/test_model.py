@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drauc import (ConfigError, ScoringModel, forward, init_model, param_count,
-                   score, vjp_input, vjp_params)
+                   parse_arch, score, vjp_input, vjp_params)
 from drauc.verification import check_score_range
 
 
@@ -53,6 +53,16 @@ class TestInit:
         with pytest.raises(ConfigError,
                            match=re.escape(f"arch {arch!r} names an unknown architecture")):
             init_model(arch, 2, seed=0)
+
+    @pytest.mark.parametrize("digits", [10, 5000])
+    def test_overlong_width_names_arch(self, digits):
+        # int() refuses 5,000 digits with a message that names no field; the
+        # pattern refuses the arch before any width is read.
+        arch = f"mlp1-tanh-sigmoid({'1' * digits})"
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"arch {arch!r} names an unknown architecture")):
+            parse_arch(arch)
+        assert parse_arch(f"mlp1-tanh-sigmoid({'9' * 9})") == ("mlp1-tanh-sigmoid", 999_999_999)
 
     def test_negative_seed_names_seed(self, monkeypatch):
         def no_draws(*args):

@@ -432,27 +432,68 @@ class TestBoundAscent:
         assert estimate_robust_auc(model, ds, 1e-4, aux) == nominal
 
 
+def counted_runs(monkeypatch):
+    """The multipliers of every ``_BoundAscent.run`` from now on, in order."""
+    runs, run = [], _BoundAscent.run
+
+    def counted(self, lam):
+        runs.append(float(lam))
+        return run(self, lam)
+
+    monkeypatch.setattr(_BoundAscent, "run", counted)
+    return runs
+
+
+def calibration_instance():
+    """A 300-row ``mlp1-tanh-sigmoid(8)`` instance whose attack costs 0 from
+    lam = 100 on, and the mean cost of its unpenalized attack."""
+    ds = gen_synthetic(300, 2, seed=11)
+    model = init_model("mlp1-tanh-sigmoid(8)", 2, seed=11)
+    scores = score(model, ds.features)
+    aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
+    _, free = attack_batch(model, aux, ds.p_hat, 0.0, ds.features, ds.labels, AttackConfig())
+    return ds, model, aux, mean_cost(free, ds.features)
+
+
 class TestCalibrate:
     """The multiplier search: few ascents, and only feasible attacks that
     were run."""
 
-    def test_binding_calibration_takes_at_most_30_ascents(self, monkeypatch):
-        ds = gen_synthetic(300, 2, seed=11)
-        model = init_model("mlp1-tanh-sigmoid(8)", 2, seed=11)
-        scores = score(model, ds.features)
-        aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
-        _, free = attack_batch(model, aux, ds.p_hat, 0.0, ds.features, ds.labels, AttackConfig())
-        radius = 0.5 * mean_cost(free, ds.features)
-        runs, run = [], _BoundAscent.run
-
-        def counted(self, lam):
-            runs.append(lam)
-            return run(self, lam)
-
-        monkeypatch.setattr(_BoundAscent, "run", counted)
+    def test_binding_calibration_takes_at_most_13_ascents(self, monkeypatch):
+        ds, model, aux, free = calibration_instance()
+        radius = 0.5 * free
+        runs = counted_runs(monkeypatch)
         lam, adv, cost = attack_group(model, aux, ds, slice(None), radius, AttackConfig())
-        assert 0.0 < lam < 1e3 and cost <= radius
-        assert len(runs) <= 30  # a 60-step bisection takes 62
+        assert 0.1 < lam < 1.0 and cost <= radius
+        # 13 ascents from a first probe of 1; 20 halving from the cap, a 60-step
+        # bisection 62.  The cap's attack is never needed, so never run.
+        assert len(runs) <= 13 and runs[1] == pytest.approx(1.0, rel=1e-15)
+        assert robust._LAMBDA_CAP not in runs
+
+    def test_root_below_the_bracket_floor_is_found(self, monkeypatch):
+        # The radius is the cost at lam = 1e-4, below 1/_LAMBDA_CAP, where
+        # the search halves b in place of bisecting geometrically.
+        ds, model, aux, _ = calibration_instance()
+        cfg = AttackConfig()
+        radius = mean_cost(attack_batch(model, aux, ds.p_hat, 1e-4, ds.features,
+                                        ds.labels, cfg)[1], ds.features)
+        runs = counted_runs(monkeypatch)
+        lam, adv, cost = attack_group(model, aux, ds, slice(None), radius, cfg)
+        assert 0.0 < lam < 1.0 / robust._LAMBDA_CAP and cost <= radius
+        assert lam == pytest.approx(1e-4, rel=1e-9) and len(runs) <= 18
+        rerun = attack_batch(model, aux, ds.p_hat, lam, ds.features, ds.labels, cfg)[1]
+        assert rerun.tobytes() == adv.tobytes()
+
+    def test_overspent_cap_runs_last_and_returns_the_start(self, monkeypatch):
+        # Under a cap of 10 the attack still costs 3.5e-6, above the radius:
+        # the search probes 1 and sqrt(10), then the cap, and moves no row.
+        monkeypatch.setattr("drauc.robust._LAMBDA_CAP", 10.0)
+        ds, model, aux, _ = calibration_instance()
+        runs = counted_runs(monkeypatch)
+        lam, adv, cost = attack_group(model, aux, ds, slice(None), 1e-6, AttackConfig())
+        assert lam == 10.0 and cost == 0.0 and adv.tobytes() == ds.features.tobytes()
+        assert runs[0] == 0.0 and runs[-1] == 10.0 and runs.count(10.0) == 1
+        assert len(runs) == 4
 
     @pytest.mark.parametrize("arch", ARCHS[:2])
     def test_steep_scorers_get_feasible_attacks_that_rerun_bitwise(self, arch):
