@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class Dataset:
     @classmethod
     def from_arrays(cls, features, labels, scaler_min=None, scaler_max=None):
         x = np.asarray(features, dtype=float)
-        y = np.asarray(labels, dtype=int)
+        y = np.asarray(labels)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if y.shape != (x.shape[0],):
@@ -41,8 +42,10 @@ class Dataset:
         # A NaN fails both comparisons, so it is rejected too.
         if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
             raise ValueError("features must lie in [0, 1], with no NaN")
+        # Checked before the cast, which would truncate 0.5 to 0 and refuse NaN.
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        y = np.asarray(y, dtype=int)
         if scaler_min is None:
             scaler_min = np.zeros(x.shape[1])
         if scaler_max is None:
@@ -154,6 +157,50 @@ def _expected_header(d: int) -> str:
     return "y," + ",".join(f"x{i}" for i in range(1, d + 1))
 
 
+def _parse_body(rows, d: int) -> np.ndarray | None:
+    """The (n, d + 1) array of ``float()`` of every field, label first, or
+    None if a row is ragged, a field does not parse or a label is not 0 or 1."""
+    if set(map(str.count, rows, repeat(","))) != {d}:
+        return None
+    fields = chain.from_iterable(map(str.split, rows, repeat(",")))
+    try:
+        values = np.fromiter(map(float, fields), float, count=len(rows) * (d + 1))
+    except ValueError:
+        return None
+    values = values.reshape(len(rows), d + 1)
+    labels = values[:, 0]
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        return None
+    return values
+
+
+def _first_row_fault(rows, d: int) -> DataFormatError:
+    """The error of the first bad row in file order, for rows that
+    ``_parse_body`` refused: a ragged row, a label that does not parse or is
+    not 0 or 1, or a feature that does not parse, checked in that order."""
+    for lineno, line in enumerate(rows, start=2):
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            return DataFormatError(
+                f"ragged row: expected {d + 1} fields, got {len(parts)}",
+                line=lineno,
+            )
+        try:
+            label = float(parts[0])
+        except ValueError:
+            return DataFormatError(f"non-numeric label {parts[0]!r}", line=lineno)
+        if label not in (0.0, 1.0):
+            return DataFormatError(f"label value {parts[0]} is not 0 or 1", line=lineno)
+        for j, field in enumerate(parts[1:]):
+            try:
+                float(field)
+            except ValueError:
+                return DataFormatError(
+                    f"non-numeric field {field!r} in column x{j + 1}", line=lineno
+                )
+    raise AssertionError("the bulk parse refused rows that have no fault")
+
+
 def load_csv(path, scaler=None) -> Dataset:
     """Load a CSV file, min-max normalizing features per dimension.
 
@@ -163,56 +210,46 @@ def load_csv(path, scaler=None) -> Dataset:
     so normalization is idempotent across save/load cycles.  A given
     ``scaler`` (min, max), e.g. a checkpoint's, is applied instead, then
     clipped to [0, 1]; ``clipped`` counts the values the clip changed.
+
+    Every field is parsed by ``float()`` in one pass over the body.  A bad
+    body raises the DataFormatError of its first bad line in file order; a
+    non-finite value is checked only after every line parses, so a parse
+    fault on any line comes first.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+        rows = fh.read().split("\n")
+    if rows and rows[-1] == "":
+        rows.pop()
+    if not rows:
         raise DataFormatError("empty file", line=1)
-    header = lines[0].split(",")
+    # Popped in place: a copy of the body's list would raise peak memory.
+    first = rows.pop(0)
+    header = first.split(",")
     if len(header) < 2 or header[0] != "y" or any(
         header[i] != f"x{i}" for i in range(1, len(header))
     ):
         raise DataFormatError(
-            f"malformed header {lines[0]!r}, expected "
+            f"malformed header {first!r}, expected "
             f"'{_expected_header(max(len(header) - 1, 1))}'",
             line=1,
         )
     d = len(header) - 1
     if scaler is not None and any(np.shape(v) != (d,) for v in scaler):
         raise DataFormatError(f"{d} feature columns do not match the scaler", line=1)
-    if len(lines) == 1:
+    if not rows:
         raise DataFormatError("no data rows", line=2)
-    labels = np.empty(len(lines) - 1, dtype=int)
-    raw = np.empty((len(lines) - 1, d))
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise DataFormatError(
-                f"ragged row: expected {d + 1} fields, got {len(parts)}",
-                line=lineno,
-            )
-        try:
-            label = float(parts[0])
-        except ValueError:
-            raise DataFormatError(f"non-numeric label {parts[0]!r}", line=lineno) from None
-        if label not in (0.0, 1.0):
-            raise DataFormatError(f"label value {parts[0]} is not 0 or 1", line=lineno)
-        labels[i] = int(label)
-        for j, field in enumerate(parts[1:]):
-            try:
-                raw[i, j] = float(field)
-            except ValueError:
-                raise DataFormatError(
-                    f"non-numeric field {field!r} in column x{j + 1}", line=lineno
-                ) from None
+    values = _parse_body(rows, d)
+    if values is None:
+        raise _first_row_fault(rows, d)
+    labels = values[:, 0].astype(int)
+    # A copy, so the parse's array is freed before the scaled ones are made.
+    raw = values[:, 1:].copy()
+    del values
     bad = ~np.isfinite(raw)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DataFormatError(
-            f"non-finite value {lines[i + 1].split(',')[j + 1]!r} in column x{j + 1}",
+            f"non-finite value {rows[i].split(',')[j + 1]!r} in column x{j + 1}",
             line=i + 2,
         )
     # Under the file's own ranges the clip changes nothing.
@@ -228,7 +265,7 @@ def load_csv(path, scaler=None) -> Dataset:
 def save_csv(dataset: Dataset, path) -> None:
     """Write the (already normalized) dataset; see the module docstring."""
     rows = [_expected_header(dataset.d)]
-    for label, feat in zip(dataset.labels, dataset.features):
-        rows.append(f"{int(label)}," + ",".join(format(v, ".17g") for v in feat))
+    rows += [f"{label}," + ",".join(map(format, feat, repeat(".17g")))
+             for label, feat in zip(dataset.labels.tolist(), dataset.features.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -153,6 +154,14 @@ class TestCsvRoundTrip:
         save_csv(load_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_bytes_match_per_row_format(self, tmp_path):
+        ds = gen_synthetic(20000, 3, seed=13)
+        path = tmp_path / "big.csv"
+        save_csv(ds, path)
+        rows = ["y,x1,x2,x3"] + [f"{int(label)}," + ",".join(format(v, ".17g") for v in feat)
+                                 for label, feat in zip(ds.labels, ds.features)]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+
     def test_constant_column_maps_to_half(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("y,x1,x2\n1,3.0,0.2\n0,3.0,0.8\n", encoding="utf-8")
@@ -210,6 +219,94 @@ class TestCsvErrors:
             load_csv(path)
 
 
+# One faulty row per kind for a two-feature file, and the error it raises.
+ROW_FAULTS = {
+    "ragged": ("0,0.5", "ragged row: expected 3 fields, got 2"),
+    "label-text": ("yes,0.5,0.5", "non-numeric label 'yes'"),
+    "label-value": ("2,0.5,0.5", "label value 2 is not 0 or 1"),
+    "field-text": ("1,0.5,oops", "non-numeric field 'oops' in column x2"),
+}
+
+
+class TestCsvErrorPrecedence:
+    @pytest.mark.parametrize("first, second", itertools.product(ROW_FAULTS, repeat=2))
+    def test_first_bad_line_is_named(self, tmp_path, first, second):
+        rows = ["1,0.1,0.2", ROW_FAULTS[first][0], "0,0.3,0.4", ROW_FAULTS[second][0],
+                "1,0.5,0.6"]
+        message = f"line 3: {ROW_FAULTS[first][1]}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            _load(tmp_path, "y,x1,x2\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("yes,oops,0.5", "non-numeric label 'yes'"),
+        ("2,oops,0.5", "label value 2 is not 0 or 1"),
+        ("1,oops,nope", "non-numeric field 'oops' in column x1"),
+        ("1,nan,nope", "non-numeric field 'nope' in column x2"),
+    ])
+    def test_a_rows_first_fault_is_named(self, tmp_path, row, message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape('line 3: ' + message)}$"):
+            _load(tmp_path, f"y,x1,x2\n1,0.1,0.2\n{row}\n0,0.3,0.4\n")
+
+    def test_parse_fault_beats_earlier_non_finite_value(self, tmp_path):
+        text = "y,x1,x2\n1,0.1,0.2\n0,nan,0.4\n0,0.3,0.4\n1,0.5,oops\n"
+        with pytest.raises(DataFormatError,
+                           match="^line 5: non-numeric field 'oops' in column x2$"):
+            _load(tmp_path, text)
+
+    def test_blank_middle_line_is_a_ragged_row(self, tmp_path):
+        text = "y,x1,x2\n1,0.1,0.2\n0,0.3,0.4\n\n1,0.5,0.6\n"
+        with pytest.raises(DataFormatError,
+                           match="^line 4: ragged row: expected 3 fields, got 1$"):
+            _load(tmp_path, text)
+
+
+def _reference_load(text, scaler=None):
+    """load_csv's result for a valid file, one float() per field."""
+    rows = text.split("\n")[1:-1]
+    d = rows[0].count(",")
+    labels = np.empty(len(rows), dtype=int)
+    raw = np.empty((len(rows), d))
+    for i, row in enumerate(rows):
+        parts = row.split(",")
+        labels[i] = int(float(parts[0]))
+        for j, field in enumerate(parts[1:]):
+            raw[i, j] = float(field)
+    mn, mx = scaler if scaler is not None else (raw.min(axis=0), raw.max(axis=0))
+    scaled = np.empty_like(raw)
+    for j in range(d):
+        span = mx[j] - mn[j]
+        scaled[:, j] = 0.5 if span == 0.0 else (raw[:, j] - mn[j]) / span
+    features = np.clip(scaled, 0.0, 1.0)
+    return features, labels, mn, mx, int((features != scaled).sum())
+
+
+# Fields float() accepts beyond plain decimals, and labels it reads as 0 or 1.
+FLOAT_SPELLINGS = ("y,x1,x2,x3\n"
+                   "1.0, 0.25,+3,5\n"
+                   "-0,1_0,-0.0,5\n"
+                   "1e0,5e-324,1e300,5\n"
+                   "0,7.,0.5,5\r\n"
+                   "1,0.75,-2,5\n")
+
+
+@pytest.mark.parametrize("scaler", [None, (np.array([0.0, -1.0, 4.0]),
+                                           np.array([4.0, 2.0, 4.0]))],
+                         ids=["own-ranges", "given-scaler"])
+def test_parse_matches_per_field_reference(tmp_path, scaler):
+    path = tmp_path / "d.csv"
+    path.write_text(FLOAT_SPELLINGS)
+    ds = load_csv(path, scaler)
+    features, labels, mn, mx, clipped = _reference_load(FLOAT_SPELLINGS, scaler)
+    assert ds.features.dtype == features.dtype
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.dtype == labels.dtype
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.scaler_min.tobytes() == mn.tobytes()
+    assert ds.scaler_max.tobytes() == mx.tobytes()
+    assert ds.clipped == clipped
+    assert (clipped > 0) == (scaler is not None)
+
+
 class TestDatasetValidation:
     def test_rejects_out_of_box_features(self):
         with pytest.raises(ValueError):
@@ -245,7 +342,12 @@ def _load(tmp_path, text):
     (lambda tmp: _load(tmp, ""), DataFormatError, "line 1: empty file"),
     (lambda tmp: _load(tmp, "y,x1\n1,0.5\nyes,0.25\n"), DataFormatError,
      "line 3: non-numeric label 'yes'"),
-], ids=["features-1d", "labels-short", "csv-empty", "csv-label-text"])
+    (lambda tmp: Dataset.from_arrays([[0.1], [0.2], [0.3]], [0.5, 1.7, 0.0]), ValueError,
+     "labels must be 0 or 1"),
+    (lambda tmp: Dataset.from_arrays([[0.1], [0.2], [0.3]], [np.nan, 1.0, 0.0]), ValueError,
+     "labels must be 0 or 1"),
+], ids=["features-1d", "labels-short", "csv-empty", "csv-label-text", "labels-fractional",
+        "labels-nan"])
 def test_bad_input_is_refused_with_its_message(tmp_path, build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(tmp_path)
