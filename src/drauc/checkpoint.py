@@ -168,22 +168,18 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def write_report(fh, config: dict, metrics: dict, history=None) -> None:
-    """Write the machine-readable run report to the text stream ``fh``,
-    one metric=value line at a time, so no more than a line is held.
-
-    ``config`` keys are prefixed with "config.", history records become
-    "history.<iteration>.<field>" lines.
-    """
+    """Write the run report to the text stream ``fh``, a line or a record at a
+    time: "config.<key>" lines, the metrics, then a "history.<iteration>.<field>"
+    line per record field but theta and None; a ``History`` builds each record on read."""
     for key in sorted(config):
         fh.write(f"config.{key}={config[key]}\n")
     for key, value in metrics.items():
         fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
-    for rec in history or []:
-        t = rec["iteration"]
-        for key, value in rec.items():
-            if key in ("iteration", "theta") or value is None:
-                continue
-            fh.write(f"history.{t}.{key}={_fmt(value) if isinstance(value, float) else value}\n")
+    for rec in history or []:  # a record's lines in one write; format() is _fmt on a float
+        prefix = f"history.{rec['iteration']}."
+        fh.write("".join([f"{prefix}{key}={format(v, '.17g') if isinstance(v, float) else v}\n"
+                          for key, v in rec.items()
+                          if key not in ("iteration", "theta") and v is not None]))
 
 
 def parse_report(text: str) -> dict:

@@ -11,38 +11,29 @@ computed at the iteration-start parameters:
     a, b   <- clip(a - eta_w * mean d g / d a, [0, 1])      (likewise b)
 
 The rows are split into label groups, each with its own transport budget
-eps_g and multiplier lam_g.  One ascent runs over the whole batch, each row
-penalized by its group's multiplier; the objective carries
-sum_g lam_g * eps_g, and each group present in the batch takes the
-envelope step above on the mean cost of its own rows: when the realized
-attack cost exceeds the budget, lam_g rises, reining the attack in, and
-vice versa.  With the attack off (eta_z = 0) the batch is its own worst
-case: each group present records mean_cost 0.0, and no costs, group masks
-or penalty are computed, since g - lam * 0.0 is g bit for bit.
+eps_g and multiplier lam_g: one ascent penalizes each row by its group's
+lam_g, the objective carries sum_g lam_g * eps_g, and each group present in
+the batch steps lam_g on its rows' mean cost (0.0 with the attack off).
 
 The variant only picks the groups, once, before the loop:
   df             one group: the whole batch against budget eps.
-  da             two groups, positives and negatives, against
-                 eps_pos = k*eps and eps_neg = (1 - k*p)*eps/(1 - p).
-                 Class-weighted updates with the realized batch class
-                 proportions are the plain batch mean, in batch order.
+  da             positives and negatives, against eps_pos = k*eps and
+                 eps_neg = (1 - k*p)*eps/(1 - p).
   aucm-baseline  the df group with the attack disabled (eta_z = 0, eps = 0).
+With eta_z = 0 and eps = 0 the three walk bitwise-identical trajectories
+from the same seed.  The loss's imbalance ratio is the training set's
+cached p_hat, not the batch's.
 
-With eta_z = 0 and eps = 0 all three variants walk bitwise-identical
-trajectories from the same seed: the attack leaves the batch untouched,
-costs are exactly zero, and every reduction runs in batch order.
-
-The loss's imbalance ratio is the training set's cached p_hat; batches
-estimate expectations but do not redefine the ratio.
-
-``train_stacked`` trains many runs of one shape in this loop; ``train``
-is its one-run call.
+Each run's history is a ``History`` of columns: (k + P) float64 values per
+iteration for its k scalar fields and P parameters, a record built on read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Sequence
+from itertools import chain, repeat
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -111,13 +102,51 @@ class DualState:
                 raise ValueError(f"eps[{i}] must be finite and >= 0, got {v}")
 
 
+class History(Sequence):
+    """One run's records as columns: row t-1 of ``values`` holds iteration
+    t's ``fields``, of ``present`` its batch's label groups, of ``thetas``
+    the iterate it started from.  A record, built on read, is {"iteration",
+    fields to batch_auc, "theta" (a row view), lams, mean_costs or None}."""
+
+    def __init__(self, suffixes, thetas):
+        self.fields = ("objective", "alpha", "a", "b", "batch_auc",
+                       *("lam" + s for s in suffixes), *("mean_cost" + s for s in suffixes))
+        self.values = np.empty((len(thetas), len(self.fields)))
+        self.present = np.empty((len(thetas), len(suffixes)), dtype=bool)
+        self.thetas = thetas
+        self._keys = ("iteration", *self.fields[:5], "theta", *self.fields[5:])
+
+    def __len__(self):
+        return len(self.values)
+
+    def column(self, key):
+        return self.values[:, self.fields.index(key)]
+
+    def _records(self, rows):  # those of the slice ``rows``, built one at a time
+        values = self.values[rows].astype(object)  # Python floats
+        values[:, -self.present.shape[1]:][~self.present[rows]] = None  # absent mean_costs
+        cols = values.T.tolist()
+        items = zip(range(1, len(self) + 1)[rows], *cols[:5], self.thetas[rows], *cols[5:])
+        return map(dict, map(zip, repeat(self._keys), items))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._records(i))
+        i = range(len(self))[i]  # negative indices; IndexError past either end
+        return next(self._records(slice(i, i + 1)))
+
+    def __iter__(self):  # a NumPy call per block of rows, not per record
+        return chain.from_iterable(self._records(slice(start, start + 256))
+                                   for start in range(0, len(self), 256))
+
+
 @dataclass
 class TrainState:
     model: ScoringModel
     aux: AuxParams
     dual: DualState
     iteration: int
-    history: list = field(default_factory=list)
+    history: History
 
 
 def split_epsilon(eps: float, p_hat: float, k: float):
@@ -174,21 +203,13 @@ def _stack_shape(cfg, model):
 
 def train_stacked(runs) -> list[TrainState]:
     """Train R runs, each a (dataset, cfg, initial model) triple, in one
-    loop over the label groups each run's variant picks, with a leading run
-    axis on every array; returns one TrainState per run.
+    loop with a leading run axis on every array; one TrainState per run.
 
     The runs share arch, input_dim, iters, batch_size and steps, and the
-    attack (``eta_z`` > 0 outside ``aucm-baseline``) is on in all of them
-    or in none; any other mix raises a ValueError naming the field.  All
-    else is per run: dataset, seed and rng, parameters, aux, multipliers,
-    variant, eps, k_split, learning rates, lambda0 and lambda_max.  Each
-    run's trajectory is bitwise that of ``train`` on it alone: every
-    product, reduction and elementwise pass is its own slice of the
-    stacked one, and the scalar updates run per run.
-
-    A batch that lacks a group skips that group's multiplier update for the
-    iteration (the sampler guarantees positives; negatives can be absent in
-    tiny datasets).
+    attack (``eta_z`` > 0 outside ``aucm-baseline``) is on in all or none;
+    any other mix raises a ValueError naming the field.  Each run's
+    trajectory is bitwise that of ``train`` on it alone.  A batch that lacks
+    a group (negatives, in tiny datasets) skips that group's lam update.
     """
     runs = list(runs)
     if not runs:
@@ -210,10 +231,10 @@ def train_stacked(runs) -> list[TrainState]:
     R, n, attack = len(runs), cfg0.batch_size, shape[_ATTACK]
     datasets = [dataset for dataset, _, _ in runs]
     cfgs = [cfg for _, cfg, _ in runs]
-    # Per run: its groups' budgets and history keys, and the group of each
-    # label (negatives group 1, positives 0 under da); lam[r, g] is run r's
-    # multiplier for group g, and a df run leaves column 1 unread.
-    budgets, lam_keys, cost_keys = [], [], []
+    # Per run: its groups' budgets, and the group of each label (negatives
+    # group 1, positives 0 under da); lam[r, g] is run r's multiplier for
+    # group g, and a df run leaves column 1 unread.
+    budgets = []
     label_group = np.zeros((R, 2), dtype=np.intp)
     for r, (dataset, cfg) in enumerate(zip(datasets, cfgs)):
         eps = 0.0 if cfg.variant == "aucm-baseline" else cfg.eps
@@ -222,9 +243,6 @@ def train_stacked(runs) -> list[TrainState]:
             label_group[r, 0] = 1
         else:
             budgets.append(np.array([eps]))
-        suffixes = GROUP_SUFFIXES[cfg.variant]
-        lam_keys.append(["lam" + s for s in suffixes])
-        cost_keys.append(["mean_cost" + s for s in suffixes])
     group_of = label_group.tolist()
     # Float64 whatever the configs' types: an int lambda0 would otherwise
     # make lam an int array that truncates every multiplier update.
@@ -238,16 +256,13 @@ def train_stacked(runs) -> list[TrainState]:
     # np.add.reduce(x) / n, the values ndarray.mean gives; a stacked
     # reduction gives each run the bits of its own.
     theta = np.stack([m.params for _, _, m in runs])
-    theta_runs = list(theta)  # views
     aux = [(0.0, 0.0, 0.0)] * R  # a, b, alpha per run
-    histories = [[] for _ in runs]
+    thetas = np.empty((R, cfg0.iters, theta.shape[-1]), theta.dtype)  # each iteration's start
+    histories = [History(GROUP_SUFFIXES[cfg.variant], thetas[r]) for r, cfg in enumerate(cfgs)]
     x_batch = np.empty((R, n, model0.input_dim))
     y_batch = np.empty((R, n), dtype=datasets[0].labels.dtype)
-    # The passes and the loss take a lone run's arrays and terms without
-    # the run axis, and its steps as floats: NumPy's cost per call grows
-    # with the number of axes, and in the (1, ...) layout a lone run trains
-    # 3-9% slower on train-aucm-long's config (2-core x86-64 VM, NumPy 2.4).
-    # Their outputs are read back as (R, n) rows.
+    # A lone run's arrays and steps drop the run axis (NumPy's cost per call
+    # grows with the axes); the outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
     params = lone(theta)
     model = replace(model0, params=params)
@@ -258,6 +273,7 @@ def train_stacked(runs) -> list[TrainState]:
         eta_w = np.array([[cfg.eta_w] for cfg in cfgs], dtype=np.float64)
         step_size = np.array([[[cfg.eta_z]] for cfg in cfgs], dtype=np.float64)
     for t in range(1, cfg0.iters + 1):
+        thetas[:, t - 1] = theta
         for r, (dataset, rng) in enumerate(zip(datasets, rngs)):
             idx = sample_batch(dataset, n, rng)
             dataset.features.take(idx, axis=0, out=x_batch[r])
@@ -300,23 +316,12 @@ def train_stacked(runs) -> list[TrainState]:
                         group_of[r][1] if n_pos > 0 else None}
                 mean_costs = [0.0 if g in seen else None  # None: group absent
                               for g in range(budget.size)]
-            if 0 < n_pos < n:
-                f_r = f_nom[r]
-                batch_auc = auc_mann_whitney(f_r[pos], f_r[~pos])
-            else:
-                batch_auc = 0.5  # no ranked pairs in a single-class batch
-            record = {
-                "iteration": t,
-                "objective": float(np.add.reduce(lam_r * budget)) + g_mean,
-                "alpha": alpha,
-                "a": a,
-                "b": b,
-                "batch_auc": batch_auc,
-                "theta": theta_runs[r].copy(),
-            }
-            record.update(zip(lam_keys[r], lam_r.tolist()))
-            record.update(zip(cost_keys[r], mean_costs))
-            histories[r].append(record)
+            f_r = f_nom[r]  # a single-class batch has no ranked pairs: 0.5
+            batch_auc = auc_mann_whitney(f_r[pos], f_r[~pos]) if 0 < n_pos < n else 0.5
+            # An absent group's None is stored as NaN, and masked out.
+            histories[r].values[t - 1] = [float(np.add.reduce(lam_r * budget)) + g_mean, alpha,
+                                          a, b, batch_auc, *lam_r.tolist(), *mean_costs]
+            histories[r].present[t - 1] = [c is not None for c in mean_costs]
 
             # Simultaneous updates from the iteration-start values.
             # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
@@ -330,7 +335,7 @@ def train_stacked(runs) -> list[TrainState]:
         params -= eta_w * grad_theta
 
     return [TrainState(
-        model=replace(m, params=theta_runs[r].copy()),
+        model=replace(m, params=theta[r].copy()),
         aux=AuxParams(*aux[r]),
         dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam_runs[r].tolist()),
                        eps=tuple(budgets[r].tolist())),

@@ -346,16 +346,14 @@ def check_domain_preservation(iters=60, seed=11):
                         seed=seed) for variant in variants]
     states = train_stacked([(ds, cfg, model) for cfg in cfgs])
     for variant, cfg, state in zip(variants, cfgs, states):
-        # Every iteration's record, then the final aux.
-        for rec in state.history + [dict(zip(("a", "b", "alpha"), state.aux))]:
-            if not (0 <= rec["a"] <= 1 and 0 <= rec["b"] <= 1
-                    and -1 <= rec["alpha"] <= 1):
-                return False, f"{variant}: aux left its domain"
-            if not 0 <= rec.get("batch_auc", 0) <= 1:  # the final state has none
-                return False, f"{variant}: batch AUC left [0, 1]"
-            for key in ("lam", "lam_pos", "lam_neg"):
-                if key in rec and not 0 <= rec[key] <= cfg.lambda_max:
-                    return False, f"{variant}: {key} left [0, lambda_max]"
+        h = state.history
+        boxes = {"a": (0, 1), "b": (0, 1), "alpha": (-1, 1), "batch_auc": (0, 1),
+                 **{key: (0, cfg.lambda_max) for key in h.fields if key.startswith("lam")}}
+        for key, (lo, hi) in boxes.items():
+            # Every iteration's value, then the final aux's; NaN is outside.
+            v = np.append(h.column(key), getattr(state.aux, key, []))
+            if not np.all((lo <= v) & (v <= hi)):
+                return False, f"{variant}: {key} left [{lo}, {hi}]"
     return True, "aux and multipliers stayed in their boxes every iteration"
 
 
@@ -363,10 +361,10 @@ def _same_run(s1, s2):
     """Whether two TrainStates hold bitwise the same final params, aux,
     multipliers and budgets, and the same history, theta included."""
     def bits(s):
-        finals = (s.model.params, (s.aux.a, s.aux.b, s.aux.alpha), s.dual.lam, s.dual.eps)
-        return [np.asarray(v).tobytes() for v in finals] + [
-            (key, None if v is None else np.asarray(v).tobytes())
-            for rec in s.history for key, v in rec.items()]
+        h = s.history
+        return [h.fields] + [np.asarray(v).tobytes() for v in (
+            s.model.params, (s.aux.a, s.aux.b, s.aux.alpha), s.dual.lam, s.dual.eps,
+            h.values, h.present, h.thetas)]
     return bits(s1) == bits(s2)
 
 
@@ -391,15 +389,15 @@ def check_ablation_equivalence(iters=100, seed=13):
     df = TrainConfig(variant="df", iters=iters, batch_size=16, eta_z=0.0, eps=0.0, seed=seed)
     cfgs = (df, replace(df, variant="da"), replace(df, variant="aucm-baseline", eta_z=0.5, eps=2.0))
     runs = train_stacked([(ds, cfg, model) for cfg in cfgs])
-    keys = ("objective", "alpha", "a", "b", "batch_auc")
+    h0 = runs[0].history
     for other in runs[1:]:
         if not np.array_equal(runs[0].model.params, other.model.params):
             return False, "final parameters differ"
-        for r0, r1 in zip(runs[0].history, other.history):
-            if not np.array_equal(r0["theta"], r1["theta"]):
-                return False, "theta trajectories differ"
-            if any(r0[k] != r1[k] for k in keys):
-                return False, "scalar trajectories differ"
+        if not np.array_equal(h0.thetas, other.history.thetas):
+            return False, "theta trajectories differ"
+        # objective, alpha, a, b and batch_auc: the columns every variant has
+        if not np.array_equal(h0.values[:, :5], other.history.values[:, :5]):
+            return False, "scalar trajectories differ"
     return True, "df, da, and the baseline coincide bitwise at eta_z=0, eps=0"
 
 

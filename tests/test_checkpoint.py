@@ -332,8 +332,8 @@ class TestReport:
                         "history.2.cost_neg=0.125\n")
 
     def test_writing_needs_constant_memory(self):
-        # Each line goes to the stream as it is formatted, so the peak does
-        # not grow with the history (joined into one string, these 10,000
+        # Each record's lines go to the stream as they are formatted, so the
+        # peak does not grow with the history (joined into one string, these 10,000
         # records' 70,000 lines took about 12 MB).
         history = [{"iteration": t, "objective": t / 7, "alpha": -t / 3, "a": 1 / t,
                     "b": t / 11, "batch_auc": 0.5 + 1 / (t + 2), "theta": np.zeros(9),

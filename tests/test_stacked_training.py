@@ -1,11 +1,13 @@
 """Stacked training: every run of a stack walks bitwise the trajectory that
 ``train`` gives it alone, whatever the other runs of the stack are."""
 
+import io
+
 import numpy as np
 import pytest
 
 from drauc import (Dataset, TrainConfig, gen_synthetic, init_model, make_long_tailed,
-                   train, train_stacked)
+                   train, train_stacked, write_report)
 from drauc.verification import _same_run
 
 
@@ -70,6 +72,32 @@ def test_stack_with_absent_negatives(eta_z):
     states = assert_each_run_matches_train(runs)
     absent = [rec["mean_cost_neg"] is None for rec in states[0].history]
     assert any(absent) and not all(absent)
+
+
+def report_bytes(history):
+    fh = io.StringIO()
+    write_report(fh, {}, {}, history)
+    return fh.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("eta_z", [0.1, 0.0])
+def test_stacked_reports_match_solo_runs_and_plain_records(eta_z):
+    # A da and a df run on a set whose one negative many batches lack.
+    runs = [(few_negatives(2), TrainConfig(variant=variant, iters=40, batch_size=3, eta_z=eta_z,
+                                           eps=0.1, seed=34 + i), init_model("linear-sigmoid", 2, 34 + i))
+            for i, variant in enumerate(("da", "df"))]
+    states = train_stacked(runs)
+    absent = [rec["mean_cost_neg"] is None for rec in states[0].history]
+    assert any(absent) and not all(absent)
+    for run, state in zip(runs, states):
+        want = report_bytes(train(*run).history)
+        assert report_bytes(state.history) == want
+        assert report_bytes([dict(rec) for rec in state.history]) == want
+    # A record's theta is a row of its own run's history and of no other's.
+    other = states[1].history.thetas.copy()
+    states[0].history[5]["theta"][:] = 7.0
+    assert (states[0].history[5]["theta"] == 7.0).all()
+    assert np.array_equal(states[1].history.thetas, other)
 
 
 def test_stack_of_long_batches():

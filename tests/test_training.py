@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -105,8 +107,8 @@ class TestTrainers:
         assert res.passed, res.detail
 
     def test_history_holds_every_iterate(self):
-        # Each record holds its own copy of the iterate, untouched by the
-        # in-place updates that follow.
+        # Each record holds the iterate its iteration started from, untouched
+        # by the in-place updates that follow.
         ds = make_tailed_dataset()
         m = init_model("linear-sigmoid", 2, 15)
         state = train(ds, TrainConfig(variant="df", iters=5, batch_size=16, seed=15), m)
@@ -280,7 +282,7 @@ class TestLoopBitwise:
         ref_model, ref_aux, ref_dual, ref_history = reference_train(ds, cfg, model)
         assert len(state.history) == len(ref_history) == cfg.iters
         for got, want in zip(state.history, ref_history):
-            assert got.keys() == want.keys()
+            assert list(got) == list(want)  # the keys, in the report's order
             for key in want:
                 assert same_bits(got[key], want[key]), (got["iteration"], key)
         assert same_bits(state.model.params, ref_model.params)
@@ -341,3 +343,40 @@ def test_stacked_params_are_refused_with_their_run(bad_run):
     message = rf"^run {bad_run}: params must be one model's \(P,\) vector$"
     with pytest.raises(ValueError, match=message):
         train_stacked(runs)
+
+
+def test_history_index_matches_iteration():
+    cfg = TrainConfig(variant="da", iters=30, batch_size=3, eta_z=0.1, eps=0.1, seed=33)
+    history = train(few_negatives_dataset(), cfg, init_model("linear-sigmoid", 2, 33)).history
+    records = list(history)
+    assert len(history) == len(records) == cfg.iters
+    for i in (0, 7, -1, -cfg.iters):
+        got, want = history[i], records[i]
+        assert list(got) == list(want) and all(same_bits(got[k], want[k]) for k in want)
+    assert [rec["iteration"] for rec in history[2:9:3]] == [3, 6, 9]
+    for i in (cfg.iters, -cfg.iters - 1):
+        with pytest.raises(IndexError):
+            history[i]
+
+
+def test_history_memory_is_its_columns():
+    # A run of T iterations holds a (T, k) array of its k scalar fields and
+    # a (T, P) array of its iterates: (k + P) float64 values per iteration,
+    # and a bool per label group.  The bound allows 10% over those arrays
+    # and 64 KB for the final state.
+    from drauc import make_long_tailed
+    ds = make_long_tailed(gen_synthetic(400, 2, seed=90), 0.1, seed=90)
+    model = init_model("mlp1-tanh-sigmoid(8)", 2, 90)
+    cfg = TrainConfig(variant="aucm-baseline", iters=10_000, batch_size=16, seed=90)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = train(ds, cfg, model)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    k, P = len(state.history.fields), model.params.size
+    assert (k, P) == (7, 33)
+    assert held <= 1.1 * cfg.iters * (k + P) * 8 + 64 * 1024
