@@ -85,8 +85,15 @@ def _apply_scaler(raw: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray
     return out
 
 
+def check_integer(name, value):
+    """A ValueError naming ``name`` unless value is an int or np.integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """NumPy's generator for ``seed``, an int >= 0, or a ValueError naming it."""
+    check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)

@@ -23,10 +23,9 @@ is exact, and it yields the identity (enforced by the test suite)
 
     min_{a,b} max_alpha E[g] = p * (1-p) * (R - 1).
 
-With scores in [0, 1], the optimizers live in a, b in [0, 1] and
-alpha in [-1, 1], so those boxes are the domains enforced here.
-For fixed labels g and its partials take a per-row coefficient form
-(``_FixedLabelLoss``).
+With scores in [0, 1], the optimizers live in a, b in [0, 1] and alpha in
+[-1, 1], the domains enforced here.  For fixed labels g and its partials
+take a per-row coefficient form (``_FixedLabelLoss``).
 """
 
 from __future__ import annotations
@@ -55,42 +54,48 @@ class AuxParams:
 
 
 def _run_terms(aux, p):
-    """One run's scalar terms of ``_FixedLabelLoss``, from its (a, b, alpha)
-    and p, as floats: the class weights 1-p and p, a, b, -(1-p), k, c0,
+    """One run's scalar terms of ``_FixedLabelLoss`` as floats: a, b, k, c0
     and the coefficients of dg/da, dg/db and dg/dalpha."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p_hat must lie in (0, 1), got {p}")
     a, b, alpha = aux
-    return (1.0 - p, p, a, b, -(1.0 - p), 2.0 * (1.0 + alpha), p * (1.0 - p) * alpha**2,
+    return (a, b, 2.0 * (1.0 + alpha), p * (1.0 - p) * alpha**2,
             -2.0 * (1.0 - p), -2.0 * p, 2.0 * p * (1.0 - p) * alpha)
+
+
+def label_rows(p, y):
+    """The rows of ``_FixedLabelLoss`` that only labels y and p (one float,
+    or an (R, 1) column) set: pos = (y == 1), w, l and 2w."""
+    pos = np.asarray(y) == 1
+    w = np.where(pos, 1.0 - p, p)
+    return pos, w, np.where(pos, -(1.0 - p), p), 2.0 * w
 
 
 class _FixedLabelLoss:
     """g = w*(f - c)**2 + k*(l*f) - c0 and dg/df = 2w*(f - c) + k*l for fixed
     labels: (w, c, l) is (1-p, a, -(1-p)) on positives and (p, b, p) on
-    negatives, k = 2(1+alpha) and c0 = p(1-p)alpha^2.  Picking each row's
-    terms up front performs the same IEEE operations, in the same order, as
-    masking both classes' terms with 0/1 and summing them.
+    negatives, k = 2(1+alpha) and c0 = p(1-p)alpha^2; picking each row's
+    terms performs the IEEE operations, in order, of masking both classes'
+    terms with 0/1 and summing them.
 
-    ``aux`` is one (a, b, alpha) triple, an AuxParams or a tuple, and ``p``
-    one float; or, for R stacked runs with labels (R, n), a sequence of R
-    triples and one of R floats.  Each run's scalar terms are worked out in
-    floats and stacked as (R, 1) columns, so every run's arrays are bitwise
-    those of its own call."""
+    ``aux`` is one (a, b, alpha) triple and ``p`` one float; or, for R
+    stacked runs with labels (R, n), R triples and R floats.  A lone run's
+    scalar terms are 0-d arrays, stacked runs' (R, 1) columns, so every
+    run's arrays are bitwise its own call's.  Given ``rows``, the
+    ``label_rows(p, y)`` taken from a per-dataset table, y is not read."""
 
     __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "two_w", "kl")
 
-    def __init__(self, aux, p, y):
-        if isinstance(p, float) or np.ndim(p) == 0:  # one run: floats
-            terms = _run_terms(aux, p)
+    def __init__(self, aux, p, y=None, rows=None):
+        if isinstance(p, float) or np.ndim(p) == 0:  # one run: 0-d arrays
+            terms = [np.array(term, dtype=np.float64) for term in _run_terms(aux, p)]
         else:  # one (R, 1) column per term
             terms = np.array([_run_terms(run, p_r) for run, p_r in zip(aux, p)]).T[..., None]
-        w_pos, p, self.a, self.b, l_pos, self.k, self.c0, *self.dcoefs = terms
-        self.pos = pos = np.asarray(y) == 1
-        self.w = np.where(pos, w_pos, p)
-        self.c = np.where(pos, self.a, self.b)
-        self.l = np.where(pos, l_pos, p)
-        self.two_w, self.kl = 2.0 * self.w, self.k * self.l
+            p = np.array(p, dtype=np.float64)[:, None]
+        self.a, self.b, self.k, self.c0, *self.dcoefs = terms
+        self.pos, self.w, self.l, self.two_w = label_rows(p, y) if rows is None else rows
+        self.c = np.where(self.pos, self.a, self.b)
+        self.kl = self.k * self.l
 
     def _value(self, f_c, lf, out=None):
         """g from f - c and l*f, which it scales by k in place."""
@@ -113,9 +118,8 @@ class _FixedLabelLoss:
         return d_f
 
     def value_and_grads(self, f):
-        """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f, all from one
-        f - c and one l*f.  dg/da and dg/db take f - a and f - b, whose sign
-        sets that of the 0.0 on the other class's rows."""
+        """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f from one f - c and
+        one l*f; f - a and f - b set the sign of the other class's 0.0 rows."""
         da, db, dalpha = self.dcoefs  # -2(1-p), -2p and 2p(1-p)alpha
         f_c, lf = f - self.c, self.l * f
         d_a = da * (f - self.a) * self.pos

@@ -7,34 +7,26 @@ Three small architectures map feature vectors in [0,1]^d to a score in
     mlp1-tanh-sigmoid(h)      f(x) = sigmoid(v.tanh(Wx + c) + b)
     linear-identity-clamped   f(x) = clamp(w.x + b, 0, 1)
 
-One ``forward`` pass returns the scores and a cache that the input and
-parameter vector-Jacobian products read; ``score`` runs the same pass
-without the cache's slope, for callers that need only the scores.  A
-model unpacks its parameter vector once, when it is built, into views that
-these functions read (``W``, ``WT``, ``c``, ``v`` and the bias ``b``), so
-an in-place edit of ``params`` is seen by the next pass.
+``forward`` returns the scores and a cache that the input and parameter
+vector-Jacobian products read; ``score`` returns only the scores.  A
+model's views of its parameter vector (``W``, ``WT``, ``c``, ``v`` and the
+bias ``b``) are made when it is built, so an in-place edit of ``params``
+shows in the next pass.
 
-These functions also take many models, or many batches, in one call.  A
-model's ``params`` may carry leading run axes, (..., P), and so may a
-batch, (..., n, d); the two sets of leading axes broadcast as
-``np.matmul`` broadcasts them, so R stacked models may score one shared
-batch, one model R stacked batches, or R models R batches, and the scores
-come out (..., n).  A call without run axes is the single-model call.
-Every run's outputs are bitwise those of its own unstacked call (see
-``_Passes`` for the layout that makes them so).  A row's score can still
+A model's ``params`` may carry leading run axes, (..., P), and so may a
+batch, (..., n, d); the two broadcast as ``np.matmul`` broadcasts them, so
+R stacked models may score one batch, one model R batches, or R models R
+batches, and the scores come out (..., n).  Every run's outputs are bitwise
+those of its own unstacked call (``_Passes``).  A row's score can still
 change in the last bit with the other rows of its batch; a caller that
 needs one input's exact score stacks it as its own n = 1 batch.
 
-Gradients are hand-written (no autodiff framework) and checked against
-central finite differences in the test suite.  The tanh hidden activation
-is deliberate: the inner maximization runs gradient ascent on inputs, and
-a smooth activation avoids dead input gradients during that attack.
-
-The identity-clamped architecture exists so that exact analytic test cases
-are expressible (f(x) = x on [0,1] with w=1, b=0); it is not a training
-default.  At an exact clamp boundary the derivative is defined as w, i.e.
-the ramp branch wins, so ascent started on the boundary of the unit box is
-not artificially stuck there; finite-difference checks exclude the
+Gradients are hand-written and checked against central finite differences
+in the test suite.  The tanh is smooth, so the inner ascent on inputs meets
+no dead input gradients.  The identity-clamped architecture makes exact
+analytic test cases (f(x) = x on [0,1] with w=1, b=0); at a clamp boundary
+its derivative is w (the ramp wins), so ascent started on the box's
+boundary is not stuck there, and finite-difference checks exclude the
 boundary, where no two-sided derivative exists.
 """
 
@@ -53,6 +45,11 @@ LINEAR_IDENTITY_CLAMPED = "linear-identity-clamped"
 # At most nine width digits: a wider layer could not be held in memory, and
 # int() refuses more than 4,300 digits without naming the arch.
 _ARCH = r"linear-sigmoid|linear-identity-clamped|mlp1-tanh-sigmoid\(([0-9]{1,9})\)"
+# The passes' and the ascent's literals (the box [0, 1], the sigmoid's clamp)
+# as read-only 0-d float64 arrays: a cheaper ufunc operand than a Python float.
+ZERO, ONE, _EXP_LO, _EXP_HI = _LITERALS = tuple(map(np.array, (0.0, 1.0, -500.0, 500.0)))
+for _literal in _LITERALS:
+    _literal.flags.writeable = False
 
 
 def parse_arch(arch: str) -> tuple[str, int]:
@@ -144,9 +141,8 @@ def _init_params(arch: str, input_dim: int, rng: np.random.Generator):
 
 
 def _row_major(a, out=None):
-    """A row-major copy of a, for a matrix-vector product; written to out
-    if given, else to a new array (never a itself, which later passes
-    would overwrite)."""
+    """A row-major copy of a, for a matrix-vector product, in out if given
+    (never a itself, which later passes would overwrite)."""
     if out is None:
         return np.array(a, order="C")
     np.copyto(out, a)
@@ -158,39 +154,40 @@ class _Passes:
 
     The passes work feature-major: the tanh layer is the (h, n) array
     W @ x.T and the gradients are (d, n) and (P, n) arrays, so each
-    elementwise pass runs along the batch.  Two layouts decide rounding
-    and stay row-major.  NumPy hands a product with a vector (``hidden @
-    v``, a linear scorer's ``x @ w``, and at d = 1 the input gradient's
-    product with W) to a BLAS matrix-vector kernel that rounds by its
-    matrix's layout and blocks its rows, so these run on row-major copies.
-    And ``vjp_params`` returns a row-major (n, P) array, on which a mean
-    over rows sums in sequence.  Stacked runs are slices of every product:
-    the tanh layer is (..., h, d) @ (..., d, n), which NumPy hands to BLAS
-    one slice at a time, the output layer ``np.matvec`` of the (..., n, h)
-    rows with v, bitwise each slice's ``rows @ v``, and the outer products
-    v[..., :, None] * slope[..., None, :] broadcast per run.
+    elementwise pass runs along the batch.  Two layouts decide rounding and
+    stay row-major: a product with a vector (``hidden @ v``, a linear
+    scorer's ``x @ w``, and at d = 1 the input gradient's product with W),
+    which BLAS rounds by its matrix's layout, runs on a row-major copy; and
+    ``vjp_params`` returns row-major (n, P) rows, whose mean sums in
+    sequence.  Stacked runs are slices of every product: NumPy hands
+    (..., h, d) @ (..., d, n) to BLAS a slice at a time, ``np.matvec`` of the
+    (..., n, h) rows with v is bitwise each slice's ``rows @ v``, and the
+    outer products of v and the slope broadcast per run.
 
-    The parameter views are bound in pass shape (W, WT, c as (h, 1), v, v as
-    (h, 1), b), with one buffer for every array a pass writes, which the
-    first pass allocates (as its ufunc's ``out``, first None) and every
-    later pass overwrites: ``scores`` the tanh layer (h, n), its row-major
-    copy, u and f; ``output_slope`` the slope; ``input_grad`` the outer
-    product of v and the slope (h, n), in the row-major copy's memory,
-    d f / d (Wx + c) over the tanh layer, and the (d, n) gradient.  So a
-    caller that makes many passes, as the inner ascent does, must not hold
-    f, the slope, the tanh layer or the gradient across them.
+    Bound once: the parameter views in pass shape (W, WT, c as (h, 1), v, v
+    as (h, 1), and b, a 0-d view of one model's bias or stacked runs'
+    (..., 1) column), the (..., 1, n) row views of the slope and of d_f,
+    and a buffer for each array a pass writes, which the first pass
+    allocates and every later pass overwrites: ``scores`` the tanh layer,
+    its row-major copy, u and f; ``output_slope`` the slope; ``input_grad``
+    the outer product of v and the slope (in the copy's memory), d f / d
+    (Wx + c) (over the tanh layer) and the gradient.  So a caller that makes
+    many passes, as the ascent and the training loop do, must not hold f,
+    the slope, the tanh layer or the gradient across them; an in-place edit
+    of the model's ``params`` shows in the next pass.
     """
 
     __slots__ = ("W", "WT", "c", "v", "v_col", "b", "mlp", "clamped", "hidden", "rows",
-                 "u", "f", "slope", "outer", "jac")
+                 "u", "f", "slope", "slope_row", "d_f", "d_f_row", "outer", "jac")
 
     def __init__(self, model: ScoringModel):
-        self.W, self.WT, self.c, self.v, self.b = (model.W, model.WT, model.c[..., None],
-                                                   model.v, model.b)
+        self.W, self.WT, self.c, self.v = model.W, model.WT, model.c[..., None], model.v
+        self.b = model.b[..., 0] if model.params.ndim == 1 else model.b
         self.v_col = model.v[..., :, None]
         self.mlp = model.W.shape[-2] > 0
         self.clamped = model.arch == LINEAR_IDENTITY_CLAMPED
-        self.hidden = self.rows = self.u = self.f = self.slope = self.outer = self.jac = None
+        self.hidden = self.rows = self.u = self.f = self.slope = self.slope_row = None
+        self.d_f = self.d_f_row = self.outer = self.jac = None
 
     def scores(self, xT):
         """Scores f (..., n) of the feature-major batch xT (..., d, n)."""
@@ -202,27 +199,32 @@ class _Passes:
         u = self.u = np.matvec(rows, self.v, out=self.u)
         u += self.b
         if self.clamped:
-            f = self.f = np.maximum(0.0, u, out=self.f)
-            return np.minimum(f, 1.0, out=f)
+            f = self.f = np.maximum(ZERO, u, out=self.f)
+            return np.minimum(f, ONE, out=f)
         # The clamp keeps exp finite for wildly scaled parameters; sigmoid
-        # saturates to 0/1 well before it engages.  np.maximum(lo, .) then
-        # np.minimum(., hi) give np.clip's values, NaN and -0.0 included,
-        # without its wrapper's cost.
-        f = self.f = np.maximum(-500.0, u, out=self.f)
-        np.minimum(f, 500.0, out=f)
+        # saturates to 0/1 well before it engages.  maximum then minimum give
+        # np.clip's values, NaN and -0.0 included, without its wrapper's cost.
+        f = self.f = np.maximum(_EXP_LO, u, out=self.f)
+        np.minimum(f, _EXP_HI, out=f)
         np.negative(f, out=f)
         np.exp(f, out=f)
-        f += 1.0
-        return np.divide(1.0, f, out=f)
+        f += ONE
+        return np.divide(ONE, f, out=f)
+
+    def forward(self, batch):
+        """``forward``'s scores and cache of a float batch, in these buffers."""
+        f = self.scores(batch.mT)
+        return f, (batch, None if self.hidden is None else self.hidden.mT, self.output_slope())
 
     def output_slope(self):
         """d f / d u at the last scores: f * (1 - f), or for the clamp 1.0
         on its ramp, ends included, where f == u exactly, and 0.0 off it."""
+        if self.slope is None:
+            self.slope = np.empty_like(self.f)
+            self.slope_row = self.slope[..., None, :]
         if self.clamped:
-            if self.slope is None:
-                self.slope = np.empty_like(self.f)
             return np.equal(self.f, self.u, out=self.slope)
-        slope = self.slope = np.subtract(1.0, self.f, out=self.slope)
+        slope = np.subtract(ONE, self.f, out=self.slope)
         slope *= self.f
         return slope
 
@@ -230,19 +232,23 @@ class _Passes:
         """d_f * (d f / d x) as a (..., d, n) array, from the last pass's
         slope and tanh layer (..., h, n; none for the linear archs), which
         this overwrites."""
+        slope_row = self.slope_row if slope is self.slope else slope[..., None, :]
+        if d_f is not self.d_f:  # a new d_f buffer: bind its row view
+            self.d_f, self.d_f_row = d_f, d_f[..., None, :]
         if not self.mlp:
-            jac = self.jac = np.multiply(self.v_col, slope[..., None, :], out=self.jac)
+            jac = self.jac = np.multiply(self.v_col, slope_row, out=self.jac)
         else:
             if self.outer is None:
                 self.outer = self.rows.reshape(self.hidden.shape)  # free by now
-            d_pre = _pre_activation_grad(self.v_col, self.hidden, slope, self.hidden, self.outer)
+            d_pre = _pre_activation_grad(self.v_col, self.hidden, slope_row, self.hidden,
+                                         self.outer)
             if self.WT.shape[-2] > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
             else:  # d = 1: a matrix-vector product
                 rows = self.rows = _row_major(d_pre.mT, self.rows)
                 self.jac = np.matmul(rows, self.W, out=self.jac)
                 jac = self.jac.mT
-        jac *= d_f[..., None, :]
+        jac *= self.d_f_row
         return jac
 
 
@@ -264,21 +270,16 @@ def forward(model: ScoringModel, x):
     cache (batch, tanh layer (..., n, h) or None, derivative of the output
     nonlinearity); the tanh layer is a transposed view of (..., h, n)
     memory.  Run axes of params and batch broadcast (module docstring)."""
-    batch = _batch(model, x)
-    passes = _Passes(model)
-    f = passes.scores(batch.mT)
-    hidden = None if passes.hidden is None else passes.hidden.mT
-    return f, (batch, hidden, passes.output_slope())
+    return _Passes(model).forward(_batch(model, x))
 
 
-def _pre_activation_grad(v_col, hidden, slope, out=None, outer=None):
-    """d f / d (Wx + c) for the mlp as (..., h, n), from the tanh layer
-    hidden (..., h, n) and v as a column (..., h, 1); written to ``out``,
-    and the outer product of v and slope it is made from to ``outer``, if
-    given."""
+def _pre_activation_grad(v_col, hidden, slope_row, out=None, outer=None):
+    """d f / d (Wx + c) for the mlp as (..., h, n), in ``out`` if given,
+    from the tanh layer hidden (..., h, n), v as a column (..., h, 1) and the
+    slope as a row (..., 1, n), through their outer product, in ``outer``."""
     d_pre = np.square(hidden, out=out)
-    np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= np.multiply(v_col, slope[..., None, :], out=outer)
+    np.subtract(ONE, d_pre, out=d_pre)
+    d_pre *= np.multiply(v_col, slope_row, out=outer)
     return d_pre
 
 
@@ -298,14 +299,14 @@ def vjp_params(model: ScoringModel, cache, d_f):
     batch, hidden, slope = cache
     h, d = model.W.shape[-2:]  # h = 0 for the linear archs
     *runs, n = slope.shape  # the run axes of params and batch, broadcast
-    grad = np.empty((*runs, model.params.shape[-1], n))
+    grad, slope_row = np.empty((*runs, model.params.shape[-1], n)), slope[..., None, :]
     if hidden is not None:
-        d_pre = _pre_activation_grad(model.v[..., :, None], hidden.mT, slope,
+        d_pre = _pre_activation_grad(model.v[..., :, None], hidden.mT, slope_row,
                                      grad[..., h * d : h * d + h, :])
         np.multiply(d_pre[..., :, None, :], batch.mT[..., None, :, :],
                     out=grad[..., : h * d, :].reshape(*runs, h, d, n))
     # The output layer's weights and bias, after the mlp's hidden layer.
-    np.multiply(batch.mT if hidden is None else hidden.mT, slope[..., None, :],
+    np.multiply(batch.mT if hidden is None else hidden.mT, slope_row,
                 out=grad[..., h * d + h : -1, :])
     grad[..., -1, :] = slope
     grad *= d_f[..., None, :]

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_integer
 from .losses import (AuxParams, _FixedLabelLoss, _check_labels, auc_mann_whitney,
                      surrogate_loss)
-from .model import ScoringModel, _Passes, score
+from .model import ONE, ZERO, ScoringModel, _Passes, score
 
 # The multiplier search's upper end: a budget that even its attack overspends,
 # or a zero one, moves no row and reports it.
@@ -49,6 +49,7 @@ class AttackConfig:
     step_size: float = 0.05
 
     def __post_init__(self):
+        check_integer("steps", self.steps)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 < self.step_size < math.inf:
@@ -86,33 +87,20 @@ def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg):
 
 
 class _BoundAscent:
-    """The K-step ascent over one batch (n, d), or R stacked runs' batches
-    (R, n, d), bound once for any number of multipliers.  A stacked ascent
-    takes its runs' model and loss, a step size that is one float or an
-    (R, 1, 1) column, and multipliers per row (R, n); each run's values and
-    iterates are bitwise those of its own ascent.
+    """The K-step ascent over one batch (n, d), bound once for any number of
+    multipliers; or over R stacked runs' batches (R, n, d), with their model
+    and loss, a step size column (R, 1, 1) and multipliers per row (R, n),
+    each run's values and iterates bitwise those of its own ascent.
 
-    The model's passes (``model._Passes``) and the loss's per-row terms are
-    bound once; the start, iterates, best iterate and step are (d, n)
-    arrays, so each elementwise pass runs along the batch, in place.  The
-    forward pass at an iterate gives its value and the next step's gradient
-    (K+1 passes), one f - c serves the value and dg/df, and a row's squared
-    cost sums its d terms in sequence, as a row-major sum does for d < 8.
-
-    The penalty's work (the step x - x0, its cost, ``vals -= lam*cost``
-    and ``grad -= 2*lam*dx``) is skipped where it changes no bit: when
-    every multiplier is 0, and at the start, where every cost is +0.0.
-    There lam*cost is +0.0 (or -0.0 under a multiplier of -0.0), and
-    v - (+-0.0) is v for every value v, since no value is -0.0:
-    w*(f - c)**2 is never -0.0, and x - x is +0.0.  grad - 2*lam*dx then
-    differs from grad at most in the sign of a zero; x + (+-0.0) is x for
-    every iterate x in [0, 1] but -0.0, and np.maximum(0.0, .) maps -0.0
-    to +0.0 either way.  So the first step reads no multiplier, and
-    binding runs it once: pass 0 at the start (scores ``f_start``, value,
-    input gradient), the clipped step to x1, and pass 1 (x1's unpenalized
-    value and, for K > 1, input gradient).  ``run(lam)`` continues from
-    pass 1 on copies of these arrays, so no run writes into the binding
-    and each gives the bits of a fresh ascent.
+    The start, iterates, best iterate and step are (d, n) arrays, so each
+    elementwise pass runs along the batch, in place.  Each iterate's pass
+    gives its value and the next step's gradient, and a row's squared cost
+    sums its d terms in sequence, as a row-major sum does for d < 8.  The
+    penalty's work is skipped where it changes no bit: when every multiplier
+    is 0, and at the start, where every cost is +0.0, no value is -0.0 and
+    the clip maps a -0.0 coordinate to +0.0.  So binding runs the first step
+    (pass 0 at the start, scores ``f_start``; the clipped step to x1; pass
+    1), and ``run(lam)`` continues from pass 1 on copies: a fresh ascent's bits.
     """
 
     __slots__ = ("passes", "loss", "steps", "step_size", "start", "f_start",
@@ -120,7 +108,7 @@ class _BoundAscent:
 
     def __init__(self, model, loss, x0, steps, step_size):
         self.passes = passes = _Passes(model)
-        self.loss, self.steps, self.step_size = loss, steps, step_size
+        self.loss, self.steps, self.step_size = loss, steps, np.asarray(step_size, dtype=float)
         self.start = start = x0.mT.copy()
         self.f_c, self.lf, self.d_f = f_c, lf, d_f = np.empty((3, *x0.shape[:-1]))
         self.step = np.empty_like(start)
@@ -128,19 +116,18 @@ class _BoundAscent:
         self.f_start = f.copy()
         self.val0 = loss.value(f, None, f_c, lf)
         grad = passes.input_grad(loss.d_f(f_c, d_f), passes.output_slope())
-        grad *= step_size
+        grad *= self.step_size
         self.x1 = x1 = start + grad
-        np.minimum(np.maximum(0.0, x1, out=x1), 1.0, out=x1)
+        np.minimum(np.maximum(ZERO, x1, out=x1), ONE, out=x1)
         self.vals1 = loss.value(passes.scores(x1), None, f_c, lf)
         self.grad1 = None
         if steps > 1:  # a copy: the next pass overwrites the pass buffer
             self.grad1 = passes.input_grad(loss.d_f(f_c, d_f), passes.output_slope()).copy()
 
     def run(self, lam):
-        """(values, x_adv) of ``attack_batch`` under ``lam``, a float64
-        scalar or array (one value or one per row), finite and >= 0.  One
-        multiplier above 0 puts every run's penalty on, which changes no
-        bit of a run whose multipliers are all 0."""
+        """(values, x_adv) of ``attack_batch`` under ``lam``, a float64 scalar
+        or array (one value or one per row), finite and >= 0.  One multiplier
+        above 0 turns every run's penalty on, which changes no bit of an all-0 run."""
         passes, loss, start, step = self.passes, self.loss, self.start, self.step
         f_c, lf, d_f = self.f_c, self.lf, self.d_f
         x_cur, vals, best_val = self.x1.copy(), self.vals1.copy(), self.val0.copy()
@@ -169,7 +156,7 @@ class _BoundAscent:
             if penalized:  # grad - 2*lam*dx, in dx
                 grad = np.subtract(grad, np.multiply(two_lam, dx, out=dx), out=dx)
             x_cur += np.multiply(grad, self.step_size, out=step)
-            np.minimum(np.maximum(0.0, x_cur, out=x_cur), 1.0, out=x_cur)
+            np.minimum(np.maximum(ZERO, x_cur, out=x_cur), ONE, out=x_cur)
             loss.value(passes.scores(x_cur), vals, f_c, lf)
         return best_val, best_x.mT.copy()
 

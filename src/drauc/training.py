@@ -22,7 +22,8 @@ The variant only picks the groups, once, before the loop:
   aucm-baseline  the df group with the attack disabled (eta_z = 0, eps = 0).
 With eta_z = 0 and eps = 0 the three walk bitwise-identical trajectories
 from the same seed.  The loss's imbalance ratio is the training set's
-cached p_hat, not the batch's.
+cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
+and each row's group) are tabled once per dataset, for each batch to take.
 
 Each run's history is a ``History`` of columns: (k + P) float64 values per
 iteration for its k scalar fields and P parameters, a record built on read.
@@ -37,9 +38,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset, seeded_rng
-from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney
-from .model import ScoringModel, forward, vjp_params
+from .data import Dataset, check_integer, seeded_rng
+from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney, label_rows
+from .model import ScoringModel, _Passes, vjp_params
 from .robust import _BoundAscent
 
 # Key suffixes of each variant's label groups in checkpoints and history: one
@@ -69,6 +70,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if type(f.default) is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if type(f.default) is int:
+                check_integer(f.name, value)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name, least in (("iters", 1), ("batch_size", 2), ("eta_z", 0), ("steps", 1),
@@ -231,19 +234,16 @@ def train_stacked(runs) -> list[TrainState]:
     R, n, attack = len(runs), cfg0.batch_size, shape[_ATTACK]
     datasets = [dataset for dataset, _, _ in runs]
     cfgs = [cfg for _, cfg, _ in runs]
-    # Per run: its groups' budgets, and the group of each label (negatives
-    # group 1, positives 0 under da); lam[r, g] is run r's multiplier for
-    # group g, and a df run leaves column 1 unread.
-    budgets = []
-    label_group = np.zeros((R, 2), dtype=np.intp)
-    for r, (dataset, cfg) in enumerate(zip(datasets, cfgs)):
-        eps = 0.0 if cfg.variant == "aucm-baseline" else cfg.eps
-        if cfg.variant == "da":
-            budgets.append(np.array(split_epsilon(eps, dataset.p_hat, cfg.k_split)))
-            label_group[r, 0] = 1
-        else:
-            budgets.append(np.array([eps]))
-    group_of = label_group.tolist()
+    # Per run: its groups' budgets and, once per dataset, the loss's label rows
+    # (pos; w, l, 2w) and each row's group (negatives 1 under da), whose batch
+    # rows each iteration takes; lam[r, g] is run r's multiplier for group g.
+    budgets, tables = [], []
+    for dataset, cfg in zip(datasets, cfgs):
+        eps, da = 0.0 if cfg.variant == "aucm-baseline" else cfg.eps, cfg.variant == "da"
+        budgets.append(np.array(split_epsilon(eps, dataset.p_hat, cfg.k_split) if da else [eps]))
+        label = label_rows(dataset.p_hat, dataset.labels)
+        tables.append((label[0], np.stack(label[1:]), (da & ~label[0]).astype(np.intp)))
+    group_of = [[int(cfg.variant == "da"), 0] for cfg in cfgs]  # the groups of labels 0, 1
     # Float64 whatever the configs' types: an int lambda0 would otherwise
     # make lam an int array that truncates every multiplier update.
     lam = np.array([[cfg.lambda0] * 2 for cfg in cfgs], dtype=np.float64)
@@ -260,29 +260,30 @@ def train_stacked(runs) -> list[TrainState]:
     thetas = np.empty((R, cfg0.iters, theta.shape[-1]), theta.dtype)  # each iteration's start
     histories = [History(GROUP_SUFFIXES[cfg.variant], thetas[r]) for r, cfg in enumerate(cfgs)]
     x_batch = np.empty((R, n, model0.input_dim))
-    y_batch = np.empty((R, n), dtype=datasets[0].labels.dtype)
+    pos_rows, terms, group = (np.empty((R, n), dtype=bool), np.empty((3, R, n)),
+                              np.empty((R, n), dtype=np.intp))
     # A lone run's arrays and steps drop the run axis (NumPy's cost per call
     # grows with the axes); the outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
     params = lone(theta)
     model = replace(model0, params=params)
-    xs, ys = lone(x_batch), lone(y_batch)
-    if R == 1:
-        eta_w, step_size = float(cfg0.eta_w), float(cfg0.eta_z)
-    else:  # (R, 1) and (R, 1, 1) columns
-        eta_w = np.array([[cfg.eta_w] for cfg in cfgs], dtype=np.float64)
-        step_size = np.array([[[cfg.eta_z]] for cfg in cfgs], dtype=np.float64)
+    passes = _Passes(model)  # the post-ascent pass; params are views of theta
+    xs, rows = lone(x_batch), (lone(pos_rows), *map(lone, terms))
+    # A lone run's 0-d arrays (cheaper ufunc operands than floats), else columns.
+    rates = np.array([[cfg.eta_w, cfg.eta_z] for cfg in cfgs], dtype=np.float64)
+    eta_w, step_size = ((rates[0, 0, ...], rates[0, 1, ...]) if R == 1 else
+                        (rates[:, :1], rates[:, 1:, None]))
     for t in range(1, cfg0.iters + 1):
         thetas[:, t - 1] = theta
-        for r, (dataset, rng) in enumerate(zip(datasets, rngs)):
-            idx = sample_batch(dataset, n, rng)
-            dataset.features.take(idx, axis=0, out=x_batch[r])
-            dataset.labels.take(idx, out=y_batch[r])
-        loss = _FixedLabelLoss(lone(aux), lone(p_hat), ys)
-        pos_rows = loss.pos.reshape(R, n)
+        for r, (dataset, rng, (pos_t, terms_t, group_t)) in enumerate(zip(datasets, rngs, tables)):
+            idx = sample_batch(dataset, n, rng)  # in range, so "clip" clips nothing
+            dataset.features.take(idx, axis=0, out=x_batch[r], mode="clip")
+            pos_t.take(idx, out=pos_rows[r], mode="clip")
+            terms_t.take(idx, axis=1, out=terms[:, r], mode="clip")
+            group_t.take(idx, out=group[r], mode="clip")
+        loss = _FixedLabelLoss(lone(aux), lone(p_hat), rows=rows)
 
         if attack:
-            group = label_group[run_ix, y_batch]
             lam_rows = lone(lam[run_ix, group])
             ascent = _BoundAscent(model, loss, xs, cfg0.steps, step_size)
             _, x_adv = ascent.run(lam_rows)
@@ -291,7 +292,7 @@ def train_stacked(runs) -> list[TrainState]:
             costs = np.add.reduce((x_adv - xs) ** 2, axis=-1)
         else:
             x_adv = xs  # every cost is 0.0, and g - lam * 0.0 is g bit for bit
-        f_adv, cache = forward(model, x_adv)
+        f_adv, cache = passes.forward(x_adv)
         g_adv, d_f, d_a, d_b, d_alpha = loss.value_and_grads(f_adv)
         if attack:
             g_adv = g_adv - lam_rows * costs

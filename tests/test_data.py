@@ -8,6 +8,7 @@ import pytest
 from drauc import (DataFormatError, Dataset, TrainConfig, auc_mann_whitney, corrupt,
                    gen_synthetic, grad_check, init_model, load_csv, make_long_tailed,
                    save_csv, score, ScoringModel)
+from drauc.data import seeded_rng
 
 SEEDED = {
     "gen_synthetic": lambda seed: gen_synthetic(10, 2, seed=seed),
@@ -16,14 +17,20 @@ SEEDED = {
     "TrainConfig": lambda seed: TrainConfig(seed=seed),
     "init_model": lambda seed: init_model("linear-sigmoid", 2, seed),
     "grad_check": lambda seed: grad_check("linear-sigmoid", trials=1, seed=seed),
+    "seeded_rng": seeded_rng,
 }
 
 
 @pytest.mark.parametrize("entry", SEEDED)
 def test_negative_seed_names_seed(entry):
     SEEDED[entry](0)
+    SEEDED[entry](np.int64(3))  # a NumPy integer is an integer
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         SEEDED[entry](-1)
+    # Refused with the field's name, not NumPy's TypeError or a silent 1.
+    for seed in (1.5, 2.0, True, np.float64(1.0), np.True_):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            SEEDED[entry](seed)
 
 
 class TestGenSynthetic:

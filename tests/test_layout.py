@@ -15,6 +15,7 @@ import pytest
 
 from drauc import (AttackConfig, AuxParams, attack_batch, forward, init_model,
                    score, vjp_input, vjp_params)
+from drauc import model as model_module
 from drauc.losses import _FixedLabelLoss
 from drauc.model import _Passes
 from drauc.robust import _BoundAscent
@@ -154,6 +155,33 @@ class TestFeatureMajorMatchesRowMajor:
             assert same_bytes(np.ascontiguousarray(got.T),
                               row_major_vjp_input(model, want_cache, d_f))
 
+    @pytest.mark.parametrize("runs", [0, 3], ids=["unstacked", "stacked"])
+    def test_bound_forward_matches_fresh(self, arch, d, n, runs):
+        # The training loop binds one _Passes per run, passes each iteration's
+        # batch through it and edits params in place between passes; each
+        # pass, and vjp_params on its cache, is a fresh forward's.
+        model, _, _, rng = instance(arch, d, n)
+        if runs:
+            model = replace(model, params=model.params
+                            + rng.normal(0.0, 0.1, (runs, model.params.size)))
+        params, passes = model.params, _Passes(model)
+        for _ in range(3):
+            batch = rng.uniform(0.0, 1.0, size=(*params.shape[:-1], n, d))
+            d_f = rng.normal(size=batch.shape[:-1])
+            f, cache = passes.forward(batch)
+            fresh = replace(model, params=params.copy())
+            want_f, want_cache = forward(fresh, batch)
+            assert same_bytes(f, want_f) and same_bytes(cache[2], want_cache[2])
+            if want_cache[1] is None:
+                assert cache[1] is None
+            else:
+                assert same_bytes(cache[1], want_cache[1])
+            assert same_bytes(vjp_params(model, cache, d_f), vjp_params(fresh, want_cache, d_f))
+            # A new d_f array each pass, through the same binding.
+            got_in = passes.input_grad(d_f, passes.output_slope())
+            assert same_bytes(got_in.mT, vjp_input(fresh, want_cache, d_f))
+            params -= 0.05 * rng.normal(size=params.shape)  # in place, as training steps
+
     def test_start_scores_match_score(self, arch, d, n):
         # Training reads the batch's scores off the ascent's first pass;
         # runs under any multiplier leave them as they were.
@@ -181,3 +209,12 @@ class TestFeatureMajorMatchesRowMajor:
                 projected += n_projected
         if n >= 128:
             assert projected > 0  # the step sizes reach the box faces
+
+
+@pytest.mark.parametrize("name", ["ZERO", "ONE", "_EXP_LO", "_EXP_HI"])
+def test_pass_constants_are_read_only(name):
+    # The passes' literals are shared 0-d arrays; no ufunc may write one.
+    const = getattr(model_module, name)
+    assert const.shape == () and const.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(const, 1.0, out=const)

@@ -3,7 +3,7 @@ import pytest
 
 from drauc import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
                    saddle_value, surrogate_loss, surrogate_loss_grads)
-from drauc.losses import _FixedLabelLoss
+from drauc.losses import _FixedLabelLoss, label_rows
 from drauc.verification import (check_alpha_stationarity, check_auc_properties,
                                 check_saddle_identity)
 
@@ -239,6 +239,41 @@ class TestSharedLossMethod:
                 grads = surrogate_loss_grads(aux, p, f, y)
                 assert type(grads) is tuple and all(type(g) is float for g in grads)
                 assert all(same_bits(g, w) for g, w in zip(grads, want[1:]))
+
+
+def loss_terms(loss):
+    """Every array a _FixedLabelLoss holds, its dg/da, dg/db and dg/dalpha
+    coefficients one by one."""
+    return [np.asarray(term) for name in _FixedLabelLoss.__slots__
+            for term in (getattr(loss, name) if name == "dcoefs" else [getattr(loss, name)])]
+
+
+class TestLabelRowTables:
+    """Training takes each batch's label rows from a table made once per
+    dataset; the loss built from them is the one built from the batch's
+    labels, in every term array."""
+
+    @pytest.mark.parametrize("ps", [(1e-9,), (0.3,), (1.0 - 1e-9,), (1e-9, 0.3, 1.0 - 1e-9)],
+                             ids=["p-near-0", "p-mid", "p-near-1", "three-runs"])
+    def test_table_rows_match_labels(self, ps):
+        rng = np.random.default_rng(45)
+        n = 16
+        labels = [(rng.random(40) < 0.3).astype(int) for _ in ps]
+        # Run 0's batch holds no negatives.
+        idx = [rng.choice(np.flatnonzero(y == 1), n) if r == 0 else rng.choice(40, n)
+               for r, y in enumerate(labels)]
+        tables = [label_rows(p, y) for p, y in zip(ps, labels)]
+        rows = [np.stack([table[i].take(ix) for table, ix in zip(tables, idx)]) for i in range(4)]
+        y_batch = np.stack([y.take(ix) for y, ix in zip(labels, idx)])
+        aux = [(0.3, 0.75, -0.3), (0.0, 1.0, 1.0), (0.9, 0.1, -1.0)][: len(ps)]
+        if len(ps) == 1:  # one run drops the run axis
+            aux, ps, rows, y_batch = aux[0], ps[0], [r[0] for r in rows], y_batch[0]
+        got, want = _FixedLabelLoss(aux, ps, rows=rows), _FixedLabelLoss(aux, ps, y_batch)
+        for g, w in zip(loss_terms(got), loss_terms(want), strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        fs = rng.uniform(0.0, 1.0, y_batch.shape)
+        assert all(same_bits(g, w) for g, w in
+                   zip(got.value_and_grads(fs), want.value_and_grads(fs)))
 
 
 class TestClosedForm:

@@ -186,6 +186,15 @@ class TestAttackBatch:
             assert np.abs(vals[mask] - vals_c).max() <= 1e-12
             assert np.abs(x_adv[mask] - x_c).max() <= 1e-12
 
+    def test_config_validation(self):
+        for kwargs, message in (({"steps": 0}, "steps must be >= 1, got 0"),
+                                ({"steps": True}, "steps must be an integer, got True"),
+                                ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+                                ({"step_size": 0.0}, "step_size must be finite and > 0")):
+            with pytest.raises(ValueError, match="^" + message):
+                AttackConfig(**kwargs)
+        assert AttackConfig(steps=np.int64(3)).steps == 3
+
     def test_multiplier_validation(self):
         model, aux, x, y = attack_instance("linear-sigmoid", 33)
         cfg = AttackConfig()

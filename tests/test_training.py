@@ -173,6 +173,14 @@ class TestTrainers:
                 TrainConfig(lambda0=lambda0, lambda_max=1.0)
         TrainConfig(lambda0=0.0)
         TrainConfig(lambda0=1.0, lambda_max=1.0)  # both bounds allowed
+        # A count or seed that is not an integer, a bool included, is refused
+        # by name when the config is built, not at its first use nor as 1.
+        for field, value in (("iters", 2.5), ("iters", True), ("batch_size", np.float64(64.0)),
+                             ("steps", False), ("seed", 1.5)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                TrainConfig(**{field: value})
+        TrainConfig(iters=np.int64(3), batch_size=np.int32(8), steps=np.uint8(2),
+                    seed=np.int64(1))
 
 
 def reference_sample_batch(dataset, batch_size, rng):
