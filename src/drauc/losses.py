@@ -54,8 +54,7 @@ class AuxParams:
 
 
 def _run_terms(aux, p):
-    """One run's scalar terms of ``_FixedLabelLoss`` as floats: a, b, k, c0
-    and the coefficients of dg/da, dg/db and dg/dalpha."""
+    """One run's ``_FixedLabelLoss`` floats: a, b, k, c0, dg/da, dg/db, dg/dalpha coefficients."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p_hat must lie in (0, 1), got {p}")
     a, b, alpha = aux
@@ -81,8 +80,8 @@ class _FixedLabelLoss:
     ``aux`` is one (a, b, alpha) triple and ``p`` one float; or, for R
     stacked runs with labels (R, n), R triples and R floats.  A lone run's
     scalar terms are 0-d arrays, stacked runs' (R, 1) columns, so every
-    run's arrays are bitwise its own call's.  Given ``rows``, the
-    ``label_rows(p, y)`` taken from a per-dataset table, y is not read."""
+    run's arrays are bitwise its own call's.  Given ``rows``, which is
+    ``label_rows(p, y)``, y is not read."""
 
     __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "two_w", "kl")
 

@@ -169,12 +169,12 @@ class _Passes:
     (..., 1) column), the (..., 1, n) row views of the slope and of d_f,
     and a buffer for each array a pass writes, which the first pass
     allocates and every later pass overwrites: ``scores`` the tanh layer,
-    its row-major copy, u and f; ``output_slope`` the slope; ``input_grad``
-    the outer product of v and the slope (in the copy's memory), d f / d
-    (Wx + c) (over the tanh layer) and the gradient.  So a caller that makes
-    many passes, as the ascent and the training loop do, must not hold f,
-    the slope, the tanh layer or the gradient across them; an in-place edit
-    of the model's ``params`` shows in the next pass.
+    its row-major copy, u and f; ``output_slope`` (which ``input_grad``
+    calls) the slope; ``input_grad`` v's outer product with the slope (in
+    the copy's memory), d f / d (Wx + c) (over the tanh layer) and the
+    gradient.  A caller that makes many passes (the ascent, the training
+    loop) must not hold f, the slope, the tanh layer or the gradient across
+    them; an in-place edit of the model's ``params`` shows in the next pass.
     """
 
     __slots__ = ("W", "WT", "c", "v", "v_col", "b", "mlp", "clamped", "hidden", "rows",
@@ -228,20 +228,20 @@ class _Passes:
         slope *= self.f
         return slope
 
-    def input_grad(self, d_f, slope):
-        """d_f * (d f / d x) as a (..., d, n) array, from the last pass's
-        slope and tanh layer (..., h, n; none for the linear archs), which
-        this overwrites."""
-        slope_row = self.slope_row if slope is self.slope else slope[..., None, :]
+    def input_grad(self, d_f):
+        """d_f * (d f / d x) as a (..., d, n) array at the last pass, from
+        its slope and its tanh layer (..., h, n; none for the linear archs),
+        which this overwrites."""
+        self.output_slope()
         if d_f is not self.d_f:  # a new d_f buffer: bind its row view
             self.d_f, self.d_f_row = d_f, d_f[..., None, :]
         if not self.mlp:
-            jac = self.jac = np.multiply(self.v_col, slope_row, out=self.jac)
+            jac = self.jac = np.multiply(self.v_col, self.slope_row, out=self.jac)
         else:
             if self.outer is None:
                 self.outer = self.rows.reshape(self.hidden.shape)  # free by now
-            d_pre = _pre_activation_grad(self.v_col, self.hidden, slope_row, self.hidden,
-                                         self.outer)
+            d_pre = _pre_activation_grad(self.v_col, self.hidden, self.slope_row,
+                                         self.hidden, self.outer)
             if self.WT.shape[-2] > 1:
                 jac = self.jac = np.matmul(self.WT, d_pre, out=self.jac)
             else:  # d = 1: a matrix-vector product
@@ -290,7 +290,7 @@ def vjp_input(model: ScoringModel, cache, d_f):
     through the pass the attack's ascent takes."""
     passes = _Passes(model)
     passes.scores(cache[0].mT)
-    return passes.input_grad(d_f, passes.output_slope()).mT
+    return passes.input_grad(d_f).mT
 
 
 def vjp_params(model: ScoringModel, cache, d_f):

@@ -97,10 +97,12 @@ class _BoundAscent:
     gives its value and the next step's gradient, and a row's squared cost
     sums its d terms in sequence, as a row-major sum does for d < 8.  The
     penalty's work is skipped where it changes no bit: when every multiplier
-    is 0, and at the start, where every cost is +0.0, no value is -0.0 and
-    the clip maps a -0.0 coordinate to +0.0.  So binding runs the first step
-    (pass 0 at the start, scores ``f_start``; the clipped step to x1; pass
-    1), and ``run(lam)`` continues from pass 1 on copies: a fresh ascent's bits.
+    is 0, and at the start, where every cost is x - x = +0.0, so v - lam*cost
+    is v, as no value is -0.0 (w*(f - c)**2 never is); grad - 2*lam*dx then
+    differs from grad at most in the sign of a zero, and the clip maps a -0.0
+    coordinate to +0.0.  So binding runs the first step (pass 0 at the
+    start, scores ``f_start``; the clipped step to x1; pass 1), and
+    ``run(lam)`` continues from pass 1 on copies: a fresh ascent's bits.
     """
 
     __slots__ = ("passes", "loss", "steps", "step_size", "start", "f_start",
@@ -115,14 +117,14 @@ class _BoundAscent:
         f = passes.scores(start)
         self.f_start = f.copy()
         self.val0 = loss.value(f, None, f_c, lf)
-        grad = passes.input_grad(loss.d_f(f_c, d_f), passes.output_slope())
+        grad = passes.input_grad(loss.d_f(f_c, d_f))
         grad *= self.step_size
         self.x1 = x1 = start + grad
         np.minimum(np.maximum(ZERO, x1, out=x1), ONE, out=x1)
         self.vals1 = loss.value(passes.scores(x1), None, f_c, lf)
         self.grad1 = None
         if steps > 1:  # a copy: the next pass overwrites the pass buffer
-            self.grad1 = passes.input_grad(loss.d_f(f_c, d_f), passes.output_slope()).copy()
+            self.grad1 = passes.input_grad(loss.d_f(f_c, d_f)).copy()
 
     def run(self, lam):
         """(values, x_adv) of ``attack_batch`` under ``lam``, a float64 scalar
@@ -152,7 +154,7 @@ class _BoundAscent:
             if k == 1:
                 grad = self.grad1
             else:
-                grad = passes.input_grad(loss.d_f(f_c, d_f), passes.output_slope())
+                grad = passes.input_grad(loss.d_f(f_c, d_f))
             if penalized:  # grad - 2*lam*dx, in dx
                 grad = np.subtract(grad, np.multiply(two_lam, dx, out=dx), out=dx)
             x_cur += np.multiply(grad, self.step_size, out=step)

@@ -23,7 +23,7 @@ The variant only picks the groups, once, before the loop:
 With eta_z = 0 and eps = 0 the three walk bitwise-identical trajectories
 from the same seed.  The loss's imbalance ratio is the training set's
 cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
-and each row's group) are tabled once per dataset, for each batch to take.
+and each row's group) are looked up by label in a two-entry table per run.
 
 Each run's history is a ``History`` of columns: (k + P) float64 values per
 iteration for its k scalar fields and P parameters, a record built on read.
@@ -232,18 +232,16 @@ def train_stacked(runs) -> list[TrainState]:
                                  f"{shape[name]!r}, run {i} has {value!r}")
 
     R, n, attack = len(runs), cfg0.batch_size, shape[_ATTACK]
-    datasets = [dataset for dataset, _, _ in runs]
-    cfgs = [cfg for _, cfg, _ in runs]
-    # Per run: its groups' budgets and, once per dataset, the loss's label rows
-    # (pos; w, l, 2w) and each row's group (negatives 1 under da), whose batch
-    # rows each iteration takes; lam[r, g] is run r's multiplier for group g.
+    datasets, cfgs, _ = zip(*runs)
+    # Per run: its groups' budgets and, for labels 0 and 1, the loss's label
+    # rows (w, l, 2w) and groups (negatives 1 under da), which each batch takes
+    # by its labels; lam[r, g] is run r's multiplier for group g.
     budgets, tables = [], []
+    group_of = np.array([[cfg.variant == "da", 0] for cfg in cfgs], dtype=np.intp)
     for dataset, cfg in zip(datasets, cfgs):
         eps, da = 0.0 if cfg.variant == "aucm-baseline" else cfg.eps, cfg.variant == "da"
         budgets.append(np.array(split_epsilon(eps, dataset.p_hat, cfg.k_split) if da else [eps]))
-        label = label_rows(dataset.p_hat, dataset.labels)
-        tables.append((label[0], np.stack(label[1:]), (da & ~label[0]).astype(np.intp)))
-    group_of = [[int(cfg.variant == "da"), 0] for cfg in cfgs]  # the groups of labels 0, 1
+        tables.append(np.stack(label_rows(dataset.p_hat, np.arange(2))[1:]))
     # Float64 whatever the configs' types: an int lambda0 would otherwise
     # make lam an int array that truncates every multiplier update.
     lam = np.array([[cfg.lambda0] * 2 for cfg in cfgs], dtype=np.float64)
@@ -260,8 +258,8 @@ def train_stacked(runs) -> list[TrainState]:
     thetas = np.empty((R, cfg0.iters, theta.shape[-1]), theta.dtype)  # each iteration's start
     histories = [History(GROUP_SUFFIXES[cfg.variant], thetas[r]) for r, cfg in enumerate(cfgs)]
     x_batch = np.empty((R, n, model0.input_dim))
-    pos_rows, terms, group = (np.empty((R, n), dtype=bool), np.empty((3, R, n)),
-                              np.empty((R, n), dtype=np.intp))
+    y_batch, pos_rows, terms, group = (np.empty((R, n), dtype=int), np.empty((R, n), dtype=bool),
+                                       np.empty((3, R, n)), np.empty((R, n), dtype=np.intp))
     # A lone run's arrays and steps drop the run axis (NumPy's cost per call
     # grows with the axes); the outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
@@ -275,12 +273,13 @@ def train_stacked(runs) -> list[TrainState]:
                         (rates[:, :1], rates[:, 1:, None]))
     for t in range(1, cfg0.iters + 1):
         thetas[:, t - 1] = theta
-        for r, (dataset, rng, (pos_t, terms_t, group_t)) in enumerate(zip(datasets, rngs, tables)):
+        for r, (dataset, rng, table, groups) in enumerate(zip(datasets, rngs, tables, group_of)):
             idx = sample_batch(dataset, n, rng)  # in range, so "clip" clips nothing
             dataset.features.take(idx, axis=0, out=x_batch[r], mode="clip")
-            pos_t.take(idx, out=pos_rows[r], mode="clip")
-            terms_t.take(idx, axis=1, out=terms[:, r], mode="clip")
-            group_t.take(idx, out=group[r], mode="clip")
+            y = dataset.labels.take(idx, out=y_batch[r], mode="clip")  # each 0 or 1
+            np.equal(y, 1, out=pos_rows[r])
+            table.take(y, axis=1, out=terms[:, r], mode="clip")
+            groups.take(y, out=group[r], mode="clip")
         loss = _FixedLabelLoss(lone(aux), lone(p_hat), rows=rows)
 
         if attack:

@@ -149,7 +149,7 @@ class TestFeatureMajorMatchesRowMajor:
         passes = _Passes(model)
         for batch in (x, rng.uniform(0.0, 1.0, size=x.shape)):
             f = passes.scores(np.ascontiguousarray(batch.T))
-            got = passes.input_grad(d_f, passes.output_slope())
+            got = passes.input_grad(d_f)
             want_f, want_cache = row_major_forward(model, batch)
             assert same_bytes(f, want_f)
             assert same_bytes(np.ascontiguousarray(got.T),
@@ -178,7 +178,7 @@ class TestFeatureMajorMatchesRowMajor:
                 assert same_bytes(cache[1], want_cache[1])
             assert same_bytes(vjp_params(model, cache, d_f), vjp_params(fresh, want_cache, d_f))
             # A new d_f array each pass, through the same binding.
-            got_in = passes.input_grad(d_f, passes.output_slope())
+            got_in = passes.input_grad(d_f)
             assert same_bytes(got_in.mT, vjp_input(fresh, want_cache, d_f))
             params -= 0.05 * rng.normal(size=params.shape)  # in place, as training steps
 

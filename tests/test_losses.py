@@ -249,9 +249,9 @@ def loss_terms(loss):
 
 
 class TestLabelRowTables:
-    """Training takes each batch's label rows from a table made once per
-    dataset; the loss built from them is the one built from the batch's
-    labels, in every term array."""
+    """Training takes each batch's label rows by label from a run's table
+    for labels 0 and 1; the loss built from them is the one built from the
+    batch's labels, in every term array."""
 
     @pytest.mark.parametrize("ps", [(1e-9,), (0.3,), (1.0 - 1e-9,), (1e-9, 0.3, 1.0 - 1e-9)],
                              ids=["p-near-0", "p-mid", "p-near-1", "three-runs"])
@@ -262,9 +262,10 @@ class TestLabelRowTables:
         # Run 0's batch holds no negatives.
         idx = [rng.choice(np.flatnonzero(y == 1), n) if r == 0 else rng.choice(40, n)
                for r, y in enumerate(labels)]
-        tables = [label_rows(p, y) for p, y in zip(ps, labels)]
-        rows = [np.stack([table[i].take(ix) for table, ix in zip(tables, idx)]) for i in range(4)]
         y_batch = np.stack([y.take(ix) for y, ix in zip(labels, idx)])
+        tables = [label_rows(p, np.arange(2)) for p in ps]
+        rows = [y_batch == 1, *(np.stack([table[i].take(y) for table, y in zip(tables, y_batch)])
+                                for i in (1, 2, 3))]
         aux = [(0.3, 0.75, -0.3), (0.0, 1.0, 1.0), (0.9, 0.1, -1.0)][: len(ps)]
         if len(ps) == 1:  # one run drops the run axis
             aux, ps, rows, y_batch = aux[0], ps[0], [r[0] for r in rows], y_batch[0]

@@ -71,6 +71,23 @@ class TestSampleBatch:
             idx = sample_batch(ds, 10, rng)
             assert (ds.labels[idx] == 1).any()
 
+    @pytest.mark.parametrize("n_pos", [1, 5])
+    def test_indices_in_range(self, n_pos):
+        # Training takes the batch's rows with mode="clip", which would read
+        # the last row for an out-of-range index instead of raising, so every
+        # index must already lie in [0, n), each once, on both draw paths.
+        n = 30
+        labels = np.zeros(n, dtype=int)
+        labels[:n_pos] = 1
+        ds = Dataset.from_arrays(np.random.default_rng(5).uniform(0, 1, (n, 2)), labels)
+        rng = np.random.default_rng(6)
+        for batch_size in (2, 7, n):
+            for _ in range(300):
+                idx = sample_batch(ds, batch_size, rng)
+                assert idx.dtype.kind == "i" and idx.shape == (batch_size,)
+                assert 0 <= idx.min() and idx.max() < n
+                assert np.unique(idx).size == batch_size
+
     def test_errors(self):
         ds = gen_synthetic(20, 1, seed=3)
         with pytest.raises(ValueError):
