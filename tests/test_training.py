@@ -48,6 +48,14 @@ class TestSplitEpsilon:
             split_epsilon(0.5, 0.8, 1.5)  # k * p >= 1
 
 
+def assert_rows_of(ds, idx, batch_size):
+    # Training takes the batch's rows with mode="clip", which would read the
+    # last row for an out-of-range index instead of raising, so every index
+    # must already lie in [0, n), each once.
+    assert idx.dtype.kind == "i" and idx.shape == (batch_size,)
+    assert 0 <= idx.min() and idx.max() < ds.n and np.unique(idx).size == batch_size
+
+
 class TestSampleBatch:
     def test_single_positive_always_included(self):
         feats = np.random.default_rng(1).uniform(0, 1, size=(50, 1))
@@ -57,6 +65,7 @@ class TestSampleBatch:
         rng = np.random.default_rng(2)
         for _ in range(200):
             idx = sample_batch(ds, 8, rng)
+            assert_rows_of(ds, idx, 8)
             assert (ds.labels[idx] == 1).any()
 
     def test_full_batch_is_whole_dataset(self):
@@ -69,24 +78,8 @@ class TestSampleBatch:
         rng = np.random.default_rng(4)
         for _ in range(10_000):
             idx = sample_batch(ds, 10, rng)
+            assert_rows_of(ds, idx, 10)
             assert (ds.labels[idx] == 1).any()
-
-    @pytest.mark.parametrize("n_pos", [1, 5])
-    def test_indices_in_range(self, n_pos):
-        # Training takes the batch's rows with mode="clip", which would read
-        # the last row for an out-of-range index instead of raising, so every
-        # index must already lie in [0, n), each once, on both draw paths.
-        n = 30
-        labels = np.zeros(n, dtype=int)
-        labels[:n_pos] = 1
-        ds = Dataset.from_arrays(np.random.default_rng(5).uniform(0, 1, (n, 2)), labels)
-        rng = np.random.default_rng(6)
-        for batch_size in (2, 7, n):
-            for _ in range(300):
-                idx = sample_batch(ds, batch_size, rng)
-                assert idx.dtype.kind == "i" and idx.shape == (batch_size,)
-                assert 0 <= idx.min() and idx.max() < n
-                assert np.unique(idx).size == batch_size
 
     def test_errors(self):
         ds = gen_synthetic(20, 1, seed=3)
