@@ -23,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_report
-from .data import Dataset, corrupt, gen_synthetic, load_csv, make_long_tailed, save_csv, seeded_rng
+from .data import Dataset, gen_synthetic, load_csv, make_long_tailed, save_csv, seeded_rng
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
-from .model import init_model, parse_arch, score, ScoringModel
-from .robust import (AttackConfig, attack_dataset, barycenter_attack, brute_force_worst_case,
+from .model import init_model, parse_arch, ScoringModel
+from .robust import (AttackConfig, barycenter_attack, brute_force_worst_case, evaluate,
                      min_cost_flip_search)
 from .training import VARIANTS, TrainConfig, train
 from .verification import run_all
@@ -118,29 +118,6 @@ def _float_list(text: str, source: str, name: str):
     return values
 
 
-def _auc_metrics(model, aux, dataset, nominal_key, sigmas, eps, attack, seed) -> dict:
-    """The AUCs of ``model`` in `drauc train`'s report and `drauc eval`: nominal
-    AUC under ``nominal_key``, corrupted AUC per sigma, and per budget in
-    ``eps`` the robust AUC, its attack's multiplier and mean squared cost,
-    and whether the budget binds (1 iff the multiplier is above 0)."""
-    def auc(features):
-        scores = score(model, features)
-        return auc_mann_whitney(scores[dataset.labels == 1], scores[dataset.labels == 0])
-
-    def robust(radius):  # the scalars alone, so no budget's x_adv outlives its attack
-        atk = attack_dataset(model, dataset, radius, aux, attack)
-        (lam,), (cost,) = atk.lam, atk.cost
-        return {f"robust_auc_{radius:g}": auc(atk.x_adv), f"robust_lam_{radius:g}": lam,
-                f"robust_cost_{radius:g}": cost, f"robust_binding_{radius:g}": int(lam > 0.0)}
-
-    metrics = {nominal_key: auc(dataset.features)}
-    for sig in sigmas:
-        metrics[f"corrupted_auc_{sig:g}"] = auc(corrupt(dataset, sig, seed).features)
-    for radius in eps:
-        metrics.update(robust(radius))
-    return metrics
-
-
 def _emit(lines, out_path=None):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -184,8 +161,9 @@ def _cmd_train(resolved, sources) -> int:
              if k not in ("out", "report", "data")},
     ), resolved["out"])
 
-    metrics = _auc_metrics(state.model, state.aux, dataset, "final_nominal_auc", sigmas,
-                           radii, AttackConfig(), resolved["seed"])
+    metrics = {"final_" + key if key == "nominal_auc" else key: value
+               for key, value in evaluate(state.model, state.aux, dataset, sigmas=sigmas,
+                                          eps=radii, seed=resolved["seed"]).items()}
     metrics["wall_clock_seconds"] = time.perf_counter() - started
 
     report_path = resolved["report"] or resolved["out"] + ".report"
@@ -206,8 +184,8 @@ def _cmd_eval(args) -> int:
     attack = AttackConfig(steps=args.attack_steps, step_size=args.attack_step_size)
     ck = load_checkpoint(args.ckpt)
     dataset = load_csv(args.data, (ck.scaler_min, ck.scaler_max))
-    metrics = _auc_metrics(ck.model, ck.aux, dataset, "nominal_auc", sigmas, radii, attack,
-                           args.seed)
+    metrics = evaluate(ck.model, ck.aux, dataset, sigmas=sigmas, eps=radii, attack=attack,
+                       seed=args.seed)
     _emit([f"clipped_values={dataset.clipped}"]
           + [f"{key}={value:.17g}" for key, value in metrics.items()], args.out)
     return 0

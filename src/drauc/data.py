@@ -85,17 +85,30 @@ def _apply_scaler(raw: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray
     return out
 
 
-def check_integer(name, value):
-    """A ValueError naming ``name`` unless value is an int or np.integer, not a bool."""
+def check_integer(name, value, least=None):
+    """A ValueError naming ``name`` unless value is an int or np.integer, not
+    a bool, and at least ``least`` if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name, value, least=None, strict=False):
+    """A ValueError naming ``name`` unless value is a finite number, not a
+    bool (which arithmetic reads as 1 or 0), and at least ``least`` if
+    given, or above it if ``strict``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value) or least is not None and not (
+            value > least if strict else value >= least):
+        bound = "" if least is None else f" and {'>' if strict else '>='} {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 def seeded_rng(seed) -> np.random.Generator:
     """NumPy's generator for ``seed``, an int >= 0, or a ValueError naming it."""
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_integer("seed", seed, 0)
     return np.random.default_rng(seed)
 
 
@@ -103,15 +116,11 @@ def gen_synthetic(n: int, d: int, mu_pos: float = 0.65, mu_neg: float = 0.35,
                   sigma: float = 0.15, seed: int = 0) -> Dataset:
     """Two isotropic Gaussian blobs, half positive at mu_pos and half
     negative at mu_neg, min-max normalized per dimension."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_integer("n", n, 4)
+    check_integer("d", d, 1)
     for name, mu in (("mu_pos", mu_pos), ("mu_neg", mu_neg)):
-        if not math.isfinite(mu):
-            raise ValueError(f"{name} must be finite, got {mu}")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+        check_real(name, mu)
+    check_real("sigma", sigma, 0, strict=True)
     rng = seeded_rng(seed)
     n_pos = n // 2
     n_neg = n - n_pos
@@ -151,8 +160,7 @@ def make_long_tailed(dataset: Dataset, ratio: float, seed: int = 0) -> Dataset:
 
 def corrupt(dataset: Dataset, sigma: float, seed: int = 0) -> Dataset:
     """Add seeded i.i.d. Gaussian noise to features and clip to [0,1]."""
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    check_real("sigma", sigma, 0)
     rng = seeded_rng(seed)
     noise = rng.standard_normal(dataset.features.shape)
     feats = np.clip(dataset.features + sigma * noise, 0.0, 1.0)

@@ -4,12 +4,11 @@ loop relies on: d g / d(theta, a, b, alpha, x) through the scoring model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import seeded_rng
+from .data import check_integer, check_real, seeded_rng
 from .losses import AuxParams, surrogate_loss, surrogate_loss_grads
 from .model import (LINEAR_IDENTITY_CLAMPED, ScoringModel, forward, init_model,
                     param_count, vjp_input, vjp_params)
@@ -48,12 +47,10 @@ def grad_check(arch: str, trials: int = 1000, h: float = 1e-5,
     at a time and values all its points in one stacked pass, each point its
     own one-row run with its own (a, b, alpha), so each value is bitwise
     that of the perturbed loss, model and input alone."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_integer("trials", trials, 1)
     rng = seeded_rng(seed)
     for name, value in (("h", h), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        check_real(name, value, 0, strict=True)
     max_err = 0.0
     worst = ""
     checked = 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_integer
+from .data import Dataset, check_integer, check_real, corrupt
 from .losses import (AuxParams, _FixedLabelLoss, _check_labels, auc_mann_whitney,
                      surrogate_loss)
 from .model import ONE, ZERO, ScoringModel, _Passes, score
@@ -49,11 +49,8 @@ class AttackConfig:
     step_size: float = 0.05
 
     def __post_init__(self):
-        check_integer("steps", self.steps)
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        check_integer("steps", self.steps, 1)
+        check_real("step_size", self.step_size, 0, strict=True)
 
 
 def attack_batch(model: ScoringModel, aux: AuxParams, p_hat: float, lam,
@@ -331,8 +328,7 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
             f"brute force oracle limited to n <= 6, d = 1 "
             f"(got n={dataset.n}, d={dataset.d})"
         )
-    if grid_resolution < 101:
-        raise ValueError(f"grid_resolution must be >= 101, got {grid_resolution}")
+    check_integer("grid_resolution", grid_resolution, 101)
     if not eps >= 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
 
@@ -374,8 +370,7 @@ def barycenter_attack(x_pos: float, x_neg: float, n_pos: int, n_neg: int) -> Bar
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {x}")
     for name, count in (("n_pos", n_pos), ("n_neg", n_neg)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+        check_integer(name, count, 1)
     p = n_pos / (n_pos + n_neg)
     target = p * x_pos + (1.0 - p) * x_neg
     cost = p * (x_pos - target) ** 2 + (1.0 - p) * (x_neg - target) ** 2
@@ -399,8 +394,7 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     clusters to one point, so the grid minimum matches the closed-form
     bound up to grid resolution.
     """
-    if grid_resolution < 2:
-        raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
+    check_integer("grid_resolution", grid_resolution, 2)
     p = n_pos / (n_pos + n_neg)
     grid = np.linspace(0.0, 1.0, grid_resolution)
     cost_pos = p * (x_pos - grid) ** 2
@@ -458,6 +452,19 @@ def _calibrate(attack, x0, radius):
     return b, adv, cost
 
 
+def _radii(eps) -> list:
+    """The radii, each finite and >= 0, of ``eps``: one budget or an (eps_pos, eps_neg) pair."""
+    try:
+        radii = np.asarray(eps, dtype=float)
+    except (TypeError, ValueError):  # a ragged or non-numeric sequence
+        radii = None
+    if radii is None or radii.shape not in ((), (2,)):
+        raise ValueError(f"eps must be one budget or an (eps_pos, eps_neg) pair, got {eps}")
+    if not ((0.0 <= radii) & (radii < math.inf)).all():
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    return radii.reshape(-1).tolist()
+
+
 @dataclass(frozen=True)
 class DatasetAttack:
     """A budgeted attack's rows ``x_adv`` and, per label group, its
@@ -485,20 +492,10 @@ def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
         raise ValueError("both classes must be present")
     cfg = cfg or AttackConfig()
     feats, labels = dataset.features, dataset.labels
-    try:
-        radii = np.asarray(eps, dtype=float)
-    except (TypeError, ValueError):  # a ragged or non-numeric sequence
-        radii = None
-    if radii is None or radii.shape not in ((), (2,)):
-        raise ValueError(f"eps must be one budget or an (eps_pos, eps_neg) pair, got {eps}")
-    if not ((0.0 <= radii) & (radii < math.inf)).all():  # every radius before any attack
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    if radii.ndim == 0:
-        groups = [(slice(None), float(radii))]
-    else:
-        groups = [(labels == 1, float(radii[0])), (labels == 0, float(radii[1]))]
-    adv, lams, costs = feats.copy(), [_LAMBDA_CAP] * len(groups), [0.0] * len(groups)
-    for g, (mask, radius) in enumerate(groups):
+    radii = _radii(eps)  # every radius before any attack
+    masks = [slice(None)] if len(radii) == 1 else [labels == 1, labels == 0]
+    adv, lams, costs = feats.copy(), [_LAMBDA_CAP] * len(radii), [0.0] * len(radii)
+    for g, (mask, radius) in enumerate(zip(masks, radii)):
         if radius > 0.0:
             x0 = feats[mask]
             ascent = _bind_ascent(model, aux, dataset.p_hat, x0, labels[mask], cfg)
@@ -508,11 +505,34 @@ def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
     return DatasetAttack(adv, tuple(lams), tuple(costs))
 
 
-def estimate_robust_auc(model: ScoringModel, dataset: Dataset, eps,
-                        aux: AuxParams, cfg: AttackConfig | None = None) -> float:
-    """Empirical upper bound on the robust AUC: the AUC after
-    ``attack_dataset``'s feasible attack, which is at least the AUC after
-    the worst attack within the budget (the nominal AUC at eps = 0)."""
-    adv = attack_dataset(model, dataset, eps, aux, cfg).x_adv
-    scores, labels = score(model, adv), dataset.labels
-    return auc_mann_whitney(scores[labels == 1], scores[labels == 0])
+def evaluate(model: ScoringModel, aux: AuxParams, dataset: Dataset, *, sigmas=(), eps=(),
+             attack: AttackConfig | None = None, seed: int = 0) -> dict:
+    """The AUCs (ties half) `drauc train` and `drauc eval` report, in order:
+    ``nominal_auc``, ``corrupted_auc_<s>`` per s in ``sigmas`` (``corrupt``
+    with ``seed``), then per budget e in ``eps`` (``attack_dataset``'s),
+    ``robust_auc_<e>``, an upper bound on the worst case, and its attack's
+    ``robust_lam_<e>``, ``robust_cost_<e>`` and ``robust_binding_<e>`` (1 iff
+    lam > 0).  Keys format numbers with :g; a pair's <e> is
+    <eps_pos>_<eps_neg>, and its lam, cost and binding keys end in _pos,
+    then in _neg.  Every sigma and budget is checked before any scoring."""
+    for sigma in sigmas:
+        check_real("sigma", sigma, 0)
+    budgets = [(e, _radii(e)) for e in eps]
+
+    def auc(features):
+        scores = score(model, features)
+        return auc_mann_whitney(scores[dataset.labels == 1], scores[dataset.labels == 0])
+
+    metrics = {"nominal_auc": auc(dataset.features)}
+    for sigma in sigmas:
+        metrics[f"corrupted_auc_{sigma:g}"] = auc(corrupt(dataset, sigma, seed).features)
+    for e, radii in budgets:
+        key = "_".join(f"{radius:g}" for radius in radii)
+        suffixes = ("",) if len(radii) == 1 else ("_pos", "_neg")
+        atk = attack_dataset(model, dataset, e, aux, attack)
+        metrics[f"robust_auc_{key}"] = auc(atk.x_adv)
+        for name, values in (("lam", atk.lam), ("cost", atk.cost),
+                             ("binding", [int(lam > 0.0) for lam in atk.lam])):
+            metrics.update(zip([f"robust_{name}_{key}{s}" for s in suffixes], values))
+        del atk  # no budget's x_adv outlives its attack
+    return metrics

@@ -31,14 +31,13 @@ iteration for its k scalar fields and P parameters, a record built on read.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from itertools import chain, repeat
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset, check_integer, seeded_rng
+from .data import Dataset, check_integer, check_real, seeded_rng
 from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney, label_rows
 from .model import ScoringModel, _Passes, vjp_params
 from .robust import _BoundAscent
@@ -68,8 +67,8 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if type(f.default) is float:
+                check_real(f.name, value)
             if type(f.default) is int:
                 check_integer(f.name, value)
         if self.variant not in VARIANTS:
@@ -95,14 +94,12 @@ class DualState:
     eps: tuple = ()
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_max < math.inf:
-            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
+        check_real("lambda_max", self.lambda_max, 0, strict=True)
         for i, v in enumerate(self.lam):
             if not 0.0 <= v <= self.lambda_max:
                 raise ValueError(f"lam[{i}]={v} outside [0, {self.lambda_max}]")
         for i, v in enumerate(self.eps):
-            if not 0.0 <= v < math.inf:
-                raise ValueError(f"eps[{i}] must be finite and >= 0, got {v}")
+            check_real(f"eps[{i}]", v, 0)
 
 
 class History(Sequence):
@@ -158,8 +155,7 @@ def split_epsilon(eps: float, p_hat: float, k: float):
     eps_pos = k * eps and eps_neg = (1 - k*p) * eps / (1 - p), so
     p * eps_pos + (1 - p) * eps_neg = eps.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    check_real("eps", eps, 0)
     if not 0.5 <= k <= 1.5:
         raise ValueError(f"k must lie in [0.5, 1.5], got {k}")
     if k * p_hat >= 1.0:

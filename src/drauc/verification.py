@@ -26,7 +26,7 @@ from .losses import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_r
                      saddle_value, surrogate_loss, surrogate_loss_grads)
 from .model import init_model, _init_params, score, ScoringModel
 from .robust import (AttackConfig, attack_batch, barycenter_attack,
-                     brute_force_worst_case, dual_curve, min_cost_flip_search,
+                     brute_force_worst_case, dual_curve, evaluate, min_cost_flip_search,
                      robust_surrogate_exact_1d)
 from .training import TrainConfig, train, train_stacked
 
@@ -433,8 +433,7 @@ def check_separable_training(seed=15):
     # The attacked variants in one stack; the baseline does not attack.
     states = train_stacked(runs[:2]) + [train(*runs[2])]
     for (_, cfg, _), state in zip(runs, states):
-        scores = score(state.model, ds.features)
-        auc = auc_mann_whitney(scores[labels == 1], scores[labels == 0])
+        auc = evaluate(state.model, state.aux, ds)["nominal_auc"]
         if auc != 1.0:
             return False, f"{cfg.variant}: training AUC {auc} after 500 iterations"
     return True, "all variants rank the separable set perfectly"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from drauc import (AttackConfig, TrainConfig, auc_mann_whitney, barycenter_attack,
-                   closed_form_aux, corrupt, estimate_robust_auc, gen_synthetic,
+                   closed_form_aux, evaluate, gen_synthetic,
                    init_model, load_checkpoint, load_csv, make_long_tailed,
                    min_cost_flip_search, save_csv, score, split_epsilon, train,
                    train_stacked)
@@ -96,13 +96,8 @@ def test_criterion_7_robustness_direction():
         results = []
         for s, state in zip(seeds, train_stacked(runs)):
             test = gen_synthetic(2000, 2, seed=s + 1000)
-            test_cor = corrupt(test, 0.2, seed=s + 2000)
-
-            def auc(dset):
-                f = score(state.model, dset.features)
-                return auc_mann_whitney(f[dset.labels == 1], f[dset.labels == 0])
-
-            results.append((auc(test), auc(test_cor)))
+            aucs = evaluate(state.model, state.aux, test, sigmas=[0.2], seed=s + 2000)
+            results.append((aucs["nominal_auc"], aucs["corrupted_auc_0.2"]))
         return results
 
     results = {v: run_variant(v) for v in ("aucm-baseline", "da")}
@@ -164,10 +159,9 @@ def test_criterion_10_monotone_robust_estimate():
     state = train(ds, cfg, init_model("linear-sigmoid", 2, 110))
     scores = score(state.model, ds.features)
     aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
-    nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
     attack = AttackConfig(steps=10, step_size=0.05)
-    values = [estimate_robust_auc(state.model, ds, eps, aux, attack)
-              for eps in (0.0, 0.05, 0.1, 0.2)]
-    assert values[0] == nominal
+    metrics = evaluate(state.model, aux, ds, eps=(0.0, 0.05, 0.1, 0.2), attack=attack)
+    values = [metrics[f"robust_auc_{eps:g}"] for eps in (0.0, 0.05, 0.1, 0.2)]
+    assert values[0] == metrics["nominal_auc"]
     assert all(values[i] >= values[i + 1] for i in range(3)), values
     sw.done("criterion 10: robust AUC estimate non-increasing in the budget")

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drauc import (AttackConfig, TrainConfig, __version__, attack_batch, auc_mann_whitney,
-                   gen_synthetic, init_model, load_checkpoint, load_csv, parse_report, score,
-                   train)
+from drauc import (AttackConfig, Dataset, TrainConfig, __version__, attack_batch,
+                   evaluate, gen_synthetic, init_model, load_checkpoint, load_csv,
+                   parse_report, train)
 from drauc.cli import build_parser, run_command
 from drauc.verification import _CHECKS
 
@@ -292,8 +292,7 @@ class TestEval:
         out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
         ck = load_checkpoint(ck_path)
         feats = np.clip((raw - ck.scaler_min) / (ck.scaler_max - ck.scaler_min), 0.0, 1.0)
-        scores = score(ck.model, feats)
-        expect = auc_mann_whitney(scores[test_labels == 1], scores[test_labels == 0])
+        expect = evaluate(ck.model, ck.aux, Dataset.from_arrays(feats, test_labels))["nominal_auc"]
         assert out["clipped_values"] == "1"
         assert float(out["nominal_auc"]) == expect
 
@@ -316,6 +315,25 @@ class TestEval:
         for key in ("corrupted_auc_0.1", "robust_auc_0.01", "robust_auc_0.002",
                     "robust_lam_0.002", "robust_cost_0.002", "robust_binding_0.002"):
             assert report[key] == evaluated[key]
+
+    def test_prints_evaluate_with_all_digits(self, tmp_path, capsys):
+        # eval only formats: after clipped_values, one line per entry of
+        # evaluate on the same checkpoint, rows, sigmas, budgets and seed.
+        data, ck = tmp_path / "d.csv", tmp_path / "ck.txt"
+        assert run(["gen-data", "--out", str(data), "--n", "200", "--ratio", "0.2",
+                    "--seed", "6"]) == 0
+        assert run(["train", "--data", str(data), "--iters-T", "40", "--batch", "16",
+                    "--seed", "6", "--out", str(ck)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", str(ck), "--data", str(data), "--sigmas", "0,0.1",
+                    "--eps", "0,0.002,0.5", "--attack-steps", "7", "--attack-step-size",
+                    "0.04", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checkpoint = load_checkpoint(ck)
+        dataset = load_csv(data, (checkpoint.scaler_min, checkpoint.scaler_max))
+        metrics = evaluate(checkpoint.model, checkpoint.aux, dataset, sigmas=[0.0, 0.1],
+                           eps=[0.0, 0.002, 0.5], attack=AttackConfig(7, 0.04), seed=3)
+        assert lines == ["clipped_values=0"] + [f"{k}={v:.17g}" for k, v in metrics.items()]
 
     def test_reports_each_budgets_multiplier_cost_and_binding(self, tmp_path, capsys):
         data, ck = tmp_path / "d.csv", tmp_path / "ck.txt"

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from drauc import (DataFormatError, Dataset, TrainConfig, auc_mann_whitney, corrupt,
+from drauc import (AuxParams, DataFormatError, Dataset, TrainConfig, corrupt, evaluate,
                    gen_synthetic, grad_check, init_model, load_csv, make_long_tailed,
-                   save_csv, score, ScoringModel)
+                   save_csv, ScoringModel)
 from drauc.data import seeded_rng
 
 SEEDED = {
@@ -54,8 +54,7 @@ class TestGenSynthetic:
     def test_collapsed_blobs_are_separable(self):
         ds = gen_synthetic(60, 2, sigma=1e-6, seed=1)
         scorer = ScoringModel("linear-sigmoid", np.array([1.0, 1.0, 0.0]), 2)
-        s = score(scorer, ds.features)
-        assert auc_mann_whitney(s[ds.labels == 1], s[ds.labels == 0]) == 1.0
+        assert evaluate(scorer, AuxParams(0.0, 0.0, 0.0), ds)["nominal_auc"] == 1.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -65,13 +64,18 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(10, 2, sigma=0.0, seed=0)
 
-    @pytest.mark.parametrize("name, value", [("mu_pos", np.nan), ("mu_neg", np.inf),
-                                             ("mu_pos", -np.inf)])
-    def test_non_finite_mean_names_itself(self, name, value):
+    @pytest.mark.parametrize("name, value, message", [
+        ("mu_pos", np.nan, "must be finite, got nan"),
+        ("mu_neg", np.inf, "must be finite, got inf"),
+        ("mu_pos", -np.inf, "must be finite, got -inf"),
+        # Counts name themselves, not NumPy's TypeError; a bool is no sigma.
+        ("n", 10.5, "must be an integer, got 10.5"), ("d", True, "must be an integer, got True"),
+        ("sigma", True, "must be a real number, got True")])
+    def test_bad_argument_names_itself(self, name, value, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any arithmetic warns
-            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
-                gen_synthetic(10, 2, seed=0, **{name: value})
+            with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+                gen_synthetic(**{"n": 10, "d": 2, "seed": 0, name: value})
 
 
 class TestMakeLongTailed:
@@ -139,8 +143,10 @@ class TestCorrupt:
 
     def test_non_finite_sigma_rejected(self):
         ds = gen_synthetic(30, 2, seed=8)
-        for sigma in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="sigma must be finite"):
+        for sigma, message in ((float("nan"), "sigma must be finite"),
+                               (float("inf"), "sigma must be finite"),
+                               (True, "sigma must be a real number, got True")):
+            with pytest.raises(ValueError, match=message):
                 corrupt(ds, sigma, seed=0)
 
 

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel,
+from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel, corrupt,
                    attack_batch, attack_dataset, auc_mann_whitney, barycenter_attack,
                    brute_force_worst_case, closed_form_aux, dual_curve,
-                   estimate_robust_auc, forward, gen_synthetic, init_model,
+                   evaluate, forward, gen_synthetic, init_model,
                    min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
                    surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc import robust
@@ -190,7 +190,8 @@ class TestAttackBatch:
         for kwargs, message in (({"steps": 0}, "steps must be >= 1, got 0"),
                                 ({"steps": True}, "steps must be an integer, got True"),
                                 ({"steps": 2.5}, "steps must be an integer, got 2.5"),
-                                ({"step_size": 0.0}, "step_size must be finite and > 0")):
+                                ({"step_size": 0.0}, "step_size must be finite and > 0"),
+                                ({"step_size": True}, "step_size must be a real number")):
             with pytest.raises(ValueError, match="^" + message):
                 AttackConfig(**kwargs)
         assert AttackConfig(steps=np.int64(3)).steps == 3
@@ -437,8 +438,8 @@ class TestBoundAscent:
         aux = closed_form_aux(scores[ds.labels == 1], scores[ds.labels == 0])
         lam, adv, cost = attack_group(model, aux, ds, slice(None), 1e-4, AttackConfig())
         assert lam == 1e-9 and cost == 0.0 and adv.tobytes() == ds.features.tobytes()
-        nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
-        assert estimate_robust_auc(model, ds, 1e-4, aux) == nominal
+        metrics = evaluate(model, aux, ds, eps=[1e-4])
+        assert metrics["robust_auc_0.0001"] == metrics["nominal_auc"]
 
 
 def counted_runs(monkeypatch):
@@ -988,27 +989,64 @@ def trained():
     return ds, state.model, aux
 
 
-class TestEstimateRobustAuc:
+class TestEvaluate:
 
     def test_zero_budget_equals_nominal(self, trained):
         ds, model, aux = trained
         scores = score(model, ds.features)
         nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
-        assert estimate_robust_auc(model, ds, 0.0, aux) == nominal
-        assert estimate_robust_auc(model, ds, (0.0, 0.0), aux) == nominal
+        metrics = evaluate(model, aux, ds, eps=[0.0, (0.0, 0.0)])
+        assert metrics["nominal_auc"] == nominal
+        assert metrics["robust_auc_0"] == nominal
+        assert metrics["robust_auc_0_0"] == nominal
 
     def test_non_increasing_in_budget(self, trained):
         ds, model, aux = trained
         cfg = AttackConfig(steps=10, step_size=0.05)
-        vals = [estimate_robust_auc(model, ds, e, aux, cfg)
-                for e in (0.0, 0.05, 0.1, 0.2)]
+        metrics = evaluate(model, aux, ds, eps=(0.0, 0.05, 0.1, 0.2), attack=cfg)
+        vals = [metrics[f"robust_auc_{e:g}"] for e in (0.0, 0.05, 0.1, 0.2)]
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(3))
 
     def test_per_class_budgets_run(self, trained):
         ds, model, aux = trained
         cfg = AttackConfig(steps=10, step_size=0.05)
-        val = estimate_robust_auc(model, ds, (0.05, 0.02), aux, cfg)
+        val = evaluate(model, aux, ds, eps=[(0.05, 0.02)], attack=cfg)["robust_auc_0.05_0.02"]
         assert 0.0 <= val <= 1.0
+
+    def test_keys_values_and_order(self, trained):
+        # Nominal, then each sigma, then each budget's four keys; a pair's
+        # last three come once per label group, positives first.
+        ds, model, aux = trained
+        metrics = evaluate(model, aux, ds, sigmas=[0.1, 0.0], eps=[1e-3, (0.01, 0.0)], seed=5)
+        assert list(metrics) == [
+            "nominal_auc", "corrupted_auc_0.1", "corrupted_auc_0",
+            "robust_auc_0.001", "robust_lam_0.001", "robust_cost_0.001", "robust_binding_0.001",
+            "robust_auc_0.01_0", "robust_lam_0.01_0_pos", "robust_lam_0.01_0_neg",
+            "robust_cost_0.01_0_pos", "robust_cost_0.01_0_neg",
+            "robust_binding_0.01_0_pos", "robust_binding_0.01_0_neg"]
+        noisy = corrupt(ds, 0.1, seed=5)
+        scores = score(model, noisy.features)
+        assert metrics["corrupted_auc_0.1"] == auc_mann_whitney(scores[noisy.labels == 1],
+                                                                scores[noisy.labels == 0])
+        assert metrics["corrupted_auc_0"] == metrics["nominal_auc"]
+        pair = attack_dataset(model, ds, (0.01, 0.0), aux)
+        assert [metrics[f"robust_{name}_0.01_0_{side}"] for name in ("lam", "cost")
+                for side in ("pos", "neg")] == [*pair.lam, *pair.cost]
+        # A zero radius reports the search cap as its multiplier, so it binds.
+        assert metrics["robust_binding_0.01_0_neg"] == 1
+        assert all(type(metrics[key]) is int for key in metrics if "binding" in key)
+        assert all(type(metrics[key]) is float for key in metrics if "binding" not in key)
+
+    def test_binding_budget_reports_below_nominal(self, trained):
+        # At eps 1e-3 the unpenalized attack (cost 0.0138) overspends, so the
+        # multiplier search runs and the attack lowers the AUC.
+        ds, model, aux = trained
+        metrics = evaluate(model, aux, ds, eps=[1e-3])
+        atk = attack_dataset(model, ds, 1e-3, aux)
+        assert metrics["robust_auc_0.001"] < metrics["nominal_auc"]
+        assert metrics["robust_binding_0.001"] == 1
+        assert (metrics["robust_lam_0.001"], metrics["robust_cost_0.001"]) == \
+            (atk.lam[0], atk.cost[0])
 
     def test_collapsed_instance_reaches_zero_strict_auc(self):
         # Identity scorer, clusters at 0.9 / 0.1; any budget above
@@ -1024,22 +1062,25 @@ class TestEstimateRobustAuc:
     def test_single_class_rejected(self):
         ds = Dataset.from_arrays(np.array([[0.4], [0.6]]), np.array([1, 1]))
         with pytest.raises(ValueError):
-            estimate_robust_auc(IDENT, ds, 0.1, AUX0)
+            evaluate(IDENT, AUX0, ds, eps=[0.1])
 
     def test_non_finite_budget_rejected(self, trained):
         ds, model, aux = trained
         for eps in (math.nan, math.inf, (math.nan, 0.05), (0.0, math.nan), -0.1):
             with pytest.raises(ValueError, match="eps"):
-                estimate_robust_auc(model, ds, eps, aux)
+                evaluate(model, aux, ds, eps=[eps])
 
-    def test_every_radius_checked_before_any_attack(self, trained, monkeypatch):
+    @pytest.mark.parametrize("kwargs", [dict(eps=[(0.01, -1.0)]), dict(eps=[0.01, -1.0]),
+                                        dict(sigmas=[0.1, -1.0], eps=[0.01])])
+    def test_every_radius_checked_before_any_attack(self, trained, monkeypatch, kwargs):
         def attack(*args):
-            raise AssertionError("attacked before every radius was checked")
+            raise AssertionError("attacked or scored before every input was checked")
 
         monkeypatch.setattr("drauc.robust._calibrate", attack)
+        monkeypatch.setattr("drauc.robust.score", attack)
         ds, model, aux = trained
-        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
-            estimate_robust_auc(model, ds, (0.01, -1.0), aux)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            evaluate(model, aux, ds, **kwargs)
 
     @pytest.mark.parametrize("eps", [(0.001, 0.001, 5.0), (0.001,), [0.001, 0.002, 0.003], (),
                                      np.array([0.001, 0.002, 0.003]), np.array([[0.01, 0.0]]),
@@ -1047,15 +1088,15 @@ class TestEstimateRobustAuc:
     def test_per_class_budgets_take_a_pair(self, trained, eps):
         ds, model, aux = trained
         with pytest.raises(ValueError, match="^eps must be one budget or an"):
-            estimate_robust_auc(model, ds, eps, aux)
+            evaluate(model, aux, ds, eps=[eps])
 
     def test_ndarray_pair_matches_tuple(self, trained):
         ds, model, aux = trained
-        want = estimate_robust_auc(model, ds, (0.01, 0.0), aux)
+        want = evaluate(model, aux, ds, eps=[(0.01, 0.0)])
         for eps in (np.array([0.01, 0.0]), [0.01, 0.0]):
-            assert estimate_robust_auc(model, ds, eps, aux) == want
-        assert estimate_robust_auc(model, ds, np.float64(0.01), aux) == \
-            estimate_robust_auc(model, ds, 0.01, aux)
+            assert evaluate(model, aux, ds, eps=[eps]) == want
+        assert evaluate(model, aux, ds, eps=[np.float64(0.01)]) == \
+            evaluate(model, aux, ds, eps=[0.01])
 
 
 class TestAttackDataset:
@@ -1069,16 +1110,16 @@ class TestAttackDataset:
         assert [(atk.lam, atk.cost) for atk in slack] == [((0.0,), slack[0].cost)] * 2
         assert 0.0 < slack[0].cost[0] < 0.05
         assert slack[0].x_adv.tobytes() == slack[1].x_adv.tobytes()
-        assert estimate_robust_auc(model, ds, 0.05, aux) == estimate_robust_auc(model, ds, 1.0, aux)
+        metrics = evaluate(model, aux, ds, eps=[0.05, 1.0])
+        assert metrics["robust_auc_0.05"] == metrics["robust_auc_1"]
 
     def test_binding_budget_spends_at_most_its_radius(self, trained):
         ds, model, aux = trained
-        scores = score(model, ds.features)
-        nominal = auc_mann_whitney(scores[ds.labels == 1], scores[ds.labels == 0])
         atk = attack_dataset(model, ds, 1e-3, aux)
         assert atk.lam[0] > 0.0 and atk.cost[0] <= 1e-3
         assert atk.cost[0] == mean_cost(atk.x_adv, ds.features)
-        assert estimate_robust_auc(model, ds, 1e-3, aux) < nominal
+        metrics = evaluate(model, aux, ds, eps=[1e-3])
+        assert metrics["robust_auc_0.001"] < metrics["nominal_auc"]
 
 
 class TestDualState:

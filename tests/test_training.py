@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
-                   attack_batch, auc_mann_whitney, forward, gen_synthetic,
+                   attack_batch, auc_mann_whitney, evaluate, forward, gen_synthetic,
                    init_model, sample_batch, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params)
 from drauc.training import GROUP_SUFFIXES, VARIANTS
@@ -139,8 +139,7 @@ class TestTrainers:
         ds = separable_dataset()
         cfg = TrainConfig(variant="aucm-baseline", iters=200, batch_size=8, seed=16)
         state = train(ds, cfg, init_model("linear-sigmoid", 1, 16))
-        s = score(state.model, ds.features)
-        assert auc_mann_whitney(s[ds.labels == 1], s[ds.labels == 0]) == 1.0
+        assert evaluate(state.model, state.aux, ds)["nominal_auc"] == 1.0
         for rec in state.history:
             assert np.isfinite(rec["batch_auc"]) and 0.0 <= rec["batch_auc"] <= 1.0
 
@@ -188,6 +187,11 @@ class TestTrainers:
         for field, value in (("iters", 2.5), ("iters", True), ("batch_size", np.float64(64.0)),
                              ("steps", False), ("seed", 1.5)):
             with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                TrainConfig(**{field: value})
+        # A float field refuses a bool by name, not as 1.0 or 0.0.
+        for field, value in (("eta_w", True), ("eps", True), ("lambda0", False),
+                             ("lambda_max", np.True_)):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
                 TrainConfig(**{field: value})
         TrainConfig(iters=np.int64(3), batch_size=np.int32(8), steps=np.uint8(2),
                     seed=np.int64(1))
