@@ -168,18 +168,25 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def write_report(fh, config: dict, metrics: dict, history=None) -> None:
-    """Write the run report to the text stream ``fh``, a line or a record at a
-    time: "config.<key>" lines, the metrics, then a "history.<iteration>.<field>"
-    line per record field but theta and None; a ``History`` builds each record on read."""
+    """Write the run report to the text stream ``fh``: "config.<key>" lines,
+    the metrics, then from a ``History``'s columns a "history.<t>.<field>"
+    line per field of iteration t, but an absent group's mean cost; one
+    write per iteration, so the peak does not grow with the history."""
     for key in sorted(config):
         fh.write(f"config.{key}={config[key]}\n")
     for key, value in metrics.items():
         fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
-    for rec in history or []:  # a record's lines in one write; format() is _fmt on a float
-        prefix = f"history.{rec['iteration']}."
-        fh.write("".join([f"{prefix}{key}={format(v, '.17g') if isinstance(v, float) else v}\n"
-                          for key, v in rec.items()
-                          if key not in ("iteration", "theta") and v is not None]))
+    if history is None:
+        return
+    groups = history.present.shape[1]
+    for start in range(0, len(history.values), 256):  # a NumPy call per block of rows
+        block = history.values[start:start + 256].astype(object)  # Python floats
+        block[:, -groups:][~history.present[start:start + 256]] = None  # absent mean costs
+        for t, row in enumerate(zip(*block.T.tolist()), start + 1):
+            prefix = f"history.{t}."  # format() below is _fmt on a float
+            fh.write("".join([f"{prefix}{key}={format(v, '.17g')}\n"
+                              for key, v in zip(history.fields, row) if v is not None]))
+        del block  # freed before the next block is built, so one block is held at a time
 
 
 def parse_report(text: str) -> dict:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import seeded_rng
+from .data import check_integer, seeded_rng
 from .errors import ConfigError
 
 MLP1_TANH_SIGMOID = "mlp1-tanh-sigmoid"
@@ -128,6 +128,7 @@ def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
 def _init_params(arch: str, input_dim: int, rng: np.random.Generator):
     """``init_model``'s parameter vector for an arch descriptor, drawn from rng."""
     _, width = parse_arch(arch)
+    check_integer("input_dim", input_dim)
     if input_dim < 1:
         raise ConfigError("input_dim must be >= 1")
     if not width:

@@ -197,8 +197,7 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     (x, y) with x one point in [0, 1] and the label y 0 or 1."""
     if model.input_dim != 1:
         raise ValueError("exact oracle requires a 1-D model")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
+    check_integer("grid_resolution", grid_resolution, 2)
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or not ((0.0 <= lams) & (lams < math.inf)).all():
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
@@ -234,8 +233,7 @@ def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
     """
     if dataset.d != 1:
         raise ValueError(f"dual curve requires d = 1, got d={dataset.d}")
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_real("eps", eps, 0)
     lams = np.asarray(lambda_grid, dtype=float)
     if (lams.size == 0 or not np.isfinite(lams).all() or (np.diff(lams) < 0).any()
             or lams[0] < 0.0):
@@ -329,8 +327,7 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
             f"(got n={dataset.n}, d={dataset.d})"
         )
     check_integer("grid_resolution", grid_resolution, 101)
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_real("eps", eps, 0)
 
     budget = dataset.n * eps
     cap = budget + 1e-12 * max(1.0, budget)  # slack for float rounding in cost sums

@@ -26,13 +26,11 @@ cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
 and each row's group) are looked up by label in a two-entry table per run.
 
 Each run's history is a ``History`` of columns: (k + P) float64 values per
-iteration for its k scalar fields and P parameters, a record built on read.
+iteration for its k scalar fields and P parameters, and a bool per group.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import chain, repeat
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -102,42 +100,20 @@ class DualState:
             check_real(f"eps[{i}]", v, 0)
 
 
-class History(Sequence):
-    """One run's records as columns: row t-1 of ``values`` holds iteration
-    t's ``fields``, of ``present`` its batch's label groups, of ``thetas``
-    the iterate it started from.  A record, built on read, is {"iteration",
-    fields to batch_auc, "theta" (a row view), lams, mean_costs or None}."""
+@dataclass(eq=False)
+class History:
+    """One run's trace as columns: row t-1 of ``values`` holds iteration t's
+    ``fields``, of ``present`` whether each label group was in its batch,
+    of ``thetas`` the iterate it started from.  The last ``present.shape[1]``
+    fields are the groups' mean costs, NaN where a group was absent."""
 
-    def __init__(self, suffixes, thetas):
-        self.fields = ("objective", "alpha", "a", "b", "batch_auc",
-                       *("lam" + s for s in suffixes), *("mean_cost" + s for s in suffixes))
-        self.values = np.empty((len(thetas), len(self.fields)))
-        self.present = np.empty((len(thetas), len(suffixes)), dtype=bool)
-        self.thetas = thetas
-        self._keys = ("iteration", *self.fields[:5], "theta", *self.fields[5:])
-
-    def __len__(self):
-        return len(self.values)
+    fields: tuple
+    values: np.ndarray
+    present: np.ndarray
+    thetas: np.ndarray
 
     def column(self, key):
         return self.values[:, self.fields.index(key)]
-
-    def _records(self, rows):  # those of the slice ``rows``, built one at a time
-        values = self.values[rows].astype(object)  # Python floats
-        values[:, -self.present.shape[1]:][~self.present[rows]] = None  # absent mean_costs
-        cols = values.T.tolist()
-        items = zip(range(1, len(self) + 1)[rows], *cols[:5], self.thetas[rows], *cols[5:])
-        return map(dict, map(zip, repeat(self._keys), items))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._records(i))
-        i = range(len(self))[i]  # negative indices; IndexError past either end
-        return next(self._records(slice(i, i + 1)))
-
-    def __iter__(self):  # a NumPy call per block of rows, not per record
-        return chain.from_iterable(self._records(slice(start, start + 256))
-                                   for start in range(0, len(self), 256))
 
 
 @dataclass
@@ -156,6 +132,7 @@ def split_epsilon(eps: float, p_hat: float, k: float):
     p * eps_pos + (1 - p) * eps_neg = eps.
     """
     check_real("eps", eps, 0)
+    check_real("k", k)
     if not 0.5 <= k <= 1.5:
         raise ValueError(f"k must lie in [0.5, 1.5], got {k}")
     if k * p_hat >= 1.0:
@@ -252,7 +229,13 @@ def train_stacked(runs) -> list[TrainState]:
     theta = np.stack([m.params for _, _, m in runs])
     aux = [(0.0, 0.0, 0.0)] * R  # a, b, alpha per run
     thetas = np.empty((R, cfg0.iters, theta.shape[-1]), theta.dtype)  # each iteration's start
-    histories = [History(GROUP_SUFFIXES[cfg.variant], thetas[r]) for r, cfg in enumerate(cfgs)]
+    histories = []
+    for r, cfg in enumerate(cfgs):
+        suffixes = GROUP_SUFFIXES[cfg.variant]
+        names = ("objective", "alpha", "a", "b", "batch_auc",
+                 *("lam" + s for s in suffixes), *("mean_cost" + s for s in suffixes))
+        histories.append(History(names, np.empty((cfg0.iters, len(names))),
+                                 np.empty((cfg0.iters, len(suffixes)), dtype=bool), thetas[r]))
     x_batch = np.empty((R, n, model0.input_dim))
     y_batch, pos_rows, terms, group = (np.empty((R, n), dtype=int), np.empty((R, n), dtype=bool),
                                        np.empty((3, R, n)), np.empty((R, n), dtype=np.intp))

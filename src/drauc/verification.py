@@ -409,15 +409,15 @@ def check_lambda_direction(iters=40, seed=14):
                                              eps=eps, eta_z=0.05, seed=seed), model)
                             for eps, _ in budgets])
     for (eps, expect_up), state in zip(budgets, states):
-        hist = state.history
-        for r0, r1 in zip(hist, hist[1:]):
-            went_up = r1["lam"] > r0["lam"] + 1e-15
-            went_down = r1["lam"] < r0["lam"] - 1e-15
-            if r0["mean_cost"] > eps and went_down:
+        lam, cost = state.history.column("lam").tolist(), state.history.column("mean_cost").tolist()
+        for lam0, lam1, cost0 in zip(lam, lam[1:], cost):
+            went_up = lam1 > lam0 + 1e-15
+            went_down = lam1 < lam0 - 1e-15
+            if cost0 > eps and went_down:
                 return False, "lam fell while cost exceeded the budget"
-            if r0["mean_cost"] < eps and went_up:
+            if cost0 < eps and went_up:
                 return False, "lam rose while cost was under the budget"
-            if expect_up is False and r0["mean_cost"] < eps and r0["lam"] > 0 and not went_down:
+            if expect_up is False and cost0 < eps and lam0 > 0 and not went_down:
                 break  # clipped at zero afterwards, nothing more to see
     return True, "multiplier moves against the realized cost gap"
 

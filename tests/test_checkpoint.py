@@ -8,7 +8,7 @@ import pytest
 from drauc import (AuxParams, Checkpoint, CheckpointError, DataFormatError,
                    DualState, ScoringModel, load_checkpoint, parse_report,
                    save_checkpoint, score, write_report)
-from drauc.training import GROUP_SUFFIXES, VARIANTS
+from drauc.training import GROUP_SUFFIXES, VARIANTS, History
 
 
 def sample_checkpoint(**overrides):
@@ -300,26 +300,28 @@ class TestReport:
         text = report_text(
             {"variant": "df", "seed": 3},
             {"final_nominal_auc": 0.9375, "note": "ok"},
-            [{"iteration": 1, "objective": -0.5, "lam": 1.0, "theta": np.zeros(2),
-              "skipped": None}],
+            History(("objective", "lam", "mean_cost"), np.array([[-0.5, 1.0, np.nan]]),
+                    np.array([[False]]), np.zeros((1, 2))),
         )
         parsed = parse_report(text)
         assert parsed["config.variant"] == "df"
         assert float(parsed["final_nominal_auc"]) == 0.9375
         assert parsed["note"] == "ok"
         assert float(parsed["history.1.objective"]) == -0.5
+        assert float(parsed["history.1.lam"]) == 1.0
         assert "history.1.theta" not in parsed
-        assert "history.1.skipped" not in parsed
+        assert "history.1.mean_cost" not in parsed
 
     def test_exact_bytes(self):
-        # Config keys sorted, metrics and record fields in their order, None
-        # and theta skipped, ints as they are and floats at 17 digits.
+        # Config keys sorted, metrics and fields in their order, an absent
+        # group's mean cost and theta skipped, ints as they are and floats at
+        # 17 digits.
         text = report_text(
             {"seed": 3, "arch": "linear-sigmoid"},
             {"final_nominal_auc": 0.1, "clipped_values": 0},
-            [{"iteration": 1, "objective": 1 / 3, "lam": 0.0, "cost_neg": None,
-              "theta": np.ones(3)},
-             {"iteration": 2, "objective": -2.5e-300, "count": 7, "cost_neg": 0.125}],
+            History(("objective", "lam", "cost_neg"),
+                    np.array([[1 / 3, 0.0, np.nan], [-2.5e-300, 7.0, 0.125]]),
+                    np.array([[False], [True]]), np.ones((2, 3))),
         )
         assert text == ("config.arch=linear-sigmoid\n"
                         "config.seed=3\n"
@@ -328,17 +330,18 @@ class TestReport:
                         "history.1.objective=0.33333333333333331\n"
                         "history.1.lam=0\n"
                         "history.2.objective=-2.5e-300\n"
-                        "history.2.count=7\n"
+                        "history.2.lam=7\n"
                         "history.2.cost_neg=0.125\n")
 
     def test_writing_needs_constant_memory(self):
-        # Each record's lines go to the stream as they are formatted, so the
-        # peak does not grow with the history (joined into one string, these 10,000
-        # records' 70,000 lines took about 12 MB).
-        history = [{"iteration": t, "objective": t / 7, "alpha": -t / 3, "a": 1 / t,
-                    "b": t / 11, "batch_auc": 0.5 + 1 / (t + 2), "theta": np.zeros(9),
-                    "lam": t / 13, "cost": 1 / (t + 5)}
-                   for t in range(1, 10_001)]
+        # Each iteration's lines go to the stream as they are formatted, so
+        # the peak does not grow with the history (joined into one string,
+        # these 10,000 iterations' 70,000 lines took about 12 MB).
+        t = np.arange(1.0, 10_001.0)
+        history = History(("objective", "alpha", "a", "b", "batch_auc", "lam", "cost"),
+                          np.stack([t / 7, -t / 3, 1 / t, t / 11, 0.5 + 1 / (t + 2), t / 13,
+                                    1 / (t + 5)], axis=1),
+                          np.ones((t.size, 1), dtype=bool), np.zeros((t.size, 9)))
         sink = _ByteCounter()
         tracemalloc.start()
         try:

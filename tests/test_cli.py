@@ -483,7 +483,7 @@ class TestAttackOracle:
 
     def test_two_point_nan_budget_rejected(self, capsys):
         assert run(["attack-oracle", "--preset", "two-point", "--eps", "nan"]) == 2
-        assert "eps must be >= 0" in capsys.readouterr().err
+        assert "eps must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestVerifyAndGradCheck:
@@ -621,7 +621,7 @@ class TestSettingSources:
          "--batch: batch_size 500 exceeds dataset size 100"),
         (["grad-check", "--input-dim", "0"], "--input-dim: input_dim must be >= 1"),
         (["attack-oracle", "--preset", "two-point", "--eps", "-1"],
-         "--eps: eps must be >= 0, got -1.0"),
+         "--eps: eps must be finite and >= 0, got -1.0"),
         ([*CUSTOM_ORACLE, "--n-pos", "0"], "--n-pos: n_pos must be >= 1, got 0"),
         ([*CUSTOM_ORACLE, "--x-pos", "1.5"], "--x-pos: x_pos must lie in [0, 1], got 1.5"),
         ([*CUSTOM_ORACLE, "--grid", "0"], "--grid: grid_resolution must be >= 2, got 0"),

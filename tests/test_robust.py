@@ -580,8 +580,8 @@ class TestDualCurve:
 
     def test_budget_validation(self):
         ds, aux, p_hat = example1_style_instance()
-        for eps in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="eps"):
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^eps must be finite and >= 0, got {eps}$"):
                 dual_curve(IDENT, aux, p_hat, ds, eps, [0.0, 1.0])
 
 
@@ -810,7 +810,7 @@ class TestBruteForceWorstCase:
 
     def test_nan_budget_rejected(self):
         ds = Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0]))
-        with pytest.raises(ValueError, match="eps must be >= 0"):
+        with pytest.raises(ValueError, match="^eps must be finite and >= 0, got nan$"):
             brute_force_worst_case(ds, math.nan, 1001, AUX0, 0.5, IDENT)
 
     def test_refuses_large_instances(self):
@@ -1152,8 +1152,15 @@ class TestDualState:
                                        1.0, (np.array([0.5, 0.5]), 1)),
      "exact oracle requires a 1-D model"),
     (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.5, 1), grid_resolution=1),
-     "grid_resolution must be >= 2"),
-], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1"])
+     "grid_resolution must be >= 2, got 1"),
+    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.5, 1), grid_resolution=100.5),
+     "grid_resolution must be an integer, got 100.5"),
+    (lambda: brute_force_worst_case(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0])),
+                                    math.inf, 1001, AUX0, 0.5, IDENT),
+     "eps must be finite and >= 0, got inf"),
+    (lambda: init_model("linear-sigmoid", 2.5, 0), "input_dim must be an integer, got 2.5"),
+], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1",
+        "exact-oracle-grid-float", "brute-force-inf-budget", "init-model-float-input-dim"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -70,8 +70,8 @@ def test_stack_with_absent_negatives(eta_z):
             (tailed(50, 2, 33), TrainConfig(variant="df", iters=40, batch_size=3, eta_z=eta_z,
                                             eps=0.2, seed=33), init_model("linear-sigmoid", 2, 33))]
     states = assert_each_run_matches_train(runs)
-    absent = [rec["mean_cost_neg"] is None for rec in states[0].history]
-    assert any(absent) and not all(absent)
+    absent = ~states[0].history.present[:, 1]
+    assert absent.any() and not absent.all()
 
 
 def report_bytes(history):
@@ -81,22 +81,19 @@ def report_bytes(history):
 
 
 @pytest.mark.parametrize("eta_z", [0.1, 0.0])
-def test_stacked_reports_match_solo_runs_and_plain_records(eta_z):
+def test_stacked_reports_match_solo_runs(eta_z):
     # A da and a df run on a set whose one negative many batches lack.
     runs = [(few_negatives(2), TrainConfig(variant=variant, iters=40, batch_size=3, eta_z=eta_z,
                                            eps=0.1, seed=34 + i), init_model("linear-sigmoid", 2, 34 + i))
             for i, variant in enumerate(("da", "df"))]
     states = train_stacked(runs)
-    absent = [rec["mean_cost_neg"] is None for rec in states[0].history]
-    assert any(absent) and not all(absent)
+    absent = ~states[0].history.present[:, 1]
+    assert absent.any() and not absent.all()
     for run, state in zip(runs, states):
-        want = report_bytes(train(*run).history)
-        assert report_bytes(state.history) == want
-        assert report_bytes([dict(rec) for rec in state.history]) == want
-    # A record's theta is a row of its own run's history and of no other's.
+        assert report_bytes(state.history) == report_bytes(train(*run).history)
+    # A run's thetas are its own rows of the stack's array, no other run's.
     other = states[1].history.thetas.copy()
-    states[0].history[5]["theta"][:] = 7.0
-    assert (states[0].history[5]["theta"] == 7.0).all()
+    states[0].history.thetas[5] = 7.0
     assert np.array_equal(states[1].history.thetas, other)
 
 
@@ -127,8 +124,8 @@ def test_int_settings_train_as_their_floats(variant, lambda0):
     ints = TrainConfig(lambda0=lambda0, eta_z=1, eta_w=1, **base)
     floats = TrainConfig(lambda0=float(lambda0), eta_z=1.0, eta_w=1.0, **base)
     want = train(ds, floats, model)
-    assert any(lam % 1.0 for rec in want.history for lam in
-               (rec.get("lam"), rec.get("lam_pos"), rec.get("lam_neg")) if lam is not None)
+    h = want.history
+    assert any((h.column(key) % 1.0).any() for key in h.fields if key.startswith("lam"))
     assert _same_run(train(ds, ints, model), want)
     assert all(_same_run(s, want) for s in train_stacked([(ds, ints, model),
                                                           (ds, floats, model)]))

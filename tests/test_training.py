@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,8 @@ import pytest
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    attack_batch, auc_mann_whitney, evaluate, forward, gen_synthetic,
                    init_model, sample_batch, score, split_epsilon,
-                   surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params)
+                   surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params,
+                   write_report)
 from drauc.training import GROUP_SUFFIXES, VARIANTS
 from drauc.verification import (check_domain_preservation, check_lambda_direction,
                                 check_separable_training, check_trainer_determinism)
@@ -46,6 +48,8 @@ class TestSplitEpsilon:
             split_epsilon(0.5, 0.2, 0.4)
         with pytest.raises(ValueError):
             split_epsilon(0.5, 0.8, 1.5)  # k * p >= 1
+        with pytest.raises(ValueError, match="^k must be a real number, got True$"):
+            split_epsilon(0.1, 0.2, True)  # not read as k = 1.0
 
 
 def assert_rows_of(ds, idx, batch_size):
@@ -117,14 +121,14 @@ class TestTrainers:
         assert res.passed, res.detail
 
     def test_history_holds_every_iterate(self):
-        # Each record holds the iterate its iteration started from, untouched
-        # by the in-place updates that follow.
+        # Each row of thetas holds the iterate its iteration started from,
+        # untouched by the in-place updates that follow.
         ds = make_tailed_dataset()
         m = init_model("linear-sigmoid", 2, 15)
         state = train(ds, TrainConfig(variant="df", iters=5, batch_size=16, seed=15), m)
-        thetas = [rec["theta"] for rec in state.history]
-        assert np.array_equal(thetas[0], m.params) and thetas[0] is not m.params
-        assert len({id(t) for t in thetas + [state.model.params]}) == 6
+        thetas = state.history.thetas
+        assert thetas.shape == (5, m.params.size) and np.array_equal(thetas[0], m.params)
+        assert not any(np.shares_memory(thetas, p) for p in (m.params, state.model.params))
         assert all(not np.array_equal(s, t) for s, t in zip(thetas, thetas[1:]))
 
     def test_lambda_moves_against_cost_gap(self):
@@ -140,8 +144,8 @@ class TestTrainers:
         cfg = TrainConfig(variant="aucm-baseline", iters=200, batch_size=8, seed=16)
         state = train(ds, cfg, init_model("linear-sigmoid", 1, 16))
         assert evaluate(state.model, state.aux, ds)["nominal_auc"] == 1.0
-        for rec in state.history:
-            assert np.isfinite(rec["batch_auc"]) and 0.0 <= rec["batch_auc"] <= 1.0
+        batch_auc = state.history.column("batch_auc")
+        assert np.all(np.isfinite(batch_auc) & (0.0 <= batch_auc) & (batch_auc <= 1.0))
 
     def test_da_split_budgets_recorded(self):
         ds = make_tailed_dataset()
@@ -159,8 +163,8 @@ class TestTrainers:
         state = train(make_tailed_dataset(), cfg, init_model("linear-sigmoid", 2, 18))
         suffixes = GROUP_SUFFIXES[variant]
         assert len(state.dual.lam) == len(state.dual.eps) == len(suffixes)
-        assert all({"lam" + s, "mean_cost" + s} <= rec.keys()
-                   for rec in state.history for s in suffixes)
+        assert all({"lam" + s, "mean_cost" + s} <= set(state.history.fields) for s in suffixes)
+        assert state.history.present.shape == (cfg.iters, len(suffixes))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -282,8 +286,17 @@ def reference_train(dataset, cfg, initial_model):
 
 
 def same_bits(u, v):
-    """Same type and bit pattern: -0.0 differs from 0.0, None only matches None."""
-    return type(u) is type(v) and (u is None or np.asarray(u).tobytes() == np.asarray(v).tobytes())
+    """Same type, shape and bit pattern: -0.0 differs from 0.0."""
+    return type(u) is type(v) and np.shape(u) == np.shape(v) and (
+        np.asarray(u).tobytes() == np.asarray(v).tobytes())
+
+
+def reference_report(records):
+    """write_report's history lines as first written, from records: a line
+    per field but the iteration, theta and None, floats at 17 digits."""
+    return "".join(f"history.{rec['iteration']}.{key}={format(v, '.17g')}\n"
+                   for rec in records for key, v in rec.items()
+                   if key not in ("iteration", "theta") and v is not None)
 
 
 def few_negatives_dataset():
@@ -302,11 +315,19 @@ class TestLoopBitwise:
     def assert_matches(self, ds, cfg, model):
         state = train(ds, cfg, model)
         ref_model, ref_aux, ref_dual, ref_history = reference_train(ds, cfg, model)
-        assert len(state.history) == len(ref_history) == cfg.iters
-        for got, want in zip(state.history, ref_history):
-            assert list(got) == list(want)  # the keys, in the report's order
-            for key in want:
-                assert same_bits(got[key], want[key]), (got["iteration"], key)
+        h = state.history
+        fields = [key for key in ref_history[0] if key not in ("iteration", "theta")]
+        assert h.fields == tuple(fields)  # in the report's order
+        # A record's None is a NaN in values and False in present.
+        costs = fields[len(fields) - h.present.shape[1]:]
+        assert same_bits(h.present, np.array([[rec[key] is not None for key in costs]
+                                              for rec in ref_history]))
+        assert same_bits(h.values, np.array([[np.nan if rec[key] is None else rec[key]
+                                              for key in fields] for rec in ref_history]))
+        assert same_bits(h.thetas, np.stack([rec["theta"] for rec in ref_history]))
+        fh = io.StringIO()
+        write_report(fh, {}, {}, h)
+        assert fh.getvalue() == reference_report(ref_history)
         assert same_bits(state.model.params, ref_model.params)
         assert all(same_bits(getattr(state.aux, k), getattr(ref_aux, k))
                    for k in ("a", "b", "alpha"))
@@ -329,8 +350,8 @@ class TestLoopBitwise:
         state = self.assert_matches(few_negatives_dataset(), cfg,
                                     init_model("linear-sigmoid", 2, 32))
         if variant == "da":
-            absent = [rec["mean_cost_neg"] is None for rec in state.history]
-            assert any(absent) and not all(absent)
+            absent = ~state.history.present[:, 1]
+            assert absent.any() and not absent.all()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -343,15 +364,15 @@ def test_batch_auc_replays_from_data(variant, arch, d):
     ds = make_long_tailed(gen_synthetic(400, d, seed=40 + d), 0.1, seed=40 + d)
     cfg = TrainConfig(variant=variant, iters=200, batch_size=32, eps=0.5, seed=41)
     model = init_model(arch, d, 41)
-    state = train(ds, cfg, model)
+    h = train(ds, cfg, model).history
     rng = np.random.default_rng(cfg.seed)
-    for rec in state.history:
+    for t, (theta, batch_auc) in enumerate(zip(h.thetas, h.column("batch_auc").tolist()), 1):
         idx = sample_batch(ds, cfg.batch_size, rng)
-        f = score(replace(model, params=rec["theta"]), ds.features[idx])
+        f = score(replace(model, params=theta), ds.features[idx])
         pos = ds.labels[idx] == 1
-        assert auc_mann_whitney(f[pos], f[~pos]) == rec["batch_auc"], rec["iteration"]
+        assert auc_mann_whitney(f[pos], f[~pos]) == batch_auc, t
     # The multipliers start at 1 and end at 0: both ascent paths ran.
-    lams = [v for key, v in state.history[-1].items() if key.startswith("lam")]
+    lams = [h.column(key)[-1] for key in h.fields if key.startswith("lam")]
     assert lams and not any(lams)
 
 
@@ -367,38 +388,31 @@ def test_stacked_params_are_refused_with_their_run(bad_run):
         train_stacked(runs)
 
 
-def test_history_index_matches_iteration():
-    cfg = TrainConfig(variant="da", iters=30, batch_size=3, eta_z=0.1, eps=0.1, seed=33)
-    history = train(few_negatives_dataset(), cfg, init_model("linear-sigmoid", 2, 33)).history
-    records = list(history)
-    assert len(history) == len(records) == cfg.iters
-    for i in (0, 7, -1, -cfg.iters):
-        got, want = history[i], records[i]
-        assert list(got) == list(want) and all(same_bits(got[k], want[k]) for k in want)
-    assert [rec["iteration"] for rec in history[2:9:3]] == [3, 6, 9]
-    for i in (cfg.iters, -cfg.iters - 1):
-        with pytest.raises(IndexError):
-            history[i]
-
-
 def test_history_memory_is_its_columns():
     # A run of T iterations holds a (T, k) array of its k scalar fields and
     # a (T, P) array of its iterates: (k + P) float64 values per iteration,
-    # and a bool per label group.  The bound allows 10% over those arrays
-    # and 64 KB for the final state.
+    # and a bool per label group.  From T = 1,000 to 2,000 the held bytes
+    # may grow by 10% over those values; at T = 1,000 they may reach 10%
+    # over the arrays plus 64 KB for the final state.  Held bytes linear in
+    # T that pass both stay within that same bound at every T >= 1,000.
     from drauc import make_long_tailed
     ds = make_long_tailed(gen_synthetic(400, 2, seed=90), 0.1, seed=90)
     model = init_model("mlp1-tanh-sigmoid(8)", 2, 90)
-    cfg = TrainConfig(variant="aucm-baseline", iters=10_000, batch_size=16, seed=90)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        state = train(ds, cfg, model)
+    held = []
+    for iters in (1000, 2000):
+        cfg = TrainConfig(variant="aucm-baseline", iters=iters, batch_size=16, seed=90)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    k, P = len(state.history.fields), model.params.size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = train(ds, cfg, model)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        fields = state.history.fields
+        del state
+    k, P = len(fields), model.params.size
     assert (k, P) == (7, 33)
-    assert held <= 1.1 * cfg.iters * (k + P) * 8 + 64 * 1024
+    assert held[1] - held[0] <= 1.1 * 1000 * (k + P) * 8
+    assert held[0] <= 1.1 * 1000 * (k + P) * 8 + 64 * 1024
