@@ -11,7 +11,11 @@ runs' values (within a run, `wall_s` and `setup_s` are medians and
 round times, and the correct/attempted/failed counts over the three runs;
 plus the host (Python, NumPy, usable CPUs) and DIR's commit.  A single run
 moves with the host's noise; the median of three damps it, and min and
-max show the spread.  It measures committed code only: if DIR is not a git
+max show the spread.  It then runs the Tier-1 suite once in DIR (`python
+-m pytest -q --continue-on-collection-errors --durations=5`, with DIR's
+`src` first on PYTHONPATH) and records its wall time, its passed and
+failed counts (errors counted as failed) and its five slowest tests, in a
+`tier1` entry.  It measures committed code only: if DIR is not a git
 checkout, or its tracked files differ from its HEAD, it lists them and
 exits non-zero before running anything.  FILE defaults to the next free
 BENCH_<n>.json at the root of this checkout.
@@ -26,6 +30,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -50,6 +55,24 @@ def run_workload(checkout, name):
     rounds = next(ln for ln in lines if ln.startswith("round_s "))
     quartiles = dict(kv.split("=") for kv in rounds.split()[1:4])
     return result, {k: float(quartiles[k]) for k in ("q1", "median", "q3")}
+
+
+def run_tier1(checkout):
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "--durations=5"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    out = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    lines = out.stdout.splitlines()
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    durations = (re.fullmatch(r"([\d.]+)s (call|setup|teardown) +(\S+)", ln) for ln in lines)
+    slowest = [{"test": m[3], "phase": m[2], "s": float(m[1])} for m in durations if m]
+    return {"command": " ".join(["PYTHONPATH=src", "python", *argv[1:]]),
+            "wall_s": round(wall, 3), "passed": counts.get("passed", 0),
+            "failed": sum(counts.get(k, 0) for k in ("failed", "error", "errors")),
+            "slowest": slowest}
 
 
 def summarize(runs):
@@ -95,6 +118,8 @@ def main():
         runs = [run_workload(checkout, name) for _ in range(RUNS)]
         record["workloads"][name] = summarize(runs)
         print(name, json.dumps(record["workloads"][name]), flush=True)
+    record["tier1"] = run_tier1(checkout)
+    print("tier1", json.dumps(record["tier1"]), flush=True)
     path = args.out or next_bench_path()
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)

@@ -170,18 +170,20 @@ def load_checkpoint(path) -> Checkpoint:
 def write_report(fh, config: dict, metrics: dict, history=None) -> None:
     """Write the run report to the text stream ``fh``: "config.<key>" lines,
     the metrics, then from a ``History``'s columns a "history.<t>.<field>"
-    line per field of iteration t, but an absent group's mean cost; one
-    write per iteration, so the peak does not grow with the history."""
+    line per field of iteration t, but a NaN ``mean_cost*`` (an absent
+    group's); one write per iteration, so the peak does not grow with the
+    history."""
     for key in sorted(config):
         fh.write(f"config.{key}={config[key]}\n")
     for key, value in metrics.items():
         fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
     if history is None:
         return
-    groups = history.present.shape[1]
+    cost = np.array([key.startswith("mean_cost") for key in history.fields])
     for start in range(0, len(history.values), 256):  # a NumPy call per block of rows
-        block = history.values[start:start + 256].astype(object)  # Python floats
-        block[:, -groups:][~history.present[start:start + 256]] = None  # absent mean costs
+        rows = history.values[start:start + 256]
+        block = rows.astype(object)  # Python floats
+        block[np.isnan(rows) & cost] = None  # absent groups' mean costs
         for t, row in enumerate(zip(*block.T.tolist()), start + 1):
             prefix = f"history.{t}."  # format() below is _fmt on a float
             fh.write("".join([f"{prefix}{key}={format(v, '.17g')}\n"

@@ -156,7 +156,7 @@ def _cmd_train(resolved, sources) -> int:
     save_checkpoint(Checkpoint(
         model=state.model, aux=state.aux, variant=cfg.variant, dual=state.dual,
         scaler_min=dataset.scaler_min, scaler_max=dataset.scaler_max,
-        seed=resolved["seed"], iteration=state.iteration,
+        seed=resolved["seed"], iteration=cfg.iters,
         cfg={k: str(v) for k, v in sorted(resolved.items())
              if k not in ("out", "report", "data")},
     ), resolved["out"])

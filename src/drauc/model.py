@@ -98,6 +98,7 @@ class ScoringModel:
     def __post_init__(self):
         name, h = parse_arch(self.arch)
         object.__setattr__(self, "arch", f"{name}({h})" if h else name)
+        check_integer("input_dim", self.input_dim)
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
         expected = param_count(self.arch, self.input_dim)

@@ -191,15 +191,14 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     """Exact 1-D maximizer over a dense grid plus the point itself: the
     first maximum over the point's frontier, the least-cost maximizer.
 
-    ``lam`` is one multiplier, for one (value, adversarial example) pair,
-    or a 1-D sequence of them, for a list of such pairs that scores the
-    grid once; each pair is bitwise the one-multiplier call's.  ``z`` is
-    (x, y) with x one point in [0, 1] and the label y 0 or 1."""
+    Returns (value, (x_adv, y)) for one multiplier ``lam``; ``dual_curve``
+    takes a grid of them.  ``z`` is (x, y) with x one point in [0, 1] and
+    the label y 0 or 1."""
     if model.input_dim != 1:
         raise ValueError("exact oracle requires a 1-D model")
     check_integer("grid_resolution", grid_resolution, 2)
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1 or not ((0.0 <= lams) & (lams < math.inf)).all():
+    lam_value = np.asarray(lam, dtype=float)  # None reads as NaN, so it is refused
+    if lam_value.ndim or not 0.0 <= lam_value < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     x, y = z
     x0 = np.asarray(x, dtype=float).reshape(-1)
@@ -207,12 +206,9 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
         raise ValueError(f"z must be (x, y) with one x in [0, 1] and y 0 or 1, got {z}")
     ((dest, cost, gain),) = _destination_frontiers(
         model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
-    picks = []
-    for lam_i in lams.reshape(-1).tolist():
-        obj = gain - lam_i * cost
-        i = np.argmax(obj)
-        picks.append((float(obj[i]), (np.array([dest[i]]), int(y))))
-    return picks if lams.ndim else picks[0]
+    obj = gain - float(lam_value) * cost
+    i = np.argmax(obj)
+    return float(obj[i]), (np.array([dest[i]]), int(y))
 
 
 @dataclass(frozen=True)

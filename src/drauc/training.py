@@ -26,7 +26,7 @@ cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
 and each row's group) are looked up by label in a two-entry table per run.
 
 Each run's history is a ``History`` of columns: (k + P) float64 values per
-iteration for its k scalar fields and P parameters, and a bool per group.
+iteration for its k scalar fields and P parameters.
 """
 
 from __future__ import annotations
@@ -103,13 +103,11 @@ class DualState:
 @dataclass(eq=False)
 class History:
     """One run's trace as columns: row t-1 of ``values`` holds iteration t's
-    ``fields``, of ``present`` whether each label group was in its batch,
-    of ``thetas`` the iterate it started from.  The last ``present.shape[1]``
-    fields are the groups' mean costs, NaN where a group was absent."""
+    ``fields``, of ``thetas`` the iterate it started from.  A ``mean_cost*``
+    value is NaN where its label group was absent from the batch."""
 
     fields: tuple
     values: np.ndarray
-    present: np.ndarray
     thetas: np.ndarray
 
     def column(self, key):
@@ -121,7 +119,6 @@ class TrainState:
     model: ScoringModel
     aux: AuxParams
     dual: DualState
-    iteration: int
     history: History
 
 
@@ -234,8 +231,7 @@ def train_stacked(runs) -> list[TrainState]:
         suffixes = GROUP_SUFFIXES[cfg.variant]
         names = ("objective", "alpha", "a", "b", "batch_auc",
                  *("lam" + s for s in suffixes), *("mean_cost" + s for s in suffixes))
-        histories.append(History(names, np.empty((cfg0.iters, len(names))),
-                                 np.empty((cfg0.iters, len(suffixes)), dtype=bool), thetas[r]))
+        histories.append(History(names, np.empty((cfg0.iters, len(names))), thetas[r]))
     x_batch = np.empty((R, n, model0.input_dim))
     y_batch, pos_rows, terms, group = (np.empty((R, n), dtype=int), np.empty((R, n), dtype=bool),
                                        np.empty((3, R, n)), np.empty((R, n), dtype=np.intp))
@@ -250,6 +246,7 @@ def train_stacked(runs) -> list[TrainState]:
     rates = np.array([[cfg.eta_w, cfg.eta_z] for cfg in cfgs], dtype=np.float64)
     eta_w, step_size = ((rates[0, 0, ...], rates[0, 1, ...]) if R == 1 else
                         (rates[:, :1], rates[:, 1:, None]))
+    costs = np.zeros((R, n))  # each row's cost with the attack off; the attack rebinds it
     for t in range(1, cfg0.iters + 1):
         thetas[:, t - 1] = theta
         for r, (dataset, rng, table, groups) in enumerate(zip(datasets, rngs, tables, group_of)):
@@ -287,20 +284,13 @@ def train_stacked(runs) -> list[TrainState]:
             g_mean, step_a, step_b, step_alpha = means[r]
             budget, lam_r, pos = budgets[r], lam_runs[r], pos_rows[r]
             n_pos = int(np.count_nonzero(pos))
-            if attack:
-                mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None
-                              for c in (costs[r][group[r] == g] for g in range(budget.size))]
-            else:
-                seen = {group_of[r][0] if n_pos < n else None,  # groups present
-                        group_of[r][1] if n_pos > 0 else None}
-                mean_costs = [0.0 if g in seen else None  # None: group absent
-                              for g in range(budget.size)]
+            mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None  # None: absent
+                          for c in (costs[r][group[r] == g] for g in range(budget.size))]
             f_r = f_nom[r]  # a single-class batch has no ranked pairs: 0.5
             batch_auc = auc_mann_whitney(f_r[pos], f_r[~pos]) if 0 < n_pos < n else 0.5
-            # An absent group's None is stored as NaN, and masked out.
+            # An absent group's None is stored as NaN.
             histories[r].values[t - 1] = [float(np.add.reduce(lam_r * budget)) + g_mean, alpha,
                                           a, b, batch_auc, *lam_r.tolist(), *mean_costs]
-            histories[r].present[t - 1] = [c is not None for c in mean_costs]
 
             # Simultaneous updates from the iteration-start values.
             # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
@@ -318,6 +308,5 @@ def train_stacked(runs) -> list[TrainState]:
         aux=AuxParams(*aux[r]),
         dual=DualState(lambda_max=cfg.lambda_max, lam=tuple(lam_runs[r].tolist()),
                        eps=tuple(budgets[r].tolist())),
-        iteration=cfg.iters,
         history=histories[r],
     ) for r, (_, cfg, m) in enumerate(runs)]

@@ -26,8 +26,7 @@ from .losses import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_r
                      saddle_value, surrogate_loss, surrogate_loss_grads)
 from .model import init_model, _init_params, score, ScoringModel
 from .robust import (AttackConfig, attack_batch, barycenter_attack,
-                     brute_force_worst_case, dual_curve, evaluate, min_cost_flip_search,
-                     robust_surrogate_exact_1d)
+                     brute_force_worst_case, dual_curve, evaluate, min_cost_flip_search)
 from .training import TrainConfig, train, train_stacked
 
 
@@ -246,9 +245,11 @@ def check_phi_monotone_lambda(trials=100, seed=6):
     for _ in range(trials):
         aux = AuxParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1, 1))
         p_hat = float(rng.uniform(0.1, 0.9))
-        z = (np.array([rng.uniform(0, 1)]), int(rng.integers(2)))
+        x, y = rng.uniform(0, 1), int(rng.integers(2))
         lams = np.sort(10 ** rng.uniform(-2, 3, size=4))
-        vals = [v for v, _ in robust_surrogate_exact_1d(m, aux, p_hat, lams, z, 2001)]
+        # At eps = 0 the one-point dual curve is the exact phi at each lam.
+        vals = dual_curve(m, aux, p_hat, Dataset.from_arrays([[x]], [y]), 0.0, lams,
+                          grid_resolution=2001).curve
         if any(vals[i] < vals[i + 1] - 1e-12 for i in range(3)):
             return False, f"phi increased along lams={lams}"
     return True, "exact phi is non-increasing in the multiplier"
@@ -364,7 +365,7 @@ def _same_run(s1, s2):
         h = s.history
         return [h.fields] + [np.asarray(v).tobytes() for v in (
             s.model.params, (s.aux.a, s.aux.b, s.aux.alpha), s.dual.lam, s.dual.eps,
-            h.values, h.present, h.thetas)]
+            h.values, h.thetas)]
     return bits(s1) == bits(s2)
 
 

@@ -301,7 +301,7 @@ class TestReport:
             {"variant": "df", "seed": 3},
             {"final_nominal_auc": 0.9375, "note": "ok"},
             History(("objective", "lam", "mean_cost"), np.array([[-0.5, 1.0, np.nan]]),
-                    np.array([[False]]), np.zeros((1, 2))),
+                    np.zeros((1, 2))),
         )
         parsed = parse_report(text)
         assert parsed["config.variant"] == "df"
@@ -314,14 +314,14 @@ class TestReport:
 
     def test_exact_bytes(self):
         # Config keys sorted, metrics and fields in their order, an absent
-        # group's mean cost and theta skipped, ints as they are and floats at
-        # 17 digits.
+        # group's (NaN) mean cost and theta skipped, any other NaN written,
+        # ints as they are and floats at 17 digits.
         text = report_text(
             {"seed": 3, "arch": "linear-sigmoid"},
             {"final_nominal_auc": 0.1, "clipped_values": 0},
-            History(("objective", "lam", "cost_neg"),
-                    np.array([[1 / 3, 0.0, np.nan], [-2.5e-300, 7.0, 0.125]]),
-                    np.array([[False], [True]]), np.ones((2, 3))),
+            History(("objective", "lam", "mean_cost_neg"),
+                    np.array([[1 / 3, 0.0, np.nan], [-2.5e-300, 7.0, 0.125],
+                              [np.nan, np.nan, np.nan]]), np.ones((3, 3))),
         )
         assert text == ("config.arch=linear-sigmoid\n"
                         "config.seed=3\n"
@@ -331,7 +331,9 @@ class TestReport:
                         "history.1.lam=0\n"
                         "history.2.objective=-2.5e-300\n"
                         "history.2.lam=7\n"
-                        "history.2.cost_neg=0.125\n")
+                        "history.2.mean_cost_neg=0.125\n"
+                        "history.3.objective=nan\n"
+                        "history.3.lam=nan\n")
 
     def test_writing_needs_constant_memory(self):
         # Each iteration's lines go to the stream as they are formatted, so
@@ -341,7 +343,7 @@ class TestReport:
         history = History(("objective", "alpha", "a", "b", "batch_auc", "lam", "cost"),
                           np.stack([t / 7, -t / 3, 1 / t, t / 11, 0.5 + 1 / (t + 2), t / 13,
                                     1 / (t + 5)], axis=1),
-                          np.ones((t.size, 1), dtype=bool), np.zeros((t.size, 9)))
+                          np.zeros((t.size, 9)))
         sink = _ByteCounter()
         tracemalloc.start()
         try:

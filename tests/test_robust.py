@@ -57,7 +57,8 @@ class TestRobustSurrogate:
         assert val == surrogate_loss(AUX0, 0.5, 0.3, 0)
         assert x_adv[0] == 0.3
 
-    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf, [1.0, -5.0], [[1.0]]])
+    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf, [1.0, -5.0], [[1.0]],
+                                     [0.5, 2.0], None])
     def test_exact_oracle_rejects_bad_multiplier(self, lam):
         with pytest.raises(ValueError, match="lam"):
             robust_surrogate_exact_1d(IDENT, AUX0, 0.5, lam, (np.array([0.3]), 0), 101)
@@ -679,14 +680,10 @@ class TestFrontierMatchesFullScan:
         for (ds, aux, p_hat, eps, model), lams, res in self.CASES:
             for x0, y in zip(ds.features[:, 0], ds.labels):
                 z = (np.array([x0]), int(y))
-                picks = robust_surrogate_exact_1d(model, aux, p_hat, lams[::9], z, res)
-                assert len(picks) == len(lams[::9])
-                for lam, pick in zip(map(float, lams[::9]), picks):
+                for lam in map(float, lams[::9]):
                     val, (x_adv, y_adv) = robust_surrogate_exact_1d(
                         model, aux, p_hat, lam, z, res)
-                    assert type(val) is type(pick[0]) is float
-                    assert np.float64(pick[0]).tobytes() == np.float64(val).tobytes()
-                    assert pick[1][0].tobytes() == x_adv.tobytes() and pick[1][1] == y_adv
+                    assert type(val) is float
                     cand, obj, i = full_scan_argmax(model, aux, p_hat, lam, x0, int(y), res)
                     assert np.float64(val).tobytes() == obj[i].tobytes()
                     assert y_adv == y
@@ -1159,8 +1156,13 @@ class TestDualState:
                                     math.inf, 1001, AUX0, 0.5, IDENT),
      "eps must be finite and >= 0, got inf"),
     (lambda: init_model("linear-sigmoid", 2.5, 0), "input_dim must be an integer, got 2.5"),
+    (lambda: ScoringModel("mlp1-tanh-sigmoid(2)", np.zeros(9), 2.0),
+     "input_dim must be an integer, got 2.0"),
+    (lambda: ScoringModel("linear-sigmoid", np.zeros(2), True),
+     "input_dim must be an integer, got True"),
 ], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1",
-        "exact-oracle-grid-float", "brute-force-inf-budget", "init-model-float-input-dim"])
+        "exact-oracle-grid-float", "brute-force-inf-budget", "init-model-float-input-dim",
+        "scoring-model-float-input-dim", "scoring-model-bool-input-dim"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -70,7 +70,7 @@ def test_stack_with_absent_negatives(eta_z):
             (tailed(50, 2, 33), TrainConfig(variant="df", iters=40, batch_size=3, eta_z=eta_z,
                                             eps=0.2, seed=33), init_model("linear-sigmoid", 2, 33))]
     states = assert_each_run_matches_train(runs)
-    absent = ~states[0].history.present[:, 1]
+    absent = np.isnan(states[0].history.column("mean_cost_neg"))
     assert absent.any() and not absent.all()
 
 
@@ -87,7 +87,7 @@ def test_stacked_reports_match_solo_runs(eta_z):
                                            eps=0.1, seed=34 + i), init_model("linear-sigmoid", 2, 34 + i))
             for i, variant in enumerate(("da", "df"))]
     states = train_stacked(runs)
-    absent = ~states[0].history.present[:, 1]
+    absent = np.isnan(states[0].history.column("mean_cost_neg"))
     assert absent.any() and not absent.all()
     for run, state in zip(runs, states):
         assert report_bytes(state.history) == report_bytes(train(*run).history)

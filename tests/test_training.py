@@ -164,7 +164,7 @@ class TestTrainers:
         suffixes = GROUP_SUFFIXES[variant]
         assert len(state.dual.lam) == len(state.dual.eps) == len(suffixes)
         assert all({"lam" + s, "mean_cost" + s} <= set(state.history.fields) for s in suffixes)
-        assert state.history.present.shape == (cfg.iters, len(suffixes))
+        assert state.history.values.shape == (cfg.iters, 5 + 2 * len(suffixes))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -318,10 +318,7 @@ class TestLoopBitwise:
         h = state.history
         fields = [key for key in ref_history[0] if key not in ("iteration", "theta")]
         assert h.fields == tuple(fields)  # in the report's order
-        # A record's None is a NaN in values and False in present.
-        costs = fields[len(fields) - h.present.shape[1]:]
-        assert same_bits(h.present, np.array([[rec[key] is not None for key in costs]
-                                              for rec in ref_history]))
+        # A record's None is a NaN in values.
         assert same_bits(h.values, np.array([[np.nan if rec[key] is None else rec[key]
                                               for key in fields] for rec in ref_history]))
         assert same_bits(h.thetas, np.stack([rec["theta"] for rec in ref_history]))
@@ -350,7 +347,7 @@ class TestLoopBitwise:
         state = self.assert_matches(few_negatives_dataset(), cfg,
                                     init_model("linear-sigmoid", 2, 32))
         if variant == "da":
-            absent = ~state.history.present[:, 1]
+            absent = np.isnan(state.history.column("mean_cost_neg"))
             assert absent.any() and not absent.all()
 
 
@@ -390,8 +387,8 @@ def test_stacked_params_are_refused_with_their_run(bad_run):
 
 def test_history_memory_is_its_columns():
     # A run of T iterations holds a (T, k) array of its k scalar fields and
-    # a (T, P) array of its iterates: (k + P) float64 values per iteration,
-    # and a bool per label group.  From T = 1,000 to 2,000 the held bytes
+    # a (T, P) array of its iterates: (k + P) float64 values per iteration.
+    # From T = 1,000 to 2,000 the held bytes
     # may grow by 10% over those values; at T = 1,000 they may reach 10%
     # over the arrays plus 64 KB for the final state.  Held bytes linear in
     # T that pass both stay within that same bound at every T >= 1,000.
