@@ -7,11 +7,12 @@ Floats are written with 17 significant digits, which parse back to the
 identical float64, so save followed by load is a bitwise identity.  Vector
 fields are comma-joined.  Checkpoint keys are written in a fixed order and
 config snapshot keys are sorted, so identical states produce identical
-bytes.  Saving and loading reject non-finite vector entries, so no file
-holds one.  Loading rebuilds the three objects, so their own validation
-runs, and also rejects a repeated key, a scaler with min > max, an unknown
-variant or a multiplier key of another variant, and an iteration below 1.
-Saving refuses an unknown variant or a ``DualState`` that does not fit it.
+bytes.  A ``Checkpoint`` checks itself when built and saved: finite
+vectors, a scaler (min, max) pair per input with min <= max, an integer
+seed and an integer iteration >= 1.  Loading rebuilds it and the three
+objects, so their own validation runs, and also rejects a repeated key,
+an unknown variant or a multiplier key of another variant.  Saving
+refuses an unknown variant or a ``DualState`` that does not fit it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_integer
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .model import ScoringModel, param_count
 from .losses import AuxParams
@@ -47,6 +49,23 @@ class Checkpoint:
     iteration: int
     cfg: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """A CheckpointError naming the first field that loading would refuse."""
+        for key, v in (("theta", self.model.params), ("scaler_min", self.scaler_min),
+                       ("scaler_max", self.scaler_max)):
+            if not np.isfinite(v).all():
+                raise CheckpointError(f"field {key!r} contains a non-finite entry")
+        d = (self.model.input_dim,)
+        if np.shape(self.scaler_min) != d or np.shape(self.scaler_max) != d:
+            raise CheckpointError("scaler length does not match input_dim")
+        if (np.asarray(self.scaler_min) > self.scaler_max).any():
+            raise CheckpointError("field 'scaler_min' exceeds 'scaler_max'")
+        try:
+            check_integer("field 'seed'", self.seed)
+            check_integer("field 'iteration'", self.iteration, 1)
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from None
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -56,12 +75,6 @@ def _fmt_vec(v: np.ndarray) -> str:
     return ",".join(_fmt(x) for x in v)
 
 
-def _finite(v: np.ndarray, key: str) -> np.ndarray:
-    if not np.isfinite(v).all():
-        raise CheckpointError(f"field {key!r} contains a non-finite entry")
-    return v
-
-
 def _parse_vec(s: str, key: str) -> np.ndarray:
     if s == "":
         return np.empty(0)
@@ -69,7 +82,7 @@ def _parse_vec(s: str, key: str) -> np.ndarray:
         v = np.array([float(p) for p in s.split(",")])
     except ValueError:
         raise CheckpointError(f"field {key!r} contains a non-numeric entry") from None
-    return _finite(v, key)
+    return v
 
 
 def _build(what: str, make, *args, **kwargs):
@@ -82,9 +95,7 @@ def _build(what: str, make, *args, **kwargs):
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
     model, aux, dual = ck.model, ck.aux, ck.dual
-    for key, v in (("theta", model.params), ("scaler_min", ck.scaler_min),
-                   ("scaler_max", ck.scaler_max)):
-        _finite(v, key)
+    ck.__post_init__()  # the fields may have changed since it was built
     keys = _dual_keys(ck.variant)
     if len(keys) != 2 * len(dual.lam) or len(dual.lam) != len(dual.eps):
         raise CheckpointError(f"field 'variant' {ck.variant!r} does not fit {len(dual.lam)} "
@@ -146,10 +157,6 @@ def load_checkpoint(path) -> Checkpoint:
                  need("a", float), need("b", float), need("alpha", float))
     scaler_min = _parse_vec(need("scaler_min"), "scaler_min")
     scaler_max = _parse_vec(need("scaler_max"), "scaler_max")
-    if scaler_min.size != input_dim or scaler_max.size != input_dim:
-        raise CheckpointError("scaler length does not match input_dim")
-    if (scaler_min > scaler_max).any():
-        raise CheckpointError("field 'scaler_min' exceeds 'scaler_max'")
 
     variant = need("variant")
     keys = _dual_keys(variant)
@@ -160,11 +167,9 @@ def load_checkpoint(path) -> Checkpoint:
     dual = _build("multipliers", DualState, lambda_max=need("lambda_max", float),
                   lam=tuple(values[:n]), eps=tuple(values[n:]))
 
-    iteration = need("iteration", int)
-    if iteration < 1:
-        raise CheckpointError(f"field 'iteration' must be >= 1, got {iteration}")
     return Checkpoint(model=model, aux=aux, variant=variant, dual=dual, scaler_min=scaler_min,
-                      scaler_max=scaler_max, seed=need("seed", int), iteration=iteration, cfg=cfg)
+                      scaler_max=scaler_max, seed=need("seed", int),
+                      iteration=need("iteration", int), cfg=cfg)
 
 
 def write_report(fh, config: dict, metrics: dict, history=None) -> None:

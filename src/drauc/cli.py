@@ -13,7 +13,6 @@ Config keys are the flag names with dashes replaced by underscores
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -23,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, write_report
-from .data import Dataset, gen_synthetic, load_csv, make_long_tailed, save_csv, seeded_rng
+from .data import (Dataset, check_real, gen_synthetic, load_csv, make_long_tailed, save_csv,
+                   seeded_rng)
 from .errors import ConfigError, DraucError
 from .gradcheck import grad_check
 from .losses import AuxParams, auc_mann_whitney
@@ -112,9 +112,11 @@ def _float_list(text: str, source: str, name: str):
     """The comma-separated values of ``text``, each a finite ``name`` >= 0,
     or a ConfigError naming the setting ``source``."""
     values = [_parse(float, p, source) for p in text.split(",") if p.strip() != ""]
-    for value in values:
-        if not 0.0 <= value < math.inf:
-            raise ConfigError(f"{source}: {name} must be finite and >= 0, got {value}")
+    try:
+        for value in values:
+            check_real(name, value, 0)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     return values
 
 

@@ -94,15 +94,23 @@ def check_integer(name, value, least=None):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def check_real(name, value, least=None, strict=False):
-    """A ValueError naming ``name`` unless value is a finite number, not a
-    bool (which arithmetic reads as 1 or 0), and at least ``least`` if
-    given, or above it if ``strict``."""
-    if isinstance(value, (bool, np.bool_)):
+def check_real(name, value, least=None, most=None, strict=False):
+    """A ValueError naming ``name`` unless value is one finite int or float,
+    NumPy's or a 0-d array's included, not a bool (which arithmetic reads as
+    1 or 0), at least ``least`` if given and at most ``most`` if given with it;
+    ``strict`` excludes both given ends if True, or each by a (least's, most's) pair."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]  # its NumPy scalar
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or least is not None and not (
-            value > least if strict else value >= least):
-        bound = "" if least is None else f" and {'>' if strict else '>='} {least:g}"
+    low, high = (strict, strict) if isinstance(strict, bool) else strict
+    if not (math.isfinite(value)
+            and (least is None or (value > least if low else value >= least))
+            and (most is None or (value < most if high else value <= most))):
+        if most is not None:
+            bound = f" and in {'(' if low else '['}{least}, {most}{')' if high else ']'}"
+        else:
+            bound = "" if least is None else f" and {'>' if low else '>='} {least}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
@@ -140,10 +148,7 @@ def make_long_tailed(dataset: Dataset, ratio: float, seed: int = 0) -> Dataset:
     without replacement; negatives are untouched and row order is
     preserved.
     """
-    if not 0.0 < ratio <= dataset.p_hat:
-        raise ValueError(
-            f"ratio must lie in (0, {dataset.p_hat}], got {ratio}"
-        )
+    check_real("ratio", ratio, 0, dataset.p_hat, strict=(True, False))
     # The +1e-9 guards against 10.999... from the float division when the
     # exact value is integral.
     keep = int(math.floor(ratio * dataset.n_neg / (1.0 - ratio) + 1e-9))

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_real
+
 
 @dataclass(frozen=True)
 class AuxParams:
@@ -44,10 +46,8 @@ class AuxParams:
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
-            raise ValueError(f"a, b must lie in [0, 1], got a={self.a}, b={self.b}")
-        if not -1.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
+        for name, least in (("a", 0), ("b", 0), ("alpha", -1)):
+            check_real(name, getattr(self, name), least, 1)
 
     def __iter__(self):  # unpacks as the (a, b, alpha) triple
         return iter((self.a, self.b, self.alpha))
@@ -55,8 +55,7 @@ class AuxParams:
 
 def _run_terms(aux, p):
     """One run's ``_FixedLabelLoss`` floats: a, b, k, c0, dg/da, dg/db, dg/dalpha coefficients."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p_hat must lie in (0, 1), got {p}")
+    check_real("p_hat", p, 0, 1, strict=True)
     a, b, alpha = aux
     return (a, b, 2.0 * (1.0 + alpha), p * (1.0 - p) * alpha**2,
             -2.0 * (1.0 - p), -2.0 * p, 2.0 * p * (1.0 - p) * alpha)

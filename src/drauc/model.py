@@ -98,9 +98,7 @@ class ScoringModel:
     def __post_init__(self):
         name, h = parse_arch(self.arch)
         object.__setattr__(self, "arch", f"{name}({h})" if h else name)
-        check_integer("input_dim", self.input_dim)
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
+        check_integer("input_dim", self.input_dim, 1)
         expected = param_count(self.arch, self.input_dim)
         if self.params.shape[-1:] != (expected,):
             raise ConfigError(
@@ -129,9 +127,7 @@ def init_model(arch: str, input_dim: int, seed: int) -> ScoringModel:
 def _init_params(arch: str, input_dim: int, rng: np.random.Generator):
     """``init_model``'s parameter vector for an arch descriptor, drawn from rng."""
     _, width = parse_arch(arch)
-    check_integer("input_dim", input_dim)
-    if input_dim < 1:
-        raise ConfigError("input_dim must be >= 1")
+    check_integer("input_dim", input_dim, 1)
     if not width:
         s = 1.0 / np.sqrt(input_dim)
         return np.concatenate([rng.uniform(-s, s, size=input_dim), [0.0]])

@@ -197,16 +197,14 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     if model.input_dim != 1:
         raise ValueError("exact oracle requires a 1-D model")
     check_integer("grid_resolution", grid_resolution, 2)
-    lam_value = np.asarray(lam, dtype=float)  # None reads as NaN, so it is refused
-    if lam_value.ndim or not 0.0 <= lam_value < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    check_real("lam", lam, 0)
     x, y = z
     x0 = np.asarray(x, dtype=float).reshape(-1)
     if x0.shape != (1,) or not 0.0 <= x0[0] <= 1.0 or y not in (0, 1):
         raise ValueError(f"z must be (x, y) with one x in [0, 1] and y 0 or 1, got {z}")
     ((dest, cost, gain),) = _destination_frontiers(
         model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
-    obj = gain - float(lam_value) * cost
+    obj = gain - float(lam) * cost
     i = np.argmax(obj)
     return float(obj[i]), (np.array([dest[i]]), int(y))
 
@@ -344,6 +342,15 @@ def brute_force_worst_case(dataset: Dataset, eps: float, grid_resolution: int,
     return float(totals[best] / dataset.n), positions
 
 
+def _cluster_share(x_pos, x_neg, n_pos, n_neg) -> float:
+    """n_pos / (n_pos + n_neg) for n_pos, n_neg >= 1 points at x_pos, x_neg in [0, 1]."""
+    for name, x in (("x_pos", x_pos), ("x_neg", x_neg)):
+        check_real(name, x, 0, 1)
+    for name, count in (("n_pos", n_pos), ("n_neg", n_neg)):
+        check_integer(name, count, 1)
+    return n_pos / (n_pos + n_neg)
+
+
 @dataclass(frozen=True)
 class BarycenterAttack:
     target: float
@@ -359,12 +366,7 @@ def barycenter_attack(x_pos: float, x_neg: float, n_pos: int, n_neg: int) -> Bar
     so strict AUC becomes 0, at mean squared cost exactly
     p*(1-p)*(x_pos - x_neg)^2.
     """
-    for name, x in (("x_pos", x_pos), ("x_neg", x_neg)):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {x}")
-    for name, count in (("n_pos", n_pos), ("n_neg", n_neg)):
-        check_integer(name, count, 1)
-    p = n_pos / (n_pos + n_neg)
+    p = _cluster_share(x_pos, x_neg, n_pos, n_neg)
     target = p * x_pos + (1.0 - p) * x_neg
     cost = p * (x_pos - target) ** 2 + (1.0 - p) * (x_neg - target) ** 2
     bound = p * (1.0 - p) * (x_pos - x_neg) ** 2
@@ -388,7 +390,7 @@ def min_cost_flip_search(x_pos: float, x_neg: float, n_pos: int, n_neg: int,
     bound up to grid resolution.
     """
     check_integer("grid_resolution", grid_resolution, 2)
-    p = n_pos / (n_pos + n_neg)
+    p = _cluster_share(x_pos, x_neg, n_pos, n_neg)
     grid = np.linspace(0.0, 1.0, grid_resolution)
     cost_pos = p * (x_pos - grid) ** 2
     cost_neg = (1.0 - p) * (x_neg - grid) ** 2

@@ -63,24 +63,16 @@ class TrainConfig:
     lambda_max: float = 1e3
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is float:
-                check_real(f.name, value)
-            if type(f.default) is int:
-                check_integer(f.name, value)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name, least in (("iters", 1), ("batch_size", 2), ("eta_z", 0), ("steps", 1),
-                            ("eps", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
-        for name in ("eta_lambda", "eta_w", "eta_alpha", "lambda_max"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        seeded_rng(self.seed)  # a bad seed fails here, not at the first draw
-        if not 0.0 <= self.lambda0 <= self.lambda_max:
-            raise ValueError(f"lambda0 must lie in [0, lambda_max], got {self.lambda0}")
+        positive = (0, None, True)
+        ranges = {"iters": (1,), "batch_size": (2,), "steps": (1,), "seed": (0,),
+                  "eta_z": (0,), "eps": (0,), "eta_lambda": positive, "eta_w": positive,
+                  "eta_alpha": positive, "lambda_max": positive, "lambda0": (0, self.lambda_max)}
+        # Every numeric field, lambda0 last: lambda_max, its bound, is checked first.
+        for f in sorted(fields(self)[1:], key=lambda f: f.name == "lambda0"):
+            check = check_integer if type(f.default) is int else check_real
+            check(f.name, getattr(self, f.name), *ranges.get(f.name, ()))
 
 
 @dataclass
@@ -94,8 +86,7 @@ class DualState:
     def __post_init__(self):
         check_real("lambda_max", self.lambda_max, 0, strict=True)
         for i, v in enumerate(self.lam):
-            if not 0.0 <= v <= self.lambda_max:
-                raise ValueError(f"lam[{i}]={v} outside [0, {self.lambda_max}]")
+            check_real(f"lam[{i}]", v, 0, self.lambda_max)
         for i, v in enumerate(self.eps):
             check_real(f"eps[{i}]", v, 0)
 
@@ -129,9 +120,8 @@ def split_epsilon(eps: float, p_hat: float, k: float):
     p * eps_pos + (1 - p) * eps_neg = eps.
     """
     check_real("eps", eps, 0)
-    check_real("k", k)
-    if not 0.5 <= k <= 1.5:
-        raise ValueError(f"k must lie in [0.5, 1.5], got {k}")
+    check_real("k", k, 0.5, 1.5)
+    check_real("p_hat", p_hat, 0, 1, strict=True)
     if k * p_hat >= 1.0:
         raise ValueError(f"k * p_hat must be < 1, got {k * p_hat}")
     eps_pos = k * eps

@@ -158,14 +158,15 @@ class TestValidation:
         path = tmp_path / "ck.txt"
         save_checkpoint(sample_checkpoint(), path)
         path.write_text(path.read_text().replace("lam_neg=1.5", "lam_neg=2000"))
-        with pytest.raises(CheckpointError, match="outside"):
+        with pytest.raises(CheckpointError, match=r"^multipliers: lam\[1\] must be finite "
+                                                  r"and in \[0, 1000\.0\], got 2000\.0$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old, new, field", [
         ("theta=0.10000000000000001,", "theta=nan,", "'theta'"),
         ("scaler_max=0.98999999999999999,", "scaler_max=inf,", "'scaler_max'"),
         ("scaler_min=0.01,-1.5", "scaler_min=1,3", "'scaler_min'"),
-        ("a=0.25", "a=7", "a=7"),
+        ("a=0.25", "a=7", r"^auxiliaries: a must be finite and in \[0, 1\], got 7\.0$"),
         ("lambda_max=1000", "lambda_max=inf", "lambda_max"),
         ("eps_pos=0.40000000000000002", "eps_pos=nan", r"eps\[0\]"),
     ], ids=["theta-nan", "scaler-inf", "scaler-reversed", "a-outside-box",
@@ -233,13 +234,25 @@ class TestValidation:
             save_checkpoint(ck, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("field, value", [("theta", np.nan), ("scaler_min", -np.inf),
-                                              ("scaler_max", np.inf)])
-    def test_save_refuses_non_finite_vector(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("model", ScoringModel("linear-sigmoid", np.array([0.5, np.nan, 0.0]), 2),
+         "field 'theta' contains a non-finite entry"),
+        ("scaler_min", np.array([0.01, -np.inf]),
+         "field 'scaler_min' contains a non-finite entry"),
+        ("scaler_max", np.array([0.99, np.inf]),
+         "field 'scaler_max' contains a non-finite entry"),
+        ("scaler_min", np.zeros(5), "scaler length does not match input_dim"),
+        ("scaler_min", np.array([0.01, 3.0]), "field 'scaler_min' exceeds 'scaler_max'"),
+        ("iteration", 0, "field 'iteration' must be >= 1, got 0"),
+        ("seed", 1.5, "field 'seed' must be an integer, got 1.5"),
+    ], ids=["theta-nan", "scaler_min--inf", "scaler_max-inf", "scaler-length",
+            "scaler-reversed", "iteration-zero", "seed-float"])
+    def test_save_refuses_a_field_load_refuses(self, tmp_path, field, value, message):
+        # Set after the checkpoint is built, so saving's own check must refuse it.
         ck = sample_checkpoint()
-        (ck.model.params if field == "theta" else getattr(ck, field))[1] = value
+        setattr(ck, field, value)
         path = tmp_path / "ck.txt"
-        with pytest.raises(CheckpointError, match=f"'{field}' contains a non-finite entry"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             save_checkpoint(ck, path)
         assert not path.exists()
 

@@ -572,12 +572,12 @@ class TestSettingSources:
     config file and line, or DRAUC_SEED, before any work is done."""
 
     @pytest.mark.parametrize("argv, config, env, message", [
-        (["train", "--batch", "1"], None, None, "--batch: batch_size must be >= 2"),
+        (["train", "--batch", "1"], None, None, "--batch: batch_size must be >= 2, got 1"),
         (["train"], "n=100\nvariant=bogus\n", None,
          "{cfg}: line 2: variant: variant must be one of ('df', 'da', 'aucm-baseline'), "
          "got 'bogus'"),
         (["train"], "n=100\n\neta_z=nan\n", None,
-         "{cfg}: line 3: eta_z: eta_z must be finite, got nan"),
+         "{cfg}: line 3: eta_z: eta_z must be finite and >= 0, got nan"),
         (["train"], "n=100\nbatch 8\n", None, "{cfg}: line 2: expected key=value"),
         (["train"], "n=3\n", None, "{cfg}: line 1: n: n must be >= 4, got 3"),
         (["train"], "mu_pos=nan\n", None,
@@ -607,8 +607,10 @@ class TestSettingSources:
         (["train", "--n", "3"], "--n: n must be >= 4, got 3"),
         (["train", "--d", "0"], "--d: d must be >= 1, got 0"),
         (["train", "--sigma", "0"], "--sigma: sigma must be finite and > 0, got 0.0"),
-        (["train", "--ratio", "0.9"], "--ratio: ratio must lie in (0, 0.5], got 0.9"),
-        (["gen-data", "--ratio", "0.9"], "--ratio: ratio must lie in (0, 0.5], got 0.9"),
+        (["train", "--ratio", "0.9"],
+         "--ratio: ratio must be finite and in (0, 0.5], got 0.9"),
+        (["gen-data", "--ratio", "0.9"],
+         "--ratio: ratio must be finite and in (0, 0.5], got 0.9"),
         (["train", "--arch", "bogus"], "--arch: arch 'bogus' names an unknown architecture"),
         (["train", "--arch", "mlp1-tanh-sigmoid(x)"],
          "--arch: arch 'mlp1-tanh-sigmoid(x)' names an unknown architecture"),
@@ -616,14 +618,16 @@ class TestSettingSources:
          f"--arch: arch {LONG_WIDTH_ARCH!r} names an unknown architecture"),
         (["gen-data", "--mu-pos", "nan"], "--mu-pos: mu_pos must be finite, got nan"),
         (["gen-data", "--mu-neg", "inf"], "--mu-neg: mu_neg must be finite, got inf"),
-        (["train", "--variant", "da", "--k", "3"], "--k: k must lie in [0.5, 1.5], got 3.0"),
+        (["train", "--variant", "da", "--k", "3"],
+         "--k: k must be finite and in [0.5, 1.5], got 3.0"),
         (["train", "--batch", "500", "--n", "100"],
          "--batch: batch_size 500 exceeds dataset size 100"),
-        (["grad-check", "--input-dim", "0"], "--input-dim: input_dim must be >= 1"),
+        (["grad-check", "--input-dim", "0"], "--input-dim: input_dim must be >= 1, got 0"),
         (["attack-oracle", "--preset", "two-point", "--eps", "-1"],
          "--eps: eps must be finite and >= 0, got -1.0"),
         ([*CUSTOM_ORACLE, "--n-pos", "0"], "--n-pos: n_pos must be >= 1, got 0"),
-        ([*CUSTOM_ORACLE, "--x-pos", "1.5"], "--x-pos: x_pos must lie in [0, 1], got 1.5"),
+        ([*CUSTOM_ORACLE, "--x-pos", "1.5"],
+         "--x-pos: x_pos must be finite and in [0, 1], got 1.5"),
         ([*CUSTOM_ORACLE, "--grid", "0"], "--grid: grid_resolution must be >= 2, got 0"),
         ([*CUSTOM_ORACLE, "--grid", "-3"], "--grid: grid_resolution must be >= 2, got -3"),
     ], ids=["n", "d", "sigma", "ratio", "gen-data-ratio", "arch", "arch-width",

@@ -328,5 +328,5 @@ class TestStackedForward:
     lambda: init_model("linear-sigmoid", 0, seed=0),
 ], ids=["ScoringModel", "init_model"])
 def test_zero_input_dim_is_refused_with_its_message(build):
-    with pytest.raises(ConfigError, match=r"^input_dim must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^input_dim must be >= 1, got 0$"):
         build()

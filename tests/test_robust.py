@@ -8,9 +8,9 @@ import pytest
 from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel, corrupt,
                    attack_batch, attack_dataset, auc_mann_whitney, barycenter_attack,
                    brute_force_worst_case, closed_form_aux, dual_curve,
-                   evaluate, forward, gen_synthetic, init_model,
-                   min_cost_flip_search, robust_surrogate_exact_1d, score, surrogate_loss,
-                   surrogate_loss_grads, train, TrainConfig, vjp_input)
+                   evaluate, forward, gen_synthetic, init_model, make_long_tailed,
+                   min_cost_flip_search, robust_surrogate_exact_1d, score, split_epsilon,
+                   surrogate_loss, surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc import robust
 from drauc.robust import _BoundAscent, _bind_ascent, _calibrate, _suffix_argmin
 from drauc.verification import (check_barycenter_brute_force, check_barycenter_identity,
@@ -18,6 +18,7 @@ from drauc.verification import (check_barycenter_brute_force, check_barycenter_i
 
 IDENT = ScoringModel("linear-identity-clamped", np.array([1.0, 0.0]), 1)
 AUX0 = AuxParams(0.0, 0.0, 0.0)
+TWO_POINTS = Dataset.from_arrays(np.array([[0.2], [0.8]]), np.array([0, 1]))
 
 
 class TestRobustSurrogate:
@@ -1160,9 +1161,36 @@ class TestDualState:
      "input_dim must be an integer, got 2.0"),
     (lambda: ScoringModel("linear-sigmoid", np.zeros(2), True),
      "input_dim must be an integer, got True"),
+    # Each scalar argument is one real number, not a bool, in its range.
+    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, True, (0.5, 1)),
+     "lam must be a real number, got True"),
+    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, "a", (0.5, 1)),
+     "lam must be a real number, got 'a'"),
+    (lambda: AuxParams(True, 0, 0), "a must be a real number, got True"),
+    (lambda: AuxParams("a", 0, 0), "a must be a real number, got 'a'"),
+    (lambda: DualState(lam=(True,), eps=(0.1,)), "lam[0] must be a real number, got True"),
+    (lambda: barycenter_attack(True, 0.0, 1, 1), "x_pos must be a real number, got True"),
+    (lambda: min_cost_flip_search(math.nan, 0.0, 1, 1),
+     "x_pos must be finite and in [0, 1], got nan"),
+    (lambda: min_cost_flip_search(2.0, 0.0, 1, 1), "x_pos must be finite and in [0, 1], got 2.0"),
+    (lambda: min_cost_flip_search(0.5, 0.0, 0, 1), "n_pos must be >= 1, got 0"),
+    (lambda: min_cost_flip_search(0.5, 0.0, True, 1), "n_pos must be an integer, got True"),
+    (lambda: split_epsilon(0.1, math.nan, 1.0), "p_hat must be finite and in (0, 1), got nan"),
+    (lambda: make_long_tailed(TWO_POINTS, "a"), "ratio must be a real number, got 'a'"),
+    (lambda: evaluate(IDENT, AUX0, TWO_POINTS, sigmas=[None]),
+     "sigma must be a real number, got None"),
+    (lambda: corrupt(TWO_POINTS, None), "sigma must be a real number, got None"),
+    (lambda: corrupt(TWO_POINTS, np.array([0.1])),
+     "sigma must be a real number, got array([0.1])"),
+    (lambda: TrainConfig(eps=None), "eps must be a real number, got None"),
 ], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1",
         "exact-oracle-grid-float", "brute-force-inf-budget", "init-model-float-input-dim",
-        "scoring-model-float-input-dim", "scoring-model-bool-input-dim"])
+        "scoring-model-float-input-dim", "scoring-model-bool-input-dim",
+        "exact-oracle-bool-lam", "exact-oracle-str-lam", "aux-bool", "aux-str", "dual-bool-lam",
+        "barycenter-bool-x", "flip-search-nan-x", "flip-search-x-outside-box",
+        "flip-search-no-positives", "flip-search-bool-count", "split-nan-p-hat",
+        "long-tailed-str-ratio", "evaluate-none-sigma", "corrupt-none-sigma",
+        "corrupt-array-sigma", "config-none-eps"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
