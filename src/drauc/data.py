@@ -104,7 +104,11 @@ def check_real(name, value, least=None, most=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     low, high = (strict, strict) if isinstance(strict, bool) else strict
-    if not (math.isfinite(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past every float
+        finite = False
+    if not (finite
             and (least is None or (value > least if low else value >= least))
             and (most is None or (value < most if high else value <= most))):
         if most is not None:

@@ -215,3 +215,28 @@ def auc_mann_whitney(pos_scores, neg_scores, tie_policy: str = "half") -> float:
         n_lt = pos.searchsorted(neg, side="left")
         wins += 0.5 * (n_le - n_lt)
     return float(np.add.reduce(wins) / (pos.size * neg.size))
+
+
+def auc_rows(scores, pos):
+    """Each row's ``auc_mann_whitney(f[pos], f[~pos])`` for (m, n) scores
+    and positive masks, bitwise, from one stacked sort; 0.5 for a row with
+    one class.  A row's twice-U, 2 * (sum of its positives' mid-ranks) -
+    n_pos * (n_pos + 1), is an integer, so U is exact as the per-call sum
+    of half-integer wins is.  As ``searchsorted`` orders them, -0.0 ties
+    0.0 and NaN ties NaN and ranks above every number."""
+    f = np.asarray(scores, dtype=float)
+    order = np.argsort(f, axis=-1)  # NaN last
+    s = np.take_along_axis(f, order, axis=-1)
+    tied = (s[:, 1:] == s[:, :-1]) | (np.isnan(s[:, 1:]) & np.isnan(s[:, :-1]))
+    m, n = f.shape
+    at, first, last = np.arange(n), np.ones((m, n), bool), np.ones((m, n), bool)
+    first[:, 1:] = last[:, :-1] = ~tied
+    # Each sorted element's tie group spans positions lo..hi (0-based), so
+    # twice its 1-based mid-rank is lo + hi + 2.
+    lo = np.maximum.accumulate(np.where(first, at, 0), axis=-1)
+    hi = np.minimum.accumulate(np.where(last, at, n)[:, ::-1], axis=-1)[:, ::-1]
+    pos_sorted = np.take_along_axis(np.asarray(pos, dtype=bool), order, axis=-1)
+    n_pos = np.count_nonzero(pos_sorted, axis=-1)
+    u2 = np.add.reduce(np.where(pos_sorted, lo + hi + 2, 0), axis=-1) - n_pos * (n_pos + 1)
+    pairs = n_pos * (n - n_pos)
+    return np.divide(u2 * 0.5, pairs, out=np.full(m, 0.5), where=pairs > 0)

@@ -199,9 +199,11 @@ def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
     check_integer("grid_resolution", grid_resolution, 2)
     check_real("lam", lam, 0)
     x, y = z
-    x0 = np.asarray(x, dtype=float).reshape(-1)
-    if x0.shape != (1,) or not 0.0 <= x0[0] <= 1.0 or y not in (0, 1):
+    x0 = np.asarray(x).reshape(-1)  # a bool, read as 0 or 1 by arithmetic, is refused
+    if (x0.shape != (1,) or x0.dtype.kind not in "iuf" or not 0.0 <= x0[0] <= 1.0
+            or isinstance(y, (bool, np.bool_)) or y not in (0, 1)):
         raise ValueError(f"z must be (x, y) with one x in [0, 1] and y 0 or 1, got {z}")
+    x0 = x0.astype(float)
     ((dest, cost, gain),) = _destination_frontiers(
         model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
     obj = gain - float(lam) * cost

@@ -25,8 +25,10 @@ from the same seed.  The loss's imbalance ratio is the training set's
 cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
 and each row's group) are looked up by label in a two-entry table per run.
 
-Each run's history is a ``History`` of columns: (k + P) float64 values per
-iteration for its k scalar fields and P parameters.
+Each run's history is a ``History`` of columns: k float64 values per
+iteration for its k scalar fields, and P more for its parameters only if
+the run keeps its iterates (``keep_thetas=True``).  Batches are drawn a
+block of iterations at a time, which leaves each rng's draws in order.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import Dataset, check_integer, check_real, seeded_rng
-from .losses import AuxParams, _FixedLabelLoss, auc_mann_whitney, label_rows
+from .losses import AuxParams, _FixedLabelLoss, auc_rows, label_rows
 from .model import ScoringModel, _Passes, vjp_params
 from .robust import _BoundAscent
 
@@ -44,6 +46,11 @@ from .robust import _BoundAscent
 # group for a single budget, (positives, negatives) for per-class budgets.
 GROUP_SUFFIXES = {"df": ("",), "da": ("_pos", "_neg"), "aucm-baseline": ("",)}
 VARIANTS = tuple(GROUP_SUFFIXES)
+# Iterations whose batches are drawn together: each run's label rows are
+# taken in one gather and every run's batch AUCs ranked in one sort.  The
+# features are still taken per iteration, so a block's memory does not grow
+# with the dimension.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -94,14 +101,17 @@ class DualState:
 @dataclass(eq=False)
 class History:
     """One run's trace as columns: row t-1 of ``values`` holds iteration t's
-    ``fields``, of ``thetas`` the iterate it started from.  A ``mean_cost*``
-    value is NaN where its label group was absent from the batch."""
+    ``fields``, of ``thetas`` (None unless the run kept them) the iterate it
+    started from.  A ``mean_cost*`` value is NaN where its label group was
+    absent from the batch."""
 
     fields: tuple
     values: np.ndarray
-    thetas: np.ndarray
+    thetas: np.ndarray | None = None
 
     def column(self, key):
+        if key not in self.fields:
+            raise KeyError(f"no history field {key!r}; this run's fields are {self.fields}")
         return self.values[:, self.fields.index(key)]
 
 
@@ -147,10 +157,11 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
     return idx
 
 
-def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel) -> TrainState:
+def train(dataset: Dataset, cfg: TrainConfig, initial_model: ScoringModel, *,
+          keep_thetas: bool = False) -> TrainState:
     """Train ``cfg.variant`` on ``dataset`` from ``initial_model``: the
     one-run call of ``train_stacked``."""
-    return train_stacked([(dataset, cfg, initial_model)])[0]
+    return train_stacked([(dataset, cfg, initial_model)], keep_thetas=keep_thetas)[0]
 
 
 _ATTACK = "attack (eta_z > 0 outside aucm-baseline)"
@@ -164,9 +175,10 @@ def _stack_shape(cfg, model):
             _ATTACK: cfg.variant != "aucm-baseline" and cfg.eta_z > 0.0}
 
 
-def train_stacked(runs) -> list[TrainState]:
+def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     """Train R runs, each a (dataset, cfg, initial model) triple, in one
     loop with a leading run axis on every array; one TrainState per run.
+    Each history holds its run's iterates only given ``keep_thetas``.
 
     The runs share arch, input_dim, iters, batch_size and steps, and the
     attack (``eta_z`` > 0 outside ``aucm-baseline``) is on in all or none;
@@ -213,39 +225,55 @@ def train_stacked(runs) -> list[TrainState]:
     # The stacked params are the iterates, updated in place.  Means are
     # np.add.reduce(x) / n, the values ndarray.mean gives; a stacked
     # reduction gives each run the bits of its own.
-    theta = np.stack([m.params for _, _, m in runs])
+    T, theta = cfg0.iters, np.stack([m.params for _, _, m in runs])
     aux = [(0.0, 0.0, 0.0)] * R  # a, b, alpha per run
-    thetas = np.empty((R, cfg0.iters, theta.shape[-1]), theta.dtype)  # each iteration's start
+    # Each iteration's start, kept on request.
+    thetas = np.empty((R, T, theta.shape[-1]), theta.dtype) if keep_thetas else None
     histories = []
     for r, cfg in enumerate(cfgs):
         suffixes = GROUP_SUFFIXES[cfg.variant]
         names = ("objective", "alpha", "a", "b", "batch_auc",
                  *("lam" + s for s in suffixes), *("mean_cost" + s for s in suffixes))
-        histories.append(History(names, np.empty((cfg0.iters, len(names))), thetas[r]))
+        histories.append(History(names, np.empty((T, len(names))),
+                                 None if thetas is None else thetas[r]))
     x_batch = np.empty((R, n, model0.input_dim))
-    y_batch, pos_rows, terms, group = (np.empty((R, n), dtype=int), np.empty((R, n), dtype=bool),
-                                       np.empty((3, R, n)), np.empty((R, n), dtype=np.intp))
+    # One block's batches per run: the rows drawn, the label rows the loss
+    # reads (pos, then w, l and 2w), the groups, and the scores the batch
+    # AUC ranks.
+    idx, pos_block, group_block = (np.empty((R, BLOCK, n), dtype=dtype)
+                                   for dtype in (np.intp, bool, np.intp))
+    terms_block, f_block = np.empty((3, R, BLOCK, n)), np.empty((R, BLOCK, n))
     # A lone run's arrays and steps drop the run axis (NumPy's cost per call
     # grows with the axes); the outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
     params = lone(theta)
     model = replace(model0, params=params)
     passes = _Passes(model)  # the post-ascent pass; params are views of theta
-    xs, rows = lone(x_batch), (lone(pos_rows), *map(lone, terms))
+    xs = lone(x_batch)
     # A lone run's 0-d arrays (cheaper ufunc operands than floats), else columns.
     rates = np.array([[cfg.eta_w, cfg.eta_z] for cfg in cfgs], dtype=np.float64)
     eta_w, step_size = ((rates[0, 0, ...], rates[0, 1, ...]) if R == 1 else
                         (rates[:, :1], rates[:, 1:, None]))
     costs = np.zeros((R, n))  # each row's cost with the attack off; the attack rebinds it
-    for t in range(1, cfg0.iters + 1):
-        thetas[:, t - 1] = theta
-        for r, (dataset, rng, table, groups) in enumerate(zip(datasets, rngs, tables, group_of)):
-            idx = sample_batch(dataset, n, rng)  # in range, so "clip" clips nothing
-            dataset.features.take(idx, axis=0, out=x_batch[r], mode="clip")
-            y = dataset.labels.take(idx, out=y_batch[r], mode="clip")  # each 0 or 1
-            np.equal(y, 1, out=pos_rows[r])
-            table.take(y, axis=1, out=terms[:, r], mode="clip")
-            groups.take(y, out=group[r], mode="clip")
+    for t in range(T):
+        j = t % BLOCK
+        if j == 0:  # the next block's batches, in each rng's draw order
+            span = min(BLOCK, T - t)
+            for r, (dataset, rng, table, groups) in enumerate(zip(datasets, rngs, tables,
+                                                                  group_of)):
+                for i in range(span):
+                    idx[r, i] = sample_batch(dataset, n, rng)
+                # In range, so "clip" clips nothing; each label is 0 or 1.
+                y = dataset.labels.take(idx[r, :span], mode="clip")
+                np.equal(y, 1, out=pos_block[r, :span])
+                table.take(y, axis=1, out=terms_block[:, r, :span], mode="clip")
+                groups.take(y, out=group_block[r, :span], mode="clip")
+        if thetas is not None:
+            thetas[:, t] = theta
+        for r, dataset in enumerate(datasets):
+            dataset.features.take(idx[r, j], axis=0, out=x_batch[r], mode="clip")
+        group = group_block[:, j]
+        rows = [lone(block[:, j]) for block in (pos_block, *terms_block)]
         loss = _FixedLabelLoss(lone(aux), lone(p_hat), rows=rows)
 
         if attack:
@@ -264,7 +292,7 @@ def train_stacked(runs) -> list[TrainState]:
             costs = costs.reshape(R, n)
         else:
             f_nom = f_adv  # else the ascent's first pass scored x_batch
-        f_nom = f_nom.reshape(R, n)
+        f_block[:, j] = f_nom.reshape(R, n)
         # Each run's means of g and of dg/da, dg/db and dg/dalpha.
         means = (np.add.reduce([g_adv, d_a, d_b, d_alpha], axis=-1) / n).reshape(4, R).T.tolist()
         grad_theta = np.add.reduce(vjp_params(model, cache, d_f), axis=-2) / n
@@ -272,15 +300,13 @@ def train_stacked(runs) -> list[TrainState]:
         for r, cfg in enumerate(cfgs):
             a, b, alpha = aux[r]
             g_mean, step_a, step_b, step_alpha = means[r]
-            budget, lam_r, pos = budgets[r], lam_runs[r], pos_rows[r]
-            n_pos = int(np.count_nonzero(pos))
+            budget, lam_r = budgets[r], lam_runs[r]
             mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None  # None: absent
                           for c in (costs[r][group[r] == g] for g in range(budget.size))]
-            f_r = f_nom[r]  # a single-class batch has no ranked pairs: 0.5
-            batch_auc = auc_mann_whitney(f_r[pos], f_r[~pos]) if 0 < n_pos < n else 0.5
-            # An absent group's None is stored as NaN.
-            histories[r].values[t - 1] = [float(np.add.reduce(lam_r * budget)) + g_mean, alpha,
-                                          a, b, batch_auc, *lam_r.tolist(), *mean_costs]
+            # An absent group's None is stored as NaN; batch_auc is ranked
+            # at the block's end.
+            histories[r].values[t] = [float(np.add.reduce(lam_r * budget)) + g_mean, alpha,
+                                      a, b, np.nan, *lam_r.tolist(), *mean_costs]
 
             # Simultaneous updates from the iteration-start values.
             # min/max give np.clip's values (NaN, -0.0) at a tenth of its cost.
@@ -292,6 +318,11 @@ def train_stacked(runs) -> list[TrainState]:
                       float(min(max(b - cfg.eta_w * step_b, 0.0), 1.0)),
                       float(min(max(alpha + cfg.eta_alpha * step_alpha, -1.0), 1.0)))
         params -= eta_w * grad_theta
+        if j == span - 1:  # the block's batch AUCs, every run's in one stacked sort
+            aucs = auc_rows(f_block[:, :span].reshape(R * span, n),
+                            pos_block[:, :span].reshape(R * span, n)).reshape(R, span)
+            for h, auc in zip(histories, aucs):
+                h.column("batch_auc")[t + 1 - span:t + 1] = auc
 
     return [TrainState(
         model=replace(m, params=theta[r].copy()),

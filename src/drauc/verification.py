@@ -360,12 +360,13 @@ def check_domain_preservation(iters=60, seed=11):
 
 def _same_run(s1, s2):
     """Whether two TrainStates hold bitwise the same final params, aux,
-    multipliers and budgets, and the same history, theta included."""
+    multipliers and budgets, and the same history, thetas included (or
+    absent from both)."""
     def bits(s):
         h = s.history
-        return [h.fields] + [np.asarray(v).tobytes() for v in (
-            s.model.params, (s.aux.a, s.aux.b, s.aux.alpha), s.dual.lam, s.dual.eps,
-            h.values, h.thetas)]
+        return [h.fields, None if h.thetas is None else h.thetas.tobytes()] + [
+            np.asarray(v).tobytes() for v in (s.model.params, (s.aux.a, s.aux.b, s.aux.alpha),
+                                              s.dual.lam, s.dual.eps, h.values)]
     return bits(s1) == bits(s2)
 
 
@@ -375,8 +376,9 @@ def check_trainer_determinism(iters=40, seed=12):
     the first run."""
     ds, model = _small_train_setup(seed)
     cfg = TrainConfig(variant="df", iters=iters, batch_size=16, eps=0.05, seed=seed)
-    s1 = train(ds, cfg, model)
-    again = [train(ds, cfg, model), *train_stacked([(ds, cfg, model)] * 2)]
+    s1 = train(ds, cfg, model, keep_thetas=True)
+    again = [train(ds, cfg, model, keep_thetas=True),
+             *train_stacked([(ds, cfg, model)] * 2, keep_thetas=True)]
     return all(_same_run(s1, s) for s in again), "reruns are bitwise identical"
 
 
@@ -389,7 +391,7 @@ def check_ablation_equivalence(iters=100, seed=13):
     model = init_model("mlp1-tanh-sigmoid(8)", 2, seed)
     df = TrainConfig(variant="df", iters=iters, batch_size=16, eta_z=0.0, eps=0.0, seed=seed)
     cfgs = (df, replace(df, variant="da"), replace(df, variant="aucm-baseline", eta_z=0.5, eps=2.0))
-    runs = train_stacked([(ds, cfg, model) for cfg in cfgs])
+    runs = train_stacked([(ds, cfg, model) for cfg in cfgs], keep_thetas=True)
     h0 = runs[0].history
     for other in runs[1:]:
         if not np.array_equal(runs[0].model.params, other.model.params):

@@ -3,7 +3,7 @@ import pytest
 
 from drauc import (AuxParams, auc_mann_whitney, closed_form_aux, pairwise_sq_risk,
                    saddle_value, surrogate_loss, surrogate_loss_grads)
-from drauc.losses import _FixedLabelLoss, label_rows
+from drauc.losses import _FixedLabelLoss, auc_rows, label_rows
 from drauc.verification import (check_alpha_stationarity, check_auc_properties,
                                 check_saddle_identity)
 
@@ -384,6 +384,27 @@ class TestMannWhitney:
     def test_bad_tie_policy(self):
         with pytest.raises(ValueError):
             auc_mann_whitney([0.5], [0.4], "maybe")
+
+    @pytest.mark.parametrize("kind", ["uniform", "levels", "signed-zeros", "nan", "nan-inf"])
+    def test_stacked_rows_match_each_call_bitwise(self, kind):
+        # auc_rows ranks every row in one sort; each value is the bits of
+        # auc_mann_whitney on that row, or 0.5 for a one-class row.  NaN
+        # ties NaN and ranks above every number, inf included.
+        rng = np.random.default_rng(["uniform", "levels", "signed-zeros", "nan",
+                                     "nan-inf"].index(kind))
+        values = {"levels": np.linspace(0, 1, 5), "signed-zeros": [-0.0, 0.0, 0.5, 1.0],
+                  "nan": [np.nan, 0.0, 0.25, 1.0],
+                  "nan-inf": [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.75]}
+        for _ in range(40):
+            m, n = int(rng.integers(1, 30)), int(rng.integers(2, 40))
+            f = rng.uniform(size=(m, n)) if kind == "uniform" else rng.choice(values[kind],
+                                                                                size=(m, n))
+            pos = rng.uniform(size=(m, n)) < rng.uniform(size=(m, 1))
+            pos[0] = True  # a one-class row in every draw
+            got = auc_rows(f, pos)
+            want = [auc_mann_whitney(row[p], row[~p]) if 0 < p.sum() < n else 0.5
+                    for row, p in zip(f, pos)]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("fn", [pairwise_sq_risk, auc_mann_whitney])

@@ -1183,6 +1183,11 @@ class TestDualState:
     (lambda: corrupt(TWO_POINTS, np.array([0.1])),
      "sigma must be a real number, got array([0.1])"),
     (lambda: TrainConfig(eps=None), "eps must be a real number, got None"),
+    (lambda: TrainConfig(eps=10**400), f"eps must be finite and >= 0, got {10**400}"),
+    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.3, True)),
+     "z must be (x, y) with one x in [0, 1] and y 0 or 1, got (0.3, True)"),
+    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (True, 0)),
+     "z must be (x, y) with one x in [0, 1] and y 0 or 1, got (True, 0)"),
 ], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1",
         "exact-oracle-grid-float", "brute-force-inf-budget", "init-model-float-input-dim",
         "scoring-model-float-input-dim", "scoring-model-bool-input-dim",
@@ -1190,7 +1195,8 @@ class TestDualState:
         "barycenter-bool-x", "flip-search-nan-x", "flip-search-x-outside-box",
         "flip-search-no-positives", "flip-search-bool-count", "split-nan-p-hat",
         "long-tailed-str-ratio", "evaluate-none-sigma", "corrupt-none-sigma",
-        "corrupt-array-sigma", "config-none-eps"])
+        "corrupt-array-sigma", "config-none-eps", "config-huge-int-eps", "exact-oracle-bool-y",
+        "exact-oracle-bool-x"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -22,10 +22,10 @@ def few_negatives(d):
 
 
 def assert_each_run_matches_train(runs):
-    states = train_stacked(runs)
+    states = train_stacked(runs, keep_thetas=True)
     assert len(states) == len(runs)
     for i, ((ds, cfg, model), state) in enumerate(zip(runs, states)):
-        alone = train(ds, cfg, model)
+        alone = train(ds, cfg, model, keep_thetas=True)
         assert _same_run(state, alone), f"run {i} ({cfg.variant}) left its solo trajectory"
         assert state.dual.eps == alone.dual.eps and state.dual.lambda_max == alone.dual.lambda_max
         assert state.model.params.flags.c_contiguous and state.model.params.shape == (
@@ -86,7 +86,7 @@ def test_stacked_reports_match_solo_runs(eta_z):
     runs = [(few_negatives(2), TrainConfig(variant=variant, iters=40, batch_size=3, eta_z=eta_z,
                                            eps=0.1, seed=34 + i), init_model("linear-sigmoid", 2, 34 + i))
             for i, variant in enumerate(("da", "df"))]
-    states = train_stacked(runs)
+    states = train_stacked(runs, keep_thetas=True)
     absent = np.isnan(states[0].history.column("mean_cost_neg"))
     assert absent.any() and not absent.all()
     for run, state in zip(runs, states):
@@ -110,8 +110,8 @@ def test_identical_runs_stay_identical():
     ds = tailed(200, 2, 60)
     run = (ds, TrainConfig(variant="da", iters=30, batch_size=16, eps=0.05, seed=60),
            init_model("mlp1-tanh-sigmoid(8)", 2, 60))
-    first, second = train_stacked([run, run])
-    assert _same_run(first, second) and _same_run(first, train(*run))
+    first, second = train_stacked([run, run], keep_thetas=True)
+    assert _same_run(first, second) and _same_run(first, train(*run, keep_thetas=True))
 
 
 @pytest.mark.parametrize("lambda0", [1, 0])
@@ -123,12 +123,13 @@ def test_int_settings_train_as_their_floats(variant, lambda0):
     base = dict(variant=variant, iters=40, batch_size=16, eps=0.05, seed=80)
     ints = TrainConfig(lambda0=lambda0, eta_z=1, eta_w=1, **base)
     floats = TrainConfig(lambda0=float(lambda0), eta_z=1.0, eta_w=1.0, **base)
-    want = train(ds, floats, model)
+    want = train(ds, floats, model, keep_thetas=True)
     h = want.history
     assert any((h.column(key) % 1.0).any() for key in h.fields if key.startswith("lam"))
-    assert _same_run(train(ds, ints, model), want)
+    assert _same_run(train(ds, ints, model, keep_thetas=True), want)
     assert all(_same_run(s, want) for s in train_stacked([(ds, ints, model),
-                                                          (ds, floats, model)]))
+                                                          (ds, floats, model)],
+                                                         keep_thetas=True))
 
 
 class TestStackValidation:

@@ -12,7 +12,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    init_model, sample_batch, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params,
                    write_report)
-from drauc.training import GROUP_SUFFIXES, VARIANTS
+from drauc.training import BLOCK, GROUP_SUFFIXES, VARIANTS, History
 from drauc.verification import (check_domain_preservation, check_lambda_direction,
                                 check_separable_training, check_trainer_determinism)
 
@@ -122,10 +122,13 @@ class TestTrainers:
 
     def test_history_holds_every_iterate(self):
         # Each row of thetas holds the iterate its iteration started from,
-        # untouched by the in-place updates that follow.
+        # untouched by the in-place updates that follow; a run keeps them
+        # only on request.
         ds = make_tailed_dataset()
         m = init_model("linear-sigmoid", 2, 15)
-        state = train(ds, TrainConfig(variant="df", iters=5, batch_size=16, seed=15), m)
+        cfg = TrainConfig(variant="df", iters=5, batch_size=16, seed=15)
+        assert train(ds, cfg, m).history.thetas is None
+        state = train(ds, cfg, m, keep_thetas=True)
         thetas = state.history.thetas
         assert thetas.shape == (5, m.params.size) and np.array_equal(thetas[0], m.params)
         assert not any(np.shares_memory(thetas, p) for p in (m.params, state.model.params))
@@ -313,7 +316,7 @@ class TestLoopBitwise:
              + [("da", 0.0, 0.3), ("df", 0.2, 0.002)])
 
     def assert_matches(self, ds, cfg, model):
-        state = train(ds, cfg, model)
+        state = train(ds, cfg, model, keep_thetas=True)
         ref_model, ref_aux, ref_dual, ref_history = reference_train(ds, cfg, model)
         h = state.history
         fields = [key for key in ref_history[0] if key not in ("iteration", "theta")]
@@ -340,6 +343,14 @@ class TestLoopBitwise:
                           eps=eps, seed=31)
         self.assert_matches(ds, cfg, init_model("mlp1-tanh-sigmoid(4)", 2, 31))
 
+    @pytest.mark.parametrize("iters", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+    @pytest.mark.parametrize("eta_z", [0.05, 0.0])
+    def test_matches_reference_at_block_edges(self, iters, eta_z):
+        # Batches are drawn, and batch AUCs ranked, a block at a time.
+        cfg = TrainConfig(variant="da", iters=iters, batch_size=16, eta_z=eta_z, eps=0.1,
+                          seed=33)
+        self.assert_matches(make_tailed_dataset(), cfg, init_model("linear-sigmoid", 2, 33))
+
     @pytest.mark.parametrize("variant, eta_z", [("da", 0.0), ("da", 0.1), ("df", 0.0)])
     def test_matches_reference_with_absent_negatives(self, variant, eta_z):
         cfg = TrainConfig(variant=variant, iters=40, batch_size=3, eta_z=eta_z,
@@ -361,7 +372,7 @@ def test_batch_auc_replays_from_data(variant, arch, d):
     ds = make_long_tailed(gen_synthetic(400, d, seed=40 + d), 0.1, seed=40 + d)
     cfg = TrainConfig(variant=variant, iters=200, batch_size=32, eps=0.5, seed=41)
     model = init_model(arch, d, 41)
-    h = train(ds, cfg, model).history
+    h = train(ds, cfg, model, keep_thetas=True).history
     rng = np.random.default_rng(cfg.seed)
     for t, (theta, batch_auc) in enumerate(zip(h.thetas, h.column("batch_auc").tolist()), 1):
         idx = sample_batch(ds, cfg.batch_size, rng)
@@ -385,10 +396,11 @@ def test_stacked_params_are_refused_with_their_run(bad_run):
         train_stacked(runs)
 
 
-def test_history_memory_is_its_columns():
-    # A run of T iterations holds a (T, k) array of its k scalar fields and
-    # a (T, P) array of its iterates: (k + P) float64 values per iteration.
-    # From T = 1,000 to 2,000 the held bytes
+@pytest.mark.parametrize("keep_thetas", [False, True])
+def test_history_memory_is_its_columns(keep_thetas):
+    # A run of T iterations holds a (T, k) array of its k scalar fields and,
+    # if it keeps its iterates, a (T, P) array of them: k (or k + P) float64
+    # values per iteration.  From T = 1,000 to 2,000 the held bytes
     # may grow by 10% over those values; at T = 1,000 they may reach 10%
     # over the arrays plus 64 KB for the final state.  Held bytes linear in
     # T that pass both stay within that same bound at every T >= 1,000.
@@ -402,7 +414,7 @@ def test_history_memory_is_its_columns():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            state = train(ds, cfg, model)
+            state = train(ds, cfg, model, keep_thetas=keep_thetas)
             gc.collect()
             held.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
@@ -411,5 +423,13 @@ def test_history_memory_is_its_columns():
         del state
     k, P = len(fields), model.params.size
     assert (k, P) == (7, 33)
-    assert held[1] - held[0] <= 1.1 * 1000 * (k + P) * 8
-    assert held[0] <= 1.1 * 1000 * (k + P) * 8 + 64 * 1024
+    per_iteration = (k + P if keep_thetas else k) * 8
+    assert held[1] - held[0] <= 1.1 * 1000 * per_iteration
+    assert held[0] <= 1.1 * 1000 * per_iteration + 64 * 1024
+
+
+def test_unknown_history_column_names_the_fields():
+    h = History(("objective", "lam"), np.zeros((2, 2)))
+    with pytest.raises(KeyError, match=r"no history field 'nope'; this run's fields are "
+                                       r"\('objective', 'lam'\)"):
+        h.column("nope")
