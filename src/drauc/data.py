@@ -85,13 +85,15 @@ def _apply_scaler(raw: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray
     return out
 
 
-def check_integer(name, value, least=None):
+def check_integer(name, value, least=None, most=None):
     """A ValueError naming ``name`` unless value is an int or np.integer, not
-    a bool, and at least ``least`` if given."""
+    a bool, at least ``least`` and at most ``most`` where given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 def check_real(name, value, least=None, most=None, strict=False):

@@ -55,7 +55,6 @@ class AuxParams:
 
 def _run_terms(aux, p):
     """One run's ``_FixedLabelLoss`` floats: a, b, k, c0, dg/da, dg/db, dg/dalpha coefficients."""
-    check_real("p_hat", p, 0, 1, strict=True)
     a, b, alpha = aux
     return (a, b, 2.0 * (1.0 + alpha), p * (1.0 - p) * alpha**2,
             -2.0 * (1.0 - p), -2.0 * p, 2.0 * p * (1.0 - p) * alpha)
@@ -80,34 +79,38 @@ class _FixedLabelLoss:
     stacked runs with labels (R, n), R triples and R floats.  A lone run's
     scalar terms are 0-d arrays, stacked runs' (R, 1) columns, so every
     run's arrays are bitwise its own call's.  Given ``rows``, which is
-    ``label_rows(p, y)``, y is not read."""
+    ``label_rows(p, y)``, y is not read.  Bound once per stack, p checked
+    once, it takes each batch's aux (in place) and label rows by ``rebind``."""
 
-    __slots__ = ("a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "two_w", "kl")
+    __slots__ = ("p", "terms", "a", "b", "dcoefs", "pos", "w", "c", "l", "k", "c0", "two_w", "kl")
 
     def __init__(self, aux, p, y=None, rows=None):
-        if isinstance(p, float) or np.ndim(p) == 0:  # one run: 0-d arrays
-            terms = [np.array(term, dtype=np.float64) for term in _run_terms(aux, p)]
-        else:  # one (R, 1) column per term
-            terms = np.array([_run_terms(run, p_r) for run, p_r in zip(aux, p)]).T[..., None]
-            p = np.array(p, dtype=np.float64)[:, None]
-        self.a, self.b, self.k, self.c0, *self.dcoefs = terms
-        self.pos, self.w, self.l, self.two_w = label_rows(p, y) if rows is None else rows
+        lone = isinstance(p, float) or np.ndim(p) == 0
+        self.p = [p] if lone else list(p)
+        for p_r in self.p:
+            check_real("p_hat", p_r, 0, 1, strict=True)
+        self.terms = np.empty((len(self.p), 7))  # one row of _run_terms per run
+        columns = self.terms.T[:, 0] if lone else self.terms.T[..., None]
+        self.a, self.b, self.k, self.c0, *self.dcoefs = [columns[i, ...] for i in range(7)]
+        if rows is None:
+            rows = label_rows(p if lone else np.array(p, dtype=np.float64)[:, None], y)
+        self.rebind([aux] if lone else aux, rows)
+
+    def rebind(self, aux, rows):
+        """Take each run's (a, b, alpha) and new ``label_rows`` of the bound shape."""
+        self.pos, self.w, self.l, self.two_w = rows
+        self.terms[...] = [_run_terms(run, p) for run, p in zip(aux, self.p)]
         self.c = np.where(self.pos, self.a, self.b)
         self.kl = self.k * self.l
-
-    def _value(self, f_c, lf, out=None):
-        """g from f - c and l*f, which it scales by k in place."""
-        g = np.square(f_c, out=out)
-        g *= self.w
-        lf *= self.k
-        g += lf
-        g -= self.c0
-        return g
 
     def value(self, f, out=None, f_c=None, lf=None):
         """g at scores f.  Given buffers, g goes to ``out``, f - c (which
         ``d_f`` reads) to ``f_c`` and k*(l*f) to ``lf``."""
-        return self._value(np.subtract(f, self.c, out=f_c), np.multiply(self.l, f, out=lf), out)
+        g = np.square(np.subtract(f, self.c, out=f_c), out=out)
+        g *= self.w
+        g += np.multiply(np.multiply(self.l, f, out=lf), self.k, out=lf)  # k*(l*f), in lf
+        g -= self.c0
+        return g
 
     def d_f(self, f_c, out=None):
         """dg/df from f - c, as ``value`` leaves it in ``f_c``."""
@@ -115,16 +118,25 @@ class _FixedLabelLoss:
         d_f += self.kl
         return d_f
 
-    def value_and_grads(self, f):
-        """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f from one f - c and
-        one l*f; f - a and f - b set the sign of the other class's 0.0 rows."""
+    def value_and_grads(self, f, out=None):
+        """(g, dg/df, dg/da, dg/db, dg/dalpha) at scores f; f - a and f - b set
+        the sign of the other class's 0.0 rows.  Given ``out``, a (5, ...) buffer,
+        they go to its rows 0, 4, 1, 2 and 3, so one reduce of rows :4 takes means."""
+        if out is None:
+            out = np.empty((5, *np.broadcast_shapes(np.shape(f), self.c.shape)))
+        g, d_a, d_b, d_alpha, d_f = [out[i, ...] for i in range(5)]
         da, db, dalpha = self.dcoefs  # -2(1-p), -2p and 2p(1-p)alpha
-        f_c, lf = f - self.c, self.l * f
-        d_a = da * (f - self.a) * self.pos
-        d_b = db * (f - self.b) * (~self.pos)
         # + 0.0 * f broadcasts to the input shape and turns -0.0 into 0.0.
-        d_alpha = 2.0 * lf - dalpha + 0.0 * f
-        return self._value(f_c, lf), self.d_f(f_c), d_a, d_b, d_alpha
+        np.multiply(self.l, f, out=d_alpha)
+        d_alpha *= 2.0
+        d_alpha -= dalpha
+        d_alpha += np.multiply(0.0, f, out=d_b)
+        self.value(f, g, d_f, d_a)
+        np.multiply(da, np.subtract(f, self.a, out=d_a), out=d_a)
+        d_a *= self.pos
+        np.multiply(db, np.subtract(f, self.b, out=d_b), out=d_b)
+        d_b *= ~self.pos
+        return g, self.d_f(d_f, d_f), d_a, d_b, d_alpha
 
 
 def _check_labels(y):

@@ -170,13 +170,14 @@ class _Passes:
     its row-major copy, u and f; ``output_slope`` (which ``input_grad``
     calls) the slope; ``input_grad`` v's outer product with the slope (in
     the copy's memory), d f / d (Wx + c) (over the tanh layer) and the
-    gradient.  A caller that makes many passes (the ascent, the training
-    loop) must not hold f, the slope, the tanh layer or the gradient across
-    them; an in-place edit of the model's ``params`` shows in the next pass.
+    gradient; ``vjp_params`` the (..., P, n) rows and their row-major copy.
+    A caller that makes many passes (the ascent, the training loop) must not
+    hold any of these across them; an in-place edit of ``params`` shows next.
     """
 
     __slots__ = ("W", "WT", "c", "v", "v_col", "b", "mlp", "clamped", "hidden", "rows",
-                 "u", "f", "slope", "slope_row", "d_f", "d_f_row", "outer", "jac")
+                 "u", "f", "slope", "slope_row", "d_f", "d_f_row", "outer", "jac", "n_params",
+                 "grad", "grad_rows")
 
     def __init__(self, model: ScoringModel):
         self.W, self.WT, self.c, self.v = model.W, model.WT, model.c[..., None], model.v
@@ -185,7 +186,8 @@ class _Passes:
         self.mlp = model.W.shape[-2] > 0
         self.clamped = model.arch == LINEAR_IDENTITY_CLAMPED
         self.hidden = self.rows = self.u = self.f = self.slope = self.slope_row = None
-        self.d_f = self.d_f_row = self.outer = self.jac = None
+        self.d_f = self.d_f_row = self.outer = self.jac = self.grad = self.grad_rows = None
+        self.n_params = model.params.shape[-1]
 
     def scores(self, xT):
         """Scores f (..., n) of the feature-major batch xT (..., d, n)."""
@@ -249,6 +251,27 @@ class _Passes:
         jac *= self.d_f_row
         return jac
 
+    def vjp_params(self, cache, d_f):
+        """``vjp_params`` of a cache of this shape, in this binding's buffers."""
+        batch, hidden, slope = cache
+        h, d = self.W.shape[-2:]  # h = 0 for the linear archs
+        *runs, n = slope.shape  # the run axes of params and batch, broadcast
+        if self.grad is None:
+            self.grad = np.empty((*runs, self.n_params, n))
+        grad, slope_row = self.grad, slope[..., None, :]
+        if hidden is not None:
+            d_pre = _pre_activation_grad(self.v_col, hidden.mT, slope_row,
+                                         grad[..., h * d : h * d + h, :])
+            np.multiply(d_pre[..., :, None, :], batch.mT[..., None, :, :],
+                        out=grad[..., : h * d, :].reshape(*runs, h, d, n))
+        # The output layer's weights and bias, after the mlp's hidden layer.
+        np.multiply(batch.mT if hidden is None else hidden.mT, slope_row,
+                    out=grad[..., h * d + h : -1, :])
+        grad[..., -1, :] = slope
+        grad *= d_f[..., None, :]
+        self.grad_rows = _row_major(grad.mT, self.grad_rows)
+        return self.grad_rows
+
 
 def _batch(model: ScoringModel, x):
     """x as a batch (..., n, d), one input as a row."""
@@ -294,21 +317,7 @@ def vjp_input(model: ScoringModel, cache, d_f):
 def vjp_params(model: ScoringModel, cache, d_f):
     """Rows of d_f * (d f / d params), shape (..., n, P), in the flat
     layout; a row-major copy of (..., P, n) rows."""
-    batch, hidden, slope = cache
-    h, d = model.W.shape[-2:]  # h = 0 for the linear archs
-    *runs, n = slope.shape  # the run axes of params and batch, broadcast
-    grad, slope_row = np.empty((*runs, model.params.shape[-1], n)), slope[..., None, :]
-    if hidden is not None:
-        d_pre = _pre_activation_grad(model.v[..., :, None], hidden.mT, slope_row,
-                                     grad[..., h * d : h * d + h, :])
-        np.multiply(d_pre[..., :, None, :], batch.mT[..., None, :, :],
-                    out=grad[..., : h * d, :].reshape(*runs, h, d, n))
-    # The output layer's weights and bias, after the mlp's hidden layer.
-    np.multiply(batch.mT if hidden is None else hidden.mT, slope_row,
-                out=grad[..., h * d + h : -1, :])
-    grad[..., -1, :] = slope
-    grad *= d_f[..., None, :]
-    return np.ascontiguousarray(grad.mT)
+    return _Passes(model).vjp_params(cache, d_f)
 
 
 def score(model: ScoringModel, x):

@@ -24,6 +24,8 @@ With eta_z = 0 and eps = 0 the three walk bitwise-identical trajectories
 from the same seed.  The loss's imbalance ratio is the training set's
 cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
 and each row's group) are looked up by label in a two-entry table per run.
+The step after the ascent is bound once per stack: one loss, rebound to each
+batch's aux and label rows, and buffers for its partials and the gradient.
 
 Each run's history is a ``History`` of columns: k float64 values per
 iteration for its k scalar fields, and P more for its parameters only if
@@ -39,7 +41,7 @@ import numpy as np
 
 from .data import Dataset, check_integer, check_real, seeded_rng
 from .losses import AuxParams, _FixedLabelLoss, auc_rows, label_rows
-from .model import ScoringModel, _Passes, vjp_params
+from .model import ScoringModel, _Passes
 from .robust import _BoundAscent
 
 # Key suffixes of each variant's label groups in checkpoints and history: one
@@ -72,8 +74,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        positive = (0, None, True)
-        ranges = {"iters": (1,), "batch_size": (2,), "steps": (1,), "seed": (0,),
+        # A count above the largest array length fails by its name, not in NumPy.
+        positive, most = (0, None, True), np.iinfo(np.intp).max
+        ranges = {"iters": (1, most), "batch_size": (2, most), "steps": (1, most), "seed": (0,),
                   "eta_z": (0,), "eps": (0,), "eta_lambda": positive, "eta_w": positive,
                   "eta_alpha": positive, "lambda_max": positive, "lambda0": (0, self.lambda_max)}
         # Every numeric field, lambda0 last: lambda_max, its bound, is checked first.
@@ -240,9 +243,9 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     # One block's batches per run: the rows drawn, the label rows the loss
     # reads (pos, then w, l and 2w), the groups, and the scores the batch
     # AUC ranks.
-    idx, pos_block, group_block = (np.empty((R, BLOCK, n), dtype=dtype)
+    idx, pos_block, group_block = (np.zeros((R, BLOCK, n), dtype=dtype)
                                    for dtype in (np.intp, bool, np.intp))
-    terms_block, f_block = np.empty((3, R, BLOCK, n)), np.empty((R, BLOCK, n))
+    terms_block, f_block = np.zeros((3, R, BLOCK, n)), np.empty((R, BLOCK, n))
     # A lone run's arrays and steps drop the run axis (NumPy's cost per call
     # grows with the axes); the outputs are read back as (R, n) rows.
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
@@ -250,11 +253,13 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     model = replace(model0, params=params)
     passes = _Passes(model)  # the post-ascent pass; params are views of theta
     xs = lone(x_batch)
+    block_rows = [[lone(rows[:, j]) for rows in (pos_block, *terms_block)] for j in range(BLOCK)]
+    loss = _FixedLabelLoss(lone(aux), lone(p_hat), rows=block_rows[0])  # rebound per iteration
+    partials = np.empty((5, *xs.shape[:-1]))
     # A lone run's 0-d arrays (cheaper ufunc operands than floats), else columns.
     rates = np.array([[cfg.eta_w, cfg.eta_z] for cfg in cfgs], dtype=np.float64)
     eta_w, step_size = ((rates[0, 0, ...], rates[0, 1, ...]) if R == 1 else
                         (rates[:, :1], rates[:, 1:, None]))
-    costs = np.zeros((R, n))  # each row's cost with the attack off; the attack rebinds it
     for t in range(T):
         j = t % BLOCK
         if j == 0:  # the next block's batches, in each rng's draw order
@@ -268,13 +273,13 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
                 np.equal(y, 1, out=pos_block[r, :span])
                 table.take(y, axis=1, out=terms_block[:, r, :span], mode="clip")
                 groups.take(y, out=group_block[r, :span], mode="clip")
+            counts = np.stack([(group_block == g).sum(-1) for g in (0, 1)], -1).tolist()
         if thetas is not None:
             thetas[:, t] = theta
         for r, dataset in enumerate(datasets):
             dataset.features.take(idx[r, j], axis=0, out=x_batch[r], mode="clip")
         group = group_block[:, j]
-        rows = [lone(block[:, j]) for block in (pos_block, *terms_block)]
-        loss = _FixedLabelLoss(lone(aux), lone(p_hat), rows=rows)
+        loss.rebind(aux, block_rows[j])
 
         if attack:
             lam_rows = lone(lam[run_ix, group])
@@ -286,23 +291,25 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
         else:
             x_adv = xs  # every cost is 0.0, and g - lam * 0.0 is g bit for bit
         f_adv, cache = passes.forward(x_adv)
-        g_adv, d_f, d_a, d_b, d_alpha = loss.value_and_grads(f_adv)
+        g_adv, d_f, *_ = loss.value_and_grads(f_adv, partials)
         if attack:
-            g_adv = g_adv - lam_rows * costs
+            g_adv -= lam_rows * costs
             costs = costs.reshape(R, n)
         else:
             f_nom = f_adv  # else the ascent's first pass scored x_batch
         f_block[:, j] = f_nom.reshape(R, n)
         # Each run's means of g and of dg/da, dg/db and dg/dalpha.
-        means = (np.add.reduce([g_adv, d_a, d_b, d_alpha], axis=-1) / n).reshape(4, R).T.tolist()
-        grad_theta = np.add.reduce(vjp_params(model, cache, d_f), axis=-2) / n
+        means = (np.add.reduce(partials[:4], axis=-1) / n).reshape(4, R).T.tolist()
+        grad_theta = np.add.reduce(passes.vjp_params(cache, d_f), axis=-2) / n
 
         for r, cfg in enumerate(cfgs):
             a, b, alpha = aux[r]
             g_mean, step_a, step_b, step_alpha = means[r]
             budget, lam_r = budgets[r], lam_runs[r]
-            mean_costs = [float(np.add.reduce(c) / c.size) if c.size else None  # None: absent
-                          for c in (costs[r][group[r] == g] for g in range(budget.size))]
+            # None for a group absent from the batch; the attack off costs 0.0.
+            mean_costs = [None if not count else
+                          float(np.add.reduce(costs[r][group[r] == g]) / count) if attack else 0.0
+                          for g, count in enumerate(counts[r][j][:budget.size])]
             # An absent group's None is stored as NaN; batch_auc is ranked
             # at the block's end.
             histories[r].values[t] = [float(np.add.reduce(lam_r * budget)) + g_mean, alpha,

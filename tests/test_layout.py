@@ -159,7 +159,7 @@ class TestFeatureMajorMatchesRowMajor:
     def test_bound_forward_matches_fresh(self, arch, d, n, runs):
         # The training loop binds one _Passes per run, passes each iteration's
         # batch through it and edits params in place between passes; each
-        # pass, and vjp_params on its cache, is a fresh forward's.
+        # pass, and the parameter gradient on its cache, is a fresh forward's.
         model, _, _, rng = instance(arch, d, n)
         if runs:
             model = replace(model, params=model.params
@@ -176,7 +176,10 @@ class TestFeatureMajorMatchesRowMajor:
                 assert cache[1] is None
             else:
                 assert same_bytes(cache[1], want_cache[1])
-            assert same_bytes(vjp_params(model, cache, d_f), vjp_params(fresh, want_cache, d_f))
+            want_params = vjp_params(fresh, want_cache, d_f)
+            assert same_bytes(vjp_params(model, cache, d_f), want_params)
+            # The binding's own parameter gradient, in buffers reused every pass.
+            assert same_bytes(passes.vjp_params(cache, d_f), want_params)
             # A new d_f array each pass, through the same binding.
             got_in = passes.input_grad(d_f)
             assert same_bytes(got_in.mT, vjp_input(fresh, want_cache, d_f))

@@ -277,6 +277,51 @@ class TestLabelRowTables:
                    zip(got.value_and_grads(fs), want.value_and_grads(fs)))
 
 
+# Python's alpha**2 is libm's pow, which on x86-64 glibc rounds this alpha's
+# square to a float one ulp from alpha*alpha; c0 must take the pow.
+POW_ALPHA = 0.343805606955381
+
+
+class TestRebind:
+    """Training binds one loss per stack and rebinds it to each batch's aux
+    and label rows; after every rebind it is a freshly built loss bit for bit."""
+
+    @pytest.mark.parametrize("runs", [1, 3], ids=["lone", "three-runs"])
+    def test_rebound_loss_matches_fresh(self, runs):
+        rng = np.random.default_rng(46)
+        n, ps = 24, [0.2, 0.35, 0.9][:runs]
+        # Run r takes triple (step + r) % 3: each run meets a = 0.0 and
+        # b = 0.0, where a -0.0 score makes f - a or f - b -0.0.
+        triples = [(0.0, 0.75, POW_ALPHA), (0.3, 0.0, -POW_ALPHA), (0.9, 0.1, -1.0)]
+        buf = np.empty((5, n) if runs == 1 else (5, runs, n))
+        loss = None
+        for step in range(4):  # one binding, then three rebinds
+            aux = [triples[(step + r) % 3] for r in range(runs)]
+            y = (rng.random((runs, n)) < 0.4).astype(int)
+            f = rng.uniform(0.0, 1.0, (runs, n))
+            f[:, :4], y[:, :4] = -0.0, [0, 1, 0, 1]
+            p = np.array(ps)[:, None]
+            if runs == 1:
+                aux, p, y, f = aux[0], ps[0], y[0], f[0]
+            rows = label_rows(p, y)
+            fresh = _FixedLabelLoss(aux, ps[0] if runs == 1 else ps, rows=rows)
+            if loss is None:
+                loss = _FixedLabelLoss(aux, ps[0] if runs == 1 else ps, y)
+                continue
+            loss.rebind([aux] if runs == 1 else aux, rows)
+            for g, w in zip(loss_terms(loss), loss_terms(fresh), strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert same_bits(loss.value(f), fresh.value(f))
+            assert same_bits(loss.d_f(f - loss.c), fresh.d_f(f - fresh.c))
+            want = fresh.value_and_grads(f)
+            assert all(same_bits(g, w) for g, w in zip(loss.value_and_grads(f), want))
+            # The bound-buffer form, its buffer reused across rebinds.
+            got = loss.value_and_grads(f, buf)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+            assert all(np.shares_memory(g, buf) for g in got)
+            assert same_bits(buf[:4], np.stack([want[0], *want[2:]]))
+
+
 class TestClosedForm:
     def test_sample_means(self):
         aux = closed_form_aux([0.8, 0.6], [0.3, 0.1])

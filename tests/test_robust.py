@@ -1143,6 +1143,9 @@ class TestDualState:
             AttackConfig(step_size=step_size)
 
 
+INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: attack_batch(IDENT, AUX0, 0.5, 1.0, np.array([[1.5]]), 0, AttackConfig()),
      "attack start must lie in [0, 1]^d"),
@@ -1184,6 +1187,11 @@ class TestDualState:
      "sigma must be a real number, got array([0.1])"),
     (lambda: TrainConfig(eps=None), "eps must be a real number, got None"),
     (lambda: TrainConfig(eps=10**400), f"eps must be finite and >= 0, got {10**400}"),
+    # A count past the largest array length, refused by name before training.
+    (lambda: TrainConfig(iters=10**400), f"iters must be <= {INTP_MAX}, got {10**400}"),
+    (lambda: TrainConfig(batch_size=INTP_MAX + 1),
+     f"batch_size must be <= {INTP_MAX}, got {INTP_MAX + 1}"),
+    (lambda: TrainConfig(steps=10**400), f"steps must be <= {INTP_MAX}, got {10**400}"),
     (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.3, True)),
      "z must be (x, y) with one x in [0, 1] and y 0 or 1, got (0.3, True)"),
     (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (True, 0)),
@@ -1195,7 +1203,8 @@ class TestDualState:
         "barycenter-bool-x", "flip-search-nan-x", "flip-search-x-outside-box",
         "flip-search-no-positives", "flip-search-bool-count", "split-nan-p-hat",
         "long-tailed-str-ratio", "evaluate-none-sigma", "corrupt-none-sigma",
-        "corrupt-array-sigma", "config-none-eps", "config-huge-int-eps", "exact-oracle-bool-y",
+        "corrupt-array-sigma", "config-none-eps", "config-huge-int-eps", "config-huge-iters",
+        "config-batch-past-intp", "config-huge-steps", "exact-oracle-bool-y",
         "exact-oracle-bool-x"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
