@@ -242,7 +242,7 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     x_batch = np.empty((R, n, model0.input_dim))
     # One block's batches per run: the rows drawn, the label rows the loss
     # reads (pos, then w, l and 2w), the groups, and the scores the batch
-    # AUC ranks.
+    # AUC ranks; zeros before the first draw, as the loss is bound to them.
     idx, pos_block, group_block = (np.zeros((R, BLOCK, n), dtype=dtype)
                                    for dtype in (np.intp, bool, np.intp))
     terms_block, f_block = np.zeros((3, R, BLOCK, n)), np.empty((R, BLOCK, n))
