@@ -89,7 +89,7 @@ def _blas_core():
                      "openblas_get_corename64_", "openblas_get_corename"):
             get = getattr(lib, name, None)
             if get is not None:
-                get.restype = ctypes.c_char_p
+                get.argtypes, get.restype = [], ctypes.c_char_p
                 return get().decode()
     return "unknown"
 

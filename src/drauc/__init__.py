@@ -19,7 +19,7 @@ from .model import (ScoringModel, forward, init_model, param_count, parse_arch, 
                     vjp_input, vjp_params)
 from .robust import (AttackConfig, BarycenterAttack, DatasetAttack, DualCurve, attack_batch,
                      attack_dataset, barycenter_attack, brute_force_worst_case, dual_curve,
-                     evaluate, min_cost_flip_search, robust_surrogate_exact_1d)
+                     evaluate, min_cost_flip_search)
 from .training import (DualState, TrainConfig, TrainState, sample_batch, split_epsilon,
                        train, train_stacked)
 
@@ -36,7 +36,7 @@ __all__ = [
     "vjp_input", "vjp_params",
     "AttackConfig", "BarycenterAttack", "DatasetAttack", "DualCurve", "attack_batch",
     "attack_dataset", "barycenter_attack", "brute_force_worst_case", "dual_curve",
-    "evaluate", "min_cost_flip_search", "robust_surrogate_exact_1d",
+    "evaluate", "min_cost_flip_search",
     "DualState", "TrainConfig", "TrainState", "sample_batch", "split_epsilon",
     "train", "train_stacked",
 ]

@@ -213,8 +213,13 @@ class _Passes:
 
     def forward(self, batch):
         """``forward``'s scores and cache of a float batch, in these buffers."""
-        f = self.scores(batch.mT)
-        return f, (batch, None if self.hidden is None else self.hidden.mT, self.output_slope())
+        self.scores(batch.mT)
+        return self.scored(batch)
+
+    def scored(self, batch):
+        """``forward`` of the batch the last pass scored, from that pass's buffers."""
+        return self.f, (batch, None if self.hidden is None else self.hidden.mT,
+                        self.output_slope())
 
     def output_slope(self):
         """d f / d u at the last scores: f * (1 - f), or for the clamp 1.0

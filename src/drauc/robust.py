@@ -11,11 +11,10 @@ value collapses to g(z) as lam grows.  Perturbations never change labels:
 the transport cost across labels is infinite.  One bound ascent
 (``_BoundAscent``) serves any number of multipliers over one batch.
 
-Desk-scale oracles back the solver.  The three 1-D ones read one
+Desk-scale oracles back the solver.  The two 1-D ones read one
 per-point frontier: the undominated (destination, squared cost, loss)
 triples of a point that may move to a grid point or stay put.
 
-  * an exact 1-D maximizer over a dense grid (plus the point itself),
   * the dual curve lam*eps + mean(phi_lam) on a multiplier grid, d = 1,
   * a brute-force search for the worst distribution of a tiny 1-D dataset
     under a mean-squared-transport budget, one destination per point,
@@ -80,14 +79,14 @@ def _bind_ascent(model, aux, p_hat, x0, y_batch, cfg):
     if x0.min() < 0.0 or x0.max() > 1.0:
         raise ValueError("attack start must lie in [0, 1]^d")
     loss = _FixedLabelLoss(aux, p_hat, np.broadcast_to(_check_labels(y_batch), x0.shape[:-1]))
-    return _BoundAscent(model, loss, x0, cfg.steps, cfg.step_size)
+    return _BoundAscent(_Passes(model), loss, x0, cfg.steps, cfg.step_size)
 
 
 class _BoundAscent:
     """The K-step ascent over one batch (n, d), bound once for any number of
     multipliers; or over R stacked runs' batches (R, n, d), with their model
-    and loss, a step size column (R, 1, 1) and multipliers per row (R, n),
-    each run's values and iterates bitwise those of its own ascent.
+    passes and loss, a step size column (R, 1, 1) and multipliers per row
+    (R, n), each run's values and iterates bitwise those of its own ascent.
 
     The start, iterates, best iterate and step are (d, n) arrays, so each
     elementwise pass runs along the batch, in place.  Each iterate's pass
@@ -97,47 +96,62 @@ class _BoundAscent:
     is 0, and at the start, where every cost is x - x = +0.0, so v - lam*cost
     is v, as no value is -0.0 (w*(f - c)**2 never is); grad - 2*lam*dx then
     differs from grad at most in the sign of a zero, and the clip maps a -0.0
-    coordinate to +0.0.  So binding runs the first step (pass 0 at the
+    coordinate to +0.0.  So ``rebind(x0)`` runs the first step (pass 0 at the
     start, scores ``f_start``; the clipped step to x1; pass 1), and
-    ``run(lam)`` continues from pass 1 on copies: a fresh ascent's bits.
+    ``run(lam)`` continues from pass 1: a fresh ascent's bits.  Both keep
+    the iterates in arrays bound once, so one ascent serves a training stack,
+    rebound to each batch after its loss.  ``last_is_best``: every row's best
+    iterate was its last, which the last pass of ``passes`` scored.
     """
 
-    __slots__ = ("passes", "loss", "steps", "step_size", "start", "f_start",
-                 "val0", "x1", "vals1", "grad1", "f_c", "lf", "d_f", "step")
+    __slots__ = ("passes", "loss", "steps", "step_size", "start", "f_start", "val0", "x1",
+                 "vals1", "grad1", "f_c", "lf", "d_f", "step", "iterates", "last_is_best")
 
-    def __init__(self, model, loss, x0, steps, step_size):
-        self.passes = passes = _Passes(model)
-        self.loss, self.steps, self.step_size = loss, steps, np.asarray(step_size, dtype=float)
-        self.start = start = x0.mT.copy()
-        self.f_c, self.lf, self.d_f = f_c, lf, d_f = np.empty((3, *x0.shape[:-1]))
-        self.step = np.empty_like(start)
-        f = passes.scores(start)
-        self.f_start = f.copy()
-        self.val0 = loss.value(f, None, f_c, lf)
+    def __init__(self, passes, loss, x0, steps, step_size):
+        self.passes, self.loss, self.steps = passes, loss, steps
+        self.step_size = np.asarray(step_size, dtype=float)
+        self.start, self.x1, self.step = np.empty((3, *x0.mT.shape))
+        self.f_start, self.val0, self.vals1, self.f_c, self.lf, self.d_f = np.empty(
+            (6, *x0.shape[:-1]))
+        self.grad1 = np.empty_like(self.start) if steps > 1 else None
+        self.iterates = self.last_is_best = None  # bound by the first run
+        self.rebind(x0)
+
+    def rebind(self, x0):
+        """Start over at x0, of the bound shape, under the loss as it is bound now."""
+        passes, loss, f_c, lf, d_f = self.passes, self.loss, self.f_c, self.lf, self.d_f
+        np.copyto(self.start, x0.mT)
+        f = passes.scores(self.start)
+        np.copyto(self.f_start, f)
+        loss.value(f, self.val0, f_c, lf)
         grad = passes.input_grad(loss.d_f(f_c, d_f))
         grad *= self.step_size
-        self.x1 = x1 = start + grad
+        x1 = np.add(self.start, grad, out=self.x1)
         np.minimum(np.maximum(ZERO, x1, out=x1), ONE, out=x1)
-        self.vals1 = loss.value(passes.scores(x1), None, f_c, lf)
-        self.grad1 = None
-        if steps > 1:  # a copy: the next pass overwrites the pass buffer
-            self.grad1 = passes.input_grad(loss.d_f(f_c, d_f)).copy()
+        loss.value(passes.scores(x1), self.vals1, f_c, lf)
+        if self.grad1 is not None:  # a copy: the next pass overwrites the pass buffer
+            np.copyto(self.grad1, passes.input_grad(loss.d_f(f_c, d_f)))
 
     def run(self, lam):
         """(values, x_adv) of ``attack_batch`` under ``lam``, a float64 scalar
-        or array (one value or one per row), finite and >= 0.  One multiplier
-        above 0 turns every run's penalty on, which changes no bit of an all-0 run."""
+        or array (one value or one per row), finite and >= 0, as new arrays.
+        One multiplier above 0 turns every run's penalty on, which changes
+        no bit of an all-0 run."""
         passes, loss, start, step = self.passes, self.loss, self.start, self.step
         f_c, lf, d_f = self.f_c, self.lf, self.d_f
-        x_cur, vals, best_val = self.x1.copy(), self.vals1.copy(), self.val0.copy()
-        best_x = start.copy()
-        improved = np.empty(vals.shape, dtype=bool)
+        if self.iterates is None:
+            self.iterates = (*np.empty((3, *start.shape)), *np.empty((2, *self.val0.shape)),
+                             np.empty(self.val0.shape, dtype=bool))
+        x_cur, best_x, sq, vals, cost, improved = self.iterates
+        dx = step  # x - x0, then grad - 2*lam*dx, then its step, each in place
+        for buf, value in ((x_cur, self.x1), (vals, self.vals1), (best_x, start)):
+            np.copyto(buf, value)
+        best_val = self.val0.copy()  # returned, so new each run
         improved_x = improved[..., None, :]  # a view, for the iterates' rows
         penalized = bool(lam.any())
         if penalized:  # one 2*lam per row, laid out as the iterates if per row
             two_lam = (np.multiply(2.0, lam[..., None, :], out=np.empty_like(start)) if lam.ndim
                        else 2.0 * lam)
-            dx, sq, cost = np.empty_like(start), np.empty_like(start), np.empty(vals.shape)
         for k in range(1, self.steps + 1):
             if penalized:
                 np.subtract(x_cur, start, out=dx)
@@ -157,6 +171,7 @@ class _BoundAscent:
             x_cur += np.multiply(grad, self.step_size, out=step)
             np.minimum(np.maximum(ZERO, x_cur, out=x_cur), ONE, out=x_cur)
             loss.value(passes.scores(x_cur), vals, f_c, lf)
+        self.last_is_best = bool(improved.all())
         return best_val, best_x.mT.copy()
 
 
@@ -186,31 +201,6 @@ def _destination_frontiers(model, aux, p_hat, x, labels, grid_resolution,
     return frontiers
 
 
-def robust_surrogate_exact_1d(model: ScoringModel, aux: AuxParams, p_hat: float,
-                              lam, z, grid_resolution: int = 100_001):
-    """Exact 1-D maximizer over a dense grid plus the point itself: the
-    first maximum over the point's frontier, the least-cost maximizer.
-
-    Returns (value, (x_adv, y)) for one multiplier ``lam``; ``dual_curve``
-    takes a grid of them.  ``z`` is (x, y) with x one point in [0, 1] and
-    the label y 0 or 1."""
-    if model.input_dim != 1:
-        raise ValueError("exact oracle requires a 1-D model")
-    check_integer("grid_resolution", grid_resolution, 2)
-    check_real("lam", lam, 0)
-    x, y = z
-    x0 = np.asarray(x).reshape(-1)  # a bool, read as 0 or 1 by arithmetic, is refused
-    if (x0.shape != (1,) or x0.dtype.kind not in "iuf" or not 0.0 <= x0[0] <= 1.0
-            or isinstance(y, (bool, np.bool_)) or y not in (0, 1)):
-        raise ValueError(f"z must be (x, y) with one x in [0, 1] and y 0 or 1, got {z}")
-    x0 = x0.astype(float)
-    ((dest, cost, gain),) = _destination_frontiers(
-        model, aux, p_hat, x0, np.array([int(y)]), grid_resolution)
-    obj = gain - float(lam) * cost
-    i = np.argmax(obj)
-    return float(obj[i]), (np.array([dest[i]]), int(y))
-
-
 @dataclass(frozen=True)
 class DualCurve:
     best_lambda: float
@@ -229,11 +219,12 @@ def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
     """
     if dataset.d != 1:
         raise ValueError(f"dual curve requires d = 1, got d={dataset.d}")
+    check_integer("grid_resolution", grid_resolution, 2)
     check_real("eps", eps, 0)
     lams = np.asarray(lambda_grid, dtype=float)
-    if (lams.size == 0 or not np.isfinite(lams).all() or (np.diff(lams) < 0).any()
-            or lams[0] < 0.0):
-        raise ValueError("lambda_grid must be non-empty, finite, sorted "
+    if (lams.ndim != 1 or lams.size == 0 or not np.isfinite(lams).all()
+            or (np.diff(lams) < 0).any() or lams[0] < 0.0):
+        raise ValueError("lambda_grid must be one non-empty axis, finite, sorted "
                          f"ascending and >= 0, got {lams}")
     frontiers = _destination_frontiers(model, aux, p_hat, dataset.features[:, 0],
                                        dataset.labels, grid_resolution)
@@ -418,7 +409,8 @@ def _calibrate(attack, x0, radius):
     first needs it.  Only b's attack, run and feasible, is held."""
     def excess(lam):
         adv = attack(lam)
-        cost = float(((adv - x0) ** 2).sum(axis=1).mean())
+        sq = adv - x0  # squared in place: one array beside the ascent's bound ones
+        cost = float(np.square(sq, out=sq).sum(axis=1).mean())
         return cost - radius, cost, adv
 
     fa, cost, adv = excess(0.0)
@@ -480,10 +472,9 @@ def attack_dataset(model: ScoringModel, dataset: Dataset, eps, aux: AuxParams,
     length-2 tuple, list or 1-D array.  A group with a radius above 0 binds
     one ascent and takes the multiplier ``_calibrate`` finds, so its mean
     realized cost stays within the radius: 0 after one ascent if the
-    unpenalized attack fits, else a search whose first probe is lam = 1
-    (a median of 14 ascents, all from the one binding, on the reference
-    checkpoints' binding budgets).  A zero radius runs no ascent and leaves
-    its rows untouched; its group reports ``_LAMBDA_CAP`` and cost 0.0.
+    unpenalized attack fits, else a search from lam = 1, every ascent from
+    the one binding.  A zero radius runs no ascent and leaves its rows
+    untouched; its group reports ``_LAMBDA_CAP`` and cost 0.0.
     """
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         raise ValueError("both classes must be present")

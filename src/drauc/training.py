@@ -24,8 +24,9 @@ With eta_z = 0 and eps = 0 the three walk bitwise-identical trajectories
 from the same seed.  The loss's imbalance ratio is the training set's
 cached p_hat, not the batch's; so the rows set by labels alone (w, l, 2w
 and each row's group) are looked up by label in a two-entry table per run.
-The step after the ascent is bound once per stack: one loss, rebound to each
-batch's aux and label rows, and buffers for its partials and the gradient.
+The ascent and the step after it are bound once per stack, to one set of
+model passes and one loss, and rebound to each batch; the step reads the
+ascent's last pass when every row's best iterate was its last.
 
 Each run's history is a ``History`` of columns: k float64 values per
 iteration for its k scalar fields, and P more for its parameters only if
@@ -239,7 +240,7 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
                  *("lam" + s for s in suffixes), *("mean_cost" + s for s in suffixes))
         histories.append(History(names, np.empty((T, len(names))),
                                  None if thetas is None else thetas[r]))
-    x_batch = np.empty((R, n, model0.input_dim))
+    x_batch = np.zeros((R, n, model0.input_dim))
     # One block's batches per run: the rows drawn, the label rows the loss
     # reads (pos, then w, l and 2w), the groups, and the scores the batch
     # AUC ranks; zeros before the first draw, as the loss is bound to them.
@@ -251,7 +252,7 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     lone = (lambda a: a[0]) if R == 1 else (lambda a: a)
     params = lone(theta)
     model = replace(model0, params=params)
-    passes = _Passes(model)  # the post-ascent pass; params are views of theta
+    passes = _Passes(model)  # the ascent's and the step's; params are views of theta
     xs = lone(x_batch)
     block_rows = [[lone(rows[:, j]) for rows in (pos_block, *terms_block)] for j in range(BLOCK)]
     loss = _FixedLabelLoss(lone(aux), lone(p_hat), rows=block_rows[0])  # rebound per iteration
@@ -260,6 +261,8 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     rates = np.array([[cfg.eta_w, cfg.eta_z] for cfg in cfgs], dtype=np.float64)
     eta_w, step_size = ((rates[0, 0, ...], rates[0, 1, ...]) if R == 1 else
                         (rates[:, :1], rates[:, 1:, None]))
+    if attack:  # bound, as the loss is, to zeros (the batch); rebound per iteration
+        ascent = _BoundAscent(passes, loss, xs, cfg0.steps, step_size)
     for t in range(T):
         j = t % BLOCK
         if j == 0:  # the next block's batches, in each rng's draw order
@@ -283,14 +286,15 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
 
         if attack:
             lam_rows = lone(lam[run_ix, group])
-            ascent = _BoundAscent(model, loss, xs, cfg0.steps, step_size)
+            ascent.rebind(xs)
             _, x_adv = ascent.run(lam_rows)
             f_nom = ascent.f_start
-            del ascent  # its buffers, before the next iteration binds its own
             costs = np.add.reduce((x_adv - xs) ** 2, axis=-1)
         else:
             x_adv = xs  # every cost is 0.0, and g - lam * 0.0 is g bit for bit
-        f_adv, cache = passes.forward(x_adv)
+        # The ascent's last pass scored x_adv if every row ended at its best.
+        f_adv, cache = (passes.scored(x_adv) if attack and ascent.last_is_best
+                        else passes.forward(x_adv))
         g_adv, d_f, *_ = loss.value_and_grads(f_adv, partials)
         if attack:
             g_adv -= lam_rows * costs

@@ -16,7 +16,7 @@ import pytest
 from drauc import (AttackConfig, AuxParams, attack_batch, forward, init_model,
                    score, vjp_input, vjp_params)
 from drauc import model as model_module
-from drauc.losses import _FixedLabelLoss
+from drauc.losses import _FixedLabelLoss, label_rows
 from drauc.model import _Passes
 from drauc.robust import _BoundAscent
 
@@ -113,6 +113,39 @@ def instance(arch, d, n):
     return model, x, y, rng
 
 
+def rebound_ascents(arch, d, n, runs):
+    """One ascent bound to a batch, then rebound to three more, each after an
+    in-place params edit and its loss's rebind to new aux and labels; per
+    rebind, the ascent, a fresh ascent on a copy of the params, that copy's
+    model, and multipliers to run: 0, one above 0 and one per row."""
+    model, _, _, rng = instance(arch, d, n)
+    lead = (runs,) if runs else ()
+    if runs:  # step sizes per run, as training passes them
+        model = replace(model, params=model.params
+                        + rng.normal(0.0, 0.1, (runs, model.params.size)))
+        p, step_size = [P_HAT, 0.3, 0.5], np.array([0.2, 1.0, 3.0])[:, None, None]
+    else:
+        p, step_size = P_HAT, np.asarray(1.0)
+    params, ascent = model.params, None
+    for _ in range(4):
+        auxes = [AuxParams(*rng.uniform((0.0, 0.0, -1.0), 1.0).tolist()) for _ in range(runs or 1)]
+        aux = auxes if runs else auxes[0]
+        x = rng.uniform(0.0, 1.0, size=(*lead, n, d))
+        y = (rng.random((*lead, n)) < 0.3).astype(int)
+        if ascent is None:
+            loss = _FixedLabelLoss(aux, p, y)
+            ascent = _BoundAscent(_Passes(model), loss, x, 4, step_size)
+            continue
+        params -= 0.05 * rng.normal(size=params.shape)  # in place, as training steps
+        loss.rebind(auxes, label_rows(np.array(p)[:, None] if runs else p, y))
+        ascent.rebind(x)
+        fresh_model = replace(model, params=params.copy())
+        fresh = _BoundAscent(_Passes(fresh_model), _FixedLabelLoss(aux, p, y), x, 4, step_size)
+        lam_rows = 10.0 ** rng.uniform(-2.0, 1.0, size=(*lead, n))
+        lam_rows[..., ::7] = 0.0
+        yield ascent, fresh, fresh_model, [np.asarray(0.0), np.asarray(0.7), lam_rows]
+
+
 def same_bytes(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -185,11 +218,44 @@ class TestFeatureMajorMatchesRowMajor:
             assert same_bytes(got_in.mT, vjp_input(fresh, want_cache, d_f))
             params -= 0.05 * rng.normal(size=params.shape)  # in place, as training steps
 
+    @pytest.mark.parametrize("runs", [0, 3], ids=["unstacked", "stacked"])
+    def test_rebound_ascent_matches_fresh(self, arch, d, n, runs):
+        # Training binds one ascent per stack and rebinds it to each batch,
+        # after its loss and an in-place params edit.  Each rebind's runs are
+        # a fresh ascent's, and a later run leaves earlier runs' arrays alone.
+        for ascent, fresh, _, lams in rebound_ascents(arch, d, n, runs):
+            assert same_bytes(ascent.f_start, fresh.f_start)
+            held = []
+            for lam in lams:
+                got, want = ascent.run(lam), fresh.run(lam)
+                assert all(map(same_bytes, got, want))
+                assert ascent.last_is_best == fresh.last_is_best
+                held.append((got, [a.copy() for a in got]))
+            assert all(same_bytes(a, b) for got, kept in held for a, b in zip(got, kept))
+
+    @pytest.mark.parametrize("runs", [0, 3], ids=["unstacked", "stacked"])
+    def test_last_pass_is_a_fresh_forward(self, arch, d, n, runs):
+        # The step reads the scores, tanh layer and slope of the ascent's last
+        # pass, over its last iterate, when every row's best iterate was it.
+        for ascent, _, fresh_model, lams in rebound_ascents(arch, d, n, runs):
+            for lam in lams:
+                _, x_adv = ascent.run(lam)
+                x_last = np.ascontiguousarray(ascent.iterates[0].mT)  # x_cur
+                f, cache = ascent.passes.scored(x_last)
+                want_f, want_cache = forward(fresh_model, x_last)
+                assert same_bytes(f, want_f) and same_bytes(cache[2], want_cache[2])
+                if want_cache[1] is None:
+                    assert cache[1] is None
+                else:
+                    assert same_bytes(cache[1], want_cache[1])
+                if ascent.last_is_best:
+                    assert same_bytes(x_adv, x_last)
+
     def test_start_scores_match_score(self, arch, d, n):
         # Training reads the batch's scores off the ascent's first pass;
         # runs under any multiplier leave them as they were.
         model, x, y, _ = instance(arch, d, n)
-        ascent = _BoundAscent(model, _FixedLabelLoss(AUX, P_HAT, y), x, 2, 1.0)
+        ascent = _BoundAscent(_Passes(model), _FixedLabelLoss(AUX, P_HAT, y), x, 2, 1.0)
         for lam in (0.0, 0.7):
             ascent.run(np.asarray(lam))
             assert same_bytes(ascent.f_start, score(model, x))

@@ -9,7 +9,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, ScoringModel, co
                    attack_batch, attack_dataset, auc_mann_whitney, barycenter_attack,
                    brute_force_worst_case, closed_form_aux, dual_curve,
                    evaluate, forward, gen_synthetic, init_model, make_long_tailed,
-                   min_cost_flip_search, robust_surrogate_exact_1d, score, split_epsilon,
+                   min_cost_flip_search, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, TrainConfig, vjp_input)
 from drauc import robust
 from drauc.robust import _BoundAscent, _bind_ascent, _calibrate, _suffix_argmin
@@ -30,12 +30,13 @@ class TestRobustSurrogate:
         assert abs(val - 0.5) <= 1e-4
         assert abs(x_adv[0] - 1.0) <= 1e-4
 
-    def test_exact_oracle_interior_optimum(self):
-        # lam = 10: maximize x' - 9.5 x'^2, optimum 1/19 with value 9.5/361.
-        val, (x_adv, _) = robust_surrogate_exact_1d(
-            IDENT, AUX0, 0.5, 10.0, (np.array([0.0]), 0), 100_001)
-        assert val == pytest.approx(0.0263158, abs=1e-6)
-        assert x_adv[0] == pytest.approx(1.0 / 19.0, abs=1e-4)
+    def test_dual_curve_interior_optimum(self):
+        # lam = 10: maximize x' - 9.5 x'^2, optimum 1/19 with value 9.5/361 = 1/38.
+        one = Dataset.from_arrays(np.array([[0.0]]), np.array([0]))
+        res = dual_curve(IDENT, AUX0, 0.5, one, 0.0, [10.0], grid_resolution=100_001)
+        assert res.curve[0] == pytest.approx(0.0263158, abs=1e-6)
+        _, x_adv = frontier_first_max(IDENT, AUX0, 0.5, 10.0, 0.0, 0, 100_001)
+        assert x_adv == pytest.approx(1.0 / 19.0, abs=1e-4)
 
     def test_pga_agrees_with_exact_oracle_on_stable_step(self):
         cfg = AttackConfig(steps=300, step_size=0.04)
@@ -57,19 +58,6 @@ class TestRobustSurrogate:
         (val,), (x_adv,) = attack_batch(IDENT, AUX0, 0.5, 1e3, np.array([[0.3]]), 0, cfg)
         assert val == surrogate_loss(AUX0, 0.5, 0.3, 0)
         assert x_adv[0] == 0.3
-
-    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf, [1.0, -5.0], [[1.0]],
-                                     [0.5, 2.0], None])
-    def test_exact_oracle_rejects_bad_multiplier(self, lam):
-        with pytest.raises(ValueError, match="lam"):
-            robust_surrogate_exact_1d(IDENT, AUX0, 0.5, lam, (np.array([0.3]), 0), 101)
-
-    @pytest.mark.parametrize("z", [(np.array([0.3, 0.9]), 0), (np.array([]), 0),
-                                   (np.array([1.7]), 1), (np.array([math.nan]), 1),
-                                   (np.array([0.3]), 5), (0.3, -1)])
-    def test_exact_oracle_rejects_bad_example(self, z):
-        with pytest.raises(ValueError, match="^z must be"):
-            robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, z, 101)
 
     def test_exact_oracle_monotone_in_lambda(self):
         res = check_phi_monotone_lambda(trials=100, seed=12)
@@ -580,6 +568,12 @@ class TestDualCurve:
         with pytest.raises(ValueError, match="lambda_grid"):
             dual_curve(IDENT, aux, p_hat, ds, 0.0, lams)
 
+    @pytest.mark.parametrize("lams", [[[1.0]], [[1.0, 2.0]], [[1.0], [0.5]]])
+    def test_multiplier_grid_has_one_axis(self, lams):
+        ds, aux, p_hat = example1_style_instance()
+        with pytest.raises(ValueError, match="^lambda_grid must be one non-empty axis"):
+            dual_curve(IDENT, aux, p_hat, ds, 0.0, lams)
+
     def test_budget_validation(self):
         ds, aux, p_hat = example1_style_instance()
         for eps in (-0.1, math.nan, math.inf):
@@ -618,6 +612,16 @@ def full_scan_argmax(model, aux, p_hat, lam, x0, y, grid_resolution):
     f = np.append(score(model, grid[:, None]), score(model, np.array([[x0]])))
     obj = surrogate_loss(aux, p_hat, f, y) - lam * (cand - x0) ** 2
     return cand, obj, int(np.argmax(obj))
+
+
+def frontier_first_max(model, aux, p_hat, lam, x0, y, grid_resolution):
+    """(value, destination) of the first maximum of gain - lam*cost over the
+    frontier of the one point x0, scored alone, as every 1-D oracle takes it."""
+    ((dest, cost, gain),) = robust._destination_frontiers(
+        model, aux, p_hat, np.array([x0]), np.array([y]), grid_resolution)
+    obj = gain - lam * cost
+    i = np.argmax(obj)
+    return obj[i], dest[i]
 
 
 def frontier_pick(cost, gain, lam):
@@ -677,21 +681,17 @@ class TestFrontierMatchesFullScan:
             assert got.curve.tobytes() == want.tobytes()
             assert (got.best_lambda, got.best_value) == (lams[best], want[best])
 
-    def test_exact_oracle_bitwise(self):
+    def test_frontier_first_max_bitwise(self):
         for (ds, aux, p_hat, eps, model), lams, res in self.CASES:
             for x0, y in zip(ds.features[:, 0], ds.labels):
-                z = (np.array([x0]), int(y))
                 for lam in map(float, lams[::9]):
-                    val, (x_adv, y_adv) = robust_surrogate_exact_1d(
-                        model, aux, p_hat, lam, z, res)
-                    assert type(val) is float
+                    val, x_adv = frontier_first_max(model, aux, p_hat, lam, x0, int(y), res)
                     cand, obj, i = full_scan_argmax(model, aux, p_hat, lam, x0, int(y), res)
-                    assert np.float64(val).tobytes() == obj[i].tobytes()
-                    assert y_adv == y
-                    if x_adv[0] != cand[i]:  # only where another destination ties
-                        assert (obj[cand == x_adv[0]] == obj[i]).any()
+                    assert val.tobytes() == obj[i].tobytes()
+                    if x_adv != cand[i]:  # only where another destination ties
+                        assert (obj[cand == x_adv] == obj[i]).any()
 
-    def test_exact_oracle_point_is_frontier_pick(self):
+    def test_frontier_first_max_is_frontier_pick(self):
         # A constant scorer, clamped and saturated ones, points on the grid
         # and lam = 0 make many destinations tie.
         models = [IDENT, ScoringModel("linear-identity-clamped", np.array([0.0, 0.5]), 1),
@@ -704,16 +704,15 @@ class TestFrontierMatchesFullScan:
             for x0 in (0.0, grid[37], 0.3731, 1.0):
                 for y in (0, 1):
                     for lam in (0.0, 0.5, 1e3):
-                        val, (x_adv, _) = robust_surrogate_exact_1d(
-                            model, AuxParams(0.3, 0.6, -0.2), 0.4, lam,
-                            (np.array([x0]), y), res)
+                        val, x_adv = frontier_first_max(
+                            model, AuxParams(0.3, 0.6, -0.2), 0.4, lam, x0, y, res)
                         cand, obj, first = full_scan_argmax(
                             model, AuxParams(0.3, 0.6, -0.2), 0.4, lam, x0, y, res)
                         gain = surrogate_loss(AuxParams(0.3, 0.6, -0.2), 0.4, np.append(
                             score(model, grid[:, None]), score(model, np.array([[x0]]))), y)
                         i = frontier_pick((cand - x0) ** 2, gain, lam)
-                        assert np.float64(val).tobytes() == obj[i].tobytes()
-                        assert x_adv.tobytes() == cand[i:i + 1].tobytes()
+                        assert val.tobytes() == obj[i].tobytes()
+                        assert x_adv.tobytes() == cand[i].tobytes()
                         first_max_differs += i != first
         assert first_max_differs > 0
 
@@ -1149,12 +1148,9 @@ INTP_MAX = int(np.iinfo(np.intp).max)
 @pytest.mark.parametrize("call, message", [
     (lambda: attack_batch(IDENT, AUX0, 0.5, 1.0, np.array([[1.5]]), 0, AttackConfig()),
      "attack start must lie in [0, 1]^d"),
-    (lambda: robust_surrogate_exact_1d(init_model("linear-sigmoid", 2, seed=0), AUX0, 0.5,
-                                       1.0, (np.array([0.5, 0.5]), 1)),
-     "exact oracle requires a 1-D model"),
-    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.5, 1), grid_resolution=1),
+    (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.0, [1.0], grid_resolution=1),
      "grid_resolution must be >= 2, got 1"),
-    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.5, 1), grid_resolution=100.5),
+    (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.0, [1.0], grid_resolution=100.5),
      "grid_resolution must be an integer, got 100.5"),
     (lambda: brute_force_worst_case(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0])),
                                     math.inf, 1001, AUX0, 0.5, IDENT),
@@ -1165,10 +1161,6 @@ INTP_MAX = int(np.iinfo(np.intp).max)
     (lambda: ScoringModel("linear-sigmoid", np.zeros(2), True),
      "input_dim must be an integer, got True"),
     # Each scalar argument is one real number, not a bool, in its range.
-    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, True, (0.5, 1)),
-     "lam must be a real number, got True"),
-    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, "a", (0.5, 1)),
-     "lam must be a real number, got 'a'"),
     (lambda: AuxParams(True, 0, 0), "a must be a real number, got True"),
     (lambda: AuxParams("a", 0, 0), "a must be a real number, got 'a'"),
     (lambda: DualState(lam=(True,), eps=(0.1,)), "lam[0] must be a real number, got True"),
@@ -1192,20 +1184,15 @@ INTP_MAX = int(np.iinfo(np.intp).max)
     (lambda: TrainConfig(batch_size=INTP_MAX + 1),
      f"batch_size must be <= {INTP_MAX}, got {INTP_MAX + 1}"),
     (lambda: TrainConfig(steps=10**400), f"steps must be <= {INTP_MAX}, got {10**400}"),
-    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (0.3, True)),
-     "z must be (x, y) with one x in [0, 1] and y 0 or 1, got (0.3, True)"),
-    (lambda: robust_surrogate_exact_1d(IDENT, AUX0, 0.5, 1.0, (True, 0)),
-     "z must be (x, y) with one x in [0, 1] and y 0 or 1, got (True, 0)"),
-], ids=["attack-start-outside-box", "exact-oracle-2d", "exact-oracle-grid-1",
-        "exact-oracle-grid-float", "brute-force-inf-budget", "init-model-float-input-dim",
+], ids=["attack-start-outside-box", "dual-curve-grid-1",
+        "dual-curve-grid-float", "brute-force-inf-budget", "init-model-float-input-dim",
         "scoring-model-float-input-dim", "scoring-model-bool-input-dim",
-        "exact-oracle-bool-lam", "exact-oracle-str-lam", "aux-bool", "aux-str", "dual-bool-lam",
+        "aux-bool", "aux-str", "dual-bool-lam",
         "barycenter-bool-x", "flip-search-nan-x", "flip-search-x-outside-box",
         "flip-search-no-positives", "flip-search-bool-count", "split-nan-p-hat",
         "long-tailed-str-ratio", "evaluate-none-sigma", "corrupt-none-sigma",
         "corrupt-array-sigma", "config-none-eps", "config-huge-int-eps", "config-huge-iters",
-        "config-batch-past-intp", "config-huge-steps", "exact-oracle-bool-y",
-        "exact-oracle-bool-x"])
+        "config-batch-past-intp", "config-huge-steps"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

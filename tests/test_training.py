@@ -12,6 +12,7 @@ from drauc import (AttackConfig, AuxParams, Dataset, DualState, TrainConfig,
                    init_model, sample_batch, score, split_epsilon,
                    surrogate_loss, surrogate_loss_grads, train, train_stacked, vjp_params,
                    write_report)
+from drauc.model import _Passes
 from drauc.training import BLOCK, GROUP_SUFFIXES, VARIANTS, History
 from drauc.verification import (check_domain_preservation, check_lambda_direction,
                                 check_separable_training, check_trainer_determinism)
@@ -350,6 +351,22 @@ class TestLoopBitwise:
         cfg = TrainConfig(variant="da", iters=iters, batch_size=16, eta_z=eta_z, eps=0.1,
                           seed=33)
         self.assert_matches(make_tailed_dataset(), cfg, init_model("linear-sigmoid", 2, 33))
+
+    def test_matches_reference_on_both_step_paths(self, monkeypatch):
+        # From lambda0 8 the ascent's penalty step nearly overshoots (2 * eta_z
+        # * lam near 1): in some iterations a row's best iterate is not its
+        # last and the step makes its own pass on x_adv; in the rest it reads
+        # the ascent's last pass.
+        ds, model = make_tailed_dataset(), init_model("mlp1-tanh-sigmoid(4)", 2, 31)
+        cfg = TrainConfig(variant="da", iters=60, batch_size=16, eta_z=0.05, eps=0.002,
+                          eta_lambda=10.0, lambda0=8.0, seed=31)
+        calls, forward_pass = [], _Passes.forward
+        monkeypatch.setattr(_Passes, "forward",
+                            lambda self, batch: calls.append(1) or forward_pass(self, batch))
+        train(ds, cfg, model)
+        monkeypatch.undo()
+        assert 0 < len(calls) < cfg.iters
+        self.assert_matches(ds, cfg, model)
 
     @pytest.mark.parametrize("variant, eta_z", [("da", 0.0), ("da", 0.1), ("df", 0.0)])
     def test_matches_reference_with_absent_negatives(self, variant, eta_z):
