@@ -11,7 +11,7 @@ platform and the set's digests in the manifest instead.  A change that
 alters outputs on purpose rewrites the manifest and lists each changed
 file, and why; no other change touches it.
 
-The full set (about 15 s on a 2-core x86-64 VM):
+The full set (about 6 s on a 2-core x86-64 VM):
   * `gen-data` CSVs and stdout, n 2000, d 2, ratio 0.1, seeds 1 and 7;
   * `train` checkpoints, reports and stdout on the reference config (mlp
     with 8 tanh units, B 128, K 10, eps 0.5): `da` on seeds 1 and 7 and
@@ -24,7 +24,7 @@ The full set (about 15 s on a 2-core x86-64 VM):
     with empty lists; `attack-oracle`'s example1 and two-point presets;
   * `verify`'s lines.
 The reduced set (about 1 s; `tests/test_golden.py` regenerates it) runs the
-same code paths at n 300 (164 rows after the ratio), B 32 and short T: the
+same code paths at n 300 (166 rows after the ratio), B 32 and short T: the
 attack off (`aucm`); the reference `da` config, where every row's best
 ascent iterate is its last; the binding `da` config from lambda0 12, where
 in some iterations it is not; the seven-row runs; three such binding runs
@@ -72,11 +72,12 @@ FEW = ["--variant", "da", "--arch", "linear-sigmoid", "--batch", "3", "--steps-K
 
 def platform_info():
     """What the bits depend on, beyond the code."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "libc": " ".join(platform.libc_ver()),
             "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": _blas_core(),
-            "simd": " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])}
+            "simd": " ".join(config["SIMD Extensions"]["found"])}
 
 
 def _blas_core():
@@ -229,7 +230,8 @@ def compare(manifest, name, got):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--set", choices=sorted(SETS), default="full")
-    parser.add_argument("--out", default=None, help="keep the outputs here")
+    parser.add_argument("--out", default=None,
+                        help="keep the outputs in this new or empty directory")
     parser.add_argument("--write", action="store_true",
                         help="record this platform and the set's digests")
     args = parser.parse_args()

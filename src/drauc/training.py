@@ -261,7 +261,7 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
     rates = np.array([[cfg.eta_w, cfg.eta_z] for cfg in cfgs], dtype=np.float64)
     eta_w, step_size = ((rates[0, 0, ...], rates[0, 1, ...]) if R == 1 else
                         (rates[:, :1], rates[:, 1:, None]))
-    if attack:  # bound, as the loss is, to zeros (the batch); rebound per iteration
+    if attack:  # bound to the zero batch, as the loss to zero rows; rebound each iteration
         ascent = _BoundAscent(passes, loss, xs, cfg0.steps, step_size)
     for t in range(T):
         j = t % BLOCK
@@ -292,7 +292,7 @@ def train_stacked(runs, *, keep_thetas: bool = False) -> list[TrainState]:
             costs = np.add.reduce((x_adv - xs) ** 2, axis=-1)
         else:
             x_adv = xs  # every cost is 0.0, and g - lam * 0.0 is g bit for bit
-        # The ascent's last pass scored x_adv if every row ended at its best.
+        # The ascent's last pass scored x_adv if every row's best iterate was its last.
         f_adv, cache = (passes.scored(x_adv) if attack and ascent.last_is_best
                         else passes.forward(x_adv))
         g_adv, d_f, *_ = loss.value_and_grads(f_adv, partials)
