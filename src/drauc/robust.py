@@ -221,6 +221,8 @@ def dual_curve(model: ScoringModel, aux: AuxParams, p_hat: float,
         raise ValueError(f"dual curve requires d = 1, got d={dataset.d}")
     check_integer("grid_resolution", grid_resolution, 2)
     check_real("eps", eps, 0)
+    if {bool, np.bool_} & set(map(type, np.array(lambda_grid, dtype=object).flat)):
+        raise ValueError(f"lambda_grid must hold real numbers, not bools, got {lambda_grid!r}")
     lams = np.asarray(lambda_grid, dtype=float)
     if (lams.ndim != 1 or lams.size == 0 or not np.isfinite(lams).all()
             or (np.diff(lams) < 0).any() or lams[0] < 0.0):
@@ -244,16 +246,16 @@ def _pareto_prune(costs, gains, cap):
     g_sorted = gains[order]
     running = np.maximum.accumulate(g_sorted)
     keep = np.empty(order.size, dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     keep[1:] = g_sorted[1:] > running[:-1]
     return order[keep]
 
 
 _ENVELOPE_SIDE = 64  # sampled rows and columns of a product, for its envelope
-# Product entries formed at once.  A block's arrays (cost, gain, index, floor,
-# masks, survivors) take about 43 B an entry; sized to stay within a core's L2
-# cache.  On a 2 MiB-L2 Xeon, 2^14 gave the lowest peak of 2^12-2^16 at their speed.
-_PRODUCT_BLOCK = 1 << 14
+# Product entries formed at once.  The peak is one block's arrays plus the
+# frontiers kept from the blocks before it, more of them the smaller a block: in
+# the weak-duality check, 2^15 held least of 2^13-2^16 and ran no slower.
+_PRODUCT_BLOCK = 1 << 15
 
 
 def _joint_frontier(frontiers, cap):
@@ -261,13 +263,15 @@ def _joint_frontier(frontiers, cap):
 
     Folds the per-point (destinations, costs, gains) frontiers in one at a
     time: product, budget filter, prune.  The product is formed in row
-    blocks, each of which first drops the entries below a lower envelope:
-    the frontier of a strided sample of the product, row and column 0
-    included, so it starts at cost 0.  A dropped entry has a real entry of
-    no greater cost and greater gain, which the prune sorts first, so the
-    pruned indices and their order are those of the full product.  Returns
-    (positions, costs, gains) with one row of positions per entry; an empty
-    group yields the single all-stay entry of cost and gain 0.
+    blocks.  Each drops the entries below a lower envelope (the frontier of
+    a strided sample of the product, row and column 0 included, so it
+    starts at cost 0), then keeps only its own frontier, so the blocks'
+    frontiers are all that is held.  Every dropped entry has one of no
+    greater cost and no smaller gain that the prune sorts first; no block's
+    frontier ties two entries' (cost, gain), and the blocks go in index
+    order, so the pruned indices and their order are the full product's.
+    Returns (positions, costs, gains) with one row of positions per entry;
+    an empty group yields the single all-stay entry of cost and gain 0.
     """
     positions = np.zeros((1, 0))
     costs = np.zeros(1)
@@ -285,6 +289,7 @@ def _joint_frontier(frontiers, cap):
             g = (gains[lo:lo + step, None] + cand_gain).ravel()
             floor = env_gain[np.searchsorted(env_cost, c, side="right") - 1]
             ok = np.flatnonzero((c <= cap) & (g >= floor))
+            ok = ok[_pareto_prune(c[ok], g[ok], cap)]
             parts.append((ok + lo * k, c[ok], g[ok]))
         index, comb_cost, comb_gain = map(np.concatenate, zip(*parts))
         keep = _pareto_prune(comb_cost, comb_gain, cap)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -750,6 +751,20 @@ FIVE_POINT_CASE = (Dataset.from_arrays(np.array([[0.95], [0.05], [0.9], [0.1], [
                    0.2, 1001, AuxParams(0.5, 0.5, 0.3), 0.4, IDENT)
 
 
+def full_product_frontier(frontiers, cap):
+    """Joint (positions, costs, gains) frontier of per-point frontiers,
+    folded in one at a time, each fold pruned from its full product."""
+    pos, costs, gains = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
+    for cand, cost, gain in frontiers:
+        comb_cost = (costs[:, None] + cost).ravel()
+        comb_gain = (gains[:, None] + gain).ravel()
+        keep = pareto_front(comb_cost, comb_gain, cap)
+        rows, cols = np.divmod(keep, cand.size)
+        pos = np.hstack([pos[rows], cand[cols, None]])
+        costs, gains = comb_cost[keep], comb_gain[keep]
+    return pos, costs, gains
+
+
 def unpruned_worst_case(ds, eps, res, aux, p_hat):
     """The brute-force oracle for the identity scorer with each joint
     frontier pruned from its full product: fold each half's points in one
@@ -760,20 +775,14 @@ def unpruned_worst_case(ds, eps, res, aux, p_hat):
     grid = np.linspace(0.0, 1.0, res)
     halves = []
     for points in (range(ds.n // 2), range(ds.n // 2, ds.n)):
-        pos, costs, gains = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
+        frontiers = []
         for i in points:
             cand = np.append(grid, x[i])
             cost = (cand - x[i]) ** 2
             gain = surrogate_loss(aux, p_hat, cand, int(labels[i]))
             f = pareto_front(cost, gain, cap)
-            cand, cost, gain = cand[f], cost[f], gain[f]
-            comb_cost = (costs[:, None] + cost).ravel()
-            comb_gain = (gains[:, None] + gain).ravel()
-            keep = pareto_front(comb_cost, comb_gain, cap)
-            rows, cols = np.divmod(keep, cand.size)
-            pos = np.hstack([pos[rows], cand[cols, None]])
-            costs, gains = comb_cost[keep], comb_gain[keep]
-        halves.append((pos, costs, gains))
+            frontiers.append((cand[f], cost[f], gain[f]))
+        halves.append(full_product_frontier(frontiers, cap))
     (pos_a, cost_a, gain_a), (pos_b, cost_b, gain_b) = halves
     match = np.searchsorted(cost_b, cap - cost_a, side="right") - 1
     totals = gain_a + gain_b[match]
@@ -909,6 +918,50 @@ class TestBruteForceWorstCase:
             sup, pos = brute_force_worst_case(*case)
             assert np.float64(sup).tobytes() == np.float64(want_sup).tobytes()
             assert pos.tobytes() == want_pos.tobytes()
+
+    @pytest.mark.parametrize("block, across, empty", [(64, True, True),
+                                                      (robust._PRODUCT_BLOCK, True, False),
+                                                      (1 << 20, False, False)],
+                             ids=["64", "default", "2^20"])
+    def test_block_frontiers_match_full_product(self, monkeypatch, block, across, empty):
+        # Costs on a 2^-10 lattice and power-of-two gain steps, so every sum
+        # is exact.  Both points have a run of gain steps of 2, so joint
+        # entries of equal cost and gain lie in adjacent rows: in one block
+        # (64 entries is two rows) and, but for one 2^20 block, across
+        # blocks.  Near the cap, B's steeper steps beat A's flat tail, so
+        # some blocks of two rows keep nothing.
+        def lattice(steps, first):
+            gains = np.concatenate([[0.0], np.cumsum(steps)])
+            return first + np.arange(gains.size), np.arange(gains.size) / 1024, gains
+        frontiers = [lattice(np.repeat([8.0, 2.0, 0.5, 0.125], [500, 1000, 1000, 1600]), 0.25),
+                     lattice(np.repeat([4.0, 2.0, 1.0], [12, 10, 9]), 0.5)]
+        cap = 3000 / 1024
+        calls = []  # (entries, whether two share cost and gain) per prune
+        prune = robust._pareto_prune
+
+        def spy(costs, gains, cap):
+            pairs = np.unique(np.stack([costs, gains], axis=1), axis=0)
+            calls.append((costs.size, len(pairs) < costs.size))
+            return prune(costs, gains, cap)
+        monkeypatch.setattr(robust, "_pareto_prune", spy)
+        monkeypatch.setattr(robust, "_PRODUCT_BLOCK", block)
+        got = robust._joint_frontier(frontiers, cap)
+        want = full_product_frontier(frontiers, cap)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert any(tie for _, tie in calls[:-1])  # within one block
+        assert calls[-1][1] == across  # the last fold's blocks, concatenated
+        assert any(size == 0 for size, _ in calls) == empty
+
+    def test_peak_memory_is_the_blocks_frontiers(self):
+        # The three-point half's 20,630-by-618 product: keeping every
+        # block's envelope survivors for one prune peaked at 52.7 MB traced.
+        tracemalloc.start()
+        try:
+            brute_force_worst_case(*FIVE_POINT_CASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26_000_000
 
 
 class TestBarycenterAttack:
@@ -1152,6 +1205,15 @@ INTP_MAX = int(np.iinfo(np.intp).max)
      "grid_resolution must be >= 2, got 1"),
     (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.0, [1.0], grid_resolution=100.5),
      "grid_resolution must be an integer, got 100.5"),
+    # A bool multiplier used to run as 1.0 or 0.0.
+    (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.1, [True]),
+     "lambda_grid must hold real numbers, not bools, got [True]"),
+    (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.1, np.array([False, True])),
+     "lambda_grid must hold real numbers, not bools, got array([False,  True])"),
+    (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.1, [0.0, True]),
+     "lambda_grid must hold real numbers, not bools, got [0.0, True]"),
+    (lambda: dual_curve(IDENT, AUX0, 0.5, TWO_POINTS, 0.1, (0.5, np.True_)),
+     "lambda_grid must hold real numbers, not bools, got (0.5, np.True_)"),
     (lambda: brute_force_worst_case(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0])),
                                     math.inf, 1001, AUX0, 0.5, IDENT),
      "eps must be finite and >= 0, got inf"),
@@ -1185,7 +1247,9 @@ INTP_MAX = int(np.iinfo(np.intp).max)
      f"batch_size must be <= {INTP_MAX}, got {INTP_MAX + 1}"),
     (lambda: TrainConfig(steps=10**400), f"steps must be <= {INTP_MAX}, got {10**400}"),
 ], ids=["attack-start-outside-box", "dual-curve-grid-1",
-        "dual-curve-grid-float", "brute-force-inf-budget", "init-model-float-input-dim",
+        "dual-curve-grid-float", "dual-curve-bool-lambda", "dual-curve-bool-array",
+        "dual-curve-mixed-bool-lambda", "dual-curve-numpy-bool-lambda",
+        "brute-force-inf-budget", "init-model-float-input-dim",
         "scoring-model-float-input-dim", "scoring-model-bool-input-dim",
         "aux-bool", "aux-str", "dual-bool-lam",
         "barycenter-bool-x", "flip-search-nan-x", "flip-search-x-outside-box",
