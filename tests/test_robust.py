@@ -727,6 +727,86 @@ def pareto_front(costs, gains, cap):
     return order[np.concatenate([[True], g[1:] > np.maximum.accumulate(g)[:-1]])]
 
 
+def prune_cases():
+    """(costs, gains, cap) inputs for ``_pareto_prune``, most with tied
+    costs: lattice costs and gains, so (cost, gain) pairs repeat; both signs
+    of zero; distinct costs; empty input; and every cost above the cap."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for i in range(120):
+        n = int(rng.integers(1, 80))
+        if i % 3 == 0:
+            costs, gains = rng.integers(0, 9, n) / 4, rng.integers(-4, 5, n) / 2
+        elif i % 3 == 1:
+            costs = rng.choice([-0.0, 0.0, 0.25, 1.0], n)
+            gains = rng.choice([-0.0, 0.0, -0.5, 0.5], n)
+        else:
+            costs, gains = rng.uniform(0, 1, n), rng.integers(0, 3, n) / 2
+        cap = [math.inf, float(np.median(costs)), 0.0, -1.0][i % 4]
+        cases.append((costs, gains, cap))
+    cases.append((np.empty(0), np.empty(0), 1.0))
+    return cases
+
+
+class TestParetoPrune:
+    def test_matches_lexsort_reference_bitwise(self, monkeypatch):
+        want = [pareto_front(*case) if (case[0] <= case[2]).any() else np.empty(0, np.intp)
+                for case in prune_cases()]
+        lexsorts = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            lexsorts.append(len(keys))
+            return lexsort(keys)
+        monkeypatch.setattr(np, "lexsort", spy)
+        tied_cases = 0
+        for (costs, gains, cap), want_keep in zip(prune_cases(), want):
+            lexsorts.clear()
+            got = robust._pareto_prune(costs, gains, cap)
+            assert got.dtype == want_keep.dtype and got.tobytes() == want_keep.tobytes()
+            in_cap = costs[costs <= cap]
+            tied = np.unique(in_cap).size < in_cap.size  # -0.0 and +0.0 tie
+            assert bool(lexsorts) == tied
+            tied_cases += tied
+        assert 0 < tied_cases < len(want)
+
+
+class TestEnvelopeFloor:
+    @staticmethod
+    def exact_floor(env_cost, env_gain, costs):
+        return env_gain[np.searchsorted(env_cost, costs, side="right") - 1]
+
+    def test_never_above_the_exact_envelope(self):
+        # Envelope steps sit exactly on bucket edges, and costs on the edges
+        # and their neighbours, so a cost that rounds into the bucket above
+        # its own meets a step at that bucket's edge.  Costs up to twice top
+        # read past the last bucket, as a cap below the product's largest
+        # cost makes them.
+        rng = np.random.default_rng(43)
+        buckets = robust._FLOOR_BUCKETS
+        for _ in range(40):
+            top = float(rng.uniform(1e-3, 3.0))
+            edges = np.arange(buckets) * (top / buckets)
+            env_cost = np.unique(np.concatenate([[0.0], rng.choice(edges, 400),
+                                                 rng.uniform(0, 2 * top, 100)]))
+            env_gain = np.cumsum(rng.uniform(0.01, 1.0, env_cost.size)) - 3.0
+            costs = np.concatenate([edges, np.nextafter(edges, -1.0)[1:],
+                                    np.nextafter(edges, 3 * top), [top, 2 * top],
+                                    rng.uniform(0, 2 * top, 2000)])
+            floor = robust._envelope_floor(env_cost, env_gain, top)(costs)
+            assert (floor <= self.exact_floor(env_cost, env_gain, costs)).all()
+
+    @pytest.mark.parametrize("top", [0.0, 1e-320])
+    def test_a_zero_or_subnormal_top_reads_the_floor_at_cost_0(self, top):
+        # Top 0 is an eps-0 fold's, where every product cost is 0.  The
+        # costs past top still read a floor no higher than the envelope's.
+        env_cost, env_gain = np.array([0.0, 5e-321, 1e-320, 0.5]), np.array([-1.0, 0.0, 1.0, 2.0])
+        costs = np.array([0.0, 5e-321, 1e-320, 2e-320, 1.0])
+        floor = robust._envelope_floor(env_cost, env_gain, top)(costs)
+        assert floor[:4].tolist() == [-1.0] * 4
+        assert (floor <= self.exact_floor(env_cost, env_gain, costs)).all()
+
+
 def unpruned_fold_cases():
     """(dataset, aux, p_hat, eps) instances for the brute-force oracle:
     random draws at the verify grid, then tie-heavy instances, every point
@@ -1196,6 +1276,7 @@ class TestDualState:
 
 
 INTP_MAX = int(np.iinfo(np.intp).max)
+STACKED = ScoringModel("linear-sigmoid", np.zeros((2, 2)), 1)  # two runs' params
 
 
 @pytest.mark.parametrize("call, message", [
@@ -1217,6 +1298,12 @@ INTP_MAX = int(np.iinfo(np.intp).max)
     (lambda: brute_force_worst_case(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([0, 0])),
                                     math.inf, 1001, AUX0, 0.5, IDENT),
      "eps must be finite and >= 0, got inf"),
+    # A stack's (2, 101) gains filled one point's frontier, so both oracles ran.
+    (lambda: brute_force_worst_case(Dataset.from_arrays(np.array([[0.3]]), np.array([0])), 0.1,
+                                    101, AUX0, 0.5, STACKED),
+     "params must be one model's (P,) vector, got shape (2, 2)"),
+    (lambda: dual_curve(STACKED, AUX0, 0.5, TWO_POINTS, 0.1, [1.0], grid_resolution=101),
+     "params must be one model's (P,) vector, got shape (2, 2)"),
     (lambda: init_model("linear-sigmoid", 2.5, 0), "input_dim must be an integer, got 2.5"),
     (lambda: ScoringModel("mlp1-tanh-sigmoid(2)", np.zeros(9), 2.0),
      "input_dim must be an integer, got 2.0"),
@@ -1249,7 +1336,8 @@ INTP_MAX = int(np.iinfo(np.intp).max)
 ], ids=["attack-start-outside-box", "dual-curve-grid-1",
         "dual-curve-grid-float", "dual-curve-bool-lambda", "dual-curve-bool-array",
         "dual-curve-mixed-bool-lambda", "dual-curve-numpy-bool-lambda",
-        "brute-force-inf-budget", "init-model-float-input-dim",
+        "brute-force-inf-budget", "brute-force-stacked-model", "dual-curve-stacked-model",
+        "init-model-float-input-dim",
         "scoring-model-float-input-dim", "scoring-model-bool-input-dim",
         "aux-bool", "aux-str", "dual-bool-lam",
         "barycenter-bool-x", "flip-search-nan-x", "flip-search-x-outside-box",
